@@ -34,8 +34,7 @@ impl fmt::Display for MapperKind {
 /// overridden: the paper's published PE counts (Table II, Fig. 7) imply
 /// 8-line groups with 16-bit column windows even for `PC3_tr`, i.e.
 /// full-width storage windows with truncation applied to *sensing* —
-/// [`DaismConfig::paper_16x8kb`] et al. encode that reading (see
-/// EXPERIMENTS.md).
+/// [`DaismConfig::paper_16x8kb`] et al. encode that reading.
 ///
 /// # Examples
 ///

@@ -40,7 +40,7 @@ impl fmt::Display for PerfReport {
 
 /// Estimates cycles/utilization/throughput for `gemm` on `config`.
 ///
-/// Model (DESIGN.md §4): every cycle, each bank activates one group.
+/// Model: every cycle, each bank activates one group.
 /// The kernel is pre-mapped into `S` segments ([`map_gemm`]); each
 /// segment must fire once per output position (`N`), so total work is
 /// `S·N` activations. The static mapper replays each bank's own segment

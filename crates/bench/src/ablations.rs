@@ -1,4 +1,4 @@
-//! Ablations over the design choices DESIGN.md calls out: mapper policy,
+//! Ablations over the reproduction's design choices: mapper policy,
 //! block-FP exponent handling, the PC-k ladder at the architecture
 //! level, and the zero-bypass sparsity sensitivity.
 

@@ -1,10 +1,9 @@
-//! Machine-readable GEMM perf trajectory: times the scalar reference,
-//! the serial **lane-packed microkernel** layer and the full
-//! auto-dispatched engine for the exact-f32 and bf16/PC3_tr backends —
-//! plus the **block-floating-point** engine (whole-matrix baseline,
-//! scalar reference, serial tiled, parallel) — then writes
-//! `BENCH_gemm.json` so speedups are tracked across PRs without parsing
-//! criterion output.
+//! Machine-readable GEMM perf trajectory, and the repo's one GEMM
+//! bench: times the scalar reference and the auto-dispatched engine for
+//! the exact-f32 and bf16/PC3_tr backends — plus the
+//! **block-floating-point** engine (whole-matrix baseline, scalar
+//! reference, engine) — then writes `BENCH_gemm.json` so speedups are
+//! tracked across changes.
 //!
 //! Usage:
 //!
@@ -14,19 +13,16 @@
 //! cargo run --release -p daism-bench --bin bench_gemm_json -- --out path.json
 //! ```
 //!
-//! Variants per float backend (each one a path the dispatch layer can
-//! actually select, so the guard below is meaningful):
+//! Variants per float backend:
 //!
 //! * `reference` — the scalar loop, the semantic anchor;
-//! * `microkernel` — the serial lane-packed layer
-//!   ([`gemm_microkernel_serial`]): the packed register-tile `f32`
-//!   kernel for `exact_f32`, the SoA lane-packed prepared-panel kernel
-//!   for the approximate backend;
-//! * `parallel` — the auto-dispatched engine ([`gemm`]), which adds the
-//!   thread gate on top.
+//! * `parallel` — the engine ([`gemm`]): it picks a B form (packed
+//!   register-tile `f32` blocks for `exact_f32`, SoA lane-packed
+//!   prepared panels for the approximate backend) and splits C rows over
+//!   the worker pool above its thread gate.
 //!
-//! For the blockfp backend `tiled` *is* the lane-packed engine (one
-//! chunk spanning all rows); `parallel` adds the worker pool.
+//! For the blockfp backend `parallel` is [`BlockFpGemm::execute`], the
+//! same walk with integer tile MACs.
 //!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions (best-of filters scheduler noise; the median
@@ -42,44 +38,28 @@
 //!   timing resolution and are exempt.
 //! * **BlockFp validation**: before timing, the engine's output is
 //!   checked — all-finite, no scale blowup against the exact f32 GEMM,
-//!   byte-identical across repeats and chunk sizes (the thread-count
-//!   seam).
+//!   byte-identical across repeats. (Byte-identity across C row-chunk
+//!   sizes, the thread-count seam, is pinned by `daism-core`'s unit
+//!   tests.)
 
 use daism_core::{
-    gemm, gemm_microkernel_serial, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul,
-    MultiplierConfig, ScalarMul,
+    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig, ScalarMul,
 };
 use daism_num::FpFormat;
 use std::time::Instant;
 
 type GemmFn = fn(&dyn ScalarMul, &[f32], &[f32], &mut [f32], usize, usize, usize);
 
-const VARIANTS: &[(&str, GemmFn)] =
-    &[("reference", gemm_reference), ("microkernel", gemm_microkernel_serial), ("parallel", gemm)];
+const VARIANTS: &[(&str, GemmFn)] = &[("reference", gemm_reference), ("parallel", gemm)];
 
 type BlockFpFn = fn(&BlockFpGemm, &[f32], &[f32], &mut [f32], usize, usize, usize);
 
-fn blockfp_tiled_serial(
-    e: &BlockFpGemm,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    // One chunk spanning all rows: the lane-packed tiled kernel without
-    // row parallelism, so the engine win is visible next to `parallel`.
-    e.execute_chunked(a, b, c, m, k, n, m.max(1));
-}
-
 /// Whole-matrix quantization (the paper's literal mode) is the blockfp
 /// baseline, the scalar per-tile reference anchors semantics, and
-/// tiled/parallel are the engine.
+/// `parallel` is the engine.
 const BLOCKFP_VARIANTS: &[(&str, BlockFpFn)] = &[
     ("whole_matrix", BlockFpGemm::execute_whole_matrix),
     ("reference", BlockFpGemm::reference),
-    ("tiled", blockfp_tiled_serial),
     ("parallel", BlockFpGemm::execute),
 ];
 
@@ -94,7 +74,6 @@ const BLOCKFP_WIDTH: u32 = 9;
 const GUARD_MIN_SIZE: usize = 64;
 
 fn test_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
-    // Same deterministic fill as benches/gemm.rs, so numbers line up.
     let a: Vec<f32> = (0..m * k).map(|i| (i as f32 % 7.0) - 3.0).collect();
     let b: Vec<f32> = (0..k * n).map(|i| (i as f32 % 5.0) - 2.0).collect();
     (a, b)
@@ -139,9 +118,9 @@ fn time_blockfp_cell(f: BlockFpFn, engine: &BlockFpGemm, size: usize, reps: usiz
 }
 
 /// CI guard for the blockfp rows: no NaN/Inf, no scale blowup against
-/// the exact f32 GEMM, and byte-identical output across repeated runs
-/// and chunk sizes (the thread-count seam). Exits non-zero on failure so
-/// the bench-smoke step catches regressions without parsing the JSON.
+/// the exact f32 GEMM, and byte-identical output across repeated runs.
+/// Exits non-zero on failure so the bench-smoke step catches
+/// regressions without parsing the JSON.
 fn validate_blockfp(engine: &BlockFpGemm, size: usize) {
     let (m, k, n) = (size, size, size);
     let (a, b) = test_operands(m, k, n);
@@ -171,13 +150,6 @@ fn validate_blockfp(engine: &BlockFpGemm, size: usize) {
     if repeat != golden {
         eprintln!("blockfp validation failed: repeated runs diverged at {size}^3");
         std::process::exit(1);
-    }
-    for chunk_rows in [1usize, 7, m] {
-        let chunked = bits(&run(&|c| engine.execute_chunked(&a, &b, c, m, k, n, chunk_rows)));
-        if chunked != golden {
-            eprintln!("blockfp validation failed: chunk_rows {chunk_rows} diverged at {size}^3");
-            std::process::exit(1);
-        }
     }
 }
 

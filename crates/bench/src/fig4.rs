@@ -1,7 +1,7 @@
 //! Fig. 4: accuracy of CNNs under `bfloat16` approximate multiplication
 //! vs the exact `float32` baseline.
 //!
-//! Substitution (DESIGN.md §2): the paper evaluates pretrained ImageNet
+//! Substitution: the paper evaluates pretrained ImageNet
 //! models; we train small models on deterministic synthetic tasks
 //! in-repo, then evaluate the *same weights* under every backend. The
 //! reported series has the same shape as the paper's figure: per-model
@@ -17,7 +17,7 @@ use std::fmt;
 pub enum Scale {
     /// Small datasets / few epochs (seconds, debug-friendly).
     Quick,
-    /// The full run used for EXPERIMENTS.md (release build).
+    /// The full run the `fig4` binary prints by default (release build).
     Full,
 }
 

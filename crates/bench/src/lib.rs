@@ -3,8 +3,7 @@
 //!
 //! Every experiment is a pure function returning a typed result with a
 //! `Display` implementation that prints the same rows/series the paper
-//! reports; the `src/bin/` wrappers are one-liners. `EXPERIMENTS.md`
-//! records the printed output against the paper's published numbers.
+//! reports; the `src/bin/` wrappers are one-liners.
 //!
 //! | artifact | runner | binary |
 //! |----------|--------|--------|

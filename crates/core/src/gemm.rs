@@ -7,38 +7,40 @@
 //!
 //! `C[m×n] += A[m×k] · B[k×n]` (row-major) with every scalar product
 //! routed through a [`ScalarMul`] backend and accumulation at `f32`.
-//! Four layers of structure:
+//! The engine has one plan, modelled on how DAISM programs the stored
+//! operand into its SRAM banks once and streams the other past it:
+//! **pick a form for B, then walk its tiles.**
 //!
-//! 1. **Pre-decoded B panels** — each packed `KC×NC` B-panel is decoded
-//!    **once per tile** via [`ScalarMul::prepare_panel`] and consumed by
-//!    [`ScalarMul::mul_prepared`] for every C row of the tile, so the
-//!    per-MAC `FpScalar::from_f32` disappears from approximate backends
-//!    entirely (and [`QuantizedExactMul`](crate::QuantizedExactMul)
-//!    skips its per-MAC operand quantization). The native-`f32` backend
-//!    keeps its fused branchless FMA path instead — a panel copy would
-//!    only add memory traffic there.
-//! 2. **Batched backend calls** — the inner loop issues one panel call
-//!    per (A-element, B-row-panel) pair instead of a virtual call per
-//!    scalar, letting backends hoist A-operand decode and line-pattern
-//!    derivation out of the panel loop (and the
-//!    [`MantissaMultiplier`](crate::MantissaMultiplier) serve products
-//!    from its memoized table).
-//! 3. **Cache blocking** — `KC`-deep × `NC`-wide blocks keep the active
-//!    (prepared) B panel and C row segment resident while A elements
-//!    stream.
-//! 4. **Row-panel parallelism** — row panels of C are distributed over
-//!    the persistent worker pool (rayon); prepared B panels are shared
-//!    read-only across threads, so B is decoded once per tile *per
-//!    GEMM*, not per thread. Panels write disjoint C regions, so
-//!    results never depend on scheduling.
+//! * **B forms.** B is cut into `KC × NC` tiles (`KC` rows of depth,
+//!   `NC` columns), walked `j0` outer and `l0` inner. Each tile is
+//!   consumed in one of three forms:
+//!   * *raw* — the fused loop issues one [`ScalarMul::mul_rows`] per
+//!     (A-element, B-row-segment) pair. Used for `m == 1`, for backends
+//!     without a panel cache, and for tiny native-`f32` problems, where
+//!     converting B has no cross-row reuse to amortise;
+//!   * *panels* — each B row-segment decoded once per tile by
+//!     [`ScalarMul::prepare_panel`] and consumed by
+//!     [`ScalarMul::mul_prepared`] for every C row, so per-MAC operand
+//!     decode disappears from the approximate backends;
+//!   * *packed* — native-`f32` backends pack each tile into `NR`-major
+//!     panels for the register-tile microkernel.
+//! * **Prepare once or per call.** [`gemm`] builds each panel or packed
+//!   tile from the raw matrix as the walk reaches it;
+//!   [`PreparedGemmB::new`] builds all of them up front, and
+//!   [`gemm_with_prepared_b`] replays them. Both end in the same walk.
+//! * **Row-panel parallelism.** Above a MAC gate, every tile's C rows
+//!   are split into chunks over the persistent worker pool (rayon).
+//!   Tiles are shared read-only across chunks, so B is converted once
+//!   per GEMM, not per thread, and chunks write disjoint C regions.
 //!
 //! # Bit-exactness
 //!
 //! [`gemm`] is a *speed* refactor, not a semantics change: for every
 //! output element the products are accumulated in ascending-`k` order,
 //! exactly as the scalar reference loop does, so results are
-//! **bit-identical** to [`gemm_reference`] for every backend (enforced
-//! by the differential property suite in `tests/gemm_differential.rs`).
+//! **bit-identical** to [`gemm_reference`] for every backend, B form and
+//! chunk size (enforced by the differential property suite in
+//! `tests/gemm_differential.rs`).
 //!
 //! Zero operands are skipped rather than multiplied — mirroring the
 //! hardware's zero gating (paper §III-C), where a zero operand never
@@ -49,7 +51,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::fp::PreparedPanel;
 use crate::mantissa::MantissaMultiplier;
-use crate::microkernel;
+use crate::microkernel::{self, PackedBBlock};
 use crate::ScalarMul;
 use daism_num::BlockFp;
 use rayon::prelude::*;
@@ -58,9 +60,9 @@ use rayon::prelude::*;
 /// finer so every worker gets rows).
 const MC: usize = 32;
 /// Depth (k) block: B rows resident per pass.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 /// Column block: B row-segment / C row-segment width per pass.
-const NC: usize = 1024;
+pub(crate) const NC: usize = 1024;
 /// Minimum MAC count before worker threads are engaged. With the
 /// persistent pool (vendor/rayon) dispatch costs a queue push + condvar
 /// wake rather than a thread spawn, so the gate sits far lower than the
@@ -104,8 +106,8 @@ fn par_chunk_rows(m: usize, k: usize, n: usize) -> Option<usize> {
 /// threads.
 ///
 /// This is the semantic anchor the tiled engine is differentially tested
-/// against, and the baseline the criterion benches measure speedups
-/// from. Zero A-elements are skipped (hardware zero gating, §III-C);
+/// against, and the baseline the GEMM bench measures speedups from.
+/// Zero A-elements are skipped (hardware zero gating, §III-C);
 /// `mul_rows` applies the same gating to B.
 ///
 /// # Panics
@@ -137,15 +139,18 @@ pub fn gemm_reference(
 /// cache-blocked, pre-decoded, parallel engine — bit-identical to
 /// [`gemm_reference`], much faster.
 ///
-/// Backends with a panel cache ([`ScalarMul::supports_prepared_panels`])
-/// take the prepared-panel path (each `KC×NC` B-panel decoded once,
-/// shared across rows and threads); native-`f32` backends — and `m == 1`
-/// or cache-less backends, where pre-decode has no cross-row reuse to
-/// amortise — keep the fused per-call path. Small problems
-/// (under ~16k MACs) run serially; larger ones split C row panels
-/// across the persistent worker pool. Either way the per-element
-/// accumulation order is ascending-`k`, so the result does not depend
-/// on problem size or thread count.
+/// Picks a form for B, then runs the same tile walk as
+/// [`gemm_with_prepared_b`], converting each tile as it gets there:
+/// backends with a panel cache ([`ScalarMul::supports_prepared_panels`])
+/// decode each `KC×NC` B-panel once and share it across rows and
+/// threads; native-`f32` backends pack it for the register-tile
+/// microkernel. `m == 1`, cache-less backends and tiny native-`f32`
+/// problems, where conversion has no cross-row reuse to amortise, keep
+/// the fused per-call path. Small problems (under ~16k MACs) run
+/// serially; larger ones split C row panels across the persistent
+/// worker pool. Either way the per-element accumulation order is
+/// ascending-`k`, so the result does not depend on problem size or
+/// thread count.
 ///
 /// # Panics
 ///
@@ -176,269 +181,196 @@ pub fn gemm(
         return; // nothing to accumulate
     }
     let macs = m.saturating_mul(k).saturating_mul(n);
-    let chunk = par_chunk_rows(m, k, n);
-    if mul.is_native_f32() {
-        // Native f32: the packed register-tile microkernel wins once
-        // there is enough work to amortise packing; tiny or row-vector
-        // problems keep the fused loop (which is then exactly the
-        // reference loop, so neither regime regresses below naive).
-        // (`MICRO_MIN_M` ≥ 2, so the shared gate's `m > 1` condition is
-        // already implied inside the microkernel branch.)
+    let form = if mul.is_native_f32() {
+        // The packed microkernel wins once there is enough work to
+        // amortise packing; below that the fused loop is exactly the
+        // reference loop, so neither regime regresses below naive.
         if m >= MICRO_MIN_M && macs >= MICRO_MIN_MACS {
-            if let Some(chunk_rows) = chunk {
-                microkernel::gemm_f32_microkernel_parallel(a, b, c, k, n, chunk_rows);
-            } else {
-                crate::gemm_f32_microkernel(a, b, c, m, k, n);
-            }
-        } else if let Some(chunk_rows) = chunk {
-            fused_parallel(mul, a, b, c, k, n, chunk_rows);
+            BForm::Packed(BTiles::Raw(b))
         } else {
-            fused_kernel(mul, a, b, c, m, k, n);
+            BForm::Raw(b)
         }
-        return;
-    }
-    // Panel pre-decode pays off through cross-row reuse of a cached
-    // decoded representation: a single C row consumes each decoded
-    // element exactly once, and a backend without a panel cache (raw
-    // fallback) gains nothing from the panel allocation + B copy — both
-    // take the fused path instead.
-    let use_prepared = m > 1 && mul.supports_prepared_panels();
-    if let Some(chunk_rows) = chunk {
-        if use_prepared {
-            prepared_parallel(mul, a, b, c, k, n, chunk_rows);
-        } else {
-            fused_parallel(mul, a, b, c, k, n, chunk_rows);
-        }
-    } else if use_prepared {
-        prepared_kernel(mul, a, b, c, k, n);
+    } else if m > 1 && mul.supports_prepared_panels() {
+        BForm::Panels(BTiles::Raw(b))
     } else {
-        fused_kernel(mul, a, b, c, m, k, n);
-    }
+        BForm::Raw(b)
+    };
+    run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
 }
 
-/// The serial lane-packed engine, regardless of problem size or thread
-/// gate: native-`f32` backends run the packed register-tile microkernel
-/// ([`gemm_f32_microkernel`](crate::gemm_f32_microkernel)), panel-caching
-/// backends the lane-packed prepared-panel kernel, and everything else
-/// the fused tiled kernel. Bit-identical to [`gemm_reference`]; exposed
-/// so the benches can time the serial microkernel layer in isolation —
-/// prefer [`gemm`] everywhere else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_microkernel_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_shapes(a, b, c, m, k, n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if mul.is_native_f32() {
-        crate::gemm_f32_microkernel(a, b, c, m, k, n);
-    } else if mul.supports_prepared_panels() && m > 1 {
-        prepared_kernel(mul, a, b, c, k, n);
-    } else {
-        fused_kernel(mul, a, b, c, m, k, n);
-    }
-}
-
-/// The PR-1 tiled kernel run serially on the full problem (per-call
-/// `mul_rows` batching, no panel pre-decode). Exposed for the criterion
-/// benches and the `BENCH_gemm.json` emitter so the pre-decode win is
-/// tracked separately from the tiling win; prefer [`gemm`] everywhere
-/// else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_tiled_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_shapes(a, b, c, m, k, n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    fused_kernel(mul, a, b, c, m, k, n);
-}
-
-/// The prepared-panel tiled kernel run serially on the full problem,
-/// regardless of size or backend. Exposed so the single-core pre-decode
-/// speedup over [`gemm_tiled_serial`] is benchmarkable in isolation;
-/// prefer [`gemm`] everywhere else.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_prepared_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    check_shapes(a, b, c, m, k, n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    prepared_kernel(mul, a, b, c, k, n);
-}
-
-/// `KC × NC`-blocked kernel over `rows` C rows, one [`ScalarMul::mul_rows`]
-/// per (A-element, B-row-segment) pair — the fused path for native-`f32`
-/// backends (and the PR-1 baseline for all others).
-///
-/// Per output element, the `k` loop advances in ascending order across
-/// and within blocks — the bit-exactness invariant.
-fn fused_kernel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let l1 = (l0 + KC).min(k);
-            for r in 0..rows {
-                let arow = &a[r * k..(r + 1) * k];
-                let crow = &mut c[r * n + j0..r * n + j1];
-                for (l, &av) in arow.iter().enumerate().take(l1).skip(l0) {
-                    if av == 0.0 {
-                        continue; // zero bypass, as the hardware does
-                    }
-                    mul.mul_rows(av, &b[l * n + j0..l * n + j1], crow);
-                }
-            }
-        }
-    }
-}
-
-/// One `KC × NC` block of the B matrix: depth rows `[l0, l1)` crossed
-/// with columns `[j0, j1)`.
+/// One block of the B matrix: depth rows `[l0, l1)` crossed with
+/// columns `[j0, j1)`.
 #[derive(Debug, Clone, Copy)]
-struct Tile {
-    l0: usize,
-    l1: usize,
-    j0: usize,
-    j1: usize,
+pub(crate) struct Tile {
+    pub(crate) l0: usize,
+    pub(crate) l1: usize,
+    pub(crate) j0: usize,
+    pub(crate) j1: usize,
+}
+
+/// The `tile_k × tile_n` tiles of a `k × n` B matrix in the one walk
+/// order every engine uses: `j0` outer, `l0` inner, so each output
+/// element sees its depth blocks in ascending `k`.
+pub(crate) fn tiles(
+    k: usize,
+    n: usize,
+    tile_k: usize,
+    tile_n: usize,
+) -> impl Iterator<Item = Tile> {
+    (0..n).step_by(tile_n).flat_map(move |j0| {
+        (0..k).step_by(tile_k).map(move |l0| Tile {
+            l0,
+            l1: (l0 + tile_k).min(k),
+            j0,
+            j1: (j0 + tile_n).min(n),
+        })
+    })
+}
+
+/// Where a tile walk gets each B tile from: built from the raw matrix
+/// as the walk reaches it (an eager call), or read from a set prepared
+/// up front in the same walk order.
+enum BTiles<'a, T> {
+    Raw(&'a [f32]),
+    Prepared(&'a [T]),
+}
+
+// Manual impls: the derives would demand `T: Copy`.
+impl<T> Clone for BTiles<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for BTiles<'_, T> {}
+
+/// The form [`run`] consumes B in. See the module docs.
+#[derive(Clone, Copy)]
+enum BForm<'a> {
+    /// The raw values through the fused `mul_rows` loop.
+    Raw(&'a [f32]),
+    /// One decoded [`PreparedPanel`] per B row-segment of each tile.
+    Panels(BTiles<'a, Vec<PreparedPanel>>),
+    /// `NR`-major packed tiles for the native-`f32` microkernel.
+    Packed(BTiles<'a, PackedBBlock>),
+}
+
+/// One tile of B in the form [`tile_rows`] consumes.
+#[derive(Clone, Copy)]
+enum TileB<'a> {
+    Raw(&'a [f32]),
+    Panels(&'a [PreparedPanel]),
+    Packed(&'a PackedBBlock),
 }
 
 /// Decodes the B row-segments of `tile` into prepared panels, one per B
-/// row.
-fn prepare_block(mul: &dyn ScalarMul, b: &[f32], n: usize, tile: Tile) -> Vec<PreparedPanel> {
-    (tile.l0..tile.l1).map(|l| mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1])).collect()
+/// row — across the pool (one 8-row block per work item) when
+/// `parallel`. Panel order is positional, so scheduling cannot affect
+/// results.
+fn prepare_tile(
+    mul: &dyn ScalarMul,
+    b: &[f32],
+    n: usize,
+    tile: Tile,
+    parallel: bool,
+) -> Vec<PreparedPanel> {
+    let panel = |l: usize| mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1]);
+    if !parallel {
+        return (tile.l0..tile.l1).map(panel).collect();
+    }
+    let mut slots: Vec<Option<PreparedPanel>> = (tile.l0..tile.l1).map(|_| None).collect();
+    slots.par_chunks_mut(8).enumerate().for_each(|(pi, chunk)| {
+        for (s, slot) in chunk.iter_mut().enumerate() {
+            *slot = Some(panel(tile.l0 + pi * 8 + s));
+        }
+    });
+    slots.into_iter().map(|p| p.expect("panel decoded")).collect()
 }
 
-/// Runs the MAC loops of one tile over the C rows in `c` against
-/// already-prepared B panels. `a` is the full `rows × k` A slab for
-/// these rows; `c` the full `rows × n` C slab (row count inferred).
-fn block_rows(
+/// The one float tile walk behind [`gemm`] and [`gemm_with_prepared_b`]:
+/// each tile of `b` in walk order, MAC'd into all of C at once
+/// (`chunk_rows == None`) or into `chunk_rows`-row C chunks over the
+/// pool. Bit-identical either way — each element accumulates in
+/// ascending `k`, and chunks write disjoint rows.
+fn run(
     mul: &dyn ScalarMul,
     a: &[f32],
-    panels: &[PreparedPanel],
+    b: BForm<'_>,
     c: &mut [f32],
+    k: usize,
+    n: usize,
+    chunk_rows: Option<usize>,
+) {
+    for (ti, tile) in tiles(k, n, KC, NC).enumerate() {
+        let (panels, block);
+        let tb = match b {
+            BForm::Raw(raw) => TileB::Raw(raw),
+            BForm::Panels(BTiles::Raw(raw)) => {
+                panels = prepare_tile(mul, raw, n, tile, chunk_rows.is_some());
+                TileB::Panels(&panels)
+            }
+            BForm::Panels(BTiles::Prepared(tiles)) => TileB::Panels(&tiles[ti]),
+            BForm::Packed(BTiles::Raw(raw)) => {
+                block = microkernel::pack_b(raw, n, tile);
+                TileB::Packed(&block)
+            }
+            BForm::Packed(BTiles::Prepared(blocks)) => TileB::Packed(&blocks[ti]),
+        };
+        match chunk_rows {
+            None => tile_rows(mul, a, tb, c, 0, k, n, tile),
+            Some(cr) => c.par_chunks_mut(cr * n).enumerate().for_each(|(ci, cpanel)| {
+                tile_rows(mul, a, tb, cpanel, ci * cr, k, n, tile);
+            }),
+        }
+    }
+}
+
+/// Runs the MAC loops of one tile over the C rows in `c`, a `rows × n`
+/// slab starting at row `row0` of the full `a`.
+#[allow(clippy::too_many_arguments)] // internal kernel seam, mirrors BlockFpGemm::mac_rows
+fn tile_rows(
+    mul: &dyn ScalarMul,
+    a: &[f32],
+    b: TileB<'_>,
+    c: &mut [f32],
+    row0: usize,
     k: usize,
     n: usize,
     tile: Tile,
 ) {
-    let rows = c.len() / n;
-    for r in 0..rows {
-        let arow = &a[r * k..(r + 1) * k];
-        let crow = &mut c[r * n + tile.j0..r * n + tile.j1];
-        for (dl, panel) in panels.iter().enumerate() {
-            let av = arow[tile.l0 + dl];
-            if av == 0.0 {
-                continue; // zero bypass, as the hardware does
+    let (j0, j1) = (tile.j0, tile.j1);
+    match b {
+        TileB::Raw(raw) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
+            mul.mul_rows(av, &raw[l * n + j0..l * n + j1], crow)
+        }),
+        TileB::Panels(panels) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
+            mul.mul_prepared(av, &panels[l - tile.l0], crow)
+        }),
+        TileB::Packed(blk) => {
+            microkernel::packed_rows(a, blk, c, row0, k, n, microkernel::avx2_available())
+        }
+    }
+}
+
+/// The scalar-backend row loop of one tile: `mac(a_il, l, c_row)` for
+/// every non-zero A element, ascending `l` — the bit-exactness
+/// invariant.
+fn mac_rows(
+    a: &[f32],
+    c: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+    tile: Tile,
+    mac: impl Fn(f32, usize, &mut [f32]),
+) {
+    for (r, crow) in c.chunks_exact_mut(n).enumerate() {
+        let arow = &a[(row0 + r) * k..(row0 + r + 1) * k];
+        let crow = &mut crow[tile.j0..tile.j1];
+        for (l, &av) in arow.iter().enumerate().take(tile.l1).skip(tile.l0) {
+            if av != 0.0 {
+                mac(av, l, crow); // zero A bypassed, as the hardware does
             }
-            mul.mul_prepared(av, panel, crow);
-        }
-    }
-}
-
-/// Serial prepared-panel kernel: each `KC × NC` B block is decoded once
-/// and reused for every C row.
-fn prepared_kernel(mul: &dyn ScalarMul, a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-            let panels = prepare_block(mul, b, n, tile);
-            block_rows(mul, a, &panels, c, k, n, tile);
-        }
-    }
-}
-
-/// Parallel fused path for native-`f32` backends: C row chunks are
-/// distributed over the pool, each running the `KC × NC` fused kernel on
-/// its slab. Chunks write disjoint C regions, so results never depend on
-/// scheduling.
-fn fused_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel, cpanel)| {
-        let i0 = panel * chunk_rows;
-        let rows = cpanel.len() / n;
-        fused_kernel(mul, &a[i0 * k..(i0 + rows) * k], b, cpanel, rows, k, n);
-    });
-}
-
-/// Parallel prepared-panel path: panel decode itself is parallelised
-/// (one block of B rows per work item), then the decoded panels are
-/// shared read-only across the C row chunks — B is decoded exactly once
-/// per GEMM, not once per thread.
-fn prepared_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    for j0 in (0..n).step_by(NC) {
-        let j1 = (j0 + NC).min(n);
-        for l0 in (0..k).step_by(KC) {
-            let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-            // Decode this block's panels across the pool (panel order is
-            // positional, so scheduling cannot affect results).
-            let mut panels: Vec<Option<PreparedPanel>> = (tile.l0..tile.l1).map(|_| None).collect();
-            panels.par_chunks_mut(8).enumerate().for_each(|(pi, slots)| {
-                for (s, slot) in slots.iter_mut().enumerate() {
-                    let l = tile.l0 + pi * 8 + s;
-                    *slot = Some(mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1]));
-                }
-            });
-            let panels: Vec<PreparedPanel> =
-                panels.into_iter().map(|p| p.expect("panel decoded")).collect();
-            c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel_idx, cpanel)| {
-                let i0 = panel_idx * chunk_rows;
-                let rows = cpanel.len() / n;
-                block_rows(mul, &a[i0 * k..(i0 + rows) * k], &panels, cpanel, k, n, tile);
-            });
         }
     }
 }
@@ -447,24 +379,17 @@ fn prepared_parallel(
 // Persistent prepared B — compiled inference sessions
 // -------------------------------------------------------------------
 
-/// A `KC × NC` tile of B with its row panels already decoded.
-#[derive(Debug, Clone)]
-struct PreparedTileB {
-    tile: Tile,
-    panels: Vec<PreparedPanel>,
-}
-
 #[derive(Debug, Clone)]
 enum PreparedBVariant {
     /// No cacheable representation for this backend: the raw values,
-    /// consumed by the fused kernels exactly as [`gemm`] would.
+    /// consumed by the fused loop exactly as [`gemm`] would.
     Fused { raw: Vec<f32> },
     /// Panel-caching backends: decoded panels per `KC × NC` tile, in
-    /// the engine's walk order (`j0` outer, `l0` inner).
-    Panels { tiles: Vec<PreparedTileB> },
+    /// walk order.
+    Panels { tiles: Vec<Vec<PreparedPanel>> },
     /// Native-`f32` backends: `NR`-major packed panels for the
     /// register-tile microkernel.
-    Packed { blocks: Vec<microkernel::PackedBBlock> },
+    Packed { blocks: Vec<PackedBBlock> },
 }
 
 /// The per-tile prepared state of one B matrix for one backend — the
@@ -480,7 +405,7 @@ enum PreparedBVariant {
 /// * panel-caching backends ([`ApproxFpMul`] on the fast formats,
 ///   [`QuantizedExactMul`]) — the decoded [`PreparedPanel`]s of every
 ///   `KC × NC` tile;
-/// * everything else — the raw values (the fused kernels re-derive
+/// * everything else — the raw values (the fused loop re-derives
 ///   operands per call, exactly as [`gemm`] does for those backends).
 ///
 /// [`gemm_with_prepared_b`] consumes it with **bit-identical** results
@@ -525,18 +450,15 @@ impl PreparedGemmB {
     /// Panics if `b.len() != k * n`.
     pub fn new(mul: &dyn ScalarMul, b: &[f32], k: usize, n: usize) -> Self {
         assert_eq!(b.len(), k * n, "B has wrong length");
+        let walk = tiles(k, n, KC, NC);
         let variant = if mul.is_native_f32() {
-            PreparedBVariant::Packed { blocks: microkernel::pack_b_blocks(b, k, n) }
-        } else if mul.supports_prepared_panels() {
-            let mut tiles = Vec::new();
-            for j0 in (0..n).step_by(NC) {
-                let j1 = (j0 + NC).min(n);
-                for l0 in (0..k).step_by(KC) {
-                    let tile = Tile { l0, l1: (l0 + KC).min(k), j0, j1 };
-                    tiles.push(PreparedTileB { tile, panels: prepare_block(mul, b, n, tile) });
-                }
+            PreparedBVariant::Packed {
+                blocks: walk.map(|t| microkernel::pack_b(b, n, t)).collect(),
             }
-            PreparedBVariant::Panels { tiles }
+        } else if mul.supports_prepared_panels() {
+            PreparedBVariant::Panels {
+                tiles: walk.map(|t| prepare_tile(mul, b, n, t, false)).collect(),
+            }
         } else {
             PreparedBVariant::Fused { raw: b.to_vec() }
         };
@@ -556,47 +478,11 @@ impl PreparedGemmB {
     }
 }
 
-/// Serial prepared-tile kernel: [`block_rows`] over already-decoded
-/// tiles — [`prepared_kernel`] with the per-call decode deleted.
-fn prepared_tiles_kernel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    tiles: &[PreparedTileB],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    for t in tiles {
-        block_rows(mul, a, &t.panels, c, k, n, t.tile);
-    }
-}
-
-/// Parallel prepared-tile path: [`prepared_parallel`] with the decode
-/// step deleted — the persistent panels are shared read-only across the
-/// C row chunks.
-fn prepared_tiles_parallel(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    tiles: &[PreparedTileB],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    for t in tiles {
-        c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(panel_idx, cpanel)| {
-            let i0 = panel_idx * chunk_rows;
-            let rows = cpanel.len() / n;
-            block_rows(mul, &a[i0 * k..(i0 + rows) * k], &t.panels, cpanel, k, n, t.tile);
-        });
-    }
-}
-
 /// `C[m×n] += A[m×k] · B[k×n]` against a [`PreparedGemmB`] — the
-/// serving-path twin of [`gemm`]: same dispatch (thread gate, row
-/// chunking), same kernels, **bit-identical** results for every backend
-/// and shape including `m == 1`, but with every per-call B conversion
-/// (panel decode, microkernel packing, quantization) already paid at
+/// serving-path twin of [`gemm`]: the same tile walk, thread gate and
+/// row chunking, **bit-identical** results for every backend and shape
+/// including `m == 1`, but with every per-call B conversion (panel
+/// decode, microkernel packing, quantization) already paid at
 /// [`PreparedGemmB::new`] time.
 ///
 /// `k` and `n` come from the prepared matrix.
@@ -620,70 +506,19 @@ pub fn gemm_with_prepared_b(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let chunk = par_chunk_rows(m, k, n);
-    match &b.variant {
+    let form = match &b.variant {
         PreparedBVariant::Packed { blocks } => {
             assert!(
                 mul.is_native_f32(),
                 "prepared B was packed for a native-f32 backend; {} cannot consume it",
                 mul.name()
             );
-            if let Some(chunk_rows) = chunk {
-                microkernel::gemm_packed_parallel(a, blocks, c, k, n, chunk_rows);
-            } else {
-                microkernel::gemm_packed_serial(a, blocks, c, m, k, n);
-            }
+            BForm::Packed(BTiles::Prepared(blocks))
         }
-        PreparedBVariant::Panels { tiles } => {
-            if let Some(chunk_rows) = chunk {
-                prepared_tiles_parallel(mul, a, tiles, c, k, n, chunk_rows);
-            } else {
-                prepared_tiles_kernel(mul, a, tiles, c, k, n);
-            }
-        }
-        PreparedBVariant::Fused { raw } => {
-            if let Some(chunk_rows) = chunk {
-                fused_parallel(mul, a, raw, c, k, n, chunk_rows);
-            } else {
-                fused_kernel(mul, a, raw, c, m, k, n);
-            }
-        }
-    }
-}
-
-/// [`gemm_with_prepared_b`] forced serial, regardless of problem size
-/// or thread count — the seam the serve benchmarks time so the
-/// no-re-decode win is measurable without pool noise. Prefer
-/// [`gemm_with_prepared_b`] everywhere else.
-///
-/// # Panics
-///
-/// Same contract as [`gemm_with_prepared_b`].
-pub fn gemm_with_prepared_b_serial(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &PreparedGemmB,
-    c: &mut [f32],
-    m: usize,
-) {
-    let (k, n) = (b.k, b.n);
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    match &b.variant {
-        PreparedBVariant::Packed { blocks } => {
-            assert!(
-                mul.is_native_f32(),
-                "prepared B was packed for a native-f32 backend; {} cannot consume it",
-                mul.name()
-            );
-            microkernel::gemm_packed_serial(a, blocks, c, m, k, n);
-        }
-        PreparedBVariant::Panels { tiles } => prepared_tiles_kernel(mul, a, tiles, c, k, n),
-        PreparedBVariant::Fused { raw } => fused_kernel(mul, a, raw, c, m, k, n),
-    }
+        PreparedBVariant::Panels { tiles } => BForm::Panels(BTiles::Prepared(tiles)),
+        PreparedBVariant::Fused { raw } => BForm::Raw(raw),
+    };
+    run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
 }
 
 // -------------------------------------------------------------------
@@ -776,8 +611,8 @@ fn lane_mac(
 /// Per output element, k-tiles fold into `C` in ascending-`k` order and
 /// each tile's integer accumulation is exact, so the result is
 /// **byte-identical** across thread counts, chunk sizes and repeated
-/// runs — the same guarantee the float prepared-panel path has
-/// (asserted by `tests/blockfp_differential.rs`).
+/// runs — the same guarantee the float engine has (asserted by this
+/// module's unit tests).
 ///
 /// # Examples
 ///
@@ -798,15 +633,6 @@ pub struct BlockFpGemm {
     man_width: u32,
     tile_k: usize,
     tile_n: usize,
-}
-
-/// Where [`BlockFpGemm::run`] gets each tile's quantized B block from:
-/// the raw matrix (quantize on the fly, buffer reused) or a prepared
-/// set in the same walk order.
-#[derive(Clone, Copy)]
-enum BTiles<'a> {
-    Raw(&'a [f32]),
-    Prepared(&'a [BlockFp]),
 }
 
 /// An A matrix quantized per `(row, k-tile)` block by
@@ -973,7 +799,7 @@ impl BlockFpGemm {
     /// whole matrix's per-(row, k-tile) quantization, `nkb` the number of
     /// k-tiles per row; `accs` is the caller's `i64` accumulator scratch
     /// (at least the tile width long).
-    #[allow(clippy::too_many_arguments)] // internal kernel seam, mirrors block_rows
+    #[allow(clippy::too_many_arguments)] // internal kernel seam, mirrors tile_rows
     fn mac_rows(
         &self,
         a_blocks: &[BlockFp],
@@ -1013,26 +839,16 @@ impl BlockFpGemm {
         }
     }
 
-    /// The `execute` thread gate as a chunk size — the module-level
-    /// [`par_chunk_rows`] gate shared with the float engine, so every
-    /// entry point (raw, prepared-A, prepared-B, float, prepared-float)
-    /// dispatches identically.
-    fn par_chunk_rows(&self, m: usize, k: usize, n: usize) -> Option<usize> {
-        par_chunk_rows(m, k, n)
-    }
-
-    /// The one tile walk behind every entry point: `j0` outer, `l0`
-    /// inner, each tile's B block either quantized on the fly
-    /// ([`BTiles::Raw`]) or read from a prepared set
-    /// ([`BTiles::Prepared`], same walk order), MAC'd serially or over
-    /// `chunk_rows`-row C chunks. Byte-identical either way — each
-    /// element's tile contributions are exact integers folded in
-    /// ascending-`k` order.
-    #[allow(clippy::too_many_arguments)] // internal seam shared by 4 entry points
+    /// The one tile walk behind every entry point, in the float
+    /// engine's walk order: each tile's B block either quantized on the
+    /// fly ([`BTiles::Raw`]) or read from a prepared set
+    /// ([`BTiles::Prepared`]), MAC'd serially or over `chunk_rows`-row C
+    /// chunks. Byte-identical either way — each element's tile
+    /// contributions are exact integers folded in ascending-`k` order.
     fn run(
         &self,
         a_blocks: &[BlockFp],
-        b: BTiles<'_>,
+        b: BTiles<'_, BlockFp>,
         c: &mut [f32],
         k: usize,
         n: usize,
@@ -1041,29 +857,21 @@ impl BlockFpGemm {
         let nkb = k.div_ceil(self.tile_k);
         let mut buf = Vec::new();
         let mut accs = vec![0i64; self.tile_n.min(n)];
-        let mut ti = 0usize;
-        for j0 in (0..n).step_by(self.tile_n) {
-            let j1 = (j0 + self.tile_n).min(n);
-            for l0 in (0..k).step_by(self.tile_k) {
-                let tile = Tile { l0, l1: (l0 + self.tile_k).min(k), j0, j1 };
-                let owned;
-                let b_tile = match b {
-                    BTiles::Raw(raw) => {
-                        owned = self.gather_tile(raw, n, tile, &mut buf);
-                        &owned
-                    }
-                    BTiles::Prepared(tiles) => {
-                        ti += 1;
-                        &tiles[ti - 1]
-                    }
-                };
-                match chunk_rows {
-                    None => self.mac_rows(a_blocks, nkb, 0, b_tile, c, n, tile, &mut accs),
-                    Some(cr) => c.par_chunks_mut(cr * n).enumerate().for_each(|(ci, cpanel)| {
-                        let mut accs = vec![0i64; tile.j1 - tile.j0];
-                        self.mac_rows(a_blocks, nkb, ci * cr, b_tile, cpanel, n, tile, &mut accs);
-                    }),
+        for (ti, tile) in tiles(k, n, self.tile_k, self.tile_n).enumerate() {
+            let owned;
+            let b_tile = match b {
+                BTiles::Raw(raw) => {
+                    owned = self.gather_tile(raw, n, tile, &mut buf);
+                    &owned
                 }
+                BTiles::Prepared(tiles) => &tiles[ti],
+            };
+            match chunk_rows {
+                None => self.mac_rows(a_blocks, nkb, 0, b_tile, c, n, tile, &mut accs),
+                Some(cr) => c.par_chunks_mut(cr * n).enumerate().for_each(|(ci, cpanel)| {
+                    let mut accs = vec![0i64; tile.j1 - tile.j0];
+                    self.mac_rows(a_blocks, nkb, ci * cr, b_tile, cpanel, n, tile, &mut accs);
+                }),
             }
         }
     }
@@ -1083,39 +891,7 @@ impl BlockFpGemm {
             return;
         }
         let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Raw(b), c, k, n, self.par_chunk_rows(m, k, n));
-    }
-
-    /// The parallel kernel with an explicit C row-chunk size, bypassing
-    /// [`execute`](Self::execute)'s MAC/thread gate — the seam the
-    /// determinism tests drive so single-core CI still exercises the
-    /// chunk indexing (on a 1-core host the pool degrades to an inline
-    /// loop, but the same slab slicing runs). B tiles are quantized once
-    /// and shared read-only across chunks. Prefer `execute` everywhere
-    /// else.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths do not match the shape or `chunk_rows`
-    /// is zero.
-    #[allow(clippy::too_many_arguments)] // shape + chunk seam, mirrors the float kernels
-    pub fn execute_chunked(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        c: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        chunk_rows: usize,
-    ) {
-        check_shapes(a, b, c, m, k, n);
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Raw(b), c, k, n, Some(chunk_rows));
+        self.run(&a_blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// Quantizes the `m × k` matrix `a` per `(row, k-tile)` block for
@@ -1150,17 +926,11 @@ impl BlockFpGemm {
     /// Panics if `b.len() != k * n`.
     pub fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> BlockFpPreparedB {
         assert_eq!(b.len(), k * n, "B has wrong length");
-        let mut tiles = Vec::new();
         let mut buf = Vec::new();
-        for j0 in (0..n).step_by(self.tile_n) {
-            let j1 = (j0 + self.tile_n).min(n);
-            for l0 in (0..k).step_by(self.tile_k) {
-                let tile = Tile { l0, l1: (l0 + self.tile_k).min(k), j0, j1 };
-                tiles.push(self.gather_tile(b, n, tile, &mut buf));
-            }
-        }
         BlockFpPreparedB {
-            tiles,
+            tiles: tiles(k, n, self.tile_k, self.tile_n)
+                .map(|tile| self.gather_tile(b, n, tile, &mut buf))
+                .collect(),
             k,
             n,
             man_width: self.man_width,
@@ -1197,7 +967,7 @@ impl BlockFpGemm {
         if m == 0 || n == 0 || k == 0 {
             return;
         }
-        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, self.par_chunk_rows(m, k, n));
+        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// [`execute`](Self::execute) with the B-side quantization already
@@ -1229,7 +999,7 @@ impl BlockFpGemm {
             return;
         }
         let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, self.par_chunk_rows(m, k, n));
+        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, par_chunk_rows(m, k, n));
     }
 
     /// The scalar semantic anchor: same per-`(row, k-tile)` /
@@ -1381,16 +1151,6 @@ mod tests {
                 mul.name()
             );
         }
-        let mut serial = vec![0.0f32; m * n];
-        gemm_tiled_serial(mul, &a, &b, &mut serial, m, k, n);
-        for (r, s) in reference.iter().zip(&serial) {
-            assert_eq!(r.to_bits(), s.to_bits(), "serial tiled diverged");
-        }
-        let mut prepared = vec![0.0f32; m * n];
-        gemm_prepared_serial(mul, &a, &b, &mut prepared, m, k, n);
-        for (r, s) in reference.iter().zip(&prepared) {
-            assert_eq!(r.to_bits(), s.to_bits(), "serial prepared diverged");
-        }
     }
 
     #[test]
@@ -1400,6 +1160,52 @@ mod tests {
             assert_bit_identical(&ExactMul, m, k, n);
             assert_bit_identical(&QuantizedExactMul::new(FpFormat::BF16), m, k, n);
             assert_bit_identical(&pc3, m, k, n);
+        }
+    }
+
+    #[test]
+    fn exact_gemm_matches_manual() {
+        let a = [1.0, 0.0, 2.0, -1.0, 3.0, 1.0]; // 2x3
+        let b = [2.0, 1.0, 0.0, -1.0, 1.0, 2.0]; // 3x2
+        let mut c = [0.0f32; 4];
+        gemm(&ExactMul, &a, &b, &mut c, 2, 3, 2);
+        // Row 0: [1,0,2]·cols -> (2+0+2, 1+0+4); row 1: [-1,3,1] ->
+        // (-2+0+1, -1-3+2).
+        assert_eq!(c, [4.0, 5.0, -1.0, -2.0]);
+    }
+
+    #[test]
+    fn fast_path_equals_slow_path_for_exact() {
+        // ExactMul takes the native-f32 forms (fused / packed);
+        // QuantizedExactMul at FP32 is semantically f32-exact but takes
+        // the panel form. Both must land on the same bits, below and
+        // above the microkernel gate.
+        let slow = QuantizedExactMul::new(FpFormat::FP32);
+        for &(m, k, n) in &[(3, 4, 5), (33, 17, 9)] {
+            let a = test_matrix(m * k, 7);
+            let b = test_matrix(k * n, 8);
+            let mut fast_c = vec![0.0f32; m * n];
+            let mut slow_c = vec![0.0f32; m * n];
+            gemm(&ExactMul, &a, &b, &mut fast_c, m, k, n);
+            gemm(&slow, &a, &b, &mut slow_c, m, k, n);
+            for (f, s) in fast_c.iter().zip(&slow_c) {
+                assert_eq!(f.to_bits(), s.to_bits(), "{m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn approx_gemm_underestimates() {
+        let mul = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::BF16);
+        let a = vec![1.3f32; 16];
+        let b = vec![1.7f32; 16];
+        let mut approx = vec![0.0f32; 16];
+        let mut exact = vec![0.0f32; 16];
+        gemm(&mul, &a, &b, &mut approx, 4, 4, 4);
+        gemm(&ExactMul, &a, &b, &mut exact, 4, 4, 4);
+        for (ap, ex) in approx.iter().zip(&exact) {
+            assert!(ap <= ex);
+            assert!(*ap > 0.5 * ex);
         }
     }
 
@@ -1440,10 +1246,10 @@ mod tests {
     #[test]
     fn parallel_path_engages_above_gate() {
         // 64x32x32 = 65536 MACs clears PAR_MIN_MACS with m > 1: the
-        // prepared-parallel path (approx) and fused-parallel path (exact)
-        // both run — when `current_num_threads() > 1`; on a 1-core host
-        // `gemm` routes to the serial kernels instead, and the direct
-        // kernel test below keeps the parallel code covered regardless.
+        // panel (approx) and packed (exact) forms run chunked — when
+        // `current_num_threads() > 1`; on a 1-core host `gemm` runs the
+        // walk unsplit instead, and the direct walk test below keeps the
+        // chunked code covered regardless.
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         assert_bit_identical(&mul, 64, 32, 32);
         assert_bit_identical(&ExactMul, 64, 32, 32);
@@ -1453,37 +1259,45 @@ mod tests {
 
     #[test]
     fn parallel_kernels_bit_match_reference_even_single_core() {
-        // Drive the parallel kernels directly, below `gemm`'s thread
-        // gate: on a 1-core host `run_batch` degrades to an inline loop,
-        // but the chunk indexing under test still executes, so a slab
-        // slicing bug cannot hide behind the gate.
+        // Drive the one walk directly, below `gemm`'s thread gate, in
+        // every B form — raw, and panels or packed tiles built per call
+        // or prepared up front: on a 1-core host `run_batch` degrades to
+        // an inline loop, but the chunk indexing under test still
+        // executes, so a slab slicing bug cannot hide behind the gate.
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let muls: [&dyn ScalarMul; 2] = [&pc3, &ExactMul];
-        for &(m, k, n) in &[(5, 9, 11), (64, 32, 32), (37, 24, 40)] {
+        for &(m, k, n) in &[(5, 9, 11), (64, 32, 32), (37, 24, 40), (3, KC + 3, 17)] {
             let a = test_matrix(m * k, 1);
             let b = test_matrix(k * n, 2);
             for mul in muls {
                 let mut reference = vec![0.0f32; m * n];
                 gemm_reference(mul, &a, &b, &mut reference, m, k, n);
-                // Chunk sizes that divide m, don't divide m, and exceed it.
-                for chunk_rows in [1, 3, MC, m + 1] {
-                    let mut prepared = vec![0.0f32; m * n];
-                    prepared_parallel(mul, &a, &b, &mut prepared, k, n, chunk_rows);
-                    let mut fused = vec![0.0f32; m * n];
-                    fused_parallel(mul, &a, &b, &mut fused, k, n, chunk_rows);
-                    for (i, r) in reference.iter().enumerate() {
-                        assert_eq!(
-                            r.to_bits(),
-                            prepared[i].to_bits(),
-                            "{}: prepared_parallel {m}x{k}x{n} chunk {chunk_rows} elem {i}",
-                            mul.name()
-                        );
-                        assert_eq!(
-                            r.to_bits(),
-                            fused[i].to_bits(),
-                            "{}: fused_parallel {m}x{k}x{n} chunk {chunk_rows} elem {i}",
-                            mul.name()
-                        );
+                let prepared = PreparedGemmB::new(mul, &b, k, n);
+                let forms = match &prepared.variant {
+                    PreparedBVariant::Packed { blocks } => [
+                        ("packed", BForm::Packed(BTiles::Raw(&b))),
+                        ("prepared packed", BForm::Packed(BTiles::Prepared(blocks))),
+                    ],
+                    PreparedBVariant::Panels { tiles } => [
+                        ("panels", BForm::Panels(BTiles::Raw(&b))),
+                        ("prepared panels", BForm::Panels(BTiles::Prepared(tiles))),
+                    ],
+                    PreparedBVariant::Fused { .. } => panic!("{} has a tile form", mul.name()),
+                };
+                // No split, and chunk sizes that divide m, don't divide
+                // m, and exceed it.
+                for (form_name, form) in [("raw", BForm::Raw(&b))].into_iter().chain(forms) {
+                    for chunk_rows in [None, Some(1), Some(3), Some(MC), Some(m + 1)] {
+                        let mut c = vec![0.0f32; m * n];
+                        run(mul, &a, form, &mut c, k, n, chunk_rows);
+                        for (i, (r, t)) in reference.iter().zip(&c).enumerate() {
+                            assert_eq!(
+                                r.to_bits(),
+                                t.to_bits(),
+                                "{}: {form_name} {m}x{k}x{n} chunk {chunk_rows:?} elem {i}",
+                                mul.name()
+                            );
+                        }
                     }
                 }
             }
@@ -1504,8 +1318,6 @@ mod tests {
         gemm(mul, &a, &b, &mut eager, m, k, n);
         let mut served = vec![0.0f32; m * n];
         gemm_with_prepared_b(mul, &a, &prepared, &mut served, m);
-        let mut serial = vec![0.0f32; m * n];
-        gemm_with_prepared_b_serial(mul, &a, &prepared, &mut serial, m);
         for (i, r) in eager.iter().enumerate() {
             assert_eq!(
                 r.to_bits(),
@@ -1513,13 +1325,6 @@ mod tests {
                 "{}: {m}x{k}x{n} elem {i}: eager {r} vs prepared {}",
                 mul.name(),
                 served[i]
-            );
-            assert_eq!(
-                r.to_bits(),
-                serial[i].to_bits(),
-                "{}: {m}x{k}x{n} elem {i}: eager {r} vs prepared-serial {}",
-                mul.name(),
-                serial[i]
             );
         }
     }
@@ -1570,7 +1375,6 @@ mod tests {
         let mut c = [7.0f32];
         let empty = PreparedGemmB::new(&ExactMul, &[], 0, 1);
         gemm_with_prepared_b(&ExactMul, &[], &empty, &mut c, 1);
-        gemm_with_prepared_b_serial(&ExactMul, &[], &empty, &mut c, 1);
         assert_eq!(c[0], 7.0);
     }
 
@@ -1627,36 +1431,129 @@ mod tests {
     // BlockFpGemm
     // ---------------------------------------------------------------
 
+    /// [`BlockFpGemm::execute`]'s walk forced onto `chunk_rows`-row C
+    /// chunks, bypassing its thread gate.
+    fn blockfp_chunked(
+        engine: &BlockFpGemm,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        chunk_rows: usize,
+    ) {
+        let a_blocks = BlockFp::quantize_rows(a, k, engine.tile_k, engine.man_width);
+        engine.run(&a_blocks, BTiles::Raw(b), c, k, n, Some(chunk_rows));
+    }
+
     #[test]
     fn blockfp_engine_matches_scalar_reference() {
-        let engine = BlockFpGemm::with_tiles(MultiplierConfig::PC3_TR, 12, 3, 4);
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 3, 4), (6, 8, 9)] {
-            let a = test_matrix(m * k, 11);
-            let b = test_matrix(k * n, 12);
-            let mut reference = vec![0.0f32; m * n];
-            let mut tiled = vec![0.0f32; m * n];
-            engine.reference(&a, &b, &mut reference, m, k, n);
-            engine.execute(&a, &b, &mut tiled, m, k, n);
-            for (i, (r, t)) in reference.iter().zip(&tiled).enumerate() {
-                assert_eq!(r.to_bits(), t.to_bits(), "{m}x{k}x{n} element {i}: {r} vs {t}");
+        // Every configuration across the width range and several tile
+        // geometries, with the walk also forced onto C row chunks that
+        // divide m, don't divide it, and exceed it.
+        for config in MultiplierConfig::ALL {
+            for (width, tile_k, tile_n) in [(12, 3, 4), (5, 1, 1), (25, 2, 3), (9, KC, NC)] {
+                let engine = BlockFpGemm::with_tiles(config, width, tile_k, tile_n);
+                for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 3, 4), (6, 8, 9)] {
+                    let a = test_matrix(m * k, 11);
+                    let b = test_matrix(k * n, 12);
+                    let mut reference = vec![0.0f32; m * n];
+                    let mut tiled = vec![0.0f32; m * n];
+                    engine.reference(&a, &b, &mut reference, m, k, n);
+                    engine.execute(&a, &b, &mut tiled, m, k, n);
+                    for (i, (r, t)) in reference.iter().zip(&tiled).enumerate() {
+                        assert_eq!(
+                            r.to_bits(),
+                            t.to_bits(),
+                            "{} {m}x{k}x{n} elem {i}",
+                            engine.name()
+                        );
+                    }
+                    for chunk_rows in [1, 2, m, m + 3] {
+                        let mut chunked = vec![0.0f32; m * n];
+                        blockfp_chunked(&engine, &a, &b, &mut chunked, k, n, chunk_rows);
+                        for (i, (r, t)) in reference.iter().zip(&chunked).enumerate() {
+                            assert_eq!(
+                                r.to_bits(),
+                                t.to_bits(),
+                                "{} {m}x{k}x{n} chunk {chunk_rows} elem {i}",
+                                engine.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The determinism guarantee (same as the float engine): output is
+    /// **byte-identical** across repeated runs and across every C
+    /// row-chunk size. Thread count influences the walk *only* through
+    /// `chunk_rows` (`execute` derives it from `current_num_threads`),
+    /// so sweeping `chunk_rows` covers `RAYON_NUM_THREADS=1/4/…` even on
+    /// a single-core host — where the pool inlines the batch but the
+    /// same chunk indexing executes.
+    #[test]
+    fn blockfp_output_byte_identical_across_chunk_sizes_and_repeats() {
+        for (m, k, n, tile_k, tile_n) in [(64usize, 48usize, 40usize, 16, 32), (37, 24, 40, 7, 13)]
+        {
+            let a = test_matrix(m * k, 1);
+            let b = test_matrix(k * n, 2);
+            for config in [MultiplierConfig::PC3_TR, MultiplierConfig::FLA] {
+                let engine = BlockFpGemm::with_tiles(config, 9, tile_k, tile_n);
+                let run = |f: &dyn Fn(&mut [f32])| {
+                    let mut c = vec![0.0f32; m * n];
+                    f(&mut c);
+                    c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+                };
+                let golden = run(&|c| engine.reference(&a, &b, c, m, k, n));
+                // `execute` twice: above the 16k-MAC gate for the first
+                // shape, below the row gate for neither — repeats must
+                // agree.
+                let first = run(&|c| engine.execute(&a, &b, c, m, k, n));
+                let second = run(&|c| engine.execute(&a, &b, c, m, k, n));
+                assert_eq!(first, golden, "{}: engine diverged from reference", engine.name());
+                assert_eq!(first, second, "{}: repeated runs diverged", engine.name());
+                for chunk_rows in [1usize, 3, 32, m, m + 1] {
+                    let chunked = run(&|c| blockfp_chunked(&engine, &a, &b, c, k, n, chunk_rows));
+                    assert_eq!(
+                        chunked,
+                        golden,
+                        "{}: chunk_rows {} diverged — scheduling leaked into results",
+                        engine.name(),
+                        chunk_rows
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn blockfp_close_to_exact_at_high_width() {
-        let engine = BlockFpGemm::new(MultiplierConfig::PC3, 16);
         let (m, k, n) = (4usize, 6, 5);
         let a = test_matrix(m * k, 3);
         let b = test_matrix(k * n, 4);
         let mut exact = vec![0.0f32; m * n];
         gemm(&ExactMul, &a, &b, &mut exact, m, k, n);
-        let mut bfp = vec![0.0f32; m * n];
-        engine.execute(&a, &b, &mut bfp, m, k, n);
         let scale: f32 = exact.iter().map(|v| v.abs()).fold(0.0, f32::max);
-        for (e, c) in exact.iter().zip(&bfp) {
-            assert!((e - c).abs() < 0.12 * scale + 0.02, "{e} vs {c}");
+        // Full-width products, and truncated ones rescaled back to the
+        // full product scale.
+        for (config, tol) in [(MultiplierConfig::PC3, 0.12), (MultiplierConfig::PC3_TR, 0.15)] {
+            let mut bfp = vec![0.0f32; m * n];
+            BlockFpGemm::new(config, 16).execute(&a, &b, &mut bfp, m, k, n);
+            for (e, c) in exact.iter().zip(&bfp) {
+                assert!((e - c).abs() < tol * scale + 0.02, "{config}: {e} vs {c}");
+            }
         }
+        // The Table I error ladder survives the integer datapath: PC3's
+        // extra carry lines beat FLA at a serving width.
+        let err = |config| {
+            let mut c = vec![0.0f32; m * n];
+            BlockFpGemm::new(config, 12).execute(&a, &b, &mut c, m, k, n);
+            exact.iter().zip(&c).map(|(e, v)| (e - v).abs() as f64).sum::<f64>()
+        };
+        let (fla, pc3) = (err(MultiplierConfig::FLA), err(MultiplierConfig::PC3));
+        assert!(pc3 < fla, "PC3 {pc3} !< FLA {fla}");
     }
 
     #[test]
@@ -1677,7 +1574,6 @@ mod tests {
         assert_eq!(c[0], 7.0);
         let mut empty: [f32; 0] = [];
         engine.execute(&[], &[], &mut empty, 0, 3, 0);
-        engine.execute_chunked(&[], &[], &mut empty, 0, 0, 0, 4);
     }
 
     #[test]

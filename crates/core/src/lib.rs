@@ -83,11 +83,10 @@ pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
 pub use fp::{ApproxFpMul, ExactMul, PreparedPanel, QuantizedExactMul, ScalarMul};
 pub use gemm::{
-    gemm, gemm_microkernel_serial, gemm_prepared_serial, gemm_reference, gemm_tiled_serial,
-    gemm_with_prepared_b, gemm_with_prepared_b_serial, BlockFpGemm, BlockFpPreparedA,
-    BlockFpPreparedB, PreparedGemmB,
+    gemm, gemm_reference, gemm_with_prepared_b, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB,
+    PreparedGemmB,
 };
 pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
-pub use microkernel::{gemm_f32_microkernel, gemm_f32_microkernel_portable};
+pub use microkernel::gemm_f32_microkernel_portable;
 pub use sram_backed::SramMultiplier;

@@ -1,16 +1,17 @@
 //! BLIS-style packed microkernel for the exact native-`f32` backend.
 //!
-//! The fused [`mul_rows`](crate::ScalarMul::mul_rows) loop the engine
-//! used through PR 3 is memory-bound: every (A-element, B-row) pair
-//! re-reads and re-writes a whole C row, so the compiler's
-//! autovectorized multiply–add never gets past ~40% of machine peak and
-//! the tiled variants measured *slower* than the naive reference.
+//! The fused [`mul_rows`](crate::ScalarMul::mul_rows) loop is
+//! memory-bound: every (A-element, B-row) pair re-reads and re-writes a
+//! whole C row, so the compiler's autovectorized multiply–add never gets
+//! past ~40% of machine peak, and cache-blocking it alone measured
+//! *slower* than the naive reference.
 //! This module restructures the exact kernel the way BLIS does:
 //!
-//! 1. **Packing** — each `KC × NC` block of B is copied once into
-//!    `NR`-major panels and each `MC × KC` block of A into `MR`-major
-//!    panels, so the register kernel streams both operands
-//!    contiguously;
+//! 1. **Packing** — each `KC × NC` tile of B is copied once into
+//!    `NR`-major panels ([`pack_b`], per call by [`gemm`](crate::gemm)
+//!    or once per weight matrix by [`PreparedGemmB`](crate::PreparedGemmB))
+//!    and each `MC × KC` block of A into `MR`-major panels, so the
+//!    register kernel streams both operands contiguously;
 //! 2. **Register tiling** — an `MR × NR` tile of C is held in
 //!    registers across the whole `KC` depth, cutting C traffic by
 //!    `MR·NR` loads/stores per tile instead of per MAC;
@@ -37,21 +38,19 @@
 //!
 //! [`gemm_reference`]: crate::gemm_reference
 
+use crate::gemm::{tiles, Tile, KC, NC};
+
 /// Register-tile rows: C rows held live per microkernel call.
 const MR: usize = 4;
 /// Register-tile columns: two 8-wide lanes.
 const NR: usize = 16;
 /// Rows of A packed (and C computed) per inner block.
 const MC: usize = 64;
-/// Depth block: packed A/B columns resident per pass.
-const KC: usize = 256;
-/// Column block: packed B width per pass.
-const NC: usize = 1024;
 
 /// Returns `true` when the runtime-detected AVX2 register kernel is
 /// compiled in *and* the host supports it.
 #[inline]
-fn avx2_available() -> bool {
+pub(crate) fn avx2_available() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         use std::sync::OnceLock;
@@ -169,15 +168,22 @@ fn kernel_fringe(
     }
 }
 
-/// Packs the `kc`-deep, `jw`-wide block of B at `(l0, j0)` into
-/// `NR`-major panels: full panels at stride `NR`, one trailing fringe
-/// panel at its true width.
-fn pack_b(b: &[f32], n: usize, l0: usize, kc: usize, j0: usize, jw: usize, bpack: &mut Vec<f32>) {
-    bpack.clear();
-    bpack.resize(kc * jw, 0.0);
+/// One `KC × NC` tile of B packed into `NR`-major panels: full panels
+/// at stride `NR`, one trailing fringe panel at its true width.
+#[derive(Debug, Clone)]
+pub(crate) struct PackedBBlock {
+    tile: Tile,
+    data: Vec<f32>,
+}
+
+/// Packs the `tile` block of the row-major `k × n` matrix `b`.
+pub(crate) fn pack_b(b: &[f32], n: usize, tile: Tile) -> PackedBBlock {
+    let (l0, j0) = (tile.l0, tile.j0);
+    let (kc, jw) = (tile.l1 - l0, tile.j1 - j0);
+    let mut data = vec![0.0; kc * jw];
     let full = jw / NR;
     for jb in 0..full {
-        let dst = &mut bpack[jb * kc * NR..(jb + 1) * kc * NR];
+        let dst = &mut data[jb * kc * NR..(jb + 1) * kc * NR];
         for l in 0..kc {
             let src = j0 + jb * NR + (l0 + l) * n;
             dst[l * NR..(l + 1) * NR].copy_from_slice(&b[src..src + NR]);
@@ -185,12 +191,13 @@ fn pack_b(b: &[f32], n: usize, l0: usize, kc: usize, j0: usize, jw: usize, bpack
     }
     let nr = jw - full * NR;
     if nr > 0 {
-        let dst = &mut bpack[full * kc * NR..];
+        let dst = &mut data[full * kc * NR..];
         for l in 0..kc {
             let src = j0 + full * NR + (l0 + l) * n;
             dst[l * nr..(l + 1) * nr].copy_from_slice(&b[src..src + nr]);
         }
     }
+    PackedBBlock { tile, data }
 }
 
 /// Packs the `mh`-tall, `kc`-deep block of A at `(i0, l0)` into
@@ -224,6 +231,9 @@ fn pack_a(a: &[f32], k: usize, i0: usize, mh: usize, l0: usize, kc: usize, apack
 /// `mh × jw` C slab against the packed A/B panels. `use_avx2` selects
 /// the register kernel for full tiles; fringes always run the shared
 /// portable kernel.
+// Out of line on purpose: inlined into its one caller, one-row packed
+// serving (every tile through the fringe kernel) measured ~1.4× slower.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)] // internal block seam: shape + packed operands
 fn block_packed(
     apack: &[f32],
@@ -273,136 +283,37 @@ fn block_packed(
     }
 }
 
-/// One `KC × NC` block of B packed into `NR`-major panels, with the
-/// geometry needed to replay it against any C rows — the persistent
-/// form of the packing [`serial_with`] does per call, so a compiled
-/// inference session can pay the pack **once per weight matrix**
-/// instead of once per request.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedBBlock {
-    l0: usize,
-    kc: usize,
-    j0: usize,
-    jw: usize,
-    data: Vec<f32>,
-}
-
-/// Packs every `KC × NC` block of B in the engine's walk order (`j0`
-/// outer, `l0` inner — the order that keeps per-element accumulation
-/// ascending in `k`).
-pub(crate) fn pack_b_blocks(b: &[f32], k: usize, n: usize) -> Vec<PackedBBlock> {
-    let mut blocks = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            let mut data = Vec::new();
-            pack_b(b, n, l0, kc, j0, jw, &mut data);
-            blocks.push(PackedBBlock { l0, kc, j0, jw, data });
-        }
-    }
-    blocks
-}
-
-/// [`gemm_f32_microkernel`] against pre-packed B blocks (from
-/// [`pack_b_blocks`]), serial. Identical block walk, identical
-/// kernels, identical accumulation order — bit-identical to packing B
-/// per call, for any `m` (a one-row problem just runs the fringe
-/// kernel).
-pub(crate) fn gemm_packed_serial(
+/// Runs one packed B tile against the C rows in `c`, a `rows × n` slab
+/// starting at row `row0` of the full `a`: A is packed `MC` rows at a
+/// time and every full register tile runs the kernel `use_avx2`
+/// selects. Bit-identical for any split of C into slabs.
+pub(crate) fn packed_rows(
     a: &[f32],
-    blocks: &[PackedBBlock],
+    blk: &PackedBBlock,
     c: &mut [f32],
-    m: usize,
+    row0: usize,
     k: usize,
     n: usize,
+    use_avx2: bool,
 ) {
-    let use_avx2 = avx2_available();
+    let Tile { l0, l1, j0, j1 } = blk.tile;
+    let rows = c.len() / n;
     let mut apack = Vec::new();
-    for blk in blocks {
-        for i0 in (0..m).step_by(MC) {
-            let mh = MC.min(m - i0);
-            pack_a(a, k, i0, mh, blk.l0, blk.kc, &mut apack);
-            block_packed(&apack, &blk.data, c, n, i0, mh, blk.j0, blk.jw, blk.kc, use_avx2);
-        }
+    for i0 in (0..rows).step_by(MC) {
+        let mh = MC.min(rows - i0);
+        pack_a(a, k, row0 + i0, mh, l0, l1 - l0, &mut apack);
+        block_packed(&apack, &blk.data, c, n, i0, mh, j0, j1 - j0, l1 - l0, use_avx2);
     }
 }
 
-/// [`gemm_f32_microkernel_parallel`] against pre-packed B blocks: C row
-/// chunks over the pool, the packed blocks shared read-only — B is
-/// packed **zero** times per GEMM. Byte-identical to the serial packed
-/// kernel for any chunk size or thread count.
-pub(crate) fn gemm_packed_parallel(
-    a: &[f32],
-    blocks: &[PackedBBlock],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    use rayon::prelude::*;
-    let use_avx2 = avx2_available();
-    for blk in blocks {
-        c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, cpanel)| {
-            let rows = cpanel.len() / n;
-            let base = ci * chunk_rows;
-            let mut apack = Vec::new();
-            for i0 in (0..rows).step_by(MC) {
-                let mh = MC.min(rows - i0);
-                pack_a(a, k, base + i0, mh, blk.l0, blk.kc, &mut apack);
-                block_packed(
-                    &apack, &blk.data, cpanel, n, i0, mh, blk.j0, blk.jw, blk.kc, use_avx2,
-                );
-            }
-        });
-    }
-}
-
-fn serial_with(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize, use_avx2: bool) {
-    let mut bpack = Vec::new();
-    let mut apack = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            pack_b(b, n, l0, kc, j0, jw, &mut bpack);
-            for i0 in (0..m).step_by(MC) {
-                let mh = MC.min(m - i0);
-                pack_a(a, k, i0, mh, l0, kc, &mut apack);
-                block_packed(&apack, &bpack, c, n, i0, mh, j0, jw, kc, use_avx2);
-            }
-        }
-    }
-}
-
-/// `C += A·B` through the packed `f32` microkernel, serial, with the
-/// register kernel picked by **runtime** feature detection (AVX2 when
-/// the `simd` feature is compiled in and the host supports it, the
-/// portable lane kernel otherwise). Bit-identical to
-/// [`gemm_reference`](crate::gemm_reference) with
-/// [`ExactMul`](crate::ExactMul) — and to
-/// [`gemm_f32_microkernel_portable`] — for every shape.
-///
-/// This is the exact-`f32` kernel [`gemm`](crate::gemm) dispatches to;
-/// it is exported so the benches can time it in isolation.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape.
-pub fn gemm_f32_microkernel(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert_eq!(a.len(), m * k, "A has wrong length");
-    assert_eq!(b.len(), k * n, "B has wrong length");
-    assert_eq!(c.len(), m * n, "C has wrong length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    serial_with(a, b, c, m, k, n, avx2_available());
-}
-
-/// [`gemm_f32_microkernel`] with the portable lane kernel **forced**,
-/// ignoring runtime detection. Exported so the differential suites (and
-/// CI's no-`simd` build) can assert the detected and portable paths are
-/// byte-identical; prefer [`gemm`](crate::gemm) everywhere else.
+/// `C += A·B` through the packed `f32` microkernel with the portable
+/// lane kernel **forced**, ignoring runtime detection, serial.
+/// Bit-identical to [`gemm_reference`](crate::gemm_reference) with
+/// [`ExactMul`](crate::ExactMul). Exported so the differential suites
+/// (and CI's no-`simd` build) can assert the detected path, which
+/// [`gemm`](crate::gemm) and
+/// [`gemm_with_prepared_b`](crate::gemm_with_prepared_b) dispatch to, is
+/// byte-identical to it; prefer [`gemm`](crate::gemm) everywhere else.
 ///
 /// # Panics
 ///
@@ -421,50 +332,15 @@ pub fn gemm_f32_microkernel_portable(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    serial_with(a, b, c, m, k, n, false);
-}
-
-/// The parallel driver: C row chunks are distributed over the
-/// persistent pool; each packed B block is shared read-only across
-/// chunks (packed **once per GEMM**), each worker packs its own A rows.
-/// Chunks write disjoint C regions and accumulate in the same
-/// ascending-`k` order, so results are byte-identical to the serial
-/// kernel for any chunk size or thread count.
-pub(crate) fn gemm_f32_microkernel_parallel(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    chunk_rows: usize,
-) {
-    use rayon::prelude::*;
-    let use_avx2 = avx2_available();
-    let mut bpack = Vec::new();
-    for j0 in (0..n).step_by(NC) {
-        let jw = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - l0);
-            pack_b(b, n, l0, kc, j0, jw, &mut bpack);
-            let bpack = &bpack;
-            c.par_chunks_mut(chunk_rows * n).enumerate().for_each(|(ci, cpanel)| {
-                let rows = cpanel.len() / n;
-                let base = ci * chunk_rows;
-                let mut apack = Vec::new();
-                for i0 in (0..rows).step_by(MC) {
-                    let mh = MC.min(rows - i0);
-                    pack_a(a, k, base + i0, mh, l0, kc, &mut apack);
-                    block_packed(&apack, bpack, cpanel, n, i0, mh, j0, jw, kc, use_avx2);
-                }
-            });
-        }
+    for tile in tiles(k, n, KC, NC) {
+        packed_rows(a, &pack_b(b, n, tile), c, 0, k, n, false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gemm_reference, ExactMul};
+    use crate::{gemm_reference, gemm_with_prepared_b, ExactMul, PreparedGemmB};
 
     fn test_matrix(len: usize, seed: u64) -> Vec<f32> {
         (0..len)
@@ -479,17 +355,23 @@ mod tests {
             .collect()
     }
 
+    /// The runtime-detected kernel at any `m`: packed-B serving packs
+    /// for native-`f32` backends regardless of the eager size gates.
+    fn detected(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        gemm_with_prepared_b(&ExactMul, a, &PreparedGemmB::new(&ExactMul, b, k, n), c, m);
+    }
+
     fn assert_matches_reference(m: usize, k: usize, n: usize) {
         let a = test_matrix(m * k, 1);
         let b = test_matrix(k * n, 2);
         let mut reference = vec![0.5f32; m * n];
-        let mut detected = vec![0.5f32; m * n];
+        let mut detected_c = vec![0.5f32; m * n];
         let mut portable = vec![0.5f32; m * n];
         gemm_reference(&ExactMul, &a, &b, &mut reference, m, k, n);
-        gemm_f32_microkernel(&a, &b, &mut detected, m, k, n);
+        detected(&a, &b, &mut detected_c, m, k, n);
         gemm_f32_microkernel_portable(&a, &b, &mut portable, m, k, n);
         for (i, r) in reference.iter().enumerate() {
-            assert_eq!(r.to_bits(), detected[i].to_bits(), "{m}x{k}x{n} elem {i} (detected)");
+            assert_eq!(r.to_bits(), detected_c[i].to_bits(), "{m}x{k}x{n} elem {i} (detected)");
             assert_eq!(r.to_bits(), portable[i].to_bits(), "{m}x{k}x{n} elem {i} (portable)");
         }
     }
@@ -516,34 +398,48 @@ mod tests {
 
     #[test]
     fn microkernel_accumulates_into_existing_c() {
-        let mut c = vec![10.0f32, -0.0];
-        gemm_f32_microkernel(&[2.0], &[3.0, 0.0], &mut c, 1, 1, 2);
-        assert_eq!(c[0], 16.0);
-        // b == 0 multiplies through: -0.0 + 2.0*0.0 = +0.0 (native-f32
-        // row semantics, same as ExactMul::mul_rows).
-        assert_eq!(c[1].to_bits(), 0.0f32.to_bits());
+        for kernel in [detected, gemm_f32_microkernel_portable] {
+            let mut c = vec![10.0f32, -0.0];
+            kernel(&[2.0], &[3.0, 0.0], &mut c, 1, 1, 2);
+            assert_eq!(c[0], 16.0);
+            // b == 0 multiplies through: -0.0 + 2.0*0.0 = +0.0 (native-f32
+            // row semantics, same as ExactMul::mul_rows).
+            assert_eq!(c[1].to_bits(), 0.0f32.to_bits());
+        }
     }
 
     #[test]
     fn microkernel_degenerate_shapes_are_noops() {
-        let mut c = [7.0f32];
-        gemm_f32_microkernel(&[], &[], &mut c, 1, 0, 1);
-        assert_eq!(c[0], 7.0);
-        let mut empty: [f32; 0] = [];
-        gemm_f32_microkernel(&[], &[], &mut empty, 0, 3, 0);
-        gemm_f32_microkernel_portable(&[], &[], &mut empty, 0, 0, 0);
+        for kernel in [detected, gemm_f32_microkernel_portable] {
+            let mut c = [7.0f32];
+            kernel(&[], &[], &mut c, 1, 0, 1);
+            assert_eq!(c[0], 7.0);
+            let mut empty: [f32; 0] = [];
+            kernel(&[], &[], &mut empty, 0, 3, 0);
+            kernel(&[], &[], &mut empty, 0, 0, 0);
+        }
     }
 
     #[test]
     fn parallel_driver_bit_matches_serial_for_any_chunking() {
-        for &(m, k, n) in &[(5, 9, 11), (37, 24, 40), (64, 32, 32)] {
+        // The row-slab seam the pool drives: every split of C into
+        // `chunk_rows`-row slabs, each packing A from its own `row0`,
+        // must reproduce the whole-C run bit for bit.
+        for &(m, k, n) in &[(5, 9, 11), (37, 24, 40), (64, 32, 32), (MC + 3, KC + 2, 19)] {
             let a = test_matrix(m * k, 3);
             let b = test_matrix(k * n, 4);
+            let blocks: Vec<PackedBBlock> = tiles(k, n, KC, NC).map(|t| pack_b(&b, n, t)).collect();
             let mut serial = vec![0.0f32; m * n];
-            gemm_f32_microkernel(&a, &b, &mut serial, m, k, n);
+            for blk in &blocks {
+                packed_rows(&a, blk, &mut serial, 0, k, n, avx2_available());
+            }
             for chunk_rows in [1, 3, 32, m + 1] {
                 let mut par = vec![0.0f32; m * n];
-                gemm_f32_microkernel_parallel(&a, &b, &mut par, k, n, chunk_rows);
+                for blk in &blocks {
+                    for (ci, slab) in par.chunks_mut(chunk_rows * n).enumerate() {
+                        packed_rows(&a, blk, slab, ci * chunk_rows, k, n, avx2_available());
+                    }
+                }
                 for (s, p) in serial.iter().zip(&par) {
                     assert_eq!(s.to_bits(), p.to_bits(), "{m}x{k}x{n} chunk {chunk_rows}");
                 }

@@ -1,7 +1,8 @@
 //! Differential property suite: the tiled, prepared-panel, parallel GEMM
-//! engine must be **bit-identical** to the scalar reference for every
-//! backend, every multiplier configuration, every mantissa width and
-//! every shape — including degenerate ones.
+//! engine — eager [`gemm`] and the prepared-B serving path alike — must
+//! be **bit-identical** to the scalar reference for every backend, every
+//! multiplier configuration, every mantissa width and every shape —
+//! including degenerate ones.
 //!
 //! This is the contract that makes the engine a pure speed refactor: any
 //! divergence in accumulation order, zero-bypass handling, backend
@@ -9,10 +10,9 @@
 //! comparison.
 
 use daism_core::{
-    gemm, gemm_f32_microkernel, gemm_f32_microkernel_portable, gemm_microkernel_serial,
-    gemm_prepared_serial, gemm_reference, gemm_tiled_serial, gemm_with_prepared_b,
-    gemm_with_prepared_b_serial, ApproxFpMul, ExactMul, MantissaMultiplier, MultiplierConfig,
-    OperandMode, PreparedGemmB, QuantizedExactMul, ScalarMul,
+    gemm, gemm_f32_microkernel_portable, gemm_reference, gemm_with_prepared_b, ApproxFpMul,
+    ExactMul, MantissaMultiplier, MultiplierConfig, OperandMode, PreparedGemmB, QuantizedExactMul,
+    ScalarMul,
 };
 use daism_num::FpFormat;
 use proptest::prelude::*;
@@ -48,13 +48,15 @@ fn assert_all_backends_bit_identical(
     for mul in backends() {
         let mut reference = vec![0.0f32; m * n];
         let mut engine = vec![0.0f32; m * n];
-        let mut serial = vec![0.0f32; m * n];
-        let mut prepared = vec![0.0f32; m * n];
         gemm_reference(mul.as_ref(), a, b, &mut reference, m, k, n);
         gemm(mul.as_ref(), a, b, &mut engine, m, k, n);
-        gemm_tiled_serial(mul.as_ref(), a, b, &mut serial, m, k, n);
-        gemm_prepared_serial(mul.as_ref(), a, b, &mut prepared, m, k, n);
-        for (i, (r, t)) in reference.iter().zip(&engine).enumerate() {
+        // The compiled-session path: B prepared once, served through
+        // `gemm_with_prepared_b` — it must stay on the reference's bits,
+        // for every backend class and every shape including m == 1.
+        let prepared_b = PreparedGemmB::new(mul.as_ref(), b, k, n);
+        let mut served = vec![0.0f32; m * n];
+        gemm_with_prepared_b(mul.as_ref(), a, &prepared_b, &mut served, m);
+        for (i, ((r, t), s)) in reference.iter().zip(&engine).zip(&served).enumerate() {
             prop_assert_eq!(
                 r.to_bits(),
                 t.to_bits(),
@@ -67,61 +69,6 @@ fn assert_all_backends_bit_identical(
                 r,
                 t
             );
-        }
-        for (i, (r, s)) in reference.iter().zip(&serial).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs serial-tiled {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        for (i, (r, s)) in reference.iter().zip(&prepared).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-panel {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        let mut micro = vec![0.0f32; m * n];
-        gemm_microkernel_serial(mul.as_ref(), a, b, &mut micro, m, k, n);
-        for (i, (r, s)) in reference.iter().zip(&micro).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs microkernel {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                s
-            );
-        }
-        // The compiled-session path: B prepared once, served through
-        // `gemm_with_prepared_b` (auto-dispatch) and its forced-serial
-        // twin — both must stay on the reference's bits, for every
-        // backend class and every shape including m == 1.
-        let prepared_b = PreparedGemmB::new(mul.as_ref(), b, k, n);
-        let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(mul.as_ref(), a, &prepared_b, &mut served, m);
-        let mut served_serial = vec![0.0f32; m * n];
-        gemm_with_prepared_b_serial(mul.as_ref(), a, &prepared_b, &mut served_serial, m);
-        for (i, ((r, s), t)) in reference.iter().zip(&served).zip(&served_serial).enumerate() {
             prop_assert_eq!(
                 r.to_bits(),
                 s.to_bits(),
@@ -133,18 +80,6 @@ fn assert_all_backends_bit_identical(
                 i,
                 r,
                 s
-            );
-            prop_assert_eq!(
-                r.to_bits(),
-                t.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-B-serial {}",
-                mul.name(),
-                m,
-                k,
-                n,
-                i,
-                r,
-                t
             );
         }
     }
@@ -305,9 +240,11 @@ proptest! {
     /// The runtime-detected f32 microkernel path and the forced-portable
     /// fallback must be **byte-identical** to each other and to the
     /// scalar reference, across register-tile remainders (m, n, k not
-    /// multiples of MR/NR/KC), m == 1 and arbitrary fills — on a host
-    /// without AVX2 (or a no-`simd` build) the two entry points are the
-    /// same code and the property still pins kernel-vs-reference.
+    /// multiples of MR/NR/KC), m == 1 and arbitrary fills. The detected
+    /// kernel is driven through prepared-B serving, which packs for
+    /// native-`f32` backends at every `m`. On a host without AVX2 (or a
+    /// no-`simd` build) both run the portable kernel and the property
+    /// still pins kernel-vs-reference.
     #[test]
     fn microkernel_detected_equals_portable_equals_reference(
         case in (1usize..19, 1usize..40, 1usize..37).prop_flat_map(|(m, k, n)| {
@@ -325,7 +262,8 @@ proptest! {
         let mut detected = c0.clone();
         let mut portable = c0;
         gemm_reference(&ExactMul, &a, &b, &mut reference, m, k, n);
-        gemm_f32_microkernel(&a, &b, &mut detected, m, k, n);
+        let packed = PreparedGemmB::new(&ExactMul, &b, k, n);
+        gemm_with_prepared_b(&ExactMul, &a, &packed, &mut detected, m);
         gemm_f32_microkernel_portable(&a, &b, &mut portable, m, k, n);
         for (i, r) in reference.iter().enumerate() {
             prop_assert_eq!(r.to_bits(), detected[i].to_bits(),

@@ -1,5 +1,7 @@
-//! Property-based tests for the multiplier invariants listed in
-//! DESIGN.md §3.
+//! Property-based tests for the multiplier invariants: OR-approximate
+//! products bounded by the exact product and the largest partial
+//! product, truncation and PC3 exactness rules, SRAM-backed ==
+//! software, and the floating-point pipeline's error envelope.
 
 use daism_core::ApproxFpMul;
 use daism_core::{

@@ -1,6 +1,7 @@
-//! Deterministic synthetic datasets — the documented substitution for
-//! ImageNet (DESIGN.md §2): small classification tasks whose accuracy
-//! under approximate arithmetic can be compared to an exact baseline.
+//! Deterministic synthetic datasets — the substitution for ImageNet
+//! described in the crate docs: small classification tasks whose
+//! accuracy under approximate arithmetic can be compared to an exact
+//! baseline.
 
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;

@@ -1,10 +1,9 @@
-use crate::gemm::gemm;
 use crate::session::{
     CompiledConv, CompiledConvWeights, CompiledDense, CompiledDenseWeights, CompiledLayer,
     InferenceBackendRef,
 };
 use crate::tensor::Tensor;
-use daism_core::{BlockFpGemm, ExactMul, PreparedGemmB, ScalarMul};
+use daism_core::{gemm, BlockFpGemm, ExactMul, PreparedGemmB, ScalarMul};
 
 /// A trainable parameter: value, gradient accumulator and SGD momentum
 /// buffer.

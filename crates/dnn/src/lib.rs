@@ -4,7 +4,7 @@
 //!
 //! The paper evaluates accuracy on ImageNet-scale CNNs (ResNet-50 etc.);
 //! neither the dataset nor pretrained weights can ship with this
-//! reproduction, so the substitution documented in DESIGN.md applies:
+//! reproduction, so a substitution applies instead:
 //! small models are trained *in-repo* on deterministic synthetic tasks,
 //! then evaluated under every multiplier backend. The error mechanism
 //! being measured — OR-approximate mantissa products flowing through
@@ -18,7 +18,7 @@
 //! ([`Layer::forward_blockfp`] /
 //! [`train::accuracy_blockfp`]) — the accelerator's §IV-B integer-mode
 //! dataflow with per-tile shared exponents — via
-//! [`BlockFpGemm`](daism_core::BlockFpGemm); [`blockfp_gemm`] is the
+//! [`BlockFpGemm`](daism_core::BlockFpGemm), which is also the
 //! standalone matrix entry point.
 //!
 //! For serving, models **compile once and serve many**:
@@ -53,17 +53,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod blockfp;
 pub mod datasets;
-mod gemm;
 mod layers;
 pub mod models;
 mod session;
 mod tensor;
 pub mod train;
 
-pub use blockfp::blockfp_gemm;
-pub use gemm::{gemm, gemm_reference};
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Param, ReLU, Residual, Sequential};
 pub use session::{CompiledLayer, CompiledModel, InferenceBackendRef, InferenceSession};
 pub use tensor::Tensor;

@@ -1,7 +1,7 @@
 //! Property-based tests for the GEMM backends and layers.
 
-use daism_core::{ApproxFpMul, ExactMul, MultiplierConfig};
-use daism_dnn::{blockfp_gemm, gemm, Dense, Layer, ReLU, Sequential, Tensor};
+use daism_core::{gemm, ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig};
+use daism_dnn::{Dense, Layer, ReLU, Sequential, Tensor};
 use daism_num::FpFormat;
 use proptest::prelude::*;
 
@@ -42,14 +42,14 @@ proptest! {
     }
 
     #[test]
-    fn blockfp_gemm_bounded_error(
+    fn blockfp_engine_bounded_error(
         a in mat(12),
         b in mat(12),
     ) {
-        let exact_mul = ExactMul;
         let mut exact = vec![0f32; 9];
-        gemm(&exact_mul, &a, &b, &mut exact, 3, 4, 3);
-        let bfp = blockfp_gemm(MultiplierConfig::PC3, 16, &a, &b, 3, 4, 3);
+        gemm(&ExactMul, &a, &b, &mut exact, 3, 4, 3);
+        let mut bfp = vec![0f32; 9];
+        BlockFpGemm::new(MultiplierConfig::PC3, 16).execute(&a, &b, &mut bfp, 3, 4, 3);
         let scale: f32 = a.iter().chain(&b).map(|v| v.abs()).fold(0.0, f32::max);
         let bound = 0.25 * scale * scale * 4.0 + 0.05; // k terms of bounded products
         for (e, c) in exact.iter().zip(&bfp) {

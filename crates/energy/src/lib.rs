@@ -25,7 +25,8 @@
 //! (Table II: 2.44 mm² / 502.52 GOPS / ≈0.23 GOPS/mW at 16×8 kB; 4.23 mm²
 //! / 1005.04 GOPS at 16×32 kB) and the qualitative findings of Fig. 5/6
 //! (decoder < 0.5 %, truncation ≈ halves read energy, bank size ≈ neutral
-//! per computation) are reproduced. See `EXPERIMENTS.md`.
+//! per computation) are reproduced; the README's *Reproduced artifacts*
+//! section lists the runners that print them.
 //!
 //! # Example
 //!
