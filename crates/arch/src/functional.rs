@@ -144,7 +144,10 @@ impl FunctionalDaism {
                 let xs = FpScalar::from_f32(x, self.config.format);
                 if xs.class() != FpClass::Normal {
                     // Zero bypass (NaN/Inf inputs are out of scope for
-                    // the datapath; they are flushed like zeros here).
+                    // the datapath; they are flushed like zeros here,
+                    // while the software pipeline propagates them — the
+                    // divergence `nan_and_inf_inputs_flush_unlike_software`
+                    // pins).
                     self.bypassed += 1;
                     continue;
                 }
@@ -298,6 +301,42 @@ mod tests {
                     "out[{r},{p}] = {approx}, exact {exact}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn nan_and_inf_inputs_flush_unlike_software() {
+        // The datapath bypasses a NaN or Inf activation like a zero; the
+        // software pipeline propagates it into the outputs.
+        let (m, k, n) = (4, 3, 5);
+        let gemm = GemmShape::new(m, k, n).unwrap();
+        let weights = test_weights(m, k);
+        let finite = test_inputs(k, n);
+        let mut inputs = finite.clone();
+        inputs[1] = f32::NAN; // k = 0, column 1
+        inputs[7] = f32::INFINITY; // k = 1, column 2
+        let config = small_config(MultiplierConfig::PC3_TR);
+        let mut clean = FunctionalDaism::new(config.clone(), gemm, &weights).unwrap();
+        let _ = clean.execute(&finite).unwrap();
+        let mut hw = FunctionalDaism::new(config.clone(), gemm, &weights).unwrap();
+        let out = hw.execute(&inputs).unwrap();
+        assert!(out.iter().all(|v| v.is_finite()), "datapath output must stay finite: {out:?}");
+        let segments_per_column = (hw.mapping().segments / k) as u64;
+        assert_eq!(hw.bypassed(), clean.bypassed() + 2 * segments_per_column);
+
+        let mut reference = vec![0f32; m * n];
+        let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, config.format);
+        daism_core::gemm_reference(&mul, &weights, &inputs, &mut reference, m, k, n);
+        // Zero weights are gated, so only rows with a nonzero weight on
+        // the poisoned `k` see the NaN / Inf.
+        let nan_rows: Vec<usize> = (0..m).filter(|r| weights[r * k] != 0.0).collect();
+        let inf_rows: Vec<usize> = (0..m).filter(|r| weights[r * k + 1] != 0.0).collect();
+        assert!(!nan_rows.is_empty() && !inf_rows.is_empty());
+        for r in nan_rows {
+            assert!(reference[r * n + 1].is_nan(), "row {r}: {}", reference[r * n + 1]);
+        }
+        for r in inf_rows {
+            assert!(reference[r * n + 2].is_infinite(), "row {r}: {}", reference[r * n + 2]);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Machine-readable GEMM perf trajectory, and the repo's one GEMM
 //! bench: times the scalar reference and the auto-dispatched engine for
-//! the exact-f32 and bf16/PC3_tr backends — plus the
+//! the exact-f32, bf16/PC3_tr (product-table path) and fp16/PC3_tr
+//! (chunk-table path) backends — plus the
 //! **block-floating-point** engine (whole-matrix baseline, scalar
 //! reference, engine) — then writes `BENCH_gemm.json` so speedups are
 //! tracked across changes.
@@ -18,7 +19,7 @@
 //! * `reference` — the scalar loop, the semantic anchor;
 //! * `parallel` — the engine ([`gemm`]): it picks a B form (packed
 //!   register-tile `f32` blocks for `exact_f32`, SoA lane-packed
-//!   prepared panels for the approximate backend) and splits C rows over
+//!   prepared panels for the approximate backends) and splits C rows over
 //!   the worker pool above its thread gate.
 //!
 //! For the blockfp backend `parallel` is [`BlockFpGemm::execute`], the
@@ -212,6 +213,7 @@ fn main() {
     let backends: Vec<(&str, Box<dyn ScalarMul>)> = vec![
         ("exact_f32", Box::new(daism_core::ExactMul)),
         ("bf16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16))),
+        ("fp16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16))),
     ];
 
     let blockfp = BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH);

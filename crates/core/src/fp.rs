@@ -4,7 +4,7 @@ use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use std::fmt;
 
 /// Elements per lane group in the lane-packed approximate multiply
-/// kernel (one [`MantissaMultiplier::mul_lanes`] call per group).
+/// kernel (one pre-normalised read-out gather per group).
 const LANES: usize = 8;
 
 /// A B row-panel pre-decoded for repeated [`ScalarMul::mul_prepared`]
@@ -33,13 +33,15 @@ enum PanelData {
     /// [`QuantizedExactMul`]: operands quantized into `format` once,
     /// held as the exact `f64` the per-element multiply consumes.
     Quantized { format: FpFormat, vals: Vec<f64> },
-    /// [`ApproxFpMul`]: operands decoded into `format` once, held as
+    /// [`ApproxFpMul`]: operands decoded into `format` once — straight
+    /// from the `f32` bits, in one pass (round-to-nearest-even, carry,
+    /// range checks; exactly [`FpScalar::from_f32`]) — and held as
     /// **structure-of-arrays mantissa lanes** so the multiply kernel
-    /// runs branch-free over [`LANES`]-wide groups — the LUT-ready
-    /// mantissas, the exponents/signs the combiner folds, a per-element
-    /// accumulate mask (zero bypass as a bit select, not a branch) and
-    /// a per-group escape flag for the rare Inf/NaN elements that need
-    /// the exact side logic.
+    /// runs branch-free over [`LANES`]-wide groups: the mantissas that
+    /// index the pre-normalised product row (or the chunk tables), the
+    /// exponents/signs the combiner folds, a per-element accumulate
+    /// mask (zero bypass as a bit select, not a branch) and a per-group
+    /// escape flag for the rare elements that need the exact side logic.
     Decoded {
         format: FpFormat,
         /// Mantissas with explicit leading one (`0` for non-normals).
@@ -76,6 +78,82 @@ impl PreparedPanel {
     /// The raw (undecoded) panel values.
     pub fn raw(&self) -> &[f32] {
         &self.raw
+    }
+}
+
+/// [`FpScalar::from_f32`] into a `fast_f32` format, computed straight
+/// from the `f32` bits for the panel decode: round-to-nearest-even as
+/// one add and shift, the rounding carry as a shift, then the range
+/// checks. The per-format constants are derived once per panel.
+#[derive(Debug, Clone, Copy)]
+struct LaneDecoder {
+    /// Mantissa width `n` (at most 24).
+    width: u32,
+    /// Low bits of the 24-bit `f32` mantissa the format drops.
+    shift: u32,
+    /// `2^(shift-1) - 1`: the round-half-down bias (0 when nothing is
+    /// dropped).
+    half_minus_one: u32,
+    /// `1` when bits are dropped: the kept LSB breaks ties to even.
+    odd: u32,
+    min_exp: i32,
+    max_exp: i32,
+}
+
+/// One panel element as [`PanelData::Decoded`] stores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct DecodedLane {
+    /// Mantissa with explicit leading one (`0` for non-normals).
+    man: u32,
+    /// Unbiased exponent (`0` for non-normals).
+    exp: i32,
+    /// Sign at the `f32` sign position (`0` for non-normals).
+    sign: u32,
+    /// `!0` for `Normal`, `0` otherwise.
+    sel: u32,
+    /// Needs the exact side logic: Inf/NaN, or a nonzero `f32` that
+    /// flushes to format zero.
+    exotic: bool,
+}
+
+impl LaneDecoder {
+    fn new(format: FpFormat) -> Self {
+        let width = format.mantissa_width();
+        debug_assert!(width <= 24, "lane decode needs a fast_f32 format");
+        let shift = 24 - width;
+        LaneDecoder {
+            width,
+            shift,
+            half_minus_one: if shift == 0 { 0 } else { (1 << (shift - 1)) - 1 },
+            odd: (shift != 0) as u32,
+            min_exp: format.min_exp(),
+            max_exp: format.max_exp(),
+        }
+    }
+
+    #[inline]
+    fn decode(&self, bits: u32) -> DecodedLane {
+        let e = (bits >> 23) & 0xFF;
+        let mant24 = (1 << 23) | (bits & 0x7F_FFFF);
+        // Round to nearest, ties to even: adding `half - 1` plus the
+        // kept LSB carries out of the dropped bits exactly when they
+        // exceed half, or equal it with an odd kept part.
+        let rounded =
+            (mant24 + self.half_minus_one + ((mant24 >> self.shift) & self.odd)) >> self.shift;
+        // Rounding can overflow to `2^width` (1.11…1 → 10.0).
+        let carry = rounded >> self.width;
+        let exp = e as i32 - 127 + carry as i32;
+        // `e == 0` is zero or an f32 subnormal (flushed); `e == 0xFF` is
+        // Inf/NaN, and exponents outside the format saturate or flush.
+        let normal = e != 0 && e != 0xFF && (self.min_exp..=self.max_exp).contains(&exp);
+        let sel = if normal { u32::MAX } else { 0 };
+        DecodedLane {
+            man: (rounded >> carry) & sel,
+            exp: if normal { exp } else { 0 },
+            sign: bits & 0x8000_0000 & sel,
+            sel,
+            exotic: !normal && bits & 0x7FFF_FFFF != 0,
+        }
     }
 }
 
@@ -465,51 +543,39 @@ impl ApproxFpMul {
         encode_normal_f32(sign, exp, man, self.format)
     }
 
-    /// Folds one group of raw mantissa read-outs into the C lanes:
-    /// branch-free renormalise ([`fuse_combine`](Self::fuse_combine)'s
-    /// one-position shift as a select between two uniform shifts),
-    /// branch-free encode (saturation/flush as exponent-range selects)
-    /// and the zero bypass as a bit select on the accumulator — never
-    /// `c + 0.0`, which would flip a negative-zero accumulator. All
-    /// lanes are fixed-width arrays, so the whole fold autovectorizes
-    /// on stable. Only valid when `self.fast_f32` and for read-outs of
-    /// `Normal` operands and exact-zero `f32`s (callers route Inf/NaN
+    /// Folds one group of pre-normalised read-outs (see
+    /// [`prenormalise`](crate::mantissa::prenormalise)) into the C
+    /// lanes: exponent add (the renormalise increment rides in bit 23),
+    /// branch-free encode (saturation/flush as exponent-range selects),
+    /// one OR with sign and fraction, and the zero bypass as a bit
+    /// select on the accumulator — never `c + 0.0`, which would flip a
+    /// negative-zero accumulator. All lanes are
+    /// fixed-width arrays, so the whole fold autovectorizes on stable.
+    /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
+    /// selected lane. Only valid when `self.fast_f32` and for read-outs
+    /// of `Normal` operands and exact-zero `f32`s (callers route Inf/NaN
     /// and flushed-nonzero groups to the scalar fallback).
     #[inline]
     fn combine_lanes(
         &self,
-        raws: &[u64; LANES],
+        norm: &[u32; LANES],
         exps: &[i32; LANES],
         signs: &[u32; LANES],
         sel: &[u32; LANES],
         xs: &FpScalar,
         c: &mut [f32; LANES],
     ) {
-        let n = self.format.mantissa_width();
-        let truncate = self.mult.config().truncate;
         let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
-        let frac_mask = bits::mask(n - 1) as u32;
         let xsign = (xs.sign() as u32) << 31;
         let xexp = xs.exponent();
         for j in 0..LANES {
-            let raw = raws[j];
-            // `fuse_combine`'s branch structure as selects: the top
-            // read-out column picks between two *uniform* shifts (no
-            // per-lane shift amounts, which baseline SSE lacks) and the
-            // exponent increment.
-            let (t, man) = if truncate {
-                let t = ((raw >> (n - 1)) & 1) as i32;
-                (t, (if t != 0 { raw } else { raw << 1 }) as u32)
-            } else {
-                let t = ((raw >> (2 * n - 1)) & 1) as i32;
-                (t, (if t != 0 { raw >> n } else { raw >> (n - 1) }) as u32)
-            };
-            let exp = xexp + exps[j] + t;
+            let e = norm[j];
+            let exp = xexp + exps[j] + (e >> 23) as i32;
             let sign = xsign ^ signs[j];
             // `encode_normal_f32` with saturation/flush as selects; the
             // out-of-range lanes' `normal` bits are garbage that the
             // select discards.
-            let normal = sign | (((exp + 127) as u32) << 23) | ((man & frac_mask) << (24 - n));
+            let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
             let pbits = if exp > max_exp {
                 sign | 0x7F80_0000 // saturate to (signed) infinity
             } else if exp < min_exp {
@@ -563,8 +629,8 @@ impl ScalarMul for ApproxFpMul {
     }
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
-        // Decode the reused operand and derive its line patterns (or
-        // table row) once per panel — this is the batched fast path the
+        // Decode the reused operand and bind its table row (or build its
+        // chunk tables) once per panel — this is the batched fast path the
         // GEMM engine exists for. Every per-element step below matches
         // `mul_scalars` exactly, keeping results bit-identical.
         let xs = FpScalar::from_f32(a, self.format);
@@ -604,6 +670,7 @@ impl ScalarMul for ApproxFpMul {
             // cache, so keep the raw fallback.
             return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
         }
+        let dec = LaneDecoder::new(self.format);
         let len = b.len();
         let mut mans = Vec::with_capacity(len);
         let mut exps = Vec::with_capacity(len);
@@ -611,43 +678,23 @@ impl ScalarMul for ApproxFpMul {
         let mut sel = Vec::with_capacity(len);
         let mut exotic = vec![false; len / LANES];
         for (i, &bv) in b.iter().enumerate() {
-            let ys = FpScalar::from_f32(bv, self.format);
-            match ys.class() {
-                FpClass::Normal => {
-                    mans.push(ys.mantissa() as u32);
-                    exps.push(ys.exponent());
-                    signs.push((ys.sign() as u32) << 31);
-                    sel.push(u32::MAX);
-                }
-                FpClass::Zero => {
-                    // Zero bypass: lane 0 of the product table reads 0,
-                    // and the zeroed select mask keeps C untouched —
-                    // exactly the scalar path's `bv == 0.0` skip.
-                    mans.push(0);
-                    exps.push(0);
-                    signs.push(0);
-                    sel.push(0);
-                    if bv != 0.0 {
-                        // A nonzero f32 that *flushes* to format zero
-                        // (subnormal, or below the format's min
-                        // exponent): the scalar path does NOT skip it —
-                        // it accumulates the signed-zero product, which
-                        // can flip a -0.0 accumulator to +0.0. Route
-                        // the group to the scalar fallback so the lane
-                        // path stays bit-identical.
-                        if let Some(flag) = exotic.get_mut(i / LANES) {
-                            *flag = true;
-                        }
-                    }
-                }
-                FpClass::Inf | FpClass::Nan => {
-                    mans.push(0);
-                    exps.push(0);
-                    signs.push(0);
-                    sel.push(0);
-                    if let Some(flag) = exotic.get_mut(i / LANES) {
-                        *flag = true; // whole group escapes to scalar
-                    }
+            let lane = dec.decode(bv.to_bits());
+            mans.push(lane.man);
+            exps.push(lane.exp);
+            signs.push(lane.sign);
+            // Zero bypass: a zero mantissa reads a discarded product,
+            // and the zeroed select keeps C untouched — exactly the
+            // scalar path's `bv == 0.0` skip.
+            sel.push(lane.sel);
+            // Inf/NaN, or a nonzero f32 that *flushes* to format zero
+            // (subnormal, or below the format's min exponent): the
+            // scalar path does NOT skip the latter — it accumulates the
+            // signed-zero product, which can flip a -0.0 accumulator to
+            // +0.0. The whole group escapes to the scalar fallback, so
+            // the lane path stays bit-identical.
+            if lane.exotic {
+                if let Some(flag) = exotic.get_mut(i / LANES) {
+                    *flag = true;
                 }
             }
         }
@@ -681,18 +728,16 @@ impl ScalarMul for ApproxFpMul {
             }
             return;
         }
-        // Per-call work: one decode of `a` and one line-pattern (or
-        // table row) derivation. Per-MAC work: a product-table (or OR)
-        // read plus a handful of integer ops — the normalise + encode
-        // of `fuse_combine`, re-expressed branch-free so the whole
-        // group vectorizes: renormalise shifts, saturation and the zero
-        // bypass all become selects over fixed-width lanes. Every step
-        // computes exactly the value the scalar path computes, so
-        // results stay bit-identical (the prepared-vs-mul_rows
-        // equivalence tests and the differential GEMM suite enforce
-        // this).
+        // Per-call work: one decode of `a` and binding its table row
+        // (or building its chunk tables). Per-MAC work: one gather from
+        // the pre-normalised product row (or one lookup per chunk plus
+        // the same renormalise) and the combine — exponent add, range
+        // selects, one OR — with the zero bypass as a select, so the
+        // whole group vectorizes. Every step computes exactly the value
+        // the scalar path computes, so results stay bit-identical (the
+        // prepared-vs-mul_rows equivalence tests and the differential
+        // GEMM suite enforce this).
         let prep = self.mult.prepare(xs.mantissa());
-        let row = self.mult.lut_row(&prep);
         let groups = c.len() / LANES;
         let (head, tail) = c.split_at_mut(groups * LANES);
         for (g, cch) in head.chunks_exact_mut(LANES).enumerate() {
@@ -707,23 +752,11 @@ impl ScalarMul for ApproxFpMul {
             // can keep in vector registers.
             let cch: &mut [f32; LANES] = cch.try_into().expect("lane group");
             let mch: &[u32; LANES] = mans[base..base + LANES].try_into().expect("lane group");
-            // Gather the lane read-outs: one table-row read per lane
-            // for memoized widths, the prepared-pattern OR otherwise.
-            let mut raws = [0u64; LANES];
-            if let Some(row) = row {
-                let mask = row.len() - 1;
-                for (r, &mv) in raws.iter_mut().zip(mch) {
-                    *r = row[mv as usize & mask] as u64;
-                }
-            } else {
-                for (r, &mv) in raws.iter_mut().zip(mch) {
-                    *r = self.mult.multiply_prepared_trusted(&prep, mv as u64);
-                }
-            }
+            let norm = self.mult.norm_lanes_trusted(&prep, mch);
             let ech: &[i32; LANES] = exps[base..base + LANES].try_into().expect("lane group");
             let sch: &[u32; LANES] = signs[base..base + LANES].try_into().expect("lane group");
             let zch: &[u32; LANES] = sel[base..base + LANES].try_into().expect("lane group");
-            self.combine_lanes(&raws, ech, sch, zch, &xs, cch);
+            self.combine_lanes(&norm, ech, sch, zch, &xs, cch);
         }
         self.mul_prepared_scalar_chunk(&xs, &prep, &panel.raw()[groups * LANES..], tail);
     }
@@ -1106,6 +1139,115 @@ mod tests {
                         "{}: a={a}: override {f} vs default {s}",
                         m.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// The `f32` a pre-normalised read-out encodes for sign `sign` and
+    /// exponent sum `exp_sum` (in range), as `combine_lanes` builds it.
+    fn from_norm(sign: bool, exp_sum: i32, e: u32) -> f32 {
+        let exp = exp_sum + (e >> 23) as i32;
+        f32::from_bits(((sign as u32) << 31) | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF))
+    }
+
+    #[test]
+    fn prenormalised_rows_match_fuse_combine_on_the_raw_table() {
+        // Every entry of the memoized pre-normalised rows, for every
+        // config at every table width, against the scalar normaliser
+        // applied to the raw product-table read-out.
+        for n in 5u32..=8 {
+            let format = FpFormat::new(8, n - 1).unwrap();
+            for config in MultiplierConfig::ALL {
+                let m = ApproxFpMul::new(config, format);
+                let mult = m.mantissa_multiplier();
+                for a in 1u64 << (n - 1)..1 << n {
+                    let prep = mult.prepare(a);
+                    for b in 1u32 << (n - 1)..1 << n {
+                        let [e] = mult.norm_lanes_trusted(&prep, &[b]);
+                        let raw = mult.multiply(a, b as u64);
+                        for (sign, exp_sum) in [(false, 0), (true, -3), (false, 9)] {
+                            let expect = m.fuse_combine(sign, exp_sum, raw);
+                            assert_eq!(
+                                from_norm(sign, exp_sum, e).to_bits(),
+                                expect.to_bits(),
+                                "{config} n={n}: a={a:#x} b={b:#x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_path_normalises_like_fuse_combine() {
+        // Widths without a table renormalise their chunk read-out into
+        // the same form (seeded operand sample).
+        let mut state = 0x5EED_0002u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for format in [FpFormat::FP16, FpFormat::TF32, FpFormat::FP32] {
+            let n = format.mantissa_width();
+            let lead = 1u64 << (n - 1);
+            for config in MultiplierConfig::ALL {
+                let m = ApproxFpMul::new(config, format);
+                let mult = m.mantissa_multiplier();
+                for _ in 0..64 {
+                    let a = lead | (next() & bits::mask(n - 1));
+                    let prep = mult.prepare(a);
+                    let bs: [u32; LANES] =
+                        std::array::from_fn(|_| (lead | (next() & bits::mask(n - 1))) as u32);
+                    let norms = mult.norm_lanes_trusted(&prep, &bs);
+                    for (&b, &e) in bs.iter().zip(&norms) {
+                        let raw = mult.multiply(a, b as u64);
+                        assert_eq!(
+                            from_norm(true, -1, e).to_bits(),
+                            m.fuse_combine(true, -1, raw).to_bits(),
+                            "{config} n={n}: a={a:#x} b={b:#x}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_decode_matches_from_f32() {
+        // All 2^16 upper halves (sign, exponent, top mantissa bits) with
+        // low halves that straddle every predefined format's rounding
+        // point: ties, just-below/above ties, carries into the exponent.
+        let lows = [
+            0x0000u32, 0x0001, 0x0FFF, 0x1000, 0x1001, 0x2000, 0x3000, 0x7FFF, 0x8000, 0x8001,
+            0xC000, 0xFFFF,
+        ];
+        for format in [FpFormat::FP32, FpFormat::BF16, FpFormat::FP16, FpFormat::TF32] {
+            let dec = LaneDecoder::new(format);
+            for hi in 0..=0xFFFFu32 {
+                for lo in lows {
+                    let bits = (hi << 16) | lo;
+                    let x = f32::from_bits(bits);
+                    let ys = FpScalar::from_f32(x, format);
+                    let expect = match ys.class() {
+                        FpClass::Normal => DecodedLane {
+                            man: ys.mantissa() as u32,
+                            exp: ys.exponent(),
+                            sign: (ys.sign() as u32) << 31,
+                            sel: u32::MAX,
+                            exotic: false,
+                        },
+                        FpClass::Zero => {
+                            DecodedLane { man: 0, exp: 0, sign: 0, sel: 0, exotic: x != 0.0 }
+                        }
+                        FpClass::Inf | FpClass::Nan => {
+                            DecodedLane { man: 0, exp: 0, sign: 0, sel: 0, exotic: true }
+                        }
+                    };
+                    assert_eq!(dec.decode(bits), expect, "{format}: bits {bits:#010x}");
                 }
             }
         }

@@ -587,7 +587,7 @@ fn lane_mac(
 ///   the prepared-panel float engine;
 /// * mantissa *magnitudes* multiply through the integer-mode
 ///   OR-approximate [`MantissaMultiplier`] (signs XORed exactly, the
-///   line patterns / LUT row of each A mantissa pre-bound per `(row,
+///   LUT row / chunk tables of each A mantissa pre-bound per `(row,
 ///   l)` via [`MantissaMultiplier::prepare`]);
 /// * each tile accumulates in an **exact `i64`** — no per-product
 ///   exponent datapath, no rounding inside the tile — and is folded

@@ -6,7 +6,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Widest mantissa for which the full product table is materialised
 /// (`2^(2n)` entries of `u16`; at 8 bits that is 128 KiB — `bfloat16`,
-/// the paper's preferred format, is covered).
+/// the paper's preferred format, is covered — plus, in fp mode, its
+/// pre-normalised `u32` twin, 256 KiB at 8 bits).
 const LUT_MAX_WIDTH: u32 = 8;
 
 /// Process-wide memo of product tables, keyed by everything that
@@ -15,20 +16,31 @@ const LUT_MAX_WIDTH: u32 = 8;
 /// figure) reuses one table instead of re-deriving the line patterns.
 type LutKey = (MultiplierConfig, OperandMode, u32);
 
-fn lut_cache() -> &'static Mutex<HashMap<LutKey, Arc<Vec<u16>>>> {
-    static CACHE: OnceLock<Mutex<HashMap<LutKey, Arc<Vec<u16>>>>> = OnceLock::new();
+/// The memoized tables of one narrow configuration, both indexed by
+/// `(a << n) | b`.
+#[derive(Debug)]
+struct ProductTables {
+    /// The wired-OR read-out `multiply(a, b)`.
+    raw: Vec<u16>,
+    /// Fp mode only (empty in int mode): the read-out renormalised into
+    /// `f32` position by [`prenormalise`].
+    norm: Vec<u32>,
+}
+
+fn lut_cache() -> &'static Mutex<HashMap<LutKey, Arc<ProductTables>>> {
+    static CACHE: OnceLock<Mutex<HashMap<LutKey, Arc<ProductTables>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn build_or_reuse_lut(layout: &LineLayout) -> Arc<Vec<u16>> {
+fn build_or_reuse_lut(layout: &LineLayout) -> Arc<ProductTables> {
     let key = (layout.config(), layout.mode(), layout.mantissa_width());
     let mut cache = lut_cache().lock().expect("LUT cache poisoned");
-    if let Some(table) = cache.get(&key) {
-        return Arc::clone(table);
+    if let Some(tables) = cache.get(&key) {
+        return Arc::clone(tables);
     }
     let n = layout.mantissa_width();
     let size = 1usize << (2 * n);
-    let mut table = vec![0u16; size];
+    let mut raw = vec![0u16; size];
     for a in 0..(1u64 << n) {
         // In fp mode only multipliers with their leading one (or zero)
         // are decodable; other rows stay zero and are unreachable
@@ -37,12 +49,19 @@ fn build_or_reuse_lut(layout: &LineLayout) -> Arc<Vec<u16>> {
             if layout.mode() == OperandMode::Fp && b != 0 && !bits::bit(b, n - 1) {
                 continue;
             }
-            table[((a << n) | b) as usize] = or_read(layout, a, b) as u16;
+            raw[((a << n) | b) as usize] = or_read(layout, a, b) as u16;
         }
     }
-    let table = Arc::new(table);
-    cache.insert(key, Arc::clone(&table));
-    table
+    let norm = match layout.mode() {
+        OperandMode::Fp => {
+            let truncate = layout.config().truncate;
+            raw.iter().map(|&r| prenormalise(r as u64, n, truncate)).collect()
+        }
+        OperandMode::Int => Vec::new(),
+    };
+    let tables = Arc::new(ProductTables { raw, norm });
+    cache.insert(key, Arc::clone(&tables));
+    tables
 }
 
 /// The wired-OR read computed directly from the line layout: decode the
@@ -57,6 +76,170 @@ fn or_read(layout: &LineLayout, a: u64, b: u64) -> u64 {
         m &= m - 1;
     }
     acc
+}
+
+/// An fp-mode read-out `raw` of two `n`-bit mantissas, renormalised the
+/// way the accumulator-side normaliser does it (`ApproxFpMul`'s
+/// `fuse_combine`): bit 23 holds the one-position renormalise shift
+/// (the exponent increment) and bits 0..23 the fraction below the
+/// leading one, already shifted to its `f32` position. A `Normal`
+/// product's `f32` bits are then `sign | (exp + 127) << 23 | frac`
+/// with `exp` the exponent sum plus bit 23.
+///
+/// Only meaningful for read-outs of two leading-one mantissas (the
+/// result always carries its leading one); other inputs yield bits the
+/// lane kernel discards.
+#[inline]
+pub(crate) fn prenormalise(raw: u64, n: u32, truncate: bool) -> u32 {
+    // `fuse_combine`'s branches: the top read-out column picks the
+    // shift, then the leading one is dropped with the mask.
+    let (t, man) = if truncate {
+        let t = (raw >> (n - 1)) & 1;
+        (t, if t != 0 { raw } else { raw << 1 })
+    } else {
+        let t = (raw >> (2 * n - 1)) & 1;
+        (t, if t != 0 { raw >> n } else { raw >> (n - 1) })
+    };
+    ((t as u32) << 23) | (((man & bits::mask(n - 1)) as u32) << (24 - n))
+}
+
+/// Plain multiplier bits per chunk table below the head.
+const CHUNK_BITS: u32 = 4;
+
+/// Most plain chunk tables a width can need: `n ≤ 24` with a head of at
+/// least one bit leaves 23 plain bits.
+const MAX_CHUNKS: usize = 6;
+
+/// How a table-less multiplier splits `b` into chunks, derived once
+/// from the layout's decoder.
+///
+/// The head chunk is the top 1, 2 or 3 bits (FLA, PC2, PC3): each head
+/// value activates at most one line, plain or combined (`A`, `AB`,
+/// `ABC`, …). Below it, every bit drives at most one plain line of its
+/// own shift (integer-mode PC2's bit 0 drives none), so the wired-OR of
+/// a whole multiplier is the OR of one entry per chunk: OR distributes
+/// over disjoint line sets.
+#[derive(Debug, Clone)]
+struct ChunkPlan {
+    /// `b >> head_shift` is the head chunk (`n` minus the head width).
+    head_shift: u32,
+    /// Per head value, the line's multiplier `Σ 2^shift` (its stored
+    /// pattern is `a · coeff`, before truncation); `0` for values that
+    /// activate nothing.
+    head_coeffs: [u64; 8],
+    /// Bits below the head that drive a plain line (`a << s`).
+    plain_lines: u64,
+    /// Plain chunk tables in use (`⌈head_shift / CHUNK_BITS⌉`).
+    chunks: usize,
+    /// Columns each stored pattern drops (`n` when truncated, else 0).
+    drop: u32,
+}
+
+impl ChunkPlan {
+    fn new(layout: &LineLayout) -> Self {
+        let n = layout.mantissa_width();
+        // The bits that share combined lines; FLA has none, so its head
+        // is just the leading bit.
+        let head_bits = layout.config().kind.precomputed_depth().max(1);
+        let head_shift = n - head_bits;
+        let fp = layout.mode() == OperandMode::Fp;
+        let single_line = |mask: u64| -> Option<usize> {
+            assert!(mask.count_ones() <= 1, "a chunk must select at most one line");
+            (mask != 0).then(|| mask.trailing_zeros() as usize)
+        };
+        let mut head_coeffs = [0u64; 8];
+        for (v, coeff) in head_coeffs.iter_mut().enumerate().take(1 << head_bits) {
+            // Fp-mode heads without the leading one are unreachable
+            // (only `b == 0` has one, and it reads zero).
+            if fp && v >> (head_bits - 1) == 0 {
+                continue;
+            }
+            if let Some(i) = single_line(layout.decode((v as u64) << head_shift)) {
+                *coeff = layout.specs()[i].full_pattern(1);
+            }
+        }
+        // A plain bit's line is what it adds to the decode of the
+        // smallest valid multiplier (the bare leading one in fp mode).
+        let lead = if fp { 1u64 << (n - 1) } else { 0 };
+        let base = layout.decode(lead);
+        let mut plain_lines = 0u64;
+        for s in 0..head_shift {
+            if let Some(i) = single_line(layout.decode(lead | (1 << s)) & !base) {
+                assert_eq!(layout.specs()[i].shifts(), [s], "bit {s} must drive its plain line");
+                plain_lines |= 1 << s;
+            }
+        }
+        ChunkPlan {
+            head_shift,
+            head_coeffs,
+            plain_lines,
+            chunks: head_shift.div_ceil(CHUNK_BITS) as usize,
+            drop: if layout.config().truncate { n } else { 0 },
+        }
+    }
+
+    /// The chunk tables of multiplicand `a`: the head entries, and each
+    /// plain chunk by the subset-OR recurrence
+    /// `T[v] = T[v & (v - 1)] | line(lowest set bit of v)`.
+    fn tables(&self, a: u64) -> ChunkTables {
+        let mut t = ChunkTables {
+            head_shift: self.head_shift,
+            chunks: self.chunks,
+            head: [0; 8],
+            plain: [[0; 16]; MAX_CHUNKS],
+        };
+        for (h, &coeff) in t.head.iter_mut().zip(&self.head_coeffs) {
+            *h = (a * coeff) >> self.drop;
+        }
+        for (j, table) in t.plain[..self.chunks].iter_mut().enumerate() {
+            // The chunk's four lines (zero for bits without one, which
+            // includes head bits).
+            let lines: [u64; CHUNK_BITS as usize] = std::array::from_fn(|i| {
+                let s = j as u32 * CHUNK_BITS + i as u32;
+                let drives = 0u64.wrapping_sub((self.plain_lines >> s) & 1);
+                ((a << s) >> self.drop) & drives
+            });
+            for v in 1..16usize {
+                table[v] = table[v & (v - 1)] | lines[v.trailing_zeros() as usize];
+            }
+        }
+        t
+    }
+}
+
+/// One multiplicand's chunk tables (see [`ChunkPlan`]): a wired-OR read
+/// is one head lookup plus one lookup per plain chunk.
+#[derive(Debug, Clone)]
+struct ChunkTables {
+    head_shift: u32,
+    chunks: usize,
+    head: [u64; 8],
+    plain: [[u64; 16]; MAX_CHUNKS],
+}
+
+impl ChunkTables {
+    #[inline]
+    fn read(&self, b: u64) -> u64 {
+        let [acc] = self.read_lanes(&[b]);
+        acc
+    }
+
+    /// [`read`](Self::read) over a lane group, chunk-major so every
+    /// pass is a fixed-width loop over the lanes.
+    #[inline]
+    fn read_lanes<const L: usize>(&self, b: &[u64; L]) -> [u64; L] {
+        let mut acc = [0u64; L];
+        for (o, &v) in acc.iter_mut().zip(b) {
+            *o = self.head[(v >> self.head_shift) as usize & 7];
+        }
+        for (j, table) in self.plain[..self.chunks].iter().enumerate() {
+            let shift = j as u32 * CHUNK_BITS;
+            for (o, &v) in acc.iter_mut().zip(b) {
+                *o |= table[(v >> shift) as usize & 15];
+            }
+        }
+        acc
+    }
 }
 
 /// Exact product of two mantissas (reference for error analysis).
@@ -95,15 +278,25 @@ pub fn exact_mul(a: u64, b: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct MantissaMultiplier {
     layout: LineLayout,
-    /// Memoized full product table (`lut[(a << n) | b] = multiply(a, b)`)
-    /// for narrow mantissas; shared process-wide per configuration.
-    lut: Option<Arc<Vec<u16>>>,
+    products: Products,
+}
+
+/// How [`MantissaMultiplier`] serves prepared products.
+#[derive(Debug, Clone)]
+enum Products {
+    /// Narrow mantissas: the memoized full product tables, shared
+    /// process-wide per configuration.
+    Table(Arc<ProductTables>),
+    /// Wider mantissas: per-multiplicand chunk tables built by
+    /// [`MantissaMultiplier::prepare`] from this plan.
+    Chunked(ChunkPlan),
 }
 
 impl PartialEq for MantissaMultiplier {
     fn eq(&self, other: &Self) -> bool {
-        // The LUT is a pure function of the layout; comparing it would be
-        // redundant (and it intentionally shares storage across clones).
+        // The tables are a pure function of the layout; comparing them
+        // would be redundant (and they intentionally share storage
+        // across clones).
         self.layout == other.layout
     }
 }
@@ -118,14 +311,20 @@ impl MantissaMultiplier {
     /// construction (memoized process-wide per `config`/`mode`/`n`), so
     /// [`multiply`](Self::multiply) in the GEMM hot loop is one table
     /// read instead of an address decode plus a line-pattern OR chain.
+    /// Wider mantissas derive their chunk split (see
+    /// [`prepare`](Self::prepare)) from the decoder once, here.
     ///
     /// # Panics
     ///
     /// Panics for unsupported widths (see [`LineLayout::new`]).
     pub fn new(config: MultiplierConfig, mode: OperandMode, n: u32) -> Self {
         let layout = LineLayout::new(config, mode, n);
-        let lut = (n <= LUT_MAX_WIDTH).then(|| build_or_reuse_lut(&layout));
-        MantissaMultiplier { layout, lut }
+        let products = if n <= LUT_MAX_WIDTH {
+            Products::Table(build_or_reuse_lut(&layout))
+        } else {
+            Products::Chunked(ChunkPlan::new(&layout))
+        };
+        MantissaMultiplier { layout, products }
     }
 
     /// The line layout backing this multiplier.
@@ -152,6 +351,19 @@ impl MantissaMultiplier {
         self.layout.stored_width()
     }
 
+    /// Panics unless `b` is a multiplier this multiplier can decode.
+    #[inline]
+    fn check_multiplier(&self, b: u64) {
+        let n = self.layout.mantissa_width();
+        assert!(bits::width_of(b) <= n, "multiplier {b:#x} wider than {n} bits");
+        if self.layout.mode() == OperandMode::Fp {
+            assert!(
+                b == 0 || bits::bit(b, n - 1),
+                "fp-mode multiplier {b:#x} lacks its leading one"
+            );
+        }
+    }
+
     /// The approximate product: OR of the activated stored patterns.
     ///
     /// For truncated configurations the result approximates
@@ -165,17 +377,11 @@ impl MantissaMultiplier {
     /// leading one.
     #[inline]
     pub fn multiply(&self, a: u64, b: u64) -> u64 {
-        if let Some(lut) = &self.lut {
+        if let Products::Table(tables) = &self.products {
             let n = self.layout.mantissa_width();
             assert!(bits::width_of(a) <= n, "multiplicand {a:#x} wider than {n} bits");
-            assert!(bits::width_of(b) <= n, "multiplier {b:#x} wider than {n} bits");
-            if self.layout.mode() == OperandMode::Fp {
-                assert!(
-                    b == 0 || bits::bit(b, n - 1),
-                    "fp-mode multiplier {b:#x} lacks its leading one"
-                );
-            }
-            return lut[((a << n) | b) as usize] as u64;
+            self.check_multiplier(b);
+            return tables.raw[((a << n) | b) as usize] as u64;
         }
         self.multiply_bitwise(a, b)
     }
@@ -196,24 +402,30 @@ impl MantissaMultiplier {
     /// so a GEMM inner loop that reuses one `A` element against a whole
     /// row panel of `B` pays the line-pattern derivation once.
     ///
+    /// Narrow mantissas bind the multiplicand's product-table row.
+    /// Wider ones build small chunk tables, with no heap allocation: the
+    /// multiplier splits into a head chunk (its top 1, 2 or 3 bits under
+    /// FLA, PC2 or PC3 — the bits that select a combined line) and
+    /// plain chunks of at most 4 bits below it, and each table entry is
+    /// the OR of the stored patterns its chunk value activates. A read
+    /// is then one lookup per chunk, ORed together.
+    ///
     /// # Panics
     ///
     /// Panics if `a` exceeds `n` bits.
     pub fn prepare(&self, a: u64) -> PreparedMultiplicand {
         let n = self.layout.mantissa_width();
         assert!(bits::width_of(a) <= n, "multiplicand {a:#x} wider than {n} bits");
-        let patterns = if self.lut.is_some() {
-            // Table path: per-line patterns are never consulted.
-            Vec::new()
-        } else {
-            (0..self.layout.len()).map(|i| self.layout.stored_pattern(i, a)).collect()
+        let chunks = match &self.products {
+            Products::Table(_) => None,
+            Products::Chunked(plan) => Some(plan.tables(a)),
         };
-        PreparedMultiplicand { a, patterns }
+        PreparedMultiplicand { a, chunks }
     }
 
     /// [`multiply`](Self::multiply) with a pre-bound multiplicand:
-    /// bit-identical results, but the per-line stored patterns (or the
-    /// table row) are reused across calls.
+    /// bit-identical results, but the table row (or the chunk tables)
+    /// are reused across calls.
     ///
     /// # Panics
     ///
@@ -221,18 +433,8 @@ impl MantissaMultiplier {
     /// leading one.
     #[inline]
     pub fn multiply_prepared(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        if let Some(lut) = &self.lut {
-            let n = self.layout.mantissa_width();
-            assert!(bits::width_of(b) <= n, "multiplier {b:#x} wider than {n} bits");
-            if self.layout.mode() == OperandMode::Fp {
-                assert!(
-                    b == 0 || bits::bit(b, n - 1),
-                    "fp-mode multiplier {b:#x} lacks its leading one"
-                );
-            }
-            return lut[((prep.a << n) | b) as usize] as u64;
-        }
-        self.or_prepared(prep, b)
+        self.check_multiplier(b);
+        self.multiply_prepared_trusted(prep, b)
     }
 
     /// [`multiply_prepared`](Self::multiply_prepared) without operand
@@ -247,10 +449,12 @@ impl MantissaMultiplier {
                 || b == 0
                 || bits::bit(b, self.layout.mantissa_width() - 1)
         );
-        if let Some(lut) = &self.lut {
-            return lut[((prep.a << self.layout.mantissa_width()) | b) as usize] as u64;
+        match &self.products {
+            Products::Table(tables) => {
+                tables.raw[((prep.a << self.layout.mantissa_width()) | b) as usize] as u64
+            }
+            Products::Chunked(_) => prep.chunk_tables().read(b),
         }
-        self.or_prepared(prep, b)
     }
 
     /// Lane-batched [`multiply_prepared`](Self::multiply_prepared): one
@@ -259,10 +463,10 @@ impl MantissaMultiplier {
     ///
     /// This is the integer heart of the lane-packed GEMM microkernels:
     /// for narrow mantissas the memoized product table row bound to
-    /// `prep` is gathered per lane (a 2ⁿ-entry, cache-resident slice),
-    /// and operand validation is amortised over the whole lane group
-    /// instead of paid per scalar. Wider mantissas fall back to the
-    /// per-lane prepared-pattern OR — same results, no table.
+    /// `prep` is gathered per lane (a 2ⁿ-entry, cache-resident slice);
+    /// wider mantissas read the prepared chunk tables (one lookup per
+    /// chunk). Operand validation is amortised over the whole lane group
+    /// instead of paid per scalar.
     ///
     /// Bit-identical to `L` scalar [`multiply`](Self::multiply) calls for
     /// every configuration, mode and width (enforced by the lane
@@ -301,47 +505,68 @@ impl MantissaMultiplier {
         b: &[u64; L],
     ) -> [u64; L] {
         debug_assert!(b.iter().all(|&v| bits::width_of(v) <= self.layout.mantissa_width()));
-        let mut out = [0u64; L];
-        if let Some(row) = self.lut_row(prep) {
-            // `row` is exactly 2^n entries, so masking the index both
-            // elides the bounds check and cannot alias distinct operands
-            // (every lane is already proven < 2^n above).
-            let mask = row.len() - 1;
-            for (o, &v) in out.iter_mut().zip(b) {
-                *o = row[v as usize & mask] as u64;
+        match &self.products {
+            Products::Table(tables) => {
+                let row = self.row(&tables.raw, prep);
+                // `row` is exactly 2^n entries, so masking the index both
+                // elides the bounds check and cannot alias distinct
+                // operands (every lane is already proven < 2^n above).
+                let mask = row.len() - 1;
+                // A plain write loop: `array::map` here measured markedly
+                // slower in the BlockFp MAC loop.
+                let mut out = [0u64; L];
+                for (o, &v) in out.iter_mut().zip(b) {
+                    *o = row[v as usize & mask] as u64;
+                }
+                out
             }
-        } else {
-            for (o, &v) in out.iter_mut().zip(b) {
-                *o = self.or_prepared(prep, v);
+            Products::Chunked(_) => prep.chunk_tables().read_lanes(b),
+        }
+    }
+
+    /// Lane-batched read-outs of an fp-mode multiplier, already
+    /// renormalised into `f32` position by [`prenormalise`]: a gather
+    /// from the memoized pre-normalised row for narrow mantissas, the
+    /// chunk-table read plus the same renormalise otherwise. Lanes must
+    /// be `0` or carry their leading one; zero lanes yield bits the
+    /// caller discards.
+    #[inline]
+    pub(crate) fn norm_lanes_trusted<const L: usize>(
+        &self,
+        prep: &PreparedMultiplicand,
+        b: &[u32; L],
+    ) -> [u32; L] {
+        debug_assert_eq!(self.layout.mode(), OperandMode::Fp);
+        let mut out = [0u32; L];
+        match &self.products {
+            Products::Table(tables) => {
+                let row = self.row(&tables.norm, prep);
+                let mask = row.len() - 1;
+                for (o, &v) in out.iter_mut().zip(b) {
+                    *o = row[v as usize & mask];
+                }
+            }
+            Products::Chunked(_) => {
+                let (n, truncate) = (self.layout.mantissa_width(), self.config().truncate);
+                let mut wide = [0u64; L];
+                for (w, &v) in wide.iter_mut().zip(b) {
+                    *w = v as u64;
+                }
+                let raws = prep.chunk_tables().read_lanes(&wide);
+                for (o, raw) in out.iter_mut().zip(raws) {
+                    *o = prenormalise(raw, n, truncate);
+                }
             }
         }
         out
     }
 
-    /// The memoized product-table row bound to `prep` (all 2ⁿ products
-    /// of the prepared multiplicand), or `None` for widths served by the
-    /// prepared-pattern OR path. Crate-internal seam for lane kernels
-    /// that gather the row directly.
+    /// The 2ⁿ-entry row of a memoized table bound to `prep`.
     #[inline]
-    pub(crate) fn lut_row(&self, prep: &PreparedMultiplicand) -> Option<&[u16]> {
-        self.lut.as_ref().map(|lut| {
-            let n = self.layout.mantissa_width();
-            let base = (prep.a << n) as usize;
-            &lut[base..base + (1usize << n)]
-        })
-    }
-
-    #[inline]
-    fn or_prepared(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        let mask = self.layout.decode(b);
-        let mut acc = 0u64;
-        let mut m = mask;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            acc |= prep.patterns[i];
-            m &= m - 1;
-        }
-        acc
+    fn row<'t, T>(&self, table: &'t [T], prep: &PreparedMultiplicand) -> &'t [T] {
+        let n = self.layout.mantissa_width();
+        let base = (prep.a << n) as usize;
+        &table[base..base + (1usize << n)]
     }
 
     /// The *exact* value at the same scale as
@@ -367,15 +592,16 @@ impl MantissaMultiplier {
     }
 }
 
-/// A multiplicand with its per-line stored patterns derived once, for
-/// batched multiplies against many multipliers — see
-/// [`MantissaMultiplier::prepare`].
+/// A multiplicand bound for batched multiplies against many multipliers
+/// — see [`MantissaMultiplier::prepare`]. Narrow mantissas carry just
+/// the value (it indexes the memoized product-table row); wider ones
+/// also carry their chunk tables inline.
 #[derive(Debug, Clone)]
 pub struct PreparedMultiplicand {
     a: u64,
-    /// One stored pattern per wordline (empty when the multiplier serves
-    /// products from its memoized table instead).
-    patterns: Vec<u64>,
+    /// The chunk tables (`None` when the multiplier serves products from
+    /// its memoized table instead).
+    chunks: Option<ChunkTables>,
 }
 
 impl PreparedMultiplicand {
@@ -384,12 +610,24 @@ impl PreparedMultiplicand {
     pub fn value(&self) -> u64 {
         self.a
     }
+
+    #[inline]
+    fn chunk_tables(&self) -> &ChunkTables {
+        self.chunks.as_ref().expect("multiplicand was prepared for a product-table multiplier")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MultiplierKind;
+
+    fn tables(m: &MantissaMultiplier) -> Option<&Arc<ProductTables>> {
+        match &m.products {
+            Products::Table(tables) => Some(tables),
+            Products::Chunked(_) => None,
+        }
+    }
 
     fn all_multipliers(n: u32) -> Vec<MantissaMultiplier> {
         MultiplierConfig::ALL
@@ -610,7 +848,7 @@ mod tests {
         // The memoized table must be indistinguishable from the direct
         // wired-OR computation for every decodable operand pair.
         for m in all_multipliers(8) {
-            assert!(m.lut.is_some(), "{}: 8-bit multiplier should carry a LUT", m.config());
+            assert!(tables(&m).is_some(), "{}: 8-bit multiplier should carry a LUT", m.config());
             for a in fp_mantissas_8() {
                 for b in fp_mantissas_8() {
                     assert_eq!(
@@ -648,22 +886,112 @@ mod tests {
         }
     }
 
+    /// A small seeded generator (SplitMix64) for operand samples.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Every multiplier this width/mode can decode, in ascending order,
+    /// taking every `step`-th one (fp mode: zero plus the leading-one
+    /// values).
+    fn multipliers(n: u32, mode: OperandMode, step: usize) -> impl Iterator<Item = u64> {
+        let lo = if mode == OperandMode::Fp { 1u64 << (n - 1) } else { 1 };
+        std::iter::once(0).chain((lo..1u64 << n).step_by(step))
+    }
+
+    /// The chunk-table read (scalar and lane-grouped) against the
+    /// decode-then-OR reference for every `b` of `multipliers`.
+    fn assert_chunks_match_bitwise(m: &MantissaMultiplier, a: u64, step: usize) {
+        let n = m.mantissa_width();
+        let prep = m.prepare(a);
+        assert!(prep.chunks.is_some(), "{} n={n}: chunk path expected", m.config());
+        let bs: Vec<u64> = multipliers(n, m.layout().mode(), step).collect();
+        for group in bs.chunks(8) {
+            let mut lanes = [0u64; 8];
+            lanes[..group.len()].copy_from_slice(group);
+            let got = m.mul_lanes(&prep, &lanes);
+            for (j, &b) in group.iter().enumerate() {
+                let expect = m.multiply_bitwise(a, b);
+                assert_eq!(
+                    m.multiply_prepared(&prep, b),
+                    expect,
+                    "{} {:?} n={n}: a={a:#x} b={b:#x}",
+                    m.config(),
+                    m.layout().mode()
+                );
+                assert_eq!(got[j], expect, "{} n={n}: lane a={a:#x} b={b:#x}", m.config());
+            }
+        }
+    }
+
+    fn every_config_and_mode(n: u32) -> impl Iterator<Item = MantissaMultiplier> {
+        MultiplierConfig::ALL.into_iter().flat_map(move |c| {
+            [OperandMode::Fp, OperandMode::Int].map(|mode| MantissaMultiplier::new(c, mode, n))
+        })
+    }
+
+    #[test]
+    fn chunk_tables_match_bitwise_exhaustively_at_9_and_10_bits() {
+        for n in [9u32, 10] {
+            for m in every_config_and_mode(n) {
+                for a in 0..1u64 << n {
+                    assert_chunks_match_bitwise(&m, a, 1);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_tables_match_bitwise_for_every_multiplier_at_wide_widths() {
+        // All b for a seeded sample of a (plus the extreme leading-one
+        // multiplicands below 24 bits). At 24 bits "all b" is 2^24
+        // decodes per multiplicand: unoptimised builds walk every 257th
+        // multiplier instead (still hitting every chunk value), release
+        // builds walk them all.
+        let mut seed = 0x5EED_0009;
+        for (n, samples) in [(11u32, 12), (12, 6), (24, 1)] {
+            let step = if n == 24 && cfg!(debug_assertions) { 257 } else { 1 };
+            for m in every_config_and_mode(n) {
+                let top = 1u64 << (n - 1);
+                let mut as_ = if n < 24 { vec![top, (1 << n) - 1] } else { Vec::new() };
+                as_.extend((0..samples).map(|_| splitmix(&mut seed) & bits::mask(n)));
+                for a in as_ {
+                    assert_chunks_match_bitwise(&m, a, step);
+                }
+            }
+        }
+    }
+
     #[test]
     fn prepared_path_matches_plain_multiply() {
-        // Narrow (LUT) and wide (pattern-reuse) widths both go through
-        // `prepare`; results must be bit-identical to `multiply`.
-        for n in [8u32, 24] {
-            for m in all_multipliers_n(n) {
+        // Narrow (table) and wide (chunk-table) widths both go through
+        // `prepare`; results must be bit-identical to `multiply` at
+        // every supported width, in both operand modes.
+        let mut seed = 0x5EED_0001;
+        for n in 4u32..=24 {
+            for m in every_config_and_mode(n) {
                 let top = 1u64 << (n - 1);
-                for a in [top, top | 1, top | (top >> 1), (1 << n) - 1] {
+                let lead = if m.layout().mode() == OperandMode::Fp { top } else { 0 };
+                let mut as_ = vec![top, top | 1, top | (top >> 1), (1 << n) - 1];
+                let mut bs = vec![0, top, top | 3, top | ((top - 1) / 3), (1 << n) - 1];
+                for _ in 0..16 {
+                    as_.push(splitmix(&mut seed) & bits::mask(n));
+                    bs.push((splitmix(&mut seed) & bits::mask(n)) | lead);
+                }
+                for &a in &as_ {
                     let prep = m.prepare(a);
                     assert_eq!(prep.value(), a);
-                    for b in [top, top | 3, top | ((top - 1) / 3), (1 << n) - 1] {
+                    for &b in &bs {
                         assert_eq!(
                             m.multiply_prepared(&prep, b),
                             m.multiply(a, b),
-                            "{} n={n}: a={a:#x} b={b:#x}",
-                            m.config()
+                            "{} {:?} n={n}: a={a:#x} b={b:#x}",
+                            m.config(),
+                            m.layout().mode()
                         );
                     }
                 }
@@ -672,24 +1000,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "leading one")]
+    fn chunk_path_rejects_fp_multiplier_without_leading_one() {
+        let m = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 11);
+        let prep = m.prepare(0x500);
+        let _ = m.multiply_prepared(&prep, 0x3FF);
+    }
+
+    #[test]
     fn wide_multiplier_skips_lut() {
         let m = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 24);
-        assert!(m.lut.is_none(), "24-bit table would need 2^48 entries");
+        assert!(tables(&m).is_none(), "24-bit table would need 2^48 entries");
     }
 
     #[test]
     fn lut_storage_is_shared_between_instances() {
         let a = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 8);
         let b = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 8);
-        let (la, lb) = (a.lut.as_ref().unwrap(), b.lut.as_ref().unwrap());
+        let (la, lb) = (tables(&a).unwrap(), tables(&b).unwrap());
         assert!(std::sync::Arc::ptr_eq(la, lb), "memo cache must deduplicate tables");
-    }
-
-    fn all_multipliers_n(n: u32) -> Vec<MantissaMultiplier> {
-        MultiplierConfig::ALL
-            .iter()
-            .map(|&c| MantissaMultiplier::new(c, OperandMode::Fp, n))
-            .collect()
     }
 
     #[test]
