@@ -176,7 +176,7 @@ impl FunctionalDaism {
     }
 
     /// Reference output computed with the software pipeline: the same
-    /// approximate multiplier run through the shared prepared-panel GEMM
+    /// approximate multiplier run through the shared decoded-tile GEMM
     /// engine (`daism_core::gemm`) on `weights · inputs`.
     ///
     /// The datapath's segment-ordered accumulation visits each output's

@@ -18,12 +18,20 @@
 //!
 //! * `reference` — the scalar loop, the semantic anchor;
 //! * `parallel` — the engine ([`gemm`]): it picks a B form (packed
-//!   register-tile `f32` blocks for `exact_f32`, SoA lane-packed
-//!   prepared panels for the approximate backends) and splits C rows over
-//!   the worker pool above its thread gate.
+//!   register-tile `f32` blocks for `exact_f32`, decoded tiles that keep
+//!   only the nonzero B lanes for the approximate backends) and splits C
+//!   rows over the worker pool above its thread gate.
 //!
 //! For the blockfp backend `parallel` is [`BlockFpGemm::execute`], the
 //! same walk with integer tile MACs.
+//!
+//! Besides the square sizes, bf16/PC3_tr is timed on the six GEMMs of
+//! perfbench's CNN at batch 8 (conv1/conv2 forward, `grad_w` and
+//! `grad_cols`), with seeded random zeros at the fractions measured on
+//! its `train` workload. These shapes are narrow, and their streamed
+//! operands are mostly zeros. Every row reports its zero fractions and
+//! both `ns_per_mac` and `ns_per_nonzero_mac` (MACs whose A and B
+//! operands are both nonzero — the ones the hardware does not gate).
 //!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions (best-of filters scheduler noise; the median
@@ -32,7 +40,8 @@
 //!
 //! # Guards (CI gates, non-zero exit on violation)
 //!
-//! * **Dispatch guard**: at sizes ≥ 64³ every non-`reference` row must
+//! * **Dispatch guard**: at sizes ≥ 64³ and on the CNN shapes (full
+//!   mode only) every non-`reference` row must
 //!   measure `speedup_vs_reference ≥ 0.95` — the dispatch layer must
 //!   never pick a variant that loses to the naive loop (the PR-1/PR-2
 //!   exact-f32 regression this PR fixes). Smaller smoke sizes are below
@@ -80,18 +89,109 @@ fn test_operands(m: usize, k: usize, n: usize) -> (Vec<f32>, Vec<f32>) {
     (a, b)
 }
 
-/// Times one `(backend, variant, size)` cell: `reps` timed runs after
+/// One GEMM of perfbench's CNN (`train` workload, batch 8): `m×k×n` and
+/// the zero fractions of A and B measured there.
+struct CnnGemm {
+    name: &'static str,
+    m: usize,
+    k: usize,
+    n: usize,
+    zero_a: f64,
+    zero_b: f64,
+}
+
+/// Forward is `W · cols`, `grad_w` is `g · colsᵀ` and `grad_cols` is
+/// `Wᵀ · g`. The streamed B operand is the im2col panel (padding and
+/// post-ReLU zeros) or, in `grad_cols`, the output gradient (ReLU and
+/// max-pool gradients are mostly zero); `grad_w` streams the gradient
+/// from the A side.
+const CNN_GEMMS: &[CnnGemm] = &[
+    CnnGemm { name: "conv1_fwd", m: 8, k: 9, n: 2048, zero_a: 0.0, zero_b: 0.08 },
+    CnnGemm { name: "conv2_fwd", m: 16, k: 72, n: 512, zero_a: 0.0, zero_b: 0.31 },
+    CnnGemm { name: "conv1_grad_w", m: 8, k: 2048, n: 9, zero_a: 0.80, zero_b: 0.08 },
+    CnnGemm { name: "conv2_grad_w", m: 16, k: 512, n: 72, zero_a: 0.95, zero_b: 0.31 },
+    CnnGemm { name: "conv1_grad_cols", m: 9, k: 8, n: 2048, zero_a: 0.0, zero_b: 0.80 },
+    CnnGemm { name: "conv2_grad_cols", m: 72, k: 16, n: 512, zero_a: 0.0, zero_b: 0.95 },
+];
+
+/// `len` values in `±[0.05, 2.05)`, each zero with probability `zero`,
+/// from a seeded splitmix64 stream.
+fn sparse_operand(len: usize, zero: f64, seed: u64) -> Vec<f32> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / u64::MAX as f64
+    };
+    (0..len)
+        .map(|_| {
+            let (gate, mag, sign) = (next(), next(), next());
+            if gate < zero {
+                0.0
+            } else {
+                let v = (0.05 + 2.0 * mag) as f32;
+                if sign < 0.5 {
+                    -v
+                } else {
+                    v
+                }
+            }
+        })
+        .collect()
+}
+
+impl CnnGemm {
+    fn operands(&self) -> (Vec<f32>, Vec<f32>) {
+        (
+            sparse_operand(self.m * self.k, self.zero_a, 0xA11CE ^ self.m as u64),
+            sparse_operand(self.k * self.n, self.zero_b, 0xB0B ^ self.n as u64),
+        )
+    }
+}
+
+/// The operand statistics a row reports: zero fractions of A and B and
+/// the MACs whose operands are both nonzero.
+#[derive(Clone, Copy)]
+struct Sparsity {
+    zero_a: f64,
+    zero_b: f64,
+    nonzero_macs: u64,
+}
+
+fn sparsity(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Sparsity {
+    let zeros = |v: &[f32]| v.iter().filter(|&&x| x == 0.0).count() as f64 / v.len().max(1) as f64;
+    let nonzero_macs = (0..k)
+        .map(|l| {
+            let col_a = (0..m).filter(|&i| a[i * k + l] != 0.0).count() as u64;
+            let row_b = b[l * n..(l + 1) * n].iter().filter(|&&x| x != 0.0).count() as u64;
+            col_a * row_b
+        })
+        .sum();
+    Sparsity { zero_a: zeros(a), zero_b: zeros(b), nonzero_macs }
+}
+
+/// Times one `(backend, variant, shape)` cell: `reps` timed runs after
 /// one warm-up, returning `(best_ns, median_ns)`.
-fn time_cell(f: GemmFn, mul: &dyn ScalarMul, size: usize, reps: usize) -> (u128, u128) {
-    let (m, k, n) = (size, size, size);
-    let (a, b) = test_operands(m, k, n);
+#[allow(clippy::too_many_arguments)] // the GEMM's own signature plus reps
+fn time_cell(
+    f: GemmFn,
+    mul: &dyn ScalarMul,
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    reps: usize,
+) -> (u128, u128) {
     let mut out = vec![0.0f32; m * n];
-    f(mul, &a, &b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
+    f(mul, a, b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             out.fill(0.0);
             let t0 = Instant::now();
-            f(mul, &a, &b, &mut out, m, k, n);
+            f(mul, a, b, &mut out, m, k, n);
             t0.elapsed().as_nanos()
         })
         .collect();
@@ -154,42 +254,62 @@ fn validate_blockfp(engine: &BlockFpGemm, size: usize) {
     }
 }
 
+/// What a row was timed on: an `s×s×s` cube or a named CNN GEMM.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Cube(usize),
+    Cnn(&'static str),
+}
+
 struct Cell {
-    size: usize,
+    shape: Shape,
+    /// `m, k, n`.
+    dims: (usize, usize, usize),
+    sparsity: Sparsity,
     backend: String,
     variant: &'static str,
     best_ns: u128,
     median_ns: u128,
+    /// Under the dispatch guard.
+    guarded: bool,
+}
+
+impl Cell {
+    fn macs(&self) -> u64 {
+        let (m, k, n) = self.dims;
+        (m * k * n) as u64
+    }
 }
 
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Best reference time for a cell's (size, backend) group.
+/// Best reference time for a cell's (shape, backend) group.
 fn reference_ns(cells: &[Cell], cell: &Cell) -> u128 {
     cells
         .iter()
-        .find(|c| c.size == cell.size && c.backend == cell.backend && c.variant == "reference")
+        .find(|c| c.shape == cell.shape && c.backend == cell.backend && c.variant == "reference")
         .map(|c| c.best_ns)
         .unwrap_or(0)
 }
 
-/// The dispatch guard: at guarded sizes, no emitted non-reference row
-/// may lose more than 5% to the naive reference — if one does, the
-/// dispatch layer (or a kernel) has regressed. Exits non-zero.
+/// The dispatch guard: no guarded non-reference row may lose more than
+/// 5% to the naive reference — if one does, the dispatch layer (or a
+/// kernel) has regressed. Exits non-zero.
 fn enforce_dispatch_guard(cells: &[Cell]) {
     let mut failed = false;
-    for cell in cells.iter().filter(|c| c.size >= GUARD_MIN_SIZE && c.variant != "reference") {
+    for cell in cells.iter().filter(|c| c.guarded && c.variant != "reference") {
         let reference = reference_ns(cells, cell);
         if reference == 0 || cell.best_ns == 0 {
             continue;
         }
         let speedup = reference as f64 / cell.best_ns as f64;
         if speedup < 0.95 {
+            let (m, k, n) = cell.dims;
             eprintln!(
-                "dispatch guard failed: {}^3 {} {} at {speedup:.3}x vs reference",
-                cell.size, cell.backend, cell.variant
+                "dispatch guard failed: {m}x{k}x{n} {} {} at {speedup:.3}x vs reference",
+                cell.backend, cell.variant
             );
             failed = true;
         }
@@ -220,16 +340,23 @@ fn main() {
     let blockfp_name = format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr");
     let mut cells: Vec<Cell> = Vec::new();
     for &size in sizes {
+        let (a, b) = test_operands(size, size, size);
+        let sp = sparsity(&a, &b, size, size, size);
+        let guarded = size >= GUARD_MIN_SIZE;
         for (bname, backend) in &backends {
             for (vname, f) in VARIANTS {
-                let (best, median) = time_cell(*f, backend.as_ref(), size, reps);
+                let (best, median) =
+                    time_cell(*f, backend.as_ref(), &a, &b, size, size, size, reps);
                 eprintln!("{size}^3 {bname:>12} {vname:>11}: best {best} ns, median {median} ns");
                 cells.push(Cell {
-                    size,
+                    shape: Shape::Cube(size),
+                    dims: (size, size, size),
+                    sparsity: sp,
                     backend: (*bname).to_string(),
                     variant: vname,
                     best_ns: best,
                     median_ns: median,
+                    guarded,
                 });
             }
         }
@@ -240,11 +367,33 @@ fn main() {
                 "{size}^3 {blockfp_name:>12} {vname:>12}: best {best} ns, median {median} ns"
             );
             cells.push(Cell {
-                size,
+                shape: Shape::Cube(size),
+                dims: (size, size, size),
+                sparsity: sp,
                 backend: blockfp_name.clone(),
                 variant: vname,
                 best_ns: best,
                 median_ns: median,
+                guarded,
+            });
+        }
+    }
+    let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
+    for g in CNN_GEMMS {
+        let (a, b) = g.operands();
+        let sp = sparsity(&a, &b, g.m, g.k, g.n);
+        for (vname, f) in VARIANTS {
+            let (best, median) = time_cell(*f, &bf16, &a, &b, g.m, g.k, g.n, reps);
+            eprintln!("{:>15} bf16_pc3_tr {vname:>11}: best {best} ns, median {median} ns", g.name);
+            cells.push(Cell {
+                shape: Shape::Cnn(g.name),
+                dims: (g.m, g.k, g.n),
+                sparsity: sp,
+                backend: "bf16_pc3_tr".into(),
+                variant: vname,
+                best_ns: best,
+                median_ns: median,
+                guarded: !quick,
             });
         }
     }
@@ -254,7 +403,7 @@ fn main() {
     // Hand-rolled JSON (no serde in the offline container).
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-gemm/2\",\n");
+    json.push_str("  \"schema\": \"daism-bench-gemm/3\",\n");
     json.push_str("  \"emitter\": \"bench_gemm_json\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"threads\": {},\n", rayon_threads()));
@@ -263,14 +412,25 @@ fn main() {
     for (i, cell) in cells.iter().enumerate() {
         let reference = reference_ns(&cells, cell);
         let speedup = if cell.best_ns == 0 { 0.0 } else { reference as f64 / cell.best_ns as f64 };
+        let shape = match cell.shape {
+            Shape::Cube(size) => format!("\"size\": {size}"),
+            Shape::Cnn(name) => format!("\"shape\": \"{name}\""),
+        };
+        let (m, k, n) = cell.dims;
+        let per = |macs: u64| cell.best_ns as f64 / macs.max(1) as f64;
         json.push_str(&format!(
-            "    {{\"size\": {}, \"backend\": \"{}\", \"variant\": \"{}\", \
-             \"best_ns\": {}, \"median_ns\": {}, \"speedup_vs_reference\": {:.3}}}{}\n",
-            cell.size,
+            "    {{{shape}, \"m\": {m}, \"k\": {k}, \"n\": {n}, \"backend\": \"{}\", \
+             \"variant\": \"{}\", \"zero_fraction_a\": {:.3}, \"zero_fraction_b\": {:.3}, \
+             \"best_ns\": {}, \"median_ns\": {}, \"ns_per_mac\": {:.3}, \
+             \"ns_per_nonzero_mac\": {:.3}, \"speedup_vs_reference\": {:.3}}}{}\n",
             json_escape(&cell.backend),
             cell.variant,
+            cell.sparsity.zero_a,
+            cell.sparsity.zero_b,
             cell.best_ns,
             cell.median_ns,
+            per(cell.macs()),
+            per(cell.sparsity.nonzero_macs),
             speedup,
             if i + 1 == cells.len() { "" } else { "," }
         ));

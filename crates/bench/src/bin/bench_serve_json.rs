@@ -3,6 +3,11 @@
 //! session, per backend, at batch 1/8/32, and writes `BENCH_serve.json`
 //! so the compile-once-serve-many win is tracked across PRs.
 //!
+//! Every row reports per request (`ns_per_request`, `requests_per_sec`)
+//! and per sample (`ns_per_sample`, `samples_per_sec`; `null` on the
+//! one-time `compile` rows). A request carries `batch` samples, so only
+//! the per-sample columns compare across batch sizes.
+//!
 //! Usage:
 //!
 //! ```text
@@ -83,7 +88,7 @@ fn main() {
     // Hand-rolled JSON (no serde in the offline container).
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-serve/1\",\n");
+    json.push_str("  \"schema\": \"daism-bench-serve/2\",\n");
     json.push_str("  \"emitter\": \"bench_serve_json\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"model_dim\": {},\n", result.dim));
@@ -94,10 +99,11 @@ fn main() {
             .eager_of(row)
             .filter(|_| row.mode == "compiled")
             .map(|eager| eager.best_ns as f64 / row.best_ns.max(1) as f64);
+        let or_null = |v: Option<String>| v.unwrap_or_else(|| "null".into());
         json.push_str(&format!(
             "    {{\"backend\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"requests\": {}, \
              \"best_ns\": {}, \"median_ns\": {}, \"ns_per_request\": {}, \
-             \"requests_per_sec\": {:.1}{}}}{}\n",
+             \"requests_per_sec\": {:.1}, \"ns_per_sample\": {}, \"samples_per_sec\": {}{}}}{}\n",
             json_escape(&row.backend),
             row.mode,
             row.batch,
@@ -106,6 +112,8 @@ fn main() {
             row.median_ns,
             row.ns_per_request(),
             row.requests_per_sec(),
+            or_null(row.ns_per_sample().map(|v| v.to_string())),
+            or_null(row.samples_per_sec().map(|v| format!("{v:.1}"))),
             speedup.map(|s| format!(", \"speedup_vs_eager\": {s:.3}")).unwrap_or_default(),
             if i + 1 == result.rows.len() { "" } else { "," }
         ));

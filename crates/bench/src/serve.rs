@@ -5,7 +5,7 @@
 //! Dense stack with 256-wide hidden layers (each request drives
 //! `batch × 256 × 256`-class GEMMs), fixed weights, a stream of
 //! requests. The *eager* mode re-derives every weight-side operand per
-//! request — prepared B panels, microkernel packing, BlockFp weight
+//! request — decoded B tiles, microkernel packing, BlockFp weight
 //! tiles — exactly as `Sequential::forward` always has; the *compiled*
 //! mode serves from a [`CompiledModel`](daism_dnn::CompiledModel)
 //! snapshot that paid the conversion once at compile time.
@@ -77,6 +77,26 @@ impl ServeRow {
             self.requests as f64 / (self.best_ns as f64 * 1e-9)
         }
     }
+
+    /// Samples served per timed repetition (`batch × requests`; 0 for
+    /// `compile` rows). Unlike requests, samples compare across batch
+    /// sizes.
+    pub fn samples(&self) -> usize {
+        self.batch * self.requests
+    }
+
+    /// Nanoseconds per sample at the best repetition (`None` for
+    /// `compile` rows, which serve no samples).
+    pub fn ns_per_sample(&self) -> Option<u128> {
+        (self.samples() > 0).then(|| self.best_ns / self.samples() as u128)
+    }
+
+    /// Samples per second at the best repetition (`None` for `compile`
+    /// rows).
+    pub fn samples_per_sec(&self) -> Option<f64> {
+        (self.samples() > 0 && self.best_ns > 0)
+            .then(|| self.samples() as f64 / (self.best_ns as f64 * 1e-9))
+    }
 }
 
 /// The full experiment result.
@@ -112,18 +132,19 @@ impl fmt::Display for ServeResult {
         )?;
         writeln!(
             f,
-            "{:>20} {:>9} {:>6} {:>14} {:>12}",
-            "backend", "mode", "batch", "ns/request", "req/s"
+            "{:>20} {:>9} {:>6} {:>14} {:>12} {:>12}",
+            "backend", "mode", "batch", "ns/request", "req/s", "samples/s"
         )?;
         for row in &self.rows {
             writeln!(
                 f,
-                "{:>20} {:>9} {:>6} {:>14} {:>12.1}",
+                "{:>20} {:>9} {:>6} {:>14} {:>12.1} {:>12.1}",
                 row.backend,
                 row.mode,
                 row.batch,
                 row.ns_per_request(),
-                row.requests_per_sec()
+                row.requests_per_sec(),
+                row.samples_per_sec().unwrap_or(0.0)
             )?;
         }
         Ok(())

@@ -1,90 +1,238 @@
 use crate::config::{MultiplierConfig, OperandMode};
+use crate::gemm::Tile;
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
+use rayon::prelude::*;
 use std::fmt;
 
 /// Elements per lane group in the lane-packed approximate multiply
 /// kernel (one pre-normalised read-out gather per group).
 const LANES: usize = 8;
 
-/// A B row-panel pre-decoded for repeated [`ScalarMul::mul_prepared`]
-/// calls — the operand-conversion work the GEMM engine hoists out of the
-/// MAC loop entirely (one decode per panel *element*, reused by every C
-/// row that consumes the panel).
+/// One `KC × NC` tile of the streamed B operand, as the GEMM engine
+/// hands it to [`ScalarMul::prepare_tile`]: rows `l0..l1` and columns
+/// `j0..j1` of a row-major matrix `n` columns wide.
+#[derive(Debug, Clone, Copy)]
+pub struct TileSource<'a> {
+    b: &'a [f32],
+    n: usize,
+    tile: Tile,
+    /// Decode the row slabs across the worker pool.
+    parallel: bool,
+}
+
+impl<'a> TileSource<'a> {
+    pub(crate) fn new(b: &'a [f32], n: usize, tile: Tile, parallel: bool) -> Self {
+        TileSource { b, n, tile, parallel }
+    }
+
+    fn rows(&self) -> usize {
+        self.tile.l1 - self.tile.l0
+    }
+
+    fn width(&self) -> usize {
+        self.tile.j1 - self.tile.j0
+    }
+
+    fn row(&self, r: usize) -> &'a [f32] {
+        let start = (self.tile.l0 + r) * self.n + self.tile.j0;
+        &self.b[start..start + self.width()]
+    }
+}
+
+/// One B tile decoded once for many [`ScalarMul::mul_tile_row`] calls —
+/// the operand conversion the GEMM engine hoists out of the MAC loop
+/// (one decode per tile *element*, reused by every C row).
 ///
-/// Produced by [`ScalarMul::prepare_panel`]; the cached representation
-/// is backend-specific (nothing for native `f32`, quantized operands for
-/// [`QuantizedExactMul`], decoded sign/exponent/mantissa fields for
-/// [`ApproxFpMul`]), but every panel also keeps the raw `f32` values so
-/// any backend can fall back to its [`mul_rows`](ScalarMul::mul_rows)
-/// semantics — feeding a panel to a *different* backend is therefore
-/// still correct, just unaccelerated.
+/// Produced by [`ScalarMul::prepare_tile`]. Each tile row is a slab of
+/// fixed stride (a function of the tile width) that keeps only the
+/// lanes that reach the multiplier, packed at the front with their
+/// column index and followed by the row's count of kept lanes. Zero
+/// lanes are dropped at decode time — the hardware's zero gating
+/// (paper §III-C): the MAC loop never visits them, so its cost follows
+/// the nonzeros. The decoded fields are backend-specific (sign, exponent
+/// and mantissa for [`ApproxFpMul`], the quantized `f64` for
+/// [`QuantizedExactMul`]). The tile also keeps its raw values, which
+/// back the exact side logic and let a *different* backend consume the
+/// tile through its [`mul_rows`](ScalarMul::mul_rows) semantics —
+/// correct, just unaccelerated.
 #[derive(Debug, Clone)]
-pub struct PreparedPanel {
+pub struct PreparedTile {
+    width: usize,
+    /// The tile's values, row-major.
     raw: Vec<f32>,
-    data: PanelData,
+    /// One fixed-stride slab per row, laid out as `form` says.
+    slabs: Vec<u32>,
+    form: TileForm,
 }
 
-#[derive(Debug, Clone)]
-enum PanelData {
-    /// No per-element cache; `mul_prepared` falls back to `mul_rows` on
-    /// the raw values (the trait default, and native-`f32` backends).
-    Raw,
-    /// [`QuantizedExactMul`]: operands quantized into `format` once,
-    /// held as the exact `f64` the per-element multiply consumes.
-    Quantized { format: FpFormat, vals: Vec<f64> },
-    /// [`ApproxFpMul`]: operands decoded into `format` once — straight
-    /// from the `f32` bits, in one pass (round-to-nearest-even, carry,
-    /// range checks; exactly [`FpScalar::from_f32`]) — and held as
-    /// **structure-of-arrays mantissa lanes** so the multiply kernel
-    /// runs branch-free over [`LANES`]-wide groups: the mantissas that
-    /// index the pre-normalised product row (or the chunk tables), the
-    /// exponents/signs the combiner folds, a per-element accumulate
-    /// mask (zero bypass as a bit select, not a branch) and a per-group
-    /// escape flag for the rare elements that need the exact side logic.
-    Decoded {
-        format: FpFormat,
-        /// Mantissas with explicit leading one (`0` for non-normals).
-        mans: Vec<u32>,
-        /// Unbiased exponents (`0` for non-normals).
-        exps: Vec<i32>,
-        /// Sign bits, pre-shifted to the `f32` sign position.
-        signs: Vec<u32>,
-        /// Accumulate mask: `!0` for `Normal`, `0` for zero bypass —
-        /// the lane kernel keeps the C bits through a select instead of
-        /// branching per element.
-        sel: Vec<u32>,
-        /// Per-[`LANES`]-group flag: the group holds an element that
-        /// needs the exact side logic — Inf/NaN, or a nonzero `f32`
-        /// that flushes to format zero, whose signed-zero product the
-        /// scalar path *accumulates* rather than skips — and must take
-        /// the scalar fallback (covers full groups only; the tail group
-        /// is always scalar).
-        exotic: Vec<bool>,
-    },
+/// Which backend decoded a [`PreparedTile`], into which format: the
+/// layout of its row slabs. A backend accelerates only its own form.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TileForm {
+    /// [`ApproxFpMul`]: operands decoded into the format straight from
+    /// the `f32` bits (round-to-nearest-even, carry, range checks;
+    /// exactly [`FpScalar::from_f32`]). A row slab of a `w`-wide tile
+    /// holds `[man; w] [exp; w] [sign; w] [col; w] kept exotic`:
+    /// `kept` normal lanes at the front of the four lane arrays
+    /// (mantissa with its leading one, unbiased exponent, sign at the
+    /// `f32` sign position, column), and the columns of `exotic` lanes
+    /// at the back of the column array. Exotic lanes — Inf/NaN, or a
+    /// nonzero `f32` that flushes to format zero, whose signed-zero
+    /// product the scalar path *accumulates* rather than skips — take
+    /// the exact side logic on their raw values.
+    Decoded(FpFormat),
+    /// [`QuantizedExactMul`]: every nonzero operand quantized into the
+    /// format once, held as the exact `f64` the per-element multiply
+    /// consumes. A row slab holds `[lo; w] [hi; w] [col; w] kept`, the
+    /// `f64` bits split into low and high words.
+    Quantized(FpFormat),
 }
 
-impl PreparedPanel {
-    /// Number of elements in the panel.
-    pub fn len(&self) -> usize {
-        self.raw.len()
+/// Row-slab stride of [`TileForm::Decoded`] for a `w`-wide tile.
+fn decoded_stride(w: usize) -> usize {
+    4 * w + 2
+}
+
+/// Row-slab stride of [`TileForm::Quantized`] for a `w`-wide tile.
+fn quantized_stride(w: usize) -> usize {
+    3 * w + 1
+}
+
+impl PreparedTile {
+    /// Copies the raw rows of `src` and fills one `stride`-word slab per
+    /// row with `decode(row, slab)` — across the pool, in 8-row blocks,
+    /// when the source asks for it. Every slab has a fixed place, so
+    /// blocks write disjoint memory and scheduling cannot change the
+    /// tile.
+    fn build(
+        src: &TileSource<'_>,
+        form: TileForm,
+        stride: usize,
+        decode: impl Fn(&[f32], &mut [u32]) + Sync,
+    ) -> Self {
+        let (rows, width) = (src.rows(), src.width());
+        let mut raw = Vec::with_capacity(rows * width);
+        for r in 0..rows {
+            raw.extend_from_slice(src.row(r));
+        }
+        let mut slabs = vec![0u32; rows * stride];
+        let fill = |r0: usize, block: &mut [u32]| {
+            for (r, slab) in block.chunks_exact_mut(stride).enumerate() {
+                decode(src.row(r0 + r), slab);
+            }
+        };
+        if src.parallel {
+            slabs
+                .par_chunks_mut(8 * stride)
+                .enumerate()
+                .for_each(|(bi, block)| fill(bi * 8, block));
+        } else {
+            fill(0, &mut slabs);
+        }
+        PreparedTile { width, raw, slabs, form }
     }
 
-    /// `true` if the panel is empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
+    /// Columns in the tile.
+    pub fn width(&self) -> usize {
+        self.width
     }
 
-    /// The raw (undecoded) panel values.
-    pub fn raw(&self) -> &[f32] {
-        &self.raw
+    /// The raw (undecoded) values of row `r`.
+    pub fn raw_row(&self, r: usize) -> &[f32] {
+        &self.raw[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Lanes of row `r` that [`ScalarMul::mul_tile_row`] visits.
+    #[cfg(test)]
+    fn kept(&self, r: usize) -> usize {
+        match self.form {
+            TileForm::Decoded(_) => {
+                let row = DecodedRow::new(&self.slabs, self.width, r);
+                row.kept.mans.len() + row.exotic.len()
+            }
+            TileForm::Quantized(_) => QuantizedRow::new(&self.slabs, self.width, r).cols.len(),
+        }
+    }
+}
+
+/// The kept normal lanes of a [`TileForm::Decoded`] row, or a run of
+/// them.
+#[derive(Clone, Copy)]
+struct KeptLanes<'a> {
+    mans: &'a [u32],
+    /// Unbiased exponents, stored as `u32` bits.
+    exps: &'a [u32],
+    signs: &'a [u32],
+    cols: &'a [u32],
+}
+
+impl<'a> KeptLanes<'a> {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (m0, m1) = self.mans.split_at(mid);
+        let (e0, e1) = self.exps.split_at(mid);
+        let (s0, s1) = self.signs.split_at(mid);
+        let (c0, c1) = self.cols.split_at(mid);
+        (
+            KeptLanes { mans: m0, exps: e0, signs: s0, cols: c0 },
+            KeptLanes { mans: m1, exps: e1, signs: s1, cols: c1 },
+        )
+    }
+}
+
+/// One row slab of a [`TileForm::Decoded`] tile.
+struct DecodedRow<'a> {
+    kept: KeptLanes<'a>,
+    /// Columns of the exotic lanes.
+    exotic: &'a [u32],
+}
+
+impl<'a> DecodedRow<'a> {
+    fn new(slabs: &'a [u32], w: usize, r: usize) -> Self {
+        let stride = decoded_stride(w);
+        let slab = &slabs[r * stride..(r + 1) * stride];
+        let (kept, exotic) = (slab[4 * w] as usize, slab[4 * w + 1] as usize);
+        DecodedRow {
+            kept: KeptLanes {
+                mans: &slab[..kept],
+                exps: &slab[w..w + kept],
+                signs: &slab[2 * w..2 * w + kept],
+                cols: &slab[3 * w..3 * w + kept],
+            },
+            exotic: &slab[4 * w - exotic..4 * w],
+        }
+    }
+}
+
+/// One row slab of a [`TileForm::Quantized`] tile.
+struct QuantizedRow<'a> {
+    lo: &'a [u32],
+    hi: &'a [u32],
+    cols: &'a [u32],
+}
+
+impl<'a> QuantizedRow<'a> {
+    fn new(slabs: &'a [u32], w: usize, r: usize) -> Self {
+        let stride = quantized_stride(w);
+        let slab = &slabs[r * stride..(r + 1) * stride];
+        let kept = slab[3 * w] as usize;
+        QuantizedRow { lo: &slab[..kept], hi: &slab[w..w + kept], cols: &slab[2 * w..2 * w + kept] }
+    }
+
+    /// The kept lanes as `(quantized value, column)`.
+    fn lanes(&self) -> impl Iterator<Item = (f64, usize)> + 'a {
+        let (lo, hi) = (self.lo, self.hi);
+        lo.iter()
+            .zip(hi)
+            .map(|(&lo, &hi)| f64::from_bits(((hi as u64) << 32) | lo as u64))
+            .zip(self.cols.iter().map(|&c| c as usize))
     }
 }
 
 /// [`FpScalar::from_f32`] into a `fast_f32` format, computed straight
-/// from the `f32` bits for the panel decode: round-to-nearest-even as
+/// from the `f32` bits for the tile decode: round-to-nearest-even as
 /// one add and shift, the rounding carry as a shift, then the range
-/// checks. The per-format constants are derived once per panel.
+/// checks. The per-format constants are derived once per tile.
 #[derive(Debug, Clone, Copy)]
 struct LaneDecoder {
     /// Mantissa width `n` (at most 24).
@@ -100,17 +248,17 @@ struct LaneDecoder {
     max_exp: i32,
 }
 
-/// One panel element as [`PanelData::Decoded`] stores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One B element as the lane decoder reads it.
+#[derive(Debug, Clone, Copy)]
 struct DecodedLane {
-    /// Mantissa with explicit leading one (`0` for non-normals).
+    /// Mantissa with explicit leading one (meaningful for normals only).
     man: u32,
-    /// Unbiased exponent (`0` for non-normals).
+    /// Unbiased exponent (meaningful for normals only).
     exp: i32,
-    /// Sign at the `f32` sign position (`0` for non-normals).
+    /// Sign at the `f32` sign position (meaningful for normals only).
     sign: u32,
-    /// `!0` for `Normal`, `0` otherwise.
-    sel: u32,
+    /// A `Normal` value of the format: a kept lane.
+    normal: bool,
     /// Needs the exact side logic: Inf/NaN, or a nonzero `f32` that
     /// flushes to format zero.
     exotic: bool,
@@ -146,14 +294,44 @@ impl LaneDecoder {
         // `e == 0` is zero or an f32 subnormal (flushed); `e == 0xFF` is
         // Inf/NaN, and exponents outside the format saturate or flush.
         let normal = e != 0 && e != 0xFF && (self.min_exp..=self.max_exp).contains(&exp);
-        let sel = if normal { u32::MAX } else { 0 };
         DecodedLane {
-            man: (rounded >> carry) & sel,
-            exp: if normal { exp } else { 0 },
-            sign: bits & 0x8000_0000 & sel,
-            sel,
+            man: rounded >> carry,
+            exp,
+            sign: bits & 0x8000_0000,
+            normal,
             exotic: !normal && bits & 0x7FFF_FFFF != 0,
         }
+    }
+
+    /// Decodes one tile row into a [`TileForm::Decoded`] slab: normal
+    /// lanes packed at the front, exotic columns at the back of the
+    /// column array, zero lanes dropped.
+    ///
+    /// The compaction is branch-free: every lane is written to the next
+    /// free slot on both ends and the counts advance by its class. A
+    /// speculative write lands on a slot that a later lane of that
+    /// class overwrites, on a slot past the final count, or (when the
+    /// two ends meet) carries the same column as the real write, since
+    /// `kept + exotic` never exceeds the lanes seen.
+    fn decode_row(&self, row: &[f32], slab: &mut [u32]) {
+        let w = row.len();
+        let (lanes, counts) = slab.split_at_mut(4 * w);
+        let (mans, rest) = lanes.split_at_mut(w);
+        let (exps, rest) = rest.split_at_mut(w);
+        let (signs, cols) = rest.split_at_mut(w);
+        let (mut kept, mut exotic) = (0usize, 0usize);
+        for (j, &bv) in row.iter().enumerate() {
+            let lane = self.decode(bv.to_bits());
+            cols[w - 1 - exotic] = j as u32;
+            exotic += lane.exotic as usize;
+            mans[kept] = lane.man;
+            exps[kept] = lane.exp as u32;
+            signs[kept] = lane.sign;
+            cols[kept] = j as u32;
+            kept += lane.normal as usize;
+        }
+        counts[0] = kept as u32;
+        counts[1] = exotic as u32;
     }
 }
 
@@ -207,48 +385,39 @@ pub trait ScalarMul: fmt::Debug + Send + Sync {
         }
     }
 
-    /// Decodes a B row-panel once, ahead of many
-    /// [`mul_prepared`](Self::mul_prepared) calls against it.
+    /// Decodes one B tile once, ahead of many
+    /// [`mul_tile_row`](Self::mul_tile_row) calls against its rows.
     ///
     /// This is the second amortisation rung above
     /// [`mul_rows`](Self::mul_rows): `mul_rows` hoists the *A*-operand
-    /// work out of the panel loop, `prepare_panel` hoists the *B*-operand
-    /// decode out of the row loop entirely — the tiled GEMM engine
-    /// prepares each packed `KC×NC` B-panel once and reuses it for every
-    /// C row of the tile, so the per-MAC `FpScalar::from_f32` disappears.
+    /// work out of the row loop, `prepare_tile` hoists the *B*-operand
+    /// decode out of the MAC loop entirely — the GEMM engine prepares
+    /// each `KC×NC` B tile once and reuses it for every C row, so the
+    /// per-MAC `FpScalar::from_f32` disappears, and the zero lanes the
+    /// hardware gates are dropped so no C row ever visits them.
     ///
-    /// The default keeps only the raw values (correct for every backend);
-    /// approximate backends override it to cache decoded
-    /// sign/exponent/mantissa fields.
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Raw }
+    /// `None` (the default) means the backend has no cheaper form: the
+    /// engine keeps the raw fused [`mul_rows`](Self::mul_rows) loop.
+    fn prepare_tile(&self, _src: &TileSource<'_>) -> Option<PreparedTile> {
+        None
     }
 
-    /// `true` if [`prepare_panel`](Self::prepare_panel) caches a decoded
-    /// representation that [`mul_prepared`](Self::mul_prepared) consumes
-    /// faster than re-deriving it per call. Backends keeping the raw-only
-    /// default return `false`, so the GEMM engine can skip the panel
-    /// allocation + B copy that would buy them nothing.
-    fn supports_prepared_panels(&self) -> bool {
-        false
-    }
-
-    /// [`mul_rows`](Self::mul_rows) against a panel prepared by
-    /// [`prepare_panel`](Self::prepare_panel): `c[j] += mul(a, b[j])` for
-    /// every `j` with `b[j] != 0.0`, with the same zero-bypass contract —
-    /// and the same **bit-identity requirement**: for any panel, the
-    /// result must equal `mul_rows(a, panel.raw(), c)` exactly (the
+    /// [`mul_rows`](Self::mul_rows) against row `r` of a tile prepared
+    /// by [`prepare_tile`](Self::prepare_tile): `c[j] += mul(a, b[j])`
+    /// for every `j` with `b[j] != 0.0`, with the same zero-bypass
+    /// contract — and the same **bit-identity requirement**: the result
+    /// must equal `mul_rows(a, tile.raw_row(r), c)` exactly (the
     /// equivalence tests and the differential GEMM suite enforce this).
     ///
-    /// A panel prepared by a *different* backend (or the trait default)
-    /// falls back to the raw values, so it is still correct — just not
+    /// The default, also taken by a tile prepared by a *different*
+    /// backend, runs `mul_rows` on the raw row: still correct, just not
     /// accelerated.
     ///
     /// # Panics
     ///
-    /// May panic if `panel.len() != c.len()`.
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        self.mul_rows(a, panel.raw(), c);
+    /// May panic if `r` is out of range or `c.len() != tile.width()`.
+    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
+        self.mul_rows(a, tile.raw_row(r), c);
     }
 }
 
@@ -323,31 +492,43 @@ impl ScalarMul for QuantizedExactMul {
         }
     }
 
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
-        let vals = b.iter().map(|&bv| FpScalar::from_f32(bv, self.format).to_f64()).collect();
-        PreparedPanel { raw: b.to_vec(), data: PanelData::Quantized { format: self.format, vals } }
-    }
-
-    fn supports_prepared_panels(&self) -> bool {
-        true
-    }
-
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        let PanelData::Quantized { format, vals } = &panel.data else {
-            return self.mul_rows(a, panel.raw(), c);
+    fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
+        let w = src.width();
+        let decode = |row: &[f32], slab: &mut [u32]| {
+            let (lo, rest) = slab.split_at_mut(w);
+            let (hi, rest) = rest.split_at_mut(w);
+            let (cols, count) = rest.split_at_mut(w);
+            let mut kept = 0;
+            for (j, &bv) in row.iter().enumerate() {
+                // Branch-free compaction: a zero lane's write is
+                // overwritten by the next kept lane or lies past the count.
+                let yq = FpScalar::from_f32(bv, self.format).to_f64().to_bits();
+                lo[kept] = yq as u32;
+                hi[kept] = (yq >> 32) as u32;
+                cols[kept] = j as u32;
+                kept += (bv != 0.0) as usize;
+            }
+            count[0] = kept as u32;
         };
-        if *format != self.format {
-            return self.mul_rows(a, panel.raw(), c);
+        Some(PreparedTile::build(
+            src,
+            TileForm::Quantized(self.format),
+            quantized_stride(w),
+            decode,
+        ))
+    }
+
+    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
+        if tile.form != TileForm::Quantized(self.format) {
+            return self.mul_rows(a, tile.raw_row(r), c);
         }
-        debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
+        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
         // The cached `yq` is exactly the value `mul_rows` re-derives per
         // element; only the result quantization (which depends on `a`)
-        // remains in the loop.
+        // remains in the loop, and only over the nonzero lanes.
         let xq = FpScalar::from_f32(a, self.format).to_f64();
-        for ((cv, bv), yq) in c.iter_mut().zip(panel.raw()).zip(vals) {
-            if *bv != 0.0 {
-                *cv += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
-            }
+        for (yq, col) in QuantizedRow::new(&tile.slabs, tile.width, r).lanes() {
+            c[col] += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
         }
     }
 }
@@ -516,9 +697,9 @@ impl ApproxFpMul {
     }
 
     /// The parts-level core of [`combine_raw_to_f32`](Self::combine_raw_to_f32):
-    /// takes the already-XORed sign and already-summed exponent, so the
-    /// prepared-panel path can feed cached fields without materialising
-    /// `FpScalar`s. Only valid when `self.fast_f32` (checked by callers).
+    /// takes the already-XORed sign and already-summed exponent, without
+    /// materialising `FpScalar`s. Only valid when `self.fast_f32`
+    /// (checked by callers).
     #[inline]
     fn fuse_combine(&self, sign: bool, exp_sum: i32, raw: u64) -> f32 {
         if raw == 0 {
@@ -543,34 +724,30 @@ impl ApproxFpMul {
         encode_normal_f32(sign, exp, man, self.format)
     }
 
-    /// Folds one group of pre-normalised read-outs (see
-    /// [`prenormalise`](crate::mantissa::prenormalise)) into the C
-    /// lanes: exponent add (the renormalise increment rides in bit 23),
-    /// branch-free encode (saturation/flush as exponent-range selects),
-    /// one OR with sign and fraction, and the zero bypass as a bit
-    /// select on the accumulator — never `c + 0.0`, which would flip a
-    /// negative-zero accumulator. All lanes are
-    /// fixed-width arrays, so the whole fold autovectorizes on stable.
+    /// The products of one group of pre-normalised read-outs (see
+    /// [`prenormalise`](crate::mantissa::prenormalise)) with a `Normal`
+    /// multiplicand of sign `xsign` (at the `f32` sign position) and
+    /// exponent `xexp`: exponent add (the renormalise increment rides in
+    /// bit 23), branch-free encode (saturation/flush as exponent-range
+    /// selects), one OR with sign and fraction. All lanes are fixed-width
+    /// arrays, so the whole group autovectorizes on stable.
     /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
-    /// selected lane. Only valid when `self.fast_f32` and for read-outs
-    /// of `Normal` operands and exact-zero `f32`s (callers route Inf/NaN
-    /// and flushed-nonzero groups to the scalar fallback).
+    /// lane. Only valid when `self.fast_f32` and for read-outs of
+    /// `Normal` operands.
     #[inline]
-    fn combine_lanes(
+    fn product_lanes<const L: usize>(
         &self,
-        norm: &[u32; LANES],
-        exps: &[i32; LANES],
-        signs: &[u32; LANES],
-        sel: &[u32; LANES],
-        xs: &FpScalar,
-        c: &mut [f32; LANES],
-    ) {
+        norm: &[u32; L],
+        exps: &[u32; L],
+        signs: &[u32; L],
+        xsign: u32,
+        xexp: i32,
+    ) -> [f32; L] {
         let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
-        let xsign = (xs.sign() as u32) << 31;
-        let xexp = xs.exponent();
-        for j in 0..LANES {
+        let mut out = [0.0f32; L];
+        for j in 0..L {
             let e = norm[j];
-            let exp = xexp + exps[j] + (e >> 23) as i32;
+            let exp = xexp + exps[j] as i32 + (e >> 23) as i32;
             let sign = xsign ^ signs[j];
             // `encode_normal_f32` with saturation/flush as selects; the
             // out-of-range lanes' `normal` bits are garbage that the
@@ -583,18 +760,49 @@ impl ApproxFpMul {
             } else {
                 normal
             };
-            let cv = c[j];
-            let sum = cv + f32::from_bits(pbits);
-            c[j] = f32::from_bits((sum.to_bits() & sel[j]) | (cv.to_bits() & !sel[j]));
+            out[j] = f32::from_bits(pbits);
+        }
+        out
+    }
+
+    /// Multiply-accumulates runs of `L` kept lanes into their C columns:
+    /// one pre-normalised gather (or chunk read) and one
+    /// [`product_lanes`](Self::product_lanes) per run, then a scatter-add.
+    /// Within a tile row every column appears once, so the scatter order
+    /// cannot matter. `lanes.mans.len()` must be a multiple of `L`.
+    #[inline]
+    fn mac_lanes<const L: usize>(
+        &self,
+        prep: &PreparedMultiplicand,
+        xs: &FpScalar,
+        lanes: KeptLanes<'_>,
+        c: &mut [f32],
+    ) {
+        let (xsign, xexp) = ((xs.sign() as u32) << 31, xs.exponent());
+        let runs = lanes
+            .mans
+            .chunks_exact(L)
+            .zip(lanes.exps.chunks_exact(L))
+            .zip(lanes.signs.chunks_exact(L))
+            .zip(lanes.cols.chunks_exact(L));
+        for (((mans, exps), signs), cols) in runs {
+            // Fixed-width array views: index-free lanes the compiler can
+            // keep in vector registers.
+            let mans: &[u32; L] = mans.try_into().expect("lane run");
+            let exps: &[u32; L] = exps.try_into().expect("lane run");
+            let signs: &[u32; L] = signs.try_into().expect("lane run");
+            let norm = self.mult.norm_lanes_trusted(prep, mans);
+            let products = self.product_lanes(&norm, exps, signs, xsign, xexp);
+            for (&col, p) in cols.iter().zip(products) {
+                c[col as usize] += p;
+            }
         }
     }
 
     /// The scalar per-element multiply-accumulate over a slice of raw B
     /// values with the multiplicand already decoded and prepared — the
-    /// fallback the lane kernel escapes to for Inf/NaN groups and tail
-    /// elements, and the body of the batched `mul_rows` fast path. Only
-    /// valid when `self.fast_f32` and `xs` is `Normal` (checked by
-    /// callers).
+    /// body of the batched `mul_rows` fast path. Only valid when
+    /// `self.fast_f32` and `xs` is `Normal` (checked by callers).
     fn mul_prepared_scalar_chunk(
         &self,
         xs: &FpScalar,
@@ -664,101 +872,61 @@ impl ScalarMul for ApproxFpMul {
         }
     }
 
-    fn prepare_panel(&self, b: &[f32]) -> PreparedPanel {
+    fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
         if !self.fast_f32 {
             // Exotic formats stay on the FpScalar path; nothing cheap to
-            // cache, so keep the raw fallback.
-            return PreparedPanel { raw: b.to_vec(), data: PanelData::Raw };
+            // cache, so the engine keeps the raw fused loop.
+            return None;
         }
         let dec = LaneDecoder::new(self.format);
-        let len = b.len();
-        let mut mans = Vec::with_capacity(len);
-        let mut exps = Vec::with_capacity(len);
-        let mut signs = Vec::with_capacity(len);
-        let mut sel = Vec::with_capacity(len);
-        let mut exotic = vec![false; len / LANES];
-        for (i, &bv) in b.iter().enumerate() {
-            let lane = dec.decode(bv.to_bits());
-            mans.push(lane.man);
-            exps.push(lane.exp);
-            signs.push(lane.sign);
-            // Zero bypass: a zero mantissa reads a discarded product,
-            // and the zeroed select keeps C untouched — exactly the
-            // scalar path's `bv == 0.0` skip.
-            sel.push(lane.sel);
-            // Inf/NaN, or a nonzero f32 that *flushes* to format zero
-            // (subnormal, or below the format's min exponent): the
-            // scalar path does NOT skip the latter — it accumulates the
-            // signed-zero product, which can flip a -0.0 accumulator to
-            // +0.0. The whole group escapes to the scalar fallback, so
-            // the lane path stays bit-identical.
-            if lane.exotic {
-                if let Some(flag) = exotic.get_mut(i / LANES) {
-                    *flag = true;
-                }
-            }
-        }
-        PreparedPanel {
-            raw: b.to_vec(),
-            data: PanelData::Decoded { format: self.format, mans, exps, signs, sel, exotic },
-        }
+        Some(PreparedTile::build(
+            src,
+            TileForm::Decoded(self.format),
+            decoded_stride(src.width()),
+            |row, slab| dec.decode_row(row, slab),
+        ))
     }
 
-    fn supports_prepared_panels(&self) -> bool {
-        // Exotic formats keep the raw fallback in `prepare_panel`, so
-        // there is nothing for the engine to amortise.
-        self.fast_f32
-    }
-
-    fn mul_prepared(&self, a: f32, panel: &PreparedPanel, c: &mut [f32]) {
-        let PanelData::Decoded { format, mans, exps, signs, sel, exotic } = &panel.data else {
-            return self.mul_rows(a, panel.raw(), c);
-        };
-        if *format != self.format || !self.fast_f32 {
-            return self.mul_rows(a, panel.raw(), c);
+    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
+        if tile.form != TileForm::Decoded(self.format) {
+            return self.mul_rows(a, tile.raw_row(r), c);
         }
-        debug_assert_eq!(panel.len(), c.len(), "panel length mismatch");
+        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
+        let raw = tile.raw_row(r);
         let xs = FpScalar::from_f32(a, self.format);
         if xs.class() != FpClass::Normal {
             // Zero / NaN / Inf multiplicand: rare, exact side logic.
-            for (cv, bv) in c.iter_mut().zip(panel.raw()) {
+            for (cv, bv) in c.iter_mut().zip(raw) {
                 if *bv != 0.0 {
                     *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
                 }
             }
             return;
         }
-        // Per-call work: one decode of `a` and binding its table row
-        // (or building its chunk tables). Per-MAC work: one gather from
-        // the pre-normalised product row (or one lookup per chunk plus
-        // the same renormalise) and the combine — exponent add, range
-        // selects, one OR — with the zero bypass as a select, so the
-        // whole group vectorizes. Every step computes exactly the value
-        // the scalar path computes, so results stay bit-identical (the
-        // prepared-vs-mul_rows equivalence tests and the differential
-        // GEMM suite enforce this).
-        let prep = self.mult.prepare(xs.mantissa());
-        let groups = c.len() / LANES;
-        let (head, tail) = c.split_at_mut(groups * LANES);
-        for (g, cch) in head.chunks_exact_mut(LANES).enumerate() {
-            let base = g * LANES;
-            if exotic[g] {
-                // Inf/NaN or flushed-nonzero in the group: exact side
-                // logic, per element.
-                self.mul_prepared_scalar_chunk(&xs, &prep, &panel.raw()[base..base + LANES], cch);
-                continue;
-            }
-            // Fixed-width array views: index-free lanes the compiler
-            // can keep in vector registers.
-            let cch: &mut [f32; LANES] = cch.try_into().expect("lane group");
-            let mch: &[u32; LANES] = mans[base..base + LANES].try_into().expect("lane group");
-            let norm = self.mult.norm_lanes_trusted(&prep, mch);
-            let ech: &[i32; LANES] = exps[base..base + LANES].try_into().expect("lane group");
-            let sch: &[u32; LANES] = signs[base..base + LANES].try_into().expect("lane group");
-            let zch: &[u32; LANES] = sel[base..base + LANES].try_into().expect("lane group");
-            self.combine_lanes(&norm, ech, sch, zch, &xs, cch);
+        let row = DecodedRow::new(&tile.slabs, tile.width, r);
+        if !row.kept.mans.is_empty() {
+            // Per-call work: one decode of `a` and binding its table row
+            // (or building its chunk tables). Per-MAC work, over the kept
+            // lanes only: one gather from the pre-normalised product row
+            // (or one lookup per chunk plus the same renormalise), the
+            // product encode and one add into C. Zero lanes were dropped
+            // at decode, exactly the lanes the scalar path's `bv == 0.0`
+            // test skips, so results stay bit-identical (the tile-vs-
+            // mul_rows equivalence tests and the differential GEMM suite
+            // enforce this).
+            let prep = self.mult.prepare(xs.mantissa());
+            let full = row.kept.mans.len() / LANES * LANES;
+            let (groups, tail) = row.kept.split_at(full);
+            self.mac_lanes::<LANES>(&prep, &xs, groups, c);
+            self.mac_lanes::<1>(&prep, &xs, tail, c);
         }
-        self.mul_prepared_scalar_chunk(&xs, &prep, &panel.raw()[groups * LANES..], tail);
+        for &col in row.exotic {
+            // Inf/NaN or flushed-nonzero: exact side logic on the raw
+            // value.
+            let col = col as usize;
+            let ys = FpScalar::from_f32(raw[col], self.format);
+            c[col] += self.mul_scalars(&xs, &ys).to_f32();
+        }
     }
 }
 
@@ -986,41 +1154,64 @@ mod tests {
         }
     }
 
-    /// `prepare_panel` + `mul_prepared` must be element-wise bit-identical
-    /// to `mul_rows` on the same panel — the contract the prepared-panel
-    /// GEMM engine is built on. Exercised over the full edge-value grid
-    /// (zeros, subnormals, infinities, NaN), a dense magnitude sweep,
-    /// and **both** `+0.0`- and `-0.0`-initialised accumulators — a
+    /// `bs` as a one-tile matrix of `rows` rows, decoded by `m`.
+    fn tile_of(m: &dyn ScalarMul, bs: &[f32], rows: usize) -> Option<PreparedTile> {
+        let n = bs.len() / rows;
+        m.prepare_tile(&TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false))
+    }
+
+    /// `prepare_tile` + `mul_tile_row` must be element-wise bit-identical
+    /// to `mul_rows` on the same row — the contract the tiled GEMM engine
+    /// is built on. Exercised over the full edge-value grid (zeros,
+    /// subnormals, infinities, NaN), a dense magnitude sweep, and
+    /// **both** `+0.0`- and `-0.0`-initialised accumulators — a
     /// negative-zero accumulator is flipped to `+0.0` by the signed-zero
     /// product of a *flushed* (nonzero-f32, format-zero) element, which
-    /// the lane path must reproduce, not skip.
-    fn assert_prepared_matches_mul_rows(m: &dyn ScalarMul, bs: &[f32], as_: &[f32]) {
-        let panel = m.prepare_panel(bs);
-        assert_eq!(panel.len(), bs.len());
-        assert_eq!(panel.is_empty(), bs.is_empty());
-        for (p, b) in panel.raw().iter().zip(bs) {
-            assert_eq!(p.to_bits(), b.to_bits(), "{}: raw values must round-trip", m.name());
-        }
-        for &a in as_ {
-            for init in [0.0f32, -0.0] {
-                let mut plain = vec![init; bs.len()];
-                let mut prepared = vec![init; bs.len()];
-                m.mul_rows(a, bs, &mut plain);
-                m.mul_prepared(a, &panel, &mut prepared);
-                for (j, (p, q)) in plain.iter().zip(&prepared).enumerate() {
-                    assert!(
-                        p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                        "{}: a={a}, b={}, c0={init}: mul_rows {p} vs mul_prepared {q}",
-                        m.name(),
-                        bs[j]
+    /// the tile path must reproduce, not drop. The lanes are laid out as
+    /// one row and as two, so full lane groups, tails and exotic lanes
+    /// land in every row position.
+    fn assert_tile_rows_match_mul_rows(m: &dyn ScalarMul, bs: &[f32], as_: &[f32]) {
+        for rows in [1, 2].into_iter().filter(|&rows| bs.len().is_multiple_of(rows)) {
+            let Some(tile) = tile_of(m, bs, rows) else {
+                assert!(m.is_native_f32(), "{} has a tile form", m.name());
+                continue;
+            };
+            let w = bs.len() / rows;
+            assert_eq!((tile.raw.len(), tile.width()), (bs.len(), w));
+            for r in 0..rows {
+                let row = &bs[r * w..(r + 1) * w];
+                for (p, b) in tile.raw_row(r).iter().zip(row) {
+                    assert_eq!(
+                        p.to_bits(),
+                        b.to_bits(),
+                        "{}: raw values must round-trip",
+                        m.name()
                     );
+                }
+                // Zero lanes are gated away; every other lane is visited.
+                assert_eq!(tile.kept(r), row.iter().filter(|&&b| b != 0.0).count(), "{}", m.name());
+                for &a in as_ {
+                    for init in [0.0f32, -0.0] {
+                        let mut plain = vec![init; w];
+                        let mut tiled = vec![init; w];
+                        m.mul_rows(a, row, &mut plain);
+                        m.mul_tile_row(a, &tile, r, &mut tiled);
+                        for (j, (p, q)) in plain.iter().zip(&tiled).enumerate() {
+                            assert!(
+                                p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                                "{}: a={a}, b={}, c0={init}: mul_rows {p} vs mul_tile_row {q}",
+                                m.name(),
+                                row[j]
+                            );
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn prepared_panel_matches_mul_rows_for_every_backend() {
+    fn prepared_tile_rows_match_mul_rows_for_every_backend() {
         let edges = edge_values();
         let mut dense = Vec::new();
         let mut v = 1.07e-30f32;
@@ -1029,6 +1220,9 @@ mod tests {
             dense.push(-v);
             v *= 3.9;
         }
+        // Zero-heavy: runs of zeros between groups, a full group, tails.
+        let sparse: Vec<f32> =
+            (0..42).map(|i| if i % 3 == 0 || i > 30 { 1.25 + i as f32 } else { 0.0 }).collect();
         let backends: Vec<Box<dyn ScalarMul>> = {
             let mut v: Vec<Box<dyn ScalarMul>> = vec![
                 Box::new(ExactMul),
@@ -1043,19 +1237,39 @@ mod tests {
             v
         };
         for m in &backends {
-            assert_prepared_matches_mul_rows(m.as_ref(), &edges, &edges);
-            assert_prepared_matches_mul_rows(m.as_ref(), &dense, &[0.37, -11.0, 1.0, 255.4]);
-            assert_prepared_matches_mul_rows(m.as_ref(), &[], &[1.5]);
+            assert_tile_rows_match_mul_rows(m.as_ref(), &edges, &edges);
+            assert_tile_rows_match_mul_rows(m.as_ref(), &dense, &[0.37, -11.0, 1.0, 255.4]);
+            assert_tile_rows_match_mul_rows(m.as_ref(), &sparse, &[0.37, -1e-3, f32::NAN]);
+            assert_tile_rows_match_mul_rows(m.as_ref(), &[0.0; 16], &[1.5]);
+            assert_tile_rows_match_mul_rows(m.as_ref(), &[], &[1.5]);
         }
     }
 
     #[test]
-    fn foreign_panels_fall_back_correctly() {
-        // A panel prepared by one backend fed to another must still match
+    fn tile_decode_is_deterministic_across_parallel_blocks() {
+        // 19 rows: two full 8-row blocks and a partial one.
+        let m = pc3tr_bf16();
+        let (rows, n) = (19usize, 13usize);
+        let mut bs = Vec::new();
+        for i in 0..rows * n {
+            bs.push(edge_values()[(i * 7) % edge_values().len()]);
+        }
+        let src =
+            |parallel| TileSource::new(&bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, parallel);
+        let serial = m.prepare_tile(&src(false)).expect("fast format");
+        let parallel = m.prepare_tile(&src(true)).expect("fast format");
+        assert_eq!(serial.form, parallel.form);
+        assert_eq!(serial.slabs, parallel.slabs);
+        let bits = |t: &PreparedTile| t.raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&serial), bits(&parallel));
+    }
+
+    #[test]
+    fn foreign_tiles_fall_back_correctly() {
+        // A tile prepared by one backend fed to another must still match
         // the consumer's own `mul_rows` semantics (unaccelerated path).
         let bs = edge_values();
         let preparers: Vec<Box<dyn ScalarMul>> = vec![
-            Box::new(ExactMul),
             Box::new(QuantizedExactMul::new(FpFormat::BF16)),
             Box::new(pc3tr_bf16()),
             Box::new(ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16)),
@@ -1067,17 +1281,17 @@ mod tests {
             Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
         ];
         for preparer in &preparers {
-            let panel = preparer.prepare_panel(&bs);
+            let tile = tile_of(preparer.as_ref(), &bs, 1).expect("caching backend");
             for consumer in &consumers {
                 for &a in &[1.5f32, -0.37, 0.0] {
                     let mut plain = vec![0.0f32; bs.len()];
-                    let mut prepared = vec![0.0f32; bs.len()];
+                    let mut tiled = vec![0.0f32; bs.len()];
                     consumer.mul_rows(a, &bs, &mut plain);
-                    consumer.mul_prepared(a, &panel, &mut prepared);
-                    for (p, q) in plain.iter().zip(&prepared) {
+                    consumer.mul_tile_row(a, &tile, 0, &mut tiled);
+                    for (p, q) in plain.iter().zip(&tiled) {
                         assert!(
                             p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                            "panel from {} into {}: a={a}: {p} vs {q}",
+                            "tile from {} into {}: a={a}: {p} vs {q}",
                             preparer.name(),
                             consumer.name()
                         );
@@ -1232,22 +1446,24 @@ mod tests {
                     let bits = (hi << 16) | lo;
                     let x = f32::from_bits(bits);
                     let ys = FpScalar::from_f32(x, format);
-                    let expect = match ys.class() {
-                        FpClass::Normal => DecodedLane {
-                            man: ys.mantissa() as u32,
-                            exp: ys.exponent(),
-                            sign: (ys.sign() as u32) << 31,
-                            sel: u32::MAX,
-                            exotic: false,
-                        },
+                    let lane = dec.decode(bits);
+                    let class = (lane.normal, lane.exotic);
+                    match ys.class() {
+                        FpClass::Normal => {
+                            assert_eq!(class, (true, false), "{format}: bits {bits:#010x}");
+                            assert_eq!(
+                                (lane.man, lane.exp, lane.sign),
+                                (ys.mantissa() as u32, ys.exponent(), (ys.sign() as u32) << 31),
+                                "{format}: bits {bits:#010x}"
+                            );
+                        }
                         FpClass::Zero => {
-                            DecodedLane { man: 0, exp: 0, sign: 0, sel: 0, exotic: x != 0.0 }
+                            assert_eq!(class, (false, x != 0.0), "{format}: bits {bits:#010x}")
                         }
                         FpClass::Inf | FpClass::Nan => {
-                            DecodedLane { man: 0, exp: 0, sign: 0, sel: 0, exotic: true }
+                            assert_eq!(class, (false, true), "{format}: bits {bits:#010x}")
                         }
-                    };
-                    assert_eq!(dec.decode(bits), expect, "{format}: bits {bits:#010x}");
+                    }
                 }
             }
         }

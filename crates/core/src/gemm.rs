@@ -16,16 +16,20 @@
 //!   consumed in one of three forms:
 //!   * *raw* — the fused loop issues one [`ScalarMul::mul_rows`] per
 //!     (A-element, B-row-segment) pair. Used for `m == 1`, for backends
-//!     without a panel cache, and for tiny native-`f32` problems, where
+//!     without a decoded form, and for tiny native-`f32` problems, where
 //!     converting B has no cross-row reuse to amortise;
-//!   * *panels* — each B row-segment decoded once per tile by
-//!     [`ScalarMul::prepare_panel`] and consumed by
-//!     [`ScalarMul::mul_prepared`] for every C row, so per-MAC operand
-//!     decode disappears from the approximate backends;
+//!   * *decoded* — [`ScalarMul::prepare_tile`] decodes the whole tile
+//!     once into one [`PreparedTile`]: each tile row keeps only its
+//!     nonzero lanes, packed at the front of a fixed-stride row slab
+//!     with their column index and followed by the row's count of kept
+//!     lanes. [`ScalarMul::mul_tile_row`] then visits those lanes for
+//!     every C row and scatter-adds them into C, so per-MAC operand
+//!     decode disappears from the approximate backends and per-MAC cost
+//!     follows the nonzeros;
 //!   * *packed* — native-`f32` backends pack each tile into `NR`-major
 //!     panels for the register-tile microkernel.
-//! * **Prepare once or per call.** [`gemm`] builds each panel or packed
-//!   tile from the raw matrix as the walk reaches it;
+//! * **Prepare once or per call.** [`gemm`] builds each decoded or
+//!   packed tile from the raw matrix as the walk reaches it;
 //!   [`PreparedGemmB::new`] builds all of them up front, and
 //!   [`gemm_with_prepared_b`] replays them. Both end in the same walk.
 //! * **Row-panel parallelism.** Above a MAC gate, every tile's C rows
@@ -44,12 +48,16 @@
 //!
 //! Zero operands are skipped rather than multiplied — mirroring the
 //! hardware's zero gating (paper §III-C), where a zero operand never
-//! activates the SRAM array. Skipping is bit-identical to accumulating
-//! the `±0.0` product because a `+0.0` accumulator absorbs signed
-//! zeros.
+//! activates the SRAM array. Zero A elements are tested per row; zero B
+//! lanes are dropped when a tile is decoded, so the MAC loop never
+//! visits them at all. Skipping is bit-identical to accumulating the
+//! `±0.0` product because a `+0.0` accumulator absorbs signed zeros.
+//! (Lanes that are nonzero `f32`s but flush to format zero are kept:
+//! their signed-zero product can flip a `-0.0` accumulator, and the
+//! scalar path accumulates it.)
 
 use crate::config::{MultiplierConfig, OperandMode};
-use crate::fp::PreparedPanel;
+use crate::fp::{PreparedTile, TileSource};
 use crate::mantissa::MantissaMultiplier;
 use crate::microkernel::{self, PackedBBlock};
 use crate::ScalarMul;
@@ -141,16 +149,16 @@ pub fn gemm_reference(
 ///
 /// Picks a form for B, then runs the same tile walk as
 /// [`gemm_with_prepared_b`], converting each tile as it gets there:
-/// backends with a panel cache ([`ScalarMul::supports_prepared_panels`])
-/// decode each `KC×NC` B-panel once and share it across rows and
-/// threads; native-`f32` backends pack it for the register-tile
-/// microkernel. `m == 1`, cache-less backends and tiny native-`f32`
-/// problems, where conversion has no cross-row reuse to amortise, keep
-/// the fused per-call path. Small problems (under ~16k MACs) run
-/// serially; larger ones split C row panels across the persistent
-/// worker pool. Either way the per-element accumulation order is
-/// ascending-`k`, so the result does not depend on problem size or
-/// thread count.
+/// backends with a decoded form ([`ScalarMul::prepare_tile`]) decode
+/// each `KC×NC` B tile once, dropping its zero lanes, and share it
+/// across rows and threads; native-`f32` backends pack it for the
+/// register-tile microkernel. `m == 1`, backends without a decoded form
+/// and tiny native-`f32` problems, where conversion has no cross-row
+/// reuse to amortise, keep the fused per-call path. Small problems
+/// (under ~16k MACs) run serially; larger ones split C row panels across
+/// the persistent worker pool. Either way the per-element accumulation
+/// order is ascending-`k`, so the result does not depend on problem
+/// size or thread count.
 ///
 /// # Panics
 ///
@@ -190,8 +198,8 @@ pub fn gemm(
         } else {
             BForm::Raw(b)
         }
-    } else if m > 1 && mul.supports_prepared_panels() {
-        BForm::Panels(BTiles::Raw(b))
+    } else if m > 1 {
+        BForm::Tiles(BTiles::Raw(b))
     } else {
         BForm::Raw(b)
     };
@@ -249,8 +257,9 @@ impl<T> Copy for BTiles<'_, T> {}
 enum BForm<'a> {
     /// The raw values through the fused `mul_rows` loop.
     Raw(&'a [f32]),
-    /// One decoded [`PreparedPanel`] per B row-segment of each tile.
-    Panels(BTiles<'a, Vec<PreparedPanel>>),
+    /// One [`PreparedTile`] per tile; eagerly, a tile the backend has no
+    /// form for ([`ScalarMul::prepare_tile`] returns `None`) runs raw.
+    Tiles(BTiles<'a, PreparedTile>),
     /// `NR`-major packed tiles for the native-`f32` microkernel.
     Packed(BTiles<'a, PackedBBlock>),
 }
@@ -259,39 +268,16 @@ enum BForm<'a> {
 #[derive(Clone, Copy)]
 enum TileB<'a> {
     Raw(&'a [f32]),
-    Panels(&'a [PreparedPanel]),
+    Decoded(&'a PreparedTile),
     Packed(&'a PackedBBlock),
-}
-
-/// Decodes the B row-segments of `tile` into prepared panels, one per B
-/// row — across the pool (one 8-row block per work item) when
-/// `parallel`. Panel order is positional, so scheduling cannot affect
-/// results.
-fn prepare_tile(
-    mul: &dyn ScalarMul,
-    b: &[f32],
-    n: usize,
-    tile: Tile,
-    parallel: bool,
-) -> Vec<PreparedPanel> {
-    let panel = |l: usize| mul.prepare_panel(&b[l * n + tile.j0..l * n + tile.j1]);
-    if !parallel {
-        return (tile.l0..tile.l1).map(panel).collect();
-    }
-    let mut slots: Vec<Option<PreparedPanel>> = (tile.l0..tile.l1).map(|_| None).collect();
-    slots.par_chunks_mut(8).enumerate().for_each(|(pi, chunk)| {
-        for (s, slot) in chunk.iter_mut().enumerate() {
-            *slot = Some(panel(tile.l0 + pi * 8 + s));
-        }
-    });
-    slots.into_iter().map(|p| p.expect("panel decoded")).collect()
 }
 
 /// The one float tile walk behind [`gemm`] and [`gemm_with_prepared_b`]:
 /// each tile of `b` in walk order, MAC'd into all of C at once
 /// (`chunk_rows == None`) or into `chunk_rows`-row C chunks over the
 /// pool. Bit-identical either way — each element accumulates in
-/// ascending `k`, and chunks write disjoint rows.
+/// ascending `k`, and chunks write disjoint rows. Tiles decoded per
+/// call are decoded across the pool exactly when C is split.
 fn run(
     mul: &dyn ScalarMul,
     a: &[f32],
@@ -302,14 +288,14 @@ fn run(
     chunk_rows: Option<usize>,
 ) {
     for (ti, tile) in tiles(k, n, KC, NC).enumerate() {
-        let (panels, block);
+        let (decoded, block);
         let tb = match b {
             BForm::Raw(raw) => TileB::Raw(raw),
-            BForm::Panels(BTiles::Raw(raw)) => {
-                panels = prepare_tile(mul, raw, n, tile, chunk_rows.is_some());
-                TileB::Panels(&panels)
+            BForm::Tiles(BTiles::Raw(raw)) => {
+                decoded = mul.prepare_tile(&TileSource::new(raw, n, tile, chunk_rows.is_some()));
+                decoded.as_ref().map_or(TileB::Raw(raw), TileB::Decoded)
             }
-            BForm::Panels(BTiles::Prepared(tiles)) => TileB::Panels(&tiles[ti]),
+            BForm::Tiles(BTiles::Prepared(tiles)) => TileB::Decoded(&tiles[ti]),
             BForm::Packed(BTiles::Raw(raw)) => {
                 block = microkernel::pack_b(raw, n, tile);
                 TileB::Packed(&block)
@@ -343,8 +329,8 @@ fn tile_rows(
         TileB::Raw(raw) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
             mul.mul_rows(av, &raw[l * n + j0..l * n + j1], crow)
         }),
-        TileB::Panels(panels) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
-            mul.mul_prepared(av, &panels[l - tile.l0], crow)
+        TileB::Decoded(decoded) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
+            mul.mul_tile_row(av, decoded, l - tile.l0, crow)
         }),
         TileB::Packed(blk) => {
             microkernel::packed_rows(a, blk, c, row0, k, n, microkernel::avx2_available())
@@ -384,9 +370,9 @@ enum PreparedBVariant {
     /// No cacheable representation for this backend: the raw values,
     /// consumed by the fused loop exactly as [`gemm`] would.
     Fused { raw: Vec<f32> },
-    /// Panel-caching backends: decoded panels per `KC × NC` tile, in
-    /// walk order.
-    Panels { tiles: Vec<Vec<PreparedPanel>> },
+    /// Tile-decoding backends: one [`PreparedTile`] per `KC × NC`
+    /// tile, in walk order.
+    Tiles { tiles: Vec<PreparedTile> },
     /// Native-`f32` backends: `NR`-major packed panels for the
     /// register-tile microkernel.
     Packed { blocks: Vec<PackedBBlock> },
@@ -402,16 +388,17 @@ enum PreparedBVariant {
 ///
 /// * native-`f32` backends — `NR`-major packed panels for the
 ///   register-tile microkernel (B is packed zero times per GEMM);
-/// * panel-caching backends ([`ApproxFpMul`] on the fast formats,
-///   [`QuantizedExactMul`]) — the decoded [`PreparedPanel`]s of every
-///   `KC × NC` tile;
+/// * tile-decoding backends ([`ApproxFpMul`] on the fast formats,
+///   [`QuantizedExactMul`]) — one decoded [`PreparedTile`] per `KC × NC`
+///   tile: one allocation set per tile, each row keeping only its
+///   nonzero lanes and their count;
 /// * everything else — the raw values (the fused loop re-derives
 ///   operands per call, exactly as [`gemm`] does for those backends).
 ///
 /// [`gemm_with_prepared_b`] consumes it with **bit-identical** results
 /// to [`gemm`] on the same operands — *including* `m == 1`, which
 /// `gemm` itself keeps on the fused path (per-call pre-decode has no
-/// cross-row reuse to amortise there) but which a persistent panel
+/// cross-row reuse to amortise there) but which a persistent tile
 /// serves from the cache: single-sample inference requests are exactly
 /// where the per-request B re-decode hurts most.
 ///
@@ -441,7 +428,7 @@ pub struct PreparedGemmB {
 impl PreparedGemmB {
     /// Prepares the `k × n` row-major matrix `b` for repeated
     /// [`gemm_with_prepared_b`] calls through `mul`. Feeding the result
-    /// to a *different* backend stays correct (panel tiles fall back to
+    /// to a *different* backend stays correct (decoded tiles fall back to
     /// their raw values) — except that panels packed for a native-`f32`
     /// backend are only accepted by native-`f32` backends.
     ///
@@ -455,12 +442,11 @@ impl PreparedGemmB {
             PreparedBVariant::Packed {
                 blocks: walk.map(|t| microkernel::pack_b(b, n, t)).collect(),
             }
-        } else if mul.supports_prepared_panels() {
-            PreparedBVariant::Panels {
-                tiles: walk.map(|t| prepare_tile(mul, b, n, t, false)).collect(),
-            }
         } else {
-            PreparedBVariant::Fused { raw: b.to_vec() }
+            match walk.map(|t| mul.prepare_tile(&TileSource::new(b, n, t, false))).collect() {
+                Some(tiles) => PreparedBVariant::Tiles { tiles },
+                None => PreparedBVariant::Fused { raw: b.to_vec() },
+            }
         };
         PreparedGemmB { k, n, variant }
     }
@@ -481,7 +467,7 @@ impl PreparedGemmB {
 /// `C[m×n] += A[m×k] · B[k×n]` against a [`PreparedGemmB`] — the
 /// serving-path twin of [`gemm`]: the same tile walk, thread gate and
 /// row chunking, **bit-identical** results for every backend and shape
-/// including `m == 1`, but with every per-call B conversion (panel
+/// including `m == 1`, but with every per-call B conversion (tile
 /// decode, microkernel packing, quantization) already paid at
 /// [`PreparedGemmB::new`] time.
 ///
@@ -515,7 +501,7 @@ pub fn gemm_with_prepared_b(
             );
             BForm::Packed(BTiles::Prepared(blocks))
         }
-        PreparedBVariant::Panels { tiles } => BForm::Panels(BTiles::Prepared(tiles)),
+        PreparedBVariant::Tiles { tiles } => BForm::Tiles(BTiles::Prepared(tiles)),
         PreparedBVariant::Fused { raw } => BForm::Raw(raw),
     };
     run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
@@ -584,7 +570,7 @@ fn lane_mac(
 /// * **B** is quantized per `tile_k × tile_n` tile — one shared
 ///   exponent per tile, quantized **once per GEMM** and shared
 ///   read-only across every C row (and every worker thread), mirroring
-///   the prepared-panel float engine;
+///   the decoded-tile float engine;
 /// * mantissa *magnitudes* multiply through the integer-mode
 ///   OR-approximate [`MantissaMultiplier`] (signs XORed exactly, the
 ///   LUT row / chunk tables of each A mantissa pre-bound per `(row,
@@ -1178,7 +1164,7 @@ mod tests {
     fn fast_path_equals_slow_path_for_exact() {
         // ExactMul takes the native-f32 forms (fused / packed);
         // QuantizedExactMul at FP32 is semantically f32-exact but takes
-        // the panel form. Both must land on the same bits, below and
+        // the decoded-tile form. Both must land on the same bits, below and
         // above the microkernel gate.
         let slow = QuantizedExactMul::new(FpFormat::FP32);
         for &(m, k, n) in &[(3, 4, 5), (33, 17, 9)] {
@@ -1246,7 +1232,7 @@ mod tests {
     #[test]
     fn parallel_path_engages_above_gate() {
         // 64x32x32 = 65536 MACs clears PAR_MIN_MACS with m > 1: the
-        // panel (approx) and packed (exact) forms run chunked — when
+        // decoded (approx) and packed (exact) forms run chunked — when
         // `current_num_threads() > 1`; on a 1-core host `gemm` runs the
         // walk unsplit instead, and the direct walk test below keeps the
         // chunked code covered regardless.
@@ -1260,7 +1246,7 @@ mod tests {
     #[test]
     fn parallel_kernels_bit_match_reference_even_single_core() {
         // Drive the one walk directly, below `gemm`'s thread gate, in
-        // every B form — raw, and panels or packed tiles built per call
+        // every B form — raw, and decoded or packed tiles built per call
         // or prepared up front: on a 1-core host `run_batch` degrades to
         // an inline loop, but the chunk indexing under test still
         // executes, so a slab slicing bug cannot hide behind the gate.
@@ -1278,9 +1264,9 @@ mod tests {
                         ("packed", BForm::Packed(BTiles::Raw(&b))),
                         ("prepared packed", BForm::Packed(BTiles::Prepared(blocks))),
                     ],
-                    PreparedBVariant::Panels { tiles } => [
-                        ("panels", BForm::Panels(BTiles::Raw(&b))),
-                        ("prepared panels", BForm::Panels(BTiles::Prepared(tiles))),
+                    PreparedBVariant::Tiles { tiles } => [
+                        ("tiles", BForm::Tiles(BTiles::Raw(&b))),
+                        ("prepared tiles", BForm::Tiles(BTiles::Prepared(tiles))),
                     ],
                     PreparedBVariant::Fused { .. } => panic!("{} has a tile form", mul.name()),
                 };
@@ -1332,12 +1318,12 @@ mod tests {
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
         // One backend per PreparedGemmB variant: Packed (native f32),
-        // Panels (panel cache), Fused (raw fallback — an exotic format
+        // Tiles (decoded form), Fused (raw fallback — an exotic format
         // ApproxFpMul keeps the FpScalar path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
-        // e11m9: exponent range beyond f32's, so the fast-f32 panel
-        // cache is off and PreparedGemmB keeps the raw fused fallback.
+        // e11m9: exponent range beyond f32's, so the fast-f32 tile
+        // decode is off and PreparedGemmB keeps the raw fused fallback.
         let exotic = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::new(11, 9).unwrap());
         let muls: [&dyn ScalarMul; 4] = [&ExactMul, &pc3, &quant, &exotic];
         for mul in muls {
@@ -1350,7 +1336,7 @@ mod tests {
     #[test]
     fn prepared_b_serves_the_m_equals_1_case() {
         // Regression for the m > 1 prepared gate in `gemm`: a persistent
-        // panel must serve single-sample requests bit-identically to the
+        // tile must serve single-sample requests bit-identically to the
         // eager engine (which routes m == 1 to the fused path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
@@ -1400,20 +1386,40 @@ mod tests {
 
     #[test]
     fn foreign_panel_prepared_b_falls_back_correctly() {
-        // Panels prepared by one panel-caching backend served through
-        // another must match the consumer's own eager semantics.
-        let preparer = QuantizedExactMul::new(FpFormat::BF16);
-        let consumer = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
-        let (m, k, n) = (3usize, 5, 7);
-        let a = test_matrix(m * k, 1);
-        let b = test_matrix(k * n, 2);
-        let prepared = PreparedGemmB::new(&preparer, &b, k, n);
-        let mut eager = vec![0.0f32; m * n];
-        gemm(&consumer, &a, &b, &mut eager, m, k, n);
-        let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(&consumer, &a, &prepared, &mut served, m);
-        for (r, s) in eager.iter().zip(&served) {
-            assert_eq!(r.to_bits(), s.to_bits(), "foreign panel diverged");
+        // Tiles prepared by one tile-decoding backend served through
+        // another (another decoded form, or the same form in another
+        // format) must match the consumer's own eager semantics: the
+        // consumer falls back to the tile's raw rows. Sizes straddle the
+        // lane group width, and zero-heavy B rows keep few lanes.
+        let quant = QuantizedExactMul::new(FpFormat::BF16);
+        let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
+        let fp16 = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16);
+        let pairs: [(&dyn ScalarMul, &dyn ScalarMul); 4] =
+            [(&quant, &bf16), (&bf16, &quant), (&fp16, &bf16), (&bf16, &fp16)];
+        for (preparer, consumer) in pairs {
+            for &(m, k, n) in &[(3usize, 5, 7), (4, 9, 21)] {
+                let a = test_matrix(m * k, 1);
+                let b: Vec<f32> = test_matrix(k * n, 2)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| if i % 3 == 0 { v } else { 0.0 })
+                    .collect();
+                let prepared = PreparedGemmB::new(preparer, &b, k, n);
+                assert!(matches!(prepared.variant, PreparedBVariant::Tiles { .. }));
+                let mut eager = vec![0.0f32; m * n];
+                gemm(consumer, &a, &b, &mut eager, m, k, n);
+                let mut served = vec![0.0f32; m * n];
+                gemm_with_prepared_b(consumer, &a, &prepared, &mut served, m);
+                for (r, s) in eager.iter().zip(&served) {
+                    assert_eq!(
+                        r.to_bits(),
+                        s.to_bits(),
+                        "tiles from {} into {} diverged",
+                        preparer.name(),
+                        consumer.name()
+                    );
+                }
+            }
         }
     }
 

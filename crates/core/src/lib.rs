@@ -81,7 +81,7 @@ mod sram_backed;
 
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
-pub use fp::{ApproxFpMul, ExactMul, PreparedPanel, QuantizedExactMul, ScalarMul};
+pub use fp::{ApproxFpMul, ExactMul, PreparedTile, QuantizedExactMul, ScalarMul, TileSource};
 pub use gemm::{
     gemm, gemm_reference, gemm_with_prepared_b, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB,
     PreparedGemmB,

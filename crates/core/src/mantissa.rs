@@ -528,8 +528,7 @@ impl MantissaMultiplier {
     /// renormalised into `f32` position by [`prenormalise`]: a gather
     /// from the memoized pre-normalised row for narrow mantissas, the
     /// chunk-table read plus the same renormalise otherwise. Lanes must
-    /// be `0` or carry their leading one; zero lanes yield bits the
-    /// caller discards.
+    /// carry their leading one (decoded tiles keep only normal lanes).
     #[inline]
     pub(crate) fn norm_lanes_trusted<const L: usize>(
         &self,

@@ -1,4 +1,4 @@
-//! Differential property suite: the tiled, prepared-panel, parallel GEMM
+//! Differential property suite: the tiled, decoded-tile, parallel GEMM
 //! engine — eager [`gemm`] and the prepared-B serving path alike — must
 //! be **bit-identical** to the scalar reference for every backend, every
 //! multiplier configuration, every mantissa width and every shape —
@@ -6,7 +6,7 @@
 //!
 //! This is the contract that makes the engine a pure speed refactor: any
 //! divergence in accumulation order, zero-bypass handling, backend
-//! batching or panel pre-decode shows up here as a failing bit
+//! batching or tile pre-decode shows up here as a failing bit
 //! comparison.
 
 use daism_core::{
@@ -45,45 +45,127 @@ fn assert_all_backends_bit_identical(
     k: usize,
     n: usize,
 ) -> Result<(), TestCaseError> {
+    assert_all_backends_bit_identical_into(a, b, &vec![0.0f32; m * n], m, k, n)
+}
+
+/// [`assert_all_backends_bit_identical`] with C pre-filled with `c0`.
+/// Bits are compared exactly, except that any NaN matches any NaN: Rust
+/// does not pin the payload or sign of a NaN that float arithmetic
+/// returns (native `f32` kernels may add either operand first).
+fn assert_all_backends_bit_identical_into(
+    a: &[f32],
+    b: &[f32],
+    c0: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
     for mul in backends() {
-        let mut reference = vec![0.0f32; m * n];
-        let mut engine = vec![0.0f32; m * n];
+        let mut reference = c0.to_vec();
+        let mut engine = c0.to_vec();
         gemm_reference(mul.as_ref(), a, b, &mut reference, m, k, n);
         gemm(mul.as_ref(), a, b, &mut engine, m, k, n);
         // The compiled-session path: B prepared once, served through
         // `gemm_with_prepared_b` — it must stay on the reference's bits,
         // for every backend class and every shape including m == 1.
         let prepared_b = PreparedGemmB::new(mul.as_ref(), b, k, n);
-        let mut served = vec![0.0f32; m * n];
+        let mut served = c0.to_vec();
         gemm_with_prepared_b(mul.as_ref(), a, &prepared_b, &mut served, m);
-        for (i, ((r, t), s)) in reference.iter().zip(&engine).zip(&served).enumerate() {
-            prop_assert_eq!(
-                r.to_bits(),
-                t.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs engine {}",
+        for (i, ((&r, &t), &s)) in reference.iter().zip(&engine).zip(&served).enumerate() {
+            prop_assert!(
+                same(r, t),
+                "{} {}x{}x{} element {}: reference {} ({:#010x}) vs engine {} ({:#010x})",
                 mul.name(),
                 m,
                 k,
                 n,
                 i,
                 r,
-                t
+                r.to_bits(),
+                t,
+                t.to_bits()
             );
-            prop_assert_eq!(
-                r.to_bits(),
-                s.to_bits(),
-                "{} {}x{}x{} element {}: reference {} vs prepared-B {}",
+            prop_assert!(
+                same(r, s),
+                "{} {}x{}x{} element {}: reference {} ({:#010x}) vs prepared-B {} ({:#010x})",
                 mul.name(),
                 m,
                 k,
                 n,
                 i,
                 r,
-                s
+                r.to_bits(),
+                s,
+                s.to_bits()
             );
         }
     }
     Ok(())
+}
+
+/// Values the exact side logic handles: NaN, ±Inf, `f32` subnormals
+/// (flush to zero in every format), values that flush to zero in fp16
+/// or saturate to infinity there, and `-0.0`.
+const EXOTIC: [f32; 10] =
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40, -3e-39, 1e-6, -2e-7, 1e5, -7e4, -0.0];
+
+/// The B zero fractions the zero-heavy property draws from: dense,
+/// conv-forward-like, and the mostly-zero backward gradients, up to
+/// all zeros.
+const ZERO_FRACTIONS: [f64; 5] = [0.0, 0.3, 0.8, 0.95, 1.0];
+
+/// A seeded operand: each element zero (`±0.0`) with probability
+/// `zero`, else exotic with probability `exotic`, else a normal value
+/// in `±[0.05, 8)`.
+fn zero_heavy_operand(len: usize, zero: f64, exotic: f64, seed: u64) -> Vec<f32> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..len)
+        .map(|_| {
+            let (gate, pick) = (next(), next());
+            if gate < zero {
+                if pick < 0.5 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else if gate < zero + (1.0 - zero) * exotic {
+                EXOTIC[(pick * EXOTIC.len() as f64) as usize % EXOTIC.len()]
+            } else {
+                let v = (0.05 + 7.95 * pick) as f32;
+                if gate * 1024.0 % 2.0 < 1.0 {
+                    v
+                } else {
+                    -v
+                }
+            }
+        })
+        .collect()
+}
+
+/// Zero-heavy, exotic-laced operands and a C pre-fill that includes
+/// `-0.0` (so a flushed lane's signed-zero product is visible).
+fn zero_heavy_case(
+    m: usize,
+    k: usize,
+    n: usize,
+    zero_b: f64,
+    seed: u64,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let a = zero_heavy_operand(m * k, 0.2, 0.05, seed);
+    let b = zero_heavy_operand(k * n, zero_b, 0.1, seed ^ 0xB);
+    let c0 = zero_heavy_operand(m * n, 0.5, 0.0, seed ^ 0xC)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| if i % 3 == 0 { -0.0 } else { v })
+        .collect();
+    (a, b, c0)
 }
 
 /// Sparsify: push small magnitudes to exact zero so the zero-bypass path
@@ -106,6 +188,17 @@ proptest! {
         let ((m, k, n), a, b) = case;
         let (a, b) = (sparsify(a), sparsify(b));
         assert_all_backends_bit_identical(&a, &b, m, k, n)?;
+    }
+
+    #[test]
+    fn zero_heavy_and_exotic_lanes_match_reference(
+        case in (1usize..6, 1usize..12, 8usize..=40, 0usize..5, 0u64..u64::MAX),
+    ) {
+        // n ≥ 8: every row holds full lane groups plus a tail, with zero,
+        // flushed, saturating and NaN/Inf lanes landing anywhere in them.
+        let (m, k, n, zi, seed) = case;
+        let (a, b, c0) = zero_heavy_case(m, k, n, ZERO_FRACTIONS[zi], seed);
+        assert_all_backends_bit_identical_into(&a, &b, &c0, m, k, n)?;
     }
 
     #[test]
@@ -270,6 +363,19 @@ proptest! {
                 "detected diverged at {}x{}x{} elem {}", m, k, n, i);
             prop_assert_eq!(r.to_bits(), portable[i].to_bits(),
                 "portable diverged at {}x{}x{} elem {}", m, k, n, i);
+        }
+    }
+}
+
+#[test]
+fn zero_heavy_and_exotic_lanes_match_reference_above_parallel_gate() {
+    // 37×24×40 = 35k MACs clears the engine's thread gate: C rows split
+    // into chunks and eager tiles decode across the pool.
+    let (m, k, n) = (37usize, 24usize, 40usize);
+    for (zi, &zero_b) in ZERO_FRACTIONS.iter().enumerate() {
+        let (a, b, c0) = zero_heavy_case(m, k, n, zero_b, 0x5EED + zi as u64);
+        if let Err(e) = assert_all_backends_bit_identical_into(&a, &b, &c0, m, k, n) {
+            panic!("B zero fraction {zero_b}: {e:?}");
         }
     }
 }

@@ -75,7 +75,7 @@ pub trait Layer {
 
     /// Compiles this layer into its immutable serving form for
     /// `backend` — an owned snapshot of the weights with every
-    /// per-request operand conversion (panel decode, microkernel
+    /// per-request operand conversion (tile decode, microkernel
     /// packing, BlockFp quantization) already done, served through
     /// `&self` so one compiled model can be shared across threads (see
     /// [`CompiledModel`](crate::CompiledModel)).
@@ -216,7 +216,7 @@ impl Layer for Dense {
 
     fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
         // Dense multiplies Wᵀ from the right: the weights are the B
-        // operand, so the whole per-request conversion (panel decode /
+        // operand, so the whole per-request conversion (tile decode /
         // microkernel packing / BlockFp tile quantization) is hoisted
         // into the snapshot.
         let wt = self.weight_t();
@@ -358,8 +358,8 @@ impl ConvGeom {
 ///
 /// The whole batch is lowered into one `[in_ch·k·k, batch·oh·ow]`
 /// column matrix, so forward and backward each run **one GEMM per
-/// layer** instead of one per sample — feeding the engine panels wide
-/// enough for its prepared-panel pre-decode and the worker pool to pay
+/// layer** instead of one per sample — feeding the engine tiles wide
+/// enough for its decoded-tile pre-decode and the worker pool to pay
 /// off. im2col/transpose scratch buffers are owned by the layer and
 /// reused across calls and iterations (no per-call allocation churn).
 ///

@@ -2,7 +2,7 @@
 //!
 //! DAISM's inference story is static weights flowing through the
 //! in-SRAM multiplier array, yet the eager layers re-derive every
-//! weight-side operand on **every** forward call — prepared B panels,
+//! weight-side operand on **every** forward call — decoded B tiles,
 //! microkernel packed panels and BlockFp weight tiles are rebuilt per
 //! request and thrown away. This module makes the weight-stationary
 //! reuse explicit:
@@ -77,7 +77,8 @@ impl std::fmt::Debug for InferenceBackendRef<'_> {
 #[derive(Debug)]
 pub(crate) enum CompiledDenseWeights {
     /// `Wᵀ` through [`PreparedGemmB`]: packed microkernel panels for
-    /// native f32, decoded panels for the approximate backends.
+    /// native f32, decoded tiles (zero lanes dropped) for the
+    /// approximate backends.
     Scalar(PreparedGemmB),
     /// `Wᵀ` pre-quantized into per-tile BlockFp mantissas/exponents.
     BlockFp(BlockFpPreparedB),
