@@ -107,7 +107,8 @@ impl DaismModel {
     }
 
     /// The paper's Table II row for this configuration on `gemm`:
-    /// `(area mm², GE area mm², GOPS, GOPS/mW, GOPS/mm²)`.
+    /// `(area mm², GE area mm², GOPS, GOPS/mW, GOPS/mm²)`, plus the
+    /// average power and energy per MAC behind GOPS/mW.
     ///
     /// # Errors
     ///
@@ -124,6 +125,8 @@ impl DaismModel {
             gops: eval.perf.gops,
             gops_per_mw: eval.energy.gops_per_mw,
             gops_per_mm2: eval.perf.gops / area_mm2,
+            avg_power_mw: eval.energy.avg_power_mw,
+            pj_per_mac: eval.energy.pj_per_mac,
         })
     }
 }
@@ -145,20 +148,26 @@ pub struct Table2Row {
     pub gops_per_mw: f64,
     /// Area efficiency in GOPS/mm².
     pub gops_per_mm2: f64,
+    /// Average power in mW.
+    pub avg_power_mw: f64,
+    /// Energy per MAC in pJ.
+    pub pj_per_mac: f64,
 }
 
 impl fmt::Display for Table2Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:<8} {:>7.2} {:>7.2} {:>7.0} {:>9.2} {:>7.3} {:>9.2}",
+            "{:<8} {:>7.2} {:>7.2} {:>7.0} {:>9.2} {:>7.3} {:>9.2} {:>7.0} {:>6.2}",
             self.config,
             self.area_mm2,
             self.ge_area_mm2,
             self.clock_mhz,
             self.gops,
             self.gops_per_mw,
-            self.gops_per_mm2
+            self.gops_per_mm2,
+            self.avg_power_mw,
+            self.pj_per_mac
         )
     }
 }

@@ -15,7 +15,7 @@
 //! benchmark). The `bench_serve_json` bin wraps this module with JSON
 //! emission (`BENCH_serve.json`) and the CI throughput guard.
 
-use daism_core::{ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig, ScalarMul};
+use daism_core::{ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend, MultiplierConfig};
 use daism_dnn::{models, Layer, Sequential, Tensor};
 use daism_num::FpFormat;
 use std::fmt;
@@ -197,30 +197,29 @@ fn validate_bits(eager: &Tensor, compiled: &Tensor, backend: &str) {
 }
 
 /// The one measurement protocol every backend runs: bit-validation,
-/// compile-cost row, then eager-vs-compiled rows per batch size.
-/// `compile` snapshots the (fresh, identically-seeded) compile model
-/// for the backend; `eager_forward` is the backend's per-request eager
-/// path — keeping the protocol in one place so the backends' rows can
-/// never skew apart.
-fn run_backend<'b>(
+/// compile-cost row, then eager-vs-compiled rows per batch size — in one
+/// place so the backends' rows can never skew apart. The eager and the
+/// compiled model are built from identical seeds, so they hold identical
+/// weights.
+fn run_backend(
     rows: &mut Vec<ServeRow>,
-    backend: &str,
+    name: &str,
+    backend: &dyn GemmBackend,
     quick: bool,
     reps: usize,
-    compile: &dyn Fn(&Sequential) -> daism_dnn::CompiledModel<'b>,
-    eager_forward: &mut dyn FnMut(&Tensor) -> Tensor,
 ) {
     let dim = model_dim(quick);
-    let compile_model = serve_model(quick); // identical seeds => identical weights
+    let mut eager_model = serve_model(quick);
+    let compile_model = serve_model(quick);
     let probe = Tensor::randn(&[3, dim], 1.0, 7);
-    let compiled = compile(&compile_model);
-    validate_bits(&eager_forward(&probe), &compiled.forward(&probe), backend);
+    let compiled = compile_model.compile(backend);
+    validate_bits(&eager_model.forward(&probe, backend, false), &compiled.forward(&probe), name);
 
     let (compile_best, compile_median) = time_reps(reps, || {
-        std::hint::black_box(compile(&compile_model));
+        std::hint::black_box(compile_model.compile(backend));
     });
     rows.push(ServeRow {
-        backend: backend.to_string(),
+        backend: name.to_string(),
         mode: "compile",
         batch: 0,
         requests: 1,
@@ -234,11 +233,11 @@ fn run_backend<'b>(
         let stream = request_stream(count, batch, dim);
         let (best, median) = time_reps(reps, || {
             for x in &stream {
-                std::hint::black_box(eager_forward(x));
+                std::hint::black_box(eager_model.forward(x, backend, false));
             }
         });
         rows.push(ServeRow {
-            backend: backend.to_string(),
+            backend: name.to_string(),
             mode: "eager",
             batch,
             requests: count,
@@ -251,7 +250,7 @@ fn run_backend<'b>(
             }
         });
         rows.push(ServeRow {
-            backend: backend.to_string(),
+            backend: name.to_string(),
             mode: "compiled",
             batch,
             requests: count,
@@ -267,31 +266,20 @@ fn run_backend<'b>(
 pub fn run(quick: bool) -> ServeResult {
     let reps = 3;
     let mut rows = Vec::new();
-    let scalars: [(&str, Box<dyn ScalarMul>); 2] = [
-        ("exact_f32", Box::new(ExactMul)),
-        ("bf16_pc3_tr", Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16))),
+    let backends: [(String, Box<dyn GemmBackend>); 3] = [
+        ("exact_f32".into(), Box::new(ExactMul)),
+        (
+            "bf16_pc3_tr".into(),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16)),
+        ),
+        (
+            format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr"),
+            Box::new(BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH)),
+        ),
     ];
-    for (name, mul) in &scalars {
-        let mut eager_model = serve_model(quick);
-        run_backend(
-            &mut rows,
-            name,
-            quick,
-            reps,
-            &|m: &Sequential| m.compile(mul.as_ref()),
-            &mut |x| eager_model.forward(x, mul.as_ref(), false),
-        );
+    for (name, backend) in &backends {
+        run_backend(&mut rows, name, backend.as_ref(), quick, reps);
     }
-    let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, BLOCKFP_WIDTH);
-    let mut eager_model = serve_model(quick);
-    run_backend(
-        &mut rows,
-        &format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr"),
-        quick,
-        reps,
-        &|m: &Sequential| m.compile_blockfp(&engine),
-        &mut |x| eager_model.forward_blockfp(x, &engine),
-    );
     ServeResult { quick, dim: model_dim(quick), threads: rayon::current_num_threads(), rows }
 }
 

@@ -48,14 +48,30 @@ impl fmt::Display for Table2 {
         writeln!(f, "Table II: Performances comparison between different PIM architectures")?;
         writeln!(
             f,
-            "{:<10} {:>7} {:>8} {:>7} {:>9} {:>9} {:>10}  notes",
-            "Config", "Area", "GE-Area", "Clock", "GOPS", "GOPS/mW", "GOPS/mm2"
+            "{:<10} {:>7} {:>8} {:>7} {:>9} {:>9} {:>10} {:>9} {:>7}  notes",
+            "Config",
+            "Area",
+            "GE-Area",
+            "Clock",
+            "GOPS",
+            "GOPS/mW",
+            "GOPS/mm2",
+            "Power/mW",
+            "pJ/MAC"
         )?;
         for r in &self.daism {
             writeln!(
                 f,
-                "{:<10} {:>7.2} {:>8.2} {:>7.0} {:>9.2} {:>9.3} {:>10.2}  DAISM (modelled, bit-parallel, 45nm)",
-                r.config, r.area_mm2, r.ge_area_mm2, r.clock_mhz, r.gops, r.gops_per_mw, r.gops_per_mm2
+                "{:<10} {:>7.2} {:>8.2} {:>7.0} {:>9.2} {:>9.3} {:>10.2} {:>9.0} {:>7.2}  DAISM (modelled, bit-parallel, 45nm)",
+                r.config,
+                r.area_mm2,
+                r.ge_area_mm2,
+                r.clock_mhz,
+                r.gops,
+                r.gops_per_mw,
+                r.gops_per_mm2,
+                r.avg_power_mw,
+                r.pj_per_mac
             )?;
         }
         for p in &self.pim {
@@ -67,7 +83,7 @@ impl fmt::Display for Table2 {
             };
             writeln!(
                 f,
-                "{:<10} {:>7.2} {:>8} {:>7} {:>9} {:>9} {:>10}  {}, {}; published",
+                "{:<10} {:>7.2} {:>8} {:>7} {:>9} {:>9} {:>10} {:>9} {:>7}  {}, {}; published",
                 p.name,
                 p.area_mm2,
                 ge,
@@ -75,6 +91,8 @@ impl fmt::Display for Table2 {
                 format_range(p.gops),
                 format_range(p.gops_per_mw),
                 format_range(p.gops_per_mm2),
+                "-",
+                "-",
                 p.note,
                 p.node,
             )?;
@@ -119,6 +137,7 @@ mod tests {
         assert!(s.contains("16x32kB"));
         assert!(s.contains("Z-PIM"));
         assert!(s.contains("T-PIM"));
+        assert!(s.contains("Power/mW") && s.contains("pJ/MAC"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 use crate::config::{MultiplierConfig, OperandMode};
-use crate::gemm::Tile;
+use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
@@ -339,13 +339,12 @@ impl LaneDecoder {
 /// and the architecture model plug in exact or approximate arithmetic.
 ///
 /// Implementors must be deterministic and side-effect free; `mul` is
-/// called billions of times by the accuracy experiments.
-pub trait ScalarMul: fmt::Debug + Send + Sync {
+/// called billions of times by the accuracy experiments. Every
+/// implementor is a [`GemmBackend`] (products through
+/// [`gemm`](crate::gemm)), named in reports by its `Display` form.
+pub trait ScalarMul: GemmBackend {
     /// Multiplies two values, returning the result widened to `f32`.
     fn mul(&self, x: f32, y: f32) -> f32;
-
-    /// Human-readable backend name for reports (e.g. `"bfloat16/PC3_tr"`).
-    fn name(&self) -> String;
 
     /// `true` if `mul` is exactly native `f32` multiplication, letting
     /// bulk callers (GEMM kernels) skip per-element dispatch. Only
@@ -425,13 +424,15 @@ pub trait ScalarMul: fmt::Debug + Send + Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExactMul;
 
+impl fmt::Display for ExactMul {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("float32/exact")
+    }
+}
+
 impl ScalarMul for ExactMul {
     fn mul(&self, x: f32, y: f32) -> f32 {
         x * y
-    }
-
-    fn name(&self) -> String {
-        "float32/exact".into()
     }
 
     fn is_native_f32(&self) -> bool {
@@ -469,15 +470,17 @@ impl QuantizedExactMul {
     }
 }
 
+impl fmt::Display for QuantizedExactMul {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/exact", self.format)
+    }
+}
+
 impl ScalarMul for QuantizedExactMul {
     fn mul(&self, x: f32, y: f32) -> f32 {
         let xq = FpScalar::from_f32(x, self.format).to_f64();
         let yq = FpScalar::from_f32(y, self.format).to_f64();
         FpScalar::from_f32((xq * yq) as f32, self.format).to_f32()
-    }
-
-    fn name(&self) -> String {
-        format!("{}/exact", self.format)
     }
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
@@ -825,15 +828,17 @@ impl ApproxFpMul {
     }
 }
 
+impl fmt::Display for ApproxFpMul {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.format, self.mult.config())
+    }
+}
+
 impl ScalarMul for ApproxFpMul {
     fn mul(&self, x: f32, y: f32) -> f32 {
         let xs = FpScalar::from_f32(x, self.format);
         let ys = FpScalar::from_f32(y, self.format);
         self.mul_scalars(&xs, &ys).to_f32()
-    }
-
-    fn name(&self) -> String {
-        format!("{}/{}", self.format, self.mult.config())
     }
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
@@ -1327,12 +1332,14 @@ mod tests {
         // A wrapper that erases the override, forcing the trait default.
         #[derive(Debug)]
         struct DefaultOnly<'a>(&'a dyn ScalarMul);
+        impl fmt::Display for DefaultOnly<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "default({})", self.0)
+            }
+        }
         impl ScalarMul for DefaultOnly<'_> {
             fn mul(&self, x: f32, y: f32) -> f32 {
                 self.0.mul(x, y)
-            }
-            fn name(&self) -> String {
-                format!("default({})", self.0.name())
             }
         }
         let backends: Vec<Box<dyn ScalarMul>> = vec![

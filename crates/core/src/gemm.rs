@@ -30,8 +30,12 @@
 //!     panels for the register-tile microkernel.
 //! * **Prepare once or per call.** [`gemm`] builds each decoded or
 //!   packed tile from the raw matrix as the walk reaches it;
-//!   [`PreparedGemmB::new`] builds all of them up front, and
-//!   [`gemm_with_prepared_b`] replays them. Both end in the same walk.
+//!   [`GemmBackend::prepare_b`] builds all of them up front, and
+//!   [`GemmBackend::gemm_prepared_b`] replays them. Both end in the same
+//!   walk.
+//! * **One backend handle.** [`GemmBackend`] is what every caller above
+//!   the engine takes: every [`ScalarMul`] implements it through this
+//!   walk, and [`BlockFpGemm`] through its integer tile walk.
 //! * **Row-panel parallelism.** Above a MAC gate, every tile's C rows
 //!   are split into chunks over the persistent worker pool (rayon).
 //!   Tiles are shared read-only across chunks, so B is converted once
@@ -63,6 +67,7 @@ use crate::microkernel::{self, PackedBBlock};
 use crate::ScalarMul;
 use daism_num::BlockFp;
 use rayon::prelude::*;
+use std::fmt;
 
 /// Rows of C per parallel panel (upper bound; small problems split
 /// finer so every worker gets rows).
@@ -93,7 +98,7 @@ fn check_shapes(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
 }
 
 /// The one parallel gate every engine entry point shares — [`gemm`],
-/// [`gemm_with_prepared_b`] and the BlockFp engine must dispatch
+/// the prepared-operand GEMMs and the BlockFp engine must dispatch
 /// identically or their bit-identity contracts stop being testable one
 /// path at a time. `Some(chunk_rows)` when the problem clears the
 /// MAC/thread/row gates (C row chunks sized so every worker gets a
@@ -148,7 +153,7 @@ pub fn gemm_reference(
 /// [`gemm_reference`], much faster.
 ///
 /// Picks a form for B, then runs the same tile walk as
-/// [`gemm_with_prepared_b`], converting each tile as it gets there:
+/// [`GemmBackend::gemm_prepared_b`], converting each tile as it gets there:
 /// backends with a decoded form ([`ScalarMul::prepare_tile`]) decode
 /// each `KC×NC` B tile once, dropping its zero lanes, and share it
 /// across rows and threads; native-`f32` backends pack it for the
@@ -272,7 +277,8 @@ enum TileB<'a> {
     Packed(&'a PackedBBlock),
 }
 
-/// The one float tile walk behind [`gemm`] and [`gemm_with_prepared_b`]:
+/// The one float tile walk behind [`gemm`] and a scalar backend's
+/// [`GemmBackend::gemm_prepared_b`]:
 /// each tile of `b` in walk order, MAC'd into all of C at once
 /// (`chunk_rows == None`) or into `chunk_rows`-row C chunks over the
 /// pool. Bit-identical either way — each element accumulates in
@@ -362,147 +368,254 @@ fn mac_rows(
 }
 
 // -------------------------------------------------------------------
-// Persistent prepared B — compiled inference sessions
+// The backend trait: stored operands prepared once, served many times
 // -------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum PreparedBVariant {
-    /// No cacheable representation for this backend: the raw values,
-    /// consumed by the fused loop exactly as [`gemm`] would.
-    Fused { raw: Vec<f32> },
-    /// Tile-decoding backends: one [`PreparedTile`] per `KC × NC`
-    /// tile, in walk order.
-    Tiles { tiles: Vec<PreparedTile> },
-    /// Native-`f32` backends: `NR`-major packed panels for the
-    /// register-tile microkernel.
-    Packed { blocks: Vec<PackedBBlock> },
-}
-
-/// The per-tile prepared state of one B matrix for one backend — the
-/// operand-conversion work [`gemm`] redoes on **every** call, hoisted
-/// out so a weight-stationary caller (a compiled inference session
-/// serving many requests against fixed weights) pays it once per
-/// weight matrix instead of once per request.
+/// A GEMM datapath — the one handle the DNN layers, compiled sessions
+/// and benchmark runners take. Every [`ScalarMul`] implements it through
+/// [`gemm`]'s tile walk (a blanket impl), and [`BlockFpGemm`] through its
+/// integer tile walk (paper §IV-B).
 ///
-/// What is cached depends on the backend that prepares it:
+/// Both model how DAISM runs a matrix product: one operand is *stored*
+/// (programmed into the SRAM banks once) and the other *streams* past
+/// it. [`prepare_a`](Self::prepare_a) / [`prepare_b`](Self::prepare_b)
+/// do the stored operand's conversion once, and
+/// [`gemm_prepared_a`](Self::gemm_prepared_a) /
+/// [`gemm_prepared_b`](Self::gemm_prepared_b) replay it against many
+/// streamed operands — **bit-identical** to [`gemm`](Self::gemm) on the
+/// same values, for every shape including `m == 1`.
 ///
-/// * native-`f32` backends — `NR`-major packed panels for the
-///   register-tile microkernel (B is packed zero times per GEMM);
-/// * tile-decoding backends ([`ApproxFpMul`] on the fast formats,
-///   [`QuantizedExactMul`]) — one decoded [`PreparedTile`] per `KC × NC`
-///   tile: one allocation set per tile, each row keeping only its
-///   nonzero lanes and their count;
-/// * everything else — the raw values (the fused loop re-derives
-///   operands per call, exactly as [`gemm`] does for those backends).
-///
-/// [`gemm_with_prepared_b`] consumes it with **bit-identical** results
-/// to [`gemm`] on the same operands — *including* `m == 1`, which
-/// `gemm` itself keeps on the fused path (per-call pre-decode has no
-/// cross-row reuse to amortise there) but which a persistent tile
-/// serves from the cache: single-sample inference requests are exactly
-/// where the per-request B re-decode hurts most.
+/// A prepared operand belongs to the backend class that made it: a
+/// BlockFp form served through a scalar multiplier (or the reverse)
+/// panics, and so does a panel packed for native `f32` served through a
+/// non-native multiplier. Decoded tiles served through a *different*
+/// tile-decoding multiplier stay correct (they fall back to their raw
+/// rows).
 ///
 /// # Examples
 ///
 /// ```
-/// use daism_core::{gemm, gemm_with_prepared_b, ApproxFpMul, MultiplierConfig, PreparedGemmB};
+/// use daism_core::{ApproxFpMul, BlockFpGemm, GemmBackend, MultiplierConfig};
 /// use daism_num::FpFormat;
 ///
-/// let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
-/// let b = [0.5f32, 1.5, -2.0, 0.75]; // 2x2 weights, prepared once…
-/// let prepared = PreparedGemmB::new(&mul, &b, 2, 2);
-/// let a = [1.0f32, -0.5]; // …served against many requests
-/// let mut fast = [0.0f32; 2];
-/// gemm_with_prepared_b(&mul, &a, &prepared, &mut fast, 1);
-/// let mut eager = [0.0f32; 2];
-/// gemm(&mul, &a, &b, &mut eager, 1, 2, 2);
-/// assert_eq!(fast, eager); // bit-identical
+/// let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
+/// let bfp = BlockFpGemm::new(MultiplierConfig::PC3_TR, 9);
+/// let backends: [&dyn GemmBackend; 2] = [&bf16, &bfp];
+/// let w = [0.5f32, 1.5, -2.0, 0.75]; // 2x2 weights, stored once…
+/// let x = [1.0f32, -0.5]; // …served against many requests
+/// for backend in backends {
+///     let stored = backend.prepare_b(&w, 2, 2);
+///     let mut served = [0.0f32; 2];
+///     backend.gemm_prepared_b(&x, &stored, &mut served, 1);
+///     let mut eager = [0.0f32; 2];
+///     backend.gemm(&x, &w, &mut eager, 1, 2, 2);
+///     assert_eq!(served, eager, "{}", backend.name()); // bit-identical
+/// }
 /// ```
-#[derive(Debug, Clone)]
-pub struct PreparedGemmB {
-    k: usize,
-    n: usize,
-    variant: PreparedBVariant,
-}
+pub trait GemmBackend: fmt::Debug + fmt::Display + Send + Sync {
+    /// Human-readable backend name for reports (e.g. `"bfloat16/PC3_tr"`
+    /// or `"blockfp9/PC3_tr"`): the backend's `Display` form.
+    fn name(&self) -> String {
+        self.to_string()
+    }
 
-impl PreparedGemmB {
-    /// Prepares the `k × n` row-major matrix `b` for repeated
-    /// [`gemm_with_prepared_b`] calls through `mul`. Feeding the result
-    /// to a *different* backend stays correct (decoded tiles fall back to
-    /// their raw values) — except that panels packed for a native-`f32`
-    /// backend are only accepted by native-`f32` backends.
+    /// `C[m×n] += A[m×k] · B[k×n]` (row-major), converting both operands
+    /// on this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the shape.
+    fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize);
+
+    /// Prepares the `m × k` matrix `a` as a stored A operand for
+    /// repeated [`gemm_prepared_a`](Self::gemm_prepared_a) calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m * k`.
+    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA;
+
+    /// Prepares the `k × n` matrix `b` as a stored B operand for
+    /// repeated [`gemm_prepared_b`](Self::gemm_prepared_b) calls.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != k * n`.
-    pub fn new(mul: &dyn ScalarMul, b: &[f32], k: usize, n: usize) -> Self {
-        assert_eq!(b.len(), k * n, "B has wrong length");
-        let walk = tiles(k, n, KC, NC);
-        let variant = if mul.is_native_f32() {
-            PreparedBVariant::Packed {
-                blocks: walk.map(|t| microkernel::pack_b(b, n, t)).collect(),
-            }
-        } else {
-            match walk.map(|t| mul.prepare_tile(&TileSource::new(b, n, t, false))).collect() {
-                Some(tiles) => PreparedBVariant::Tiles { tiles },
-                None => PreparedBVariant::Fused { raw: b.to_vec() },
-            }
-        };
-        PreparedGemmB { k, n, variant }
-    }
+    fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB;
 
-    /// Depth (rows of B / columns of A).
+    /// [`gemm`](Self::gemm) against a stored A; `m` and `k` come from
+    /// the prepared operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the shape, or if `a` was
+    /// prepared by another backend class or another BlockFp geometry.
+    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize);
+
+    /// [`gemm`](Self::gemm) against a stored B; `k` and `n` come from
+    /// the prepared operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the shape, or if `b` was
+    /// prepared by another backend class, another BlockFp geometry, or
+    /// (packed panels) a native-`f32` multiplier for a non-native one.
+    fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize);
+
+    /// `true` when C's columns are not computed independently of each
+    /// other: B is quantized per tile, so the columns of one tile share
+    /// an exponent. When a stored-A GEMM streams a micro-batch as B
+    /// columns (a conv's lowered input), each sample's result then
+    /// depends on its batch neighbours. Only BlockFp does this; a scalar
+    /// multiplier's products are column- and row-independent.
+    fn couples_b_columns(&self) -> bool;
+}
+
+/// A stored A operand made by [`GemmBackend::prepare_a`]: a plain copy
+/// for scalar multipliers (their tile walk prepares A per row on every
+/// call), per-`(row, k-tile)` BlockFp blocks for [`BlockFpGemm`].
+#[derive(Debug, Clone)]
+pub struct PreparedA {
+    m: usize,
+    k: usize,
+    stored: StoredA,
+}
+
+#[derive(Debug, Clone)]
+enum StoredA {
+    Raw(Vec<f32>),
+    /// With the engine's `(man_width, tile_k)`.
+    BlockFp {
+        blocks: Vec<BlockFp>,
+        geometry: (u32, usize),
+    },
+}
+
+/// A stored B operand made by [`GemmBackend::prepare_b`] — the operand
+/// conversion [`gemm`] redoes on **every** call, hoisted out so a
+/// weight-stationary caller (a compiled inference session serving many
+/// requests against fixed weights) pays it once per weight matrix.
+///
+/// What it holds depends on the backend that prepared it:
+///
+/// * native-`f32` multipliers — `NR`-major packed panels for the
+///   register-tile microkernel;
+/// * tile-decoding multipliers ([`ApproxFpMul`](crate::ApproxFpMul) on
+///   the fast formats, [`QuantizedExactMul`](crate::QuantizedExactMul))
+///   — one decoded [`PreparedTile`] per `KC × NC` tile, each row keeping
+///   only its nonzero lanes and their count;
+/// * other scalar multipliers — the raw values, which the fused loop
+///   re-derives per call exactly as [`gemm`] does;
+/// * [`BlockFpGemm`] — one quantized block per `tile_k × tile_n` tile.
+///
+/// A scalar stored B serves `m == 1` from the cache too, although
+/// [`gemm`] keeps that case on the fused path: single-sample inference
+/// requests are exactly where a per-request B re-decode hurts most.
+#[derive(Debug, Clone)]
+pub struct PreparedB {
+    k: usize,
+    n: usize,
+    stored: StoredB,
+}
+
+#[derive(Debug, Clone)]
+enum StoredB {
+    Fused(Vec<f32>),
+    /// One per `KC × NC` tile, in walk order.
+    Tiles(Vec<PreparedTile>),
+    /// One per `KC × NC` tile, in walk order.
+    Packed(Vec<PackedBBlock>),
+    /// One per tile in walk order, with the engine's
+    /// `(man_width, tile_k, tile_n)`.
+    BlockFp {
+        tiles: Vec<BlockFp>,
+        geometry: (u32, usize, usize),
+    },
+}
+
+impl PreparedB {
+    /// Depth (rows of the prepared matrix).
     #[inline]
     pub fn k(&self) -> usize {
         self.k
     }
 
-    /// Width (columns of B and C).
+    /// Width (columns of the prepared matrix).
     #[inline]
     pub fn n(&self) -> usize {
         self.n
     }
 }
 
-/// `C[m×n] += A[m×k] · B[k×n]` against a [`PreparedGemmB`] — the
-/// serving-path twin of [`gemm`]: the same tile walk, thread gate and
-/// row chunking, **bit-identical** results for every backend and shape
-/// including `m == 1`, but with every per-call B conversion (tile
-/// decode, microkernel packing, quantization) already paid at
-/// [`PreparedGemmB::new`] time.
-///
-/// `k` and `n` come from the prepared matrix.
-///
-/// # Panics
-///
-/// Panics if slice lengths do not match the shape, or if a panel packed
-/// for a native-`f32` backend is served through a non-native backend
-/// (the packed form drops the raw values, so there is no correct
-/// fallback).
-pub fn gemm_with_prepared_b(
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &PreparedGemmB,
-    c: &mut [f32],
-    m: usize,
-) {
+impl<T: ScalarMul> GemmBackend for T {
+    fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        gemm(self, a, b, c, m, k, n);
+    }
+
+    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA {
+        assert_eq!(a.len(), m * k, "A has wrong length");
+        PreparedA { m, k, stored: StoredA::Raw(a.to_vec()) }
+    }
+
+    fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB {
+        scalar_prepare_b(self, b, k, n)
+    }
+
+    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize) {
+        let StoredA::Raw(raw) = &a.stored else {
+            panic!("prepared A was quantized by a BlockFp engine; {self} cannot consume it");
+        };
+        gemm(self, raw, b, c, a.m, a.k, n);
+    }
+
+    fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize) {
+        scalar_gemm_prepared_b(self, a, b, c, m);
+    }
+
+    fn couples_b_columns(&self) -> bool {
+        false
+    }
+}
+
+/// A scalar multiplier's stored B: every tile packed (native `f32`) or
+/// decoded, or the raw values when `mul` has no decoded form.
+fn scalar_prepare_b(mul: &dyn ScalarMul, b: &[f32], k: usize, n: usize) -> PreparedB {
+    assert_eq!(b.len(), k * n, "B has wrong length");
+    let walk = tiles(k, n, KC, NC);
+    let stored = if mul.is_native_f32() {
+        StoredB::Packed(walk.map(|t| microkernel::pack_b(b, n, t)).collect())
+    } else {
+        match walk.map(|t| mul.prepare_tile(&TileSource::new(b, n, t, false))).collect() {
+            Some(tiles) => StoredB::Tiles(tiles),
+            None => StoredB::Fused(b.to_vec()),
+        }
+    };
+    PreparedB { k, n, stored }
+}
+
+/// [`gemm`]'s walk over a stored B: the same thread gate and row
+/// chunking, with every per-call B conversion already paid.
+fn scalar_gemm_prepared_b(mul: &dyn ScalarMul, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize) {
     let (k, n) = (b.k, b.n);
     assert_eq!(a.len(), m * k, "A has wrong length");
     assert_eq!(c.len(), m * n, "C has wrong length");
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let form = match &b.variant {
-        PreparedBVariant::Packed { blocks } => {
+    let form = match &b.stored {
+        // The packed form drops the raw values: no correct fallback.
+        StoredB::Packed(blocks) => {
             assert!(
                 mul.is_native_f32(),
-                "prepared B was packed for a native-f32 backend; {} cannot consume it",
-                mul.name()
+                "prepared B was packed for a native-f32 backend; {mul} cannot consume it"
             );
             BForm::Packed(BTiles::Prepared(blocks))
         }
-        PreparedBVariant::Tiles { tiles } => BForm::Tiles(BTiles::Prepared(tiles)),
-        PreparedBVariant::Fused { raw } => BForm::Raw(raw),
+        StoredB::Tiles(tiles) => BForm::Tiles(BTiles::Prepared(tiles)),
+        StoredB::Fused(raw) => BForm::Raw(raw),
+        StoredB::BlockFp { .. } => {
+            panic!("prepared B was quantized by a BlockFp engine; {mul} cannot consume it")
+        }
     };
     run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
 }
@@ -621,63 +734,6 @@ pub struct BlockFpGemm {
     tile_n: usize,
 }
 
-/// An A matrix quantized per `(row, k-tile)` block by
-/// [`BlockFpGemm::prepare_a`], for repeated
-/// [`BlockFpGemm::execute_with_prepared_a`] calls against changing B
-/// operands (the Conv2d serving pattern: the kernel matrix is the
-/// stationary left operand).
-#[derive(Debug, Clone)]
-pub struct BlockFpPreparedA {
-    blocks: Vec<BlockFp>,
-    m: usize,
-    k: usize,
-    man_width: u32,
-    tile_k: usize,
-}
-
-impl BlockFpPreparedA {
-    /// Rows of the prepared matrix.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Depth (columns of the prepared matrix).
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-}
-
-/// A B matrix quantized per `tile_k × tile_n` tile by
-/// [`BlockFpGemm::prepare_b`], for repeated
-/// [`BlockFpGemm::execute_with_prepared_b`] calls against changing A
-/// operands (the Dense serving pattern: `Wᵀ` is the stationary right
-/// operand).
-#[derive(Debug, Clone)]
-pub struct BlockFpPreparedB {
-    tiles: Vec<BlockFp>,
-    k: usize,
-    n: usize,
-    man_width: u32,
-    tile_k: usize,
-    tile_n: usize,
-}
-
-impl BlockFpPreparedB {
-    /// Depth (rows of the prepared matrix).
-    #[inline]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Width (columns of the prepared matrix).
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-}
-
 impl BlockFpGemm {
     /// Builds the engine for `config` with `man_width`-bit signed
     /// mantissas at the default tile geometry (`KC × NC`, shared with
@@ -745,9 +801,14 @@ impl BlockFpGemm {
         self.tile_n
     }
 
-    /// Backend name for reports, e.g. `"blockfp12/PC3_tr"`.
-    pub fn name(&self) -> String {
-        format!("blockfp{}/{}", self.man_width, self.mult.config())
+    /// What a stored A's quantization depends on.
+    fn geometry_a(&self) -> (u32, usize) {
+        (self.man_width, self.tile_k)
+    }
+
+    /// What a stored B's quantization depends on.
+    fn geometry_b(&self) -> (u32, usize, usize) {
+        (self.man_width, self.tile_k, self.tile_n)
     }
 
     /// Truncated configurations sense only the top `man_width - 1`
@@ -880,114 +941,6 @@ impl BlockFpGemm {
         self.run(&a_blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
-    /// Quantizes the `m × k` matrix `a` per `(row, k-tile)` block for
-    /// this engine's geometry — the A-side conversion
-    /// [`execute`](Self::execute) pays per call, made persistent for
-    /// weight-stationary callers whose *A* operand is the fixed one
-    /// (`Conv2d`'s lowered forward multiplies the kernel matrix from
-    /// the left).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * k`.
-    pub fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> BlockFpPreparedA {
-        assert_eq!(a.len(), m * k, "A has wrong length");
-        BlockFpPreparedA {
-            blocks: BlockFp::quantize_rows(a, k, self.tile_k, self.man_width),
-            m,
-            k,
-            man_width: self.man_width,
-            tile_k: self.tile_k,
-        }
-    }
-
-    /// Quantizes the `k × n` matrix `b` per `tile_k × tile_n` tile for
-    /// this engine's geometry, in the engine's walk order — the B-side
-    /// conversion [`execute`](Self::execute) pays per call, made
-    /// persistent for weight-stationary callers (`Dense` multiplies
-    /// `Wᵀ` from the right).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != k * n`.
-    pub fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> BlockFpPreparedB {
-        assert_eq!(b.len(), k * n, "B has wrong length");
-        let mut buf = Vec::new();
-        BlockFpPreparedB {
-            tiles: tiles(k, n, self.tile_k, self.tile_n)
-                .map(|tile| self.gather_tile(b, n, tile, &mut buf))
-                .collect(),
-            k,
-            n,
-            man_width: self.man_width,
-            tile_k: self.tile_k,
-            tile_n: self.tile_n,
-        }
-    }
-
-    /// [`execute`](Self::execute) with the A-side quantization already
-    /// done (`m` and `k` come from the prepared operand) —
-    /// byte-identical to `execute` on the same values, same thread
-    /// gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths do not match the shape, or if `ap` was
-    /// prepared by an engine with a different mantissa width or
-    /// exponent-sharing depth.
-    pub fn execute_with_prepared_a(
-        &self,
-        ap: &BlockFpPreparedA,
-        b: &[f32],
-        c: &mut [f32],
-        n: usize,
-    ) {
-        assert_eq!(
-            (ap.man_width, ap.tile_k),
-            (self.man_width, self.tile_k),
-            "prepared A geometry does not match this engine"
-        );
-        let (m, k) = (ap.m, ap.k);
-        assert_eq!(b.len(), k * n, "B has wrong length");
-        assert_eq!(c.len(), m * n, "C has wrong length");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        self.run(&ap.blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
-    }
-
-    /// [`execute`](Self::execute) with the B-side quantization already
-    /// done (`k` and `n` come from the prepared operand) —
-    /// byte-identical to `execute` on the same values, same thread
-    /// gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths do not match the shape, or if `bp` was
-    /// prepared by an engine with different tile geometry or mantissa
-    /// width.
-    pub fn execute_with_prepared_b(
-        &self,
-        a: &[f32],
-        bp: &BlockFpPreparedB,
-        c: &mut [f32],
-        m: usize,
-    ) {
-        assert_eq!(
-            (bp.man_width, bp.tile_k, bp.tile_n),
-            (self.man_width, self.tile_k, self.tile_n),
-            "prepared B geometry does not match this engine"
-        );
-        let (k, n) = (bp.k, bp.n);
-        assert_eq!(a.len(), m * k, "A has wrong length");
-        assert_eq!(c.len(), m * n, "C has wrong length");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        self.run(&a_blocks, BTiles::Prepared(&bp.tiles), c, k, n, par_chunk_rows(m, k, n));
-    }
-
     /// The scalar semantic anchor: same per-`(row, k-tile)` /
     /// per-`tile_k × tile_n` quantization, same integer products, same
     /// per-tile scales — computed with plain nested loops, no tiling
@@ -1100,6 +1053,74 @@ impl BlockFpGemm {
                 }
             }
         }
+    }
+}
+
+/// The report name, e.g. `"blockfp12/PC3_tr"`.
+impl fmt::Display for BlockFpGemm {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "blockfp{}/{}", self.man_width, self.mult.config())
+    }
+}
+
+/// The BlockFp engine as a GEMM backend: a stored A is quantized per
+/// `(row, k-tile)` block (the `Conv2d` serving pattern: the kernel
+/// matrix multiplies from the left), a stored B per `tile_k × tile_n`
+/// tile in walk order (the `Dense` pattern: `Wᵀ` multiplies from the
+/// right). Both replay [`execute`](BlockFpGemm::execute)'s walk with
+/// that side's quantization already done — byte-identical, same thread
+/// gate.
+impl GemmBackend for BlockFpGemm {
+    fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        self.execute(a, b, c, m, k, n);
+    }
+
+    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA {
+        assert_eq!(a.len(), m * k, "A has wrong length");
+        let blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
+        PreparedA { m, k, stored: StoredA::BlockFp { blocks, geometry: self.geometry_a() } }
+    }
+
+    fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB {
+        assert_eq!(b.len(), k * n, "B has wrong length");
+        let mut buf = Vec::new();
+        let tiles = tiles(k, n, self.tile_k, self.tile_n)
+            .map(|tile| self.gather_tile(b, n, tile, &mut buf))
+            .collect();
+        PreparedB { k, n, stored: StoredB::BlockFp { tiles, geometry: self.geometry_b() } }
+    }
+
+    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize) {
+        let StoredA::BlockFp { blocks, geometry } = &a.stored else {
+            panic!("prepared A was made by a scalar backend; {self} cannot consume it");
+        };
+        assert_eq!(*geometry, self.geometry_a(), "prepared A geometry does not match this engine");
+        let (m, k) = (a.m, a.k);
+        assert_eq!(b.len(), k * n, "B has wrong length");
+        assert_eq!(c.len(), m * n, "C has wrong length");
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        self.run(blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
+    }
+
+    fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize) {
+        let StoredB::BlockFp { tiles, geometry } = &b.stored else {
+            panic!("prepared B was made by a scalar backend; {self} cannot consume it");
+        };
+        assert_eq!(*geometry, self.geometry_b(), "prepared B geometry does not match this engine");
+        let (k, n) = (b.k, b.n);
+        assert_eq!(a.len(), m * k, "A has wrong length");
+        assert_eq!(c.len(), m * n, "C has wrong length");
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        let a_blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
+        self.run(&a_blocks, BTiles::Prepared(tiles), c, k, n, par_chunk_rows(m, k, n));
+    }
+
+    fn couples_b_columns(&self) -> bool {
+        true
     }
 }
 
@@ -1258,17 +1279,17 @@ mod tests {
             for mul in muls {
                 let mut reference = vec![0.0f32; m * n];
                 gemm_reference(mul, &a, &b, &mut reference, m, k, n);
-                let prepared = PreparedGemmB::new(mul, &b, k, n);
-                let forms = match &prepared.variant {
-                    PreparedBVariant::Packed { blocks } => [
+                let prepared = mul.prepare_b(&b, k, n);
+                let forms = match &prepared.stored {
+                    StoredB::Packed(blocks) => [
                         ("packed", BForm::Packed(BTiles::Raw(&b))),
                         ("prepared packed", BForm::Packed(BTiles::Prepared(blocks))),
                     ],
-                    PreparedBVariant::Tiles { tiles } => [
+                    StoredB::Tiles(tiles) => [
                         ("tiles", BForm::Tiles(BTiles::Raw(&b))),
                         ("prepared tiles", BForm::Tiles(BTiles::Prepared(tiles))),
                     ],
-                    PreparedBVariant::Fused { .. } => panic!("{} has a tile form", mul.name()),
+                    _ => panic!("{} has a tile form", mul.name()),
                 };
                 // No split, and chunk sizes that divide m, don't divide
                 // m, and exceed it.
@@ -1291,19 +1312,19 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
-    // PreparedGemmB / gemm_with_prepared_b
+    // GemmBackend::{prepare_b, gemm_prepared_b} on scalar multipliers
     // ---------------------------------------------------------------
 
     fn assert_prepared_b_matches_gemm(mul: &dyn ScalarMul, m: usize, k: usize, n: usize) {
         let a = test_matrix(m * k, 5);
         let b = test_matrix(k * n, 6);
-        let prepared = PreparedGemmB::new(mul, &b, k, n);
+        let prepared = mul.prepare_b(&b, k, n);
         assert_eq!(prepared.k(), k);
         assert_eq!(prepared.n(), n);
         let mut eager = vec![0.0f32; m * n];
         gemm(mul, &a, &b, &mut eager, m, k, n);
         let mut served = vec![0.0f32; m * n];
-        gemm_with_prepared_b(mul, &a, &prepared, &mut served, m);
+        mul.gemm_prepared_b(&a, &prepared, &mut served, m);
         for (i, r) in eager.iter().enumerate() {
             assert_eq!(
                 r.to_bits(),
@@ -1317,13 +1338,13 @@ mod tests {
 
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
-        // One backend per PreparedGemmB variant: Packed (native f32),
-        // Tiles (decoded form), Fused (raw fallback — an exotic format
+        // One backend per scalar stored-B form: packed (native f32),
+        // decoded tiles, fused (raw fallback — an exotic format
         // ApproxFpMul keeps the FpScalar path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         // e11m9: exponent range beyond f32's, so the fast-f32 tile
-        // decode is off and PreparedGemmB keeps the raw fused fallback.
+        // decode is off and the stored B keeps the raw fused fallback.
         let exotic = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::new(11, 9).unwrap());
         let muls: [&dyn ScalarMul; 4] = [&ExactMul, &pc3, &quant, &exotic];
         for mul in muls {
@@ -1359,8 +1380,8 @@ mod tests {
     #[test]
     fn prepared_b_degenerate_shapes_are_noops() {
         let mut c = [7.0f32];
-        let empty = PreparedGemmB::new(&ExactMul, &[], 0, 1);
-        gemm_with_prepared_b(&ExactMul, &[], &empty, &mut c, 1);
+        let empty = ExactMul.prepare_b(&[], 0, 1);
+        ExactMul.gemm_prepared_b(&[], &empty, &mut c, 1);
         assert_eq!(c[0], 7.0);
     }
 
@@ -1371,13 +1392,13 @@ mod tests {
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let (k, n) = (24usize, 40usize);
         let b = test_matrix(k * n, 8);
-        let prepared = PreparedGemmB::new(&mul, &b, k, n);
+        let prepared = mul.prepare_b(&b, k, n);
         for seed in 0..4 {
             let a = test_matrix(k, 100 + seed);
             let mut eager = vec![0.0f32; n];
             gemm(&mul, &a, &b, &mut eager, 1, k, n);
             let mut served = vec![0.0f32; n];
-            gemm_with_prepared_b(&mul, &a, &prepared, &mut served, 1);
+            mul.gemm_prepared_b(&a, &prepared, &mut served, 1);
             for (r, s) in eager.iter().zip(&served) {
                 assert_eq!(r.to_bits(), s.to_bits(), "request {seed} diverged");
             }
@@ -1404,12 +1425,12 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| if i % 3 == 0 { v } else { 0.0 })
                     .collect();
-                let prepared = PreparedGemmB::new(preparer, &b, k, n);
-                assert!(matches!(prepared.variant, PreparedBVariant::Tiles { .. }));
+                let prepared = preparer.prepare_b(&b, k, n);
+                assert!(matches!(prepared.stored, StoredB::Tiles(_)));
                 let mut eager = vec![0.0f32; m * n];
                 gemm(consumer, &a, &b, &mut eager, m, k, n);
                 let mut served = vec![0.0f32; m * n];
-                gemm_with_prepared_b(consumer, &a, &prepared, &mut served, m);
+                consumer.gemm_prepared_b(&a, &prepared, &mut served, m);
                 for (r, s) in eager.iter().zip(&served) {
                     assert_eq!(
                         r.to_bits(),
@@ -1427,10 +1448,10 @@ mod tests {
     #[should_panic(expected = "native-f32")]
     fn packed_prepared_b_rejects_non_native_consumer() {
         let b = test_matrix(4, 2);
-        let prepared = PreparedGemmB::new(&ExactMul, &b, 2, 2);
+        let prepared = ExactMul.prepare_b(&b, 2, 2);
         let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let mut c = [0.0f32; 2];
-        gemm_with_prepared_b(&mul, &[1.0, 2.0], &prepared, &mut c, 1);
+        mul.gemm_prepared_b(&[1.0, 2.0], &prepared, &mut c, 1);
     }
 
     // ---------------------------------------------------------------
@@ -1626,11 +1647,10 @@ mod tests {
             let bp = engine.prepare_b(&b, k, n);
             assert_eq!((bp.k(), bp.n()), (k, n));
             let mut served_b = vec![0.0f32; m * n];
-            engine.execute_with_prepared_b(&a, &bp, &mut served_b, m);
+            engine.gemm_prepared_b(&a, &bp, &mut served_b, m);
             let ap = engine.prepare_a(&a, m, k);
-            assert_eq!((ap.m(), ap.k()), (m, k));
             let mut served_a = vec![0.0f32; m * n];
-            engine.execute_with_prepared_a(&ap, &b, &mut served_a, n);
+            engine.gemm_prepared_a(&ap, &b, &mut served_a, n);
             for (i, r) in eager.iter().enumerate() {
                 assert_eq!(r.to_bits(), served_b[i].to_bits(), "{m}x{k}x{n} prepared-B elem {i}");
                 assert_eq!(r.to_bits(), served_a[i].to_bits(), "{m}x{k}x{n} prepared-A elem {i}");
@@ -1649,7 +1669,7 @@ mod tests {
             let mut eager = vec![0.0f32; n];
             engine.execute(&a, &b, &mut eager, 1, k, n);
             let mut served = vec![0.0f32; n];
-            engine.execute_with_prepared_b(&a, &bp, &mut served, 1);
+            engine.gemm_prepared_b(&a, &bp, &mut served, 1);
             for (r, s) in eager.iter().zip(&served) {
                 assert_eq!(r.to_bits(), s.to_bits(), "request {seed} diverged");
             }
@@ -1664,7 +1684,25 @@ mod tests {
         let b = test_matrix(8, 1);
         let bp = coarse.prepare_b(&b, 4, 2);
         let mut c = [0.0f32; 2];
-        fine.execute_with_prepared_b(&[1.0; 4], &bp, &mut c, 1);
+        fine.gemm_prepared_b(&[1.0; 4], &bp, &mut c, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot consume it")]
+    fn prepared_a_rejects_the_other_backend_class() {
+        let engine = BlockFpGemm::new(MultiplierConfig::PC3, 9);
+        let a = test_matrix(4, 1);
+        let mut c = [0.0f32; 2];
+        ExactMul.gemm_prepared_a(&engine.prepare_a(&a, 2, 2), &[1.0, 2.0], &mut c, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot consume it")]
+    fn prepared_b_rejects_the_other_backend_class() {
+        let engine = BlockFpGemm::new(MultiplierConfig::PC3, 9);
+        let b = test_matrix(4, 1);
+        let mut c = [0.0f32; 2];
+        engine.gemm_prepared_b(&[1.0, 2.0], &ExactMul.prepare_b(&b, 2, 2), &mut c, 1);
     }
 
     #[test]

@@ -44,6 +44,9 @@
 //!   shared exponent per tile, integer-mode OR-approximate mantissa
 //!   products, exact `i64` tile accumulation (the accelerator's §IV-B
 //!   dataflow);
+//! * [`GemmBackend`] — the one GEMM handle over both datapaths, with a
+//!   stored operand prepared once ([`PreparedA`] / [`PreparedB`]) and
+//!   served against many streamed ones;
 //! * [`error_analysis`] — exhaustive and Monte-Carlo error
 //!   characterisation of every configuration.
 //!
@@ -82,10 +85,7 @@ mod sram_backed;
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
 pub use fp::{ApproxFpMul, ExactMul, PreparedTile, QuantizedExactMul, ScalarMul, TileSource};
-pub use gemm::{
-    gemm, gemm_reference, gemm_with_prepared_b, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB,
-    PreparedGemmB,
-};
+pub use gemm::{gemm, gemm_reference, BlockFpGemm, GemmBackend, PreparedA, PreparedB};
 pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
 pub use microkernel::gemm_f32_microkernel_portable;

@@ -9,7 +9,7 @@
 //!
 //! 1. **Packing** — each `KC × NC` tile of B is copied once into
 //!    `NR`-major panels ([`pack_b`], per call by [`gemm`](crate::gemm)
-//!    or once per weight matrix by [`PreparedGemmB`](crate::PreparedGemmB))
+//!    or once per weight matrix by [`GemmBackend::prepare_b`](crate::GemmBackend::prepare_b))
 //!    and each `MC × KC` block of A into `MR`-major panels, so the
 //!    register kernel streams both operands contiguously;
 //! 2. **Register tiling** — an `MR × NR` tile of C is held in
@@ -312,7 +312,7 @@ pub(crate) fn packed_rows(
 /// [`ExactMul`](crate::ExactMul). Exported so the differential suites
 /// (and CI's no-`simd` build) can assert the detected path, which
 /// [`gemm`](crate::gemm) and
-/// [`gemm_with_prepared_b`](crate::gemm_with_prepared_b) dispatch to, is
+/// [`GemmBackend::gemm_prepared_b`](crate::GemmBackend::gemm_prepared_b) dispatch to, is
 /// byte-identical to it; prefer [`gemm`](crate::gemm) everywhere else.
 ///
 /// # Panics
@@ -340,7 +340,7 @@ pub fn gemm_f32_microkernel_portable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{gemm_reference, gemm_with_prepared_b, ExactMul, PreparedGemmB};
+    use crate::{gemm_reference, ExactMul, GemmBackend};
 
     fn test_matrix(len: usize, seed: u64) -> Vec<f32> {
         (0..len)
@@ -358,7 +358,7 @@ mod tests {
     /// The runtime-detected kernel at any `m`: packed-B serving packs
     /// for native-`f32` backends regardless of the eager size gates.
     fn detected(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        gemm_with_prepared_b(&ExactMul, a, &PreparedGemmB::new(&ExactMul, b, k, n), c, m);
+        ExactMul.gemm_prepared_b(a, &ExactMul.prepare_b(b, k, n), c, m);
     }
 
     fn assert_matches_reference(m: usize, k: usize, n: usize) {

@@ -23,7 +23,9 @@
 //! Plus the headline accuracy claim: per-tile exponents beat the
 //! paper's whole-matrix quantization on wide-dynamic-range operands.
 
-use daism_core::{gemm_reference, BlockFpGemm, ExactMul, MultiplierConfig, MultiplierKind};
+use daism_core::{
+    gemm_reference, BlockFpGemm, ExactMul, GemmBackend, MultiplierConfig, MultiplierKind,
+};
 use daism_num::BlockFp;
 use proptest::prelude::*;
 

@@ -10,9 +10,8 @@
 //! comparison.
 
 use daism_core::{
-    gemm, gemm_f32_microkernel_portable, gemm_reference, gemm_with_prepared_b, ApproxFpMul,
-    ExactMul, MantissaMultiplier, MultiplierConfig, OperandMode, PreparedGemmB, QuantizedExactMul,
-    ScalarMul,
+    gemm, gemm_f32_microkernel_portable, gemm_reference, ApproxFpMul, ExactMul, GemmBackend,
+    MantissaMultiplier, MultiplierConfig, OperandMode, QuantizedExactMul, ScalarMul,
 };
 use daism_num::FpFormat;
 use proptest::prelude::*;
@@ -67,11 +66,11 @@ fn assert_all_backends_bit_identical_into(
         gemm_reference(mul.as_ref(), a, b, &mut reference, m, k, n);
         gemm(mul.as_ref(), a, b, &mut engine, m, k, n);
         // The compiled-session path: B prepared once, served through
-        // `gemm_with_prepared_b` — it must stay on the reference's bits,
-        // for every backend class and every shape including m == 1.
-        let prepared_b = PreparedGemmB::new(mul.as_ref(), b, k, n);
+        // `gemm_prepared_b` — it must stay on the reference's bits, for
+        // every backend class and every shape including m == 1.
+        let prepared_b = mul.prepare_b(b, k, n);
         let mut served = c0.to_vec();
-        gemm_with_prepared_b(mul.as_ref(), a, &prepared_b, &mut served, m);
+        mul.gemm_prepared_b(a, &prepared_b, &mut served, m);
         for (i, ((&r, &t), &s)) in reference.iter().zip(&engine).zip(&served).enumerate() {
             prop_assert!(
                 same(r, t),
@@ -355,8 +354,8 @@ proptest! {
         let mut detected = c0.clone();
         let mut portable = c0;
         gemm_reference(&ExactMul, &a, &b, &mut reference, m, k, n);
-        let packed = PreparedGemmB::new(&ExactMul, &b, k, n);
-        gemm_with_prepared_b(&ExactMul, &a, &packed, &mut detected, m);
+        let packed = ExactMul.prepare_b(&b, k, n);
+        ExactMul.gemm_prepared_b(&a, &packed, &mut detected, m);
         gemm_f32_microkernel_portable(&a, &b, &mut portable, m, k, n);
         for (i, r) in reference.iter().enumerate() {
             prop_assert_eq!(r.to_bits(), detected[i].to_bits(),

@@ -1,9 +1,6 @@
-use crate::session::{
-    CompiledConv, CompiledConvWeights, CompiledDense, CompiledDenseWeights, CompiledLayer,
-    InferenceBackendRef,
-};
+use crate::session::{CompiledConv, CompiledDense, CompiledLayer};
 use crate::tensor::Tensor;
-use daism_core::{gemm, BlockFpGemm, ExactMul, PreparedGemmB, ScalarMul};
+use daism_core::GemmBackend;
 
 /// A trainable parameter: value, gradient accumulator and SGD momentum
 /// buffer.
@@ -31,12 +28,14 @@ impl Param {
     }
 }
 
-/// A differentiable layer. Every multiplication in `forward` *and*
-/// `backward` routes through the given [`ScalarMul`], so networks can be
-/// trained and evaluated under exact or approximate arithmetic.
+/// A differentiable layer. Every matrix product in `forward` *and*
+/// `backward` runs on the given [`GemmBackend`] — a scalar multiplier
+/// (exact or approximate) or the block-floating-point engine — so
+/// networks can be trained and evaluated on any datapath.
 pub trait Layer {
-    /// Forward pass; caches whatever `backward` will need.
-    fn forward(&mut self, x: &Tensor, mul: &dyn ScalarMul, training: bool) -> Tensor;
+    /// Forward pass; caches whatever `backward` will need when
+    /// `training`.
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor;
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output,
     /// accumulates parameter gradients, returns the gradient w.r.t. the
@@ -45,22 +44,7 @@ pub trait Layer {
     /// # Panics
     ///
     /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, grad: &Tensor, mul: &dyn ScalarMul) -> Tensor;
-
-    /// Inference forward through the **block-floating-point** GEMM
-    /// engine (the accelerator's §IV-B execution mode): layers whose
-    /// forward is a matrix multiply ([`Dense`], [`Conv2d`]) route it
-    /// through `engine` — per-tile shared exponents, integer-mode
-    /// OR-approximate mantissa products, exact `i64` tile accumulation —
-    /// instead of a per-scalar [`ScalarMul`] backend. Layers without
-    /// multiplies (activations, pooling, reshapes) fall back to their
-    /// exact forward; containers forward recursively.
-    ///
-    /// Inference only: nothing is cached for `backward`.
-    fn forward_blockfp(&mut self, x: &Tensor, engine: &BlockFpGemm) -> Tensor {
-        let _ = engine;
-        self.forward(x, &ExactMul, false)
-    }
+    fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor;
 
     /// Mutable access to the layer's parameters (empty by default).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -83,7 +67,7 @@ pub trait Layer {
     /// Returns `None` when the layer has no compiled form (the
     /// default); [`Sequential::compile`](crate::Sequential) then falls
     /// back to eager execution for the whole model.
-    fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         let _ = backend;
         None
     }
@@ -119,8 +103,8 @@ impl Dense {
         }
     }
 
-    /// `Wᵀ` as a fresh `[in, out]` buffer — the multiplicand layout both
-    /// forward paths feed the GEMM engines.
+    /// `Wᵀ` as a fresh `[in, out]` buffer — the B operand both the
+    /// eager and the compiled forward feed the GEMM.
     fn weight_t(&self) -> Vec<f32> {
         let mut wt = vec![0.0f32; self.in_features * self.out_features];
         for o in 0..self.out_features {
@@ -130,44 +114,36 @@ impl Dense {
         }
         wt
     }
+}
 
-    /// Adds the bias row to every sample of `y` (`[batch, out]`).
-    fn add_bias(&self, y: &mut Tensor, batch: usize) {
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                y.data_mut()[n * self.out_features + o] += self.b.value.data()[o];
-            }
+/// Adds `bias` to every row of the `[batch, out]` tensor `y` — the one
+/// bias loop behind the eager and the compiled `Dense`, so their bits
+/// match.
+pub(crate) fn add_bias_rows(y: &mut Tensor, bias: &[f32]) {
+    let (batch, out) = (y.shape()[0], bias.len());
+    for n in 0..batch {
+        for (o, &b) in bias.iter().enumerate() {
+            y.data_mut()[n * out + o] += b;
         }
     }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Dense expects [batch, features]");
         assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
         let batch = x.shape()[0];
         let wt = self.weight_t();
         let mut y = Tensor::zeros(&[batch, self.out_features]);
-        gemm(mul, x.data(), &wt, y.data_mut(), batch, self.in_features, self.out_features);
-        self.add_bias(&mut y, batch);
+        backend.gemm(x.data(), &wt, y.data_mut(), batch, self.in_features, self.out_features);
+        add_bias_rows(&mut y, self.b.value.data());
         if training {
             self.cache_x = Some(x.clone());
         }
         y
     }
 
-    fn forward_blockfp(&mut self, x: &Tensor, engine: &BlockFpGemm) -> Tensor {
-        assert_eq!(x.shape().len(), 2, "Dense expects [batch, features]");
-        assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
-        let batch = x.shape()[0];
-        let wt = self.weight_t();
-        let mut y = Tensor::zeros(&[batch, self.out_features]);
-        engine.execute(x.data(), &wt, y.data_mut(), batch, self.in_features, self.out_features);
-        self.add_bias(&mut y, batch);
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor, mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         let x = self.cache_x.as_ref().expect("Dense::backward before forward");
         let batch = x.shape()[0];
         // grad_w[o,i] += sum_n grad[n,o] * x[n,i]  (gradᵀ · x)
@@ -177,8 +153,7 @@ impl Layer for Dense {
                 gt[o * batch + n] = grad[(n, o)];
             }
         }
-        gemm(
-            mul,
+        backend.gemm(
             &gt,
             x.data(),
             self.w.grad.data_mut(),
@@ -194,8 +169,7 @@ impl Layer for Dense {
         }
         // grad_x = grad · W  ([batch,out]·[out,in])
         let mut gx = Tensor::zeros(&[batch, self.in_features]);
-        gemm(
-            mul,
+        backend.gemm(
             grad.data(),
             self.w.value.data(),
             gx.data_mut(),
@@ -214,26 +188,14 @@ impl Layer for Dense {
         vec![&self.w, &self.b]
     }
 
-    fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
-        // Dense multiplies Wᵀ from the right: the weights are the B
-        // operand, so the whole per-request conversion (tile decode /
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
+        // Dense multiplies Wᵀ from the right: the weights are the stored
+        // B operand, so the whole per-request conversion (tile decode /
         // microkernel packing / BlockFp tile quantization) is hoisted
         // into the snapshot.
-        let wt = self.weight_t();
-        let weights =
-            match backend {
-                InferenceBackendRef::Scalar(mul) => CompiledDenseWeights::Scalar(
-                    PreparedGemmB::new(mul, &wt, self.in_features, self.out_features),
-                ),
-                InferenceBackendRef::BlockFp(engine) => CompiledDenseWeights::BlockFp(
-                    engine.prepare_b(&wt, self.in_features, self.out_features),
-                ),
-            };
         Some(CompiledLayer::dense(CompiledDense {
-            in_features: self.in_features,
-            out_features: self.out_features,
             bias: self.b.value.data().to_vec(),
-            weights,
+            weights: backend.prepare_b(&self.weight_t(), self.in_features, self.out_features),
         }))
     }
 
@@ -379,7 +341,7 @@ pub struct Conv2d {
     /// Batched im2col scratch `[in_ch·k·k, batch·oh·ow]`; in backward it
     /// is recycled a second time as the `grad_cols` GEMM destination.
     scratch_cols: Vec<f32>,
-    /// `scratch_cols` currently holds `im2col_batch(cache_x)` — set by a
+    /// `scratch_cols` currently holds the lowering of `cache_x` — set by a
     /// training forward, cleared once backward recycles the buffer — so
     /// backward can skip re-lowering the cached input.
     cols_valid: bool,
@@ -429,46 +391,11 @@ impl Conv2d {
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        self.geom().out_hw(h, w)
-    }
-
-    /// Batched im2col into **both** GEMM layouts in one walk: `cols` as
-    /// `[in_ch·k·k, batch·oh·ow]` (the forward/grad-input operand) and
-    /// `colst` as its transpose `[batch·oh·ow, in_ch·k·k]` (the
-    /// `grad_w` operand) — so a training step's backward never re-walks
-    /// or transposes the lowering. Padding positions stay zero in both.
-    fn im2col_batch_dual(&self, x: &Tensor, cols: &mut Vec<f32>, colst: &mut Vec<f32>) {
-        self.lower_batch(x, cols, Some(colst));
-    }
-
-    /// Batched im2col: lowers the **whole batch** into `cols` as one
-    /// `[in_ch·k·k, batch·oh·ow]` matrix (sample-major columns), reusing
-    /// the buffer's existing allocation. Padding positions stay zero.
-    fn im2col_batch(&self, x: &Tensor, cols: &mut Vec<f32>) {
-        self.lower_batch(x, cols, None);
-    }
-
-    /// The single lowering walk behind both im2col entry points lives
-    /// on [`ConvGeom::lower_batch`] (shared with the compiled serving
-    /// snapshot), so the bounds/padding/stride math exists exactly
-    /// once: always fills `cols`, and mirrors every element into the
-    /// transposed `colst` when given one.
-    fn lower_batch(&self, x: &Tensor, cols: &mut Vec<f32>, colst: Option<&mut Vec<f32>>) {
-        self.geom().lower_batch(x, cols, colst);
-    }
-
-    /// Un-stages a `[out_ch, batch·oh·ow]` GEMM result into a
-    /// `[batch, out_ch, oh, ow]` tensor, adding the channel bias.
-    fn unstage_with_bias(&self, staged: &[f32], batch: usize, oh: usize, ow: usize) -> Tensor {
-        self.geom().unstage_with_bias(self.b.value.data(), staged, batch, oh, ow)
-    }
-
     /// Batched col2im: scatter-adds a `[in_ch·k·k, batch·oh·ow]`
     /// gradient back to image space for every sample.
     fn col2im_batch(&self, cols: &[f32], gx: &mut Tensor) {
         let (batch, h, w) = (gx.shape()[0], gx.shape()[2], gx.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
+        let (oh, ow) = self.geom().out_hw(h, w);
         let p = oh * ow;
         let bp = batch * p;
         let kk = self.kernel;
@@ -500,37 +427,38 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "Conv2d expects [batch, ch, h, w]");
         assert_eq!(x.shape()[1], self.in_ch, "Conv2d channel mismatch");
+        let geom = self.geom();
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let kdim = self.in_ch * self.kernel * self.kernel;
-        let p = oh * ow;
-        let bp = batch * p;
+        let (oh, ow) = geom.out_hw(h, w);
+        let bp = batch * oh * ow;
 
-        // One GEMM for the whole batch: W[out_ch × kdim] · cols[kdim × bp].
-        // A training forward lowers into both layouts in one walk, so
-        // backward's grad_w GEMM consumes the transpose directly instead
-        // of re-walking the lowering.
+        // One GEMM for the whole batch: W[out_ch × kdim] · cols[kdim × bp],
+        // lowered into the layer's reused scratch (sample-major columns,
+        // padding positions zero). A training forward lowers into both
+        // layouts in one walk, so backward's grad_w GEMM consumes the
+        // transpose directly instead of re-walking the lowering.
         let mut cols = std::mem::take(&mut self.scratch_cols);
         if training {
             let mut colst = std::mem::take(&mut self.scratch_t);
-            self.im2col_batch_dual(x, &mut cols, &mut colst);
+            geom.lower_batch(x, &mut cols, Some(&mut colst));
             self.scratch_t = colst;
         } else {
-            self.im2col_batch(x, &mut cols);
+            geom.lower_batch(x, &mut cols, None);
         }
         let mut staged = std::mem::take(&mut self.scratch_rows);
         staged.clear();
         staged.resize(self.out_ch * bp, 0.0);
-        gemm(mul, self.w.value.data(), &cols, &mut staged, self.out_ch, kdim, bp);
+        backend.gemm(self.w.value.data(), &cols, &mut staged, self.out_ch, geom.kdim(), bp);
 
         // Un-stage [out_ch, batch·p] -> [batch, out_ch, p], adding bias.
-        let y = self.unstage_with_bias(&staged, batch, oh, ow);
+        let y = geom.unstage_with_bias(self.b.value.data(), &staged, batch, oh, ow);
         self.scratch_cols = cols;
         // A training forward leaves `scratch_cols` holding exactly the
-        // lowering backward needs for this `cache_x`.
+        // lowering backward needs for this `cache_x`; an inference
+        // forward leaves a lowering of some other input there.
         self.cols_valid = training;
         self.scratch_rows = staged;
         if training {
@@ -539,39 +467,12 @@ impl Layer for Conv2d {
         y
     }
 
-    fn forward_blockfp(&mut self, x: &Tensor, engine: &BlockFpGemm) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "Conv2d expects [batch, ch, h, w]");
-        assert_eq!(x.shape()[1], self.in_ch, "Conv2d channel mismatch");
-        let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let kdim = self.in_ch * self.kernel * self.kernel;
-        let bp = batch * oh * ow;
-
-        // Same one-GEMM-per-layer lowering as the float forward, with
-        // the BlockFp engine consuming the whole-batch column matrix —
-        // the panels are wide enough for its per-tile quantization and
-        // the worker pool to pay off.
-        let mut cols = std::mem::take(&mut self.scratch_cols);
-        self.im2col_batch(x, &mut cols);
-        let mut staged = std::mem::take(&mut self.scratch_rows);
-        staged.clear();
-        staged.resize(self.out_ch * bp, 0.0);
-        engine.execute(self.w.value.data(), &cols, &mut staged, self.out_ch, kdim, bp);
-
-        let y = self.unstage_with_bias(&staged, batch, oh, ow);
-        self.scratch_cols = cols;
-        // The scratch now holds a lowering of *this* x, not of any
-        // cached training input.
-        self.cols_valid = false;
-        self.scratch_rows = staged;
-        y
-    }
-
-    fn backward(&mut self, grad: &Tensor, mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         let x = self.cache_x.as_ref().expect("Conv2d::backward before forward").clone();
+        let geom = self.geom();
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let kdim = self.in_ch * self.kernel * self.kernel;
+        let (oh, ow) = geom.out_hw(h, w);
+        let kdim = geom.kdim();
         let p = oh * ow;
         let bp = batch * p;
 
@@ -580,7 +481,7 @@ impl Layer for Conv2d {
         if !self.cols_valid {
             // An interleaved inference call replaced the training
             // lowering: rebuild both layouts from the cached input.
-            self.im2col_batch_dual(&x, &mut cols, &mut t);
+            geom.lower_batch(&x, &mut cols, Some(&mut t));
         }
         // Either way the buffers stop holding the lowering below: `cols`
         // is recycled as the grad_cols destination and `t` as the Wᵀ
@@ -605,7 +506,7 @@ impl Layer for Conv2d {
         // position) in ascending order, exactly the order the
         // per-sample loop accumulated in.
         debug_assert_eq!(t.len(), bp * kdim, "colsᵀ staging out of step with the lowering");
-        gemm(mul, &g, &t, self.w.grad.data_mut(), self.out_ch, bp, kdim);
+        backend.gemm(&g, &t, self.w.grad.data_mut(), self.out_ch, bp, kdim);
 
         // grad_b += row sums of g, sample by sample (same partial-sum
         // order as the per-sample loop, so bits match).
@@ -627,7 +528,7 @@ impl Layer for Conv2d {
             }
         }
         cols.iter_mut().for_each(|v| *v = 0.0);
-        gemm(mul, &t, &g, &mut cols, kdim, self.out_ch, bp);
+        backend.gemm(&t, &g, &mut cols, kdim, self.out_ch, bp);
 
         let mut gx = Tensor::zeros(x.shape());
         self.col2im_batch(&cols, &mut gx);
@@ -645,26 +546,17 @@ impl Layer for Conv2d {
         vec![&self.w, &self.b]
     }
 
-    fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
-        // Conv2d multiplies the kernel matrix from the *left* (A
-        // operand); the per-request B operand is the im2col lowering of
-        // the input, so what the snapshot hoists is the A-side work:
-        // the weight copy (serving never re-reads the layer) and, on
-        // the BlockFp backend, the per-(row, k-tile) quantization of
-        // the kernel matrix.
-        let weights =
-            match backend {
-                InferenceBackendRef::Scalar(_) => {
-                    CompiledConvWeights::Scalar(self.w.value.data().to_vec())
-                }
-                InferenceBackendRef::BlockFp(engine) => CompiledConvWeights::BlockFp(
-                    engine.prepare_a(self.w.value.data(), self.out_ch, self.geom().kdim()),
-                ),
-            };
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
+        // Conv2d multiplies the kernel matrix from the *left*: it is the
+        // stored A operand, and the per-request B operand is the im2col
+        // lowering of the input. What the snapshot hoists is the A-side
+        // work: the weight copy (serving never re-reads the layer) and,
+        // on the BlockFp backend, the per-(row, k-tile) quantization.
+        let geom = self.geom();
         Some(CompiledLayer::conv(CompiledConv {
-            geom: self.geom(),
+            geom,
             bias: self.b.value.data().to_vec(),
-            weights,
+            weights: backend.prepare_a(self.w.value.data(), self.out_ch, geom.kdim()),
         }))
     }
 
@@ -694,20 +586,20 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, _mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
         if training {
             self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
         }
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad: &Tensor, _mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {
         let mask = self.mask.as_ref().expect("ReLU::backward before forward");
         let data = grad.data().iter().zip(mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
         Tensor::from_vec(data, grad.shape())
     }
 
-    fn compile_layer(&self, _backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         Some(CompiledLayer::relu())
     }
 
@@ -778,7 +670,7 @@ pub(crate) fn maxpool2x2(x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Ten
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
         if !training {
             return maxpool2x2(x, None);
         }
@@ -789,7 +681,7 @@ impl Layer for MaxPool2d {
         y
     }
 
-    fn backward(&mut self, grad: &Tensor, _mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {
         let argmax = self.argmax.as_ref().expect("MaxPool2d::backward before forward");
         let shape = self.in_shape.as_ref().expect("MaxPool2d::backward before forward");
         let mut gx = Tensor::zeros(shape);
@@ -799,7 +691,7 @@ impl Layer for MaxPool2d {
         gx
     }
 
-    fn compile_layer(&self, _backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         Some(CompiledLayer::maxpool())
     }
 
@@ -822,7 +714,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
         let batch = x.shape()[0];
         let features = x.len() / batch;
         if training {
@@ -831,12 +723,12 @@ impl Layer for Flatten {
         x.reshape(&[batch, features])
     }
 
-    fn backward(&mut self, grad: &Tensor, _mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {
         let shape = self.in_shape.as_ref().expect("Flatten::backward before forward");
         grad.reshape(shape)
     }
 
-    fn compile_layer(&self, _backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         Some(CompiledLayer::flatten())
     }
 
@@ -863,20 +755,14 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, mul: &dyn ScalarMul, training: bool) -> Tensor {
-        let y = self.inner.forward(x, mul, training);
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
+        let y = self.inner.forward(x, backend, training);
         assert_eq!(y.shape(), x.shape(), "Residual inner must preserve shape");
         y.add(x)
     }
 
-    fn forward_blockfp(&mut self, x: &Tensor, engine: &BlockFpGemm) -> Tensor {
-        let y = self.inner.forward_blockfp(x, engine);
-        assert_eq!(y.shape(), x.shape(), "Residual inner must preserve shape");
-        y.add(x)
-    }
-
-    fn backward(&mut self, grad: &Tensor, mul: &dyn ScalarMul) -> Tensor {
-        let g_inner = self.inner.backward(grad, mul);
+    fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
+        let g_inner = self.inner.backward(grad, backend);
         g_inner.add(grad)
     }
 
@@ -888,7 +774,7 @@ impl Layer for Residual {
         self.inner.params()
     }
 
-    fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         Some(CompiledLayer::residual(self.inner.compile_chain(backend)?))
     }
 
@@ -930,35 +816,24 @@ impl Sequential {
     /// compiled form — the shared walk behind
     /// [`Sequential::try_compile`](crate::Sequential::try_compile) and
     /// the container `compile_layer` implementations.
-    pub(crate) fn compile_chain(
-        &self,
-        backend: InferenceBackendRef<'_>,
-    ) -> Option<Vec<CompiledLayer>> {
+    pub(crate) fn compile_chain(&self, backend: &dyn GemmBackend) -> Option<Vec<CompiledLayer>> {
         self.layers.iter().map(|l| l.compile_layer(backend)).collect()
     }
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, mul: &dyn ScalarMul, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         let mut out = x.clone();
         for layer in &mut self.layers {
-            out = layer.forward(&out, mul, training);
+            out = layer.forward(&out, backend, training);
         }
         out
     }
 
-    fn forward_blockfp(&mut self, x: &Tensor, engine: &BlockFpGemm) -> Tensor {
-        let mut out = x.clone();
-        for layer in &mut self.layers {
-            out = layer.forward_blockfp(&out, engine);
-        }
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor, mul: &dyn ScalarMul) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         let mut g = grad.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g, mul);
+            g = layer.backward(&g, backend);
         }
         g
     }
@@ -971,7 +846,7 @@ impl Layer for Sequential {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    fn compile_layer(&self, backend: InferenceBackendRef<'_>) -> Option<CompiledLayer> {
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         Some(CompiledLayer::seq(self.compile_chain(backend)?))
     }
 
@@ -990,7 +865,7 @@ impl std::fmt::Debug for Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daism_core::ExactMul;
+    use daism_core::{BlockFpGemm, ExactMul};
 
     /// Finite-difference gradient check for a layer's parameters.
     fn grad_check(layer: &mut dyn Layer, x: &Tensor, tol: f32) {
@@ -1095,7 +970,7 @@ mod tests {
     /// GEMM each. The batched layer must match it bit-for-bit.
     mod per_sample_reference {
         use super::*;
-        use daism_core::ScalarMul;
+        use daism_core::{gemm, ScalarMul};
 
         fn out_hw(c: &Conv2d, h: usize, w: usize) -> (usize, usize) {
             (
@@ -1358,7 +1233,7 @@ mod tests {
         let x = Tensor::randn(&[5, 6], 1.0, 19);
         let exact = d.forward(&x, &ExactMul, false);
         let engine = BlockFpGemm::new(MultiplierConfig::PC3, 16);
-        let y = d.forward_blockfp(&x, &engine);
+        let y = d.forward(&x, &engine, false);
         assert_eq!(y.shape(), exact.shape());
         let scale: f32 = exact.data().iter().map(|v| v.abs()).fold(0.0, f32::max);
         for (e, b) in exact.data().iter().zip(y.data()) {
@@ -1369,32 +1244,33 @@ mod tests {
     #[test]
     fn conv_forward_blockfp_bit_matches_engine_lowering() {
         use daism_core::MultiplierConfig;
-        // forward_blockfp must be exactly engine.execute over the same
-        // whole-batch im2col lowering the float forward uses, plus bias.
+        // An inference forward on the BlockFp engine must be exactly
+        // engine.execute over the same whole-batch im2col lowering the
+        // float forward uses, plus bias.
         let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 12);
         let mut c = Conv2d::new(2, 3, 3, 1, 1, 5);
         let x = Tensor::randn(&[2, 2, 5, 5], 1.0, 23);
-        let y = c.forward_blockfp(&x, &engine);
+        let y = c.forward(&x, &engine, false);
 
         let (batch, h, w) = (2usize, 5usize, 5usize);
-        let (oh, ow) = c.out_hw(h, w);
+        let (oh, ow) = c.geom().out_hw(h, w);
         let kdim = 2 * 3 * 3;
         let bp = batch * oh * ow;
         let mut cols = Vec::new();
-        c.im2col_batch(&x, &mut cols);
+        c.geom().lower_batch(&x, &mut cols, None);
         let mut staged = vec![0.0f32; 3 * bp];
         engine.execute(c.w.value.data(), &cols, &mut staged, 3, kdim, bp);
-        let expect = c.unstage_with_bias(&staged, batch, oh, ow);
+        let expect = c.geom().unstage_with_bias(c.b.value.data(), &staged, batch, oh, ow);
         assert_eq!(y.shape(), expect.shape());
         for (a, b) in y.data().iter().zip(expect.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "forward_blockfp diverged from lowering");
+            assert_eq!(a.to_bits(), b.to_bits(), "BlockFp forward diverged from lowering");
         }
     }
 
     #[test]
     fn conv_forward_blockfp_does_not_corrupt_training_scratch() {
         use daism_core::MultiplierConfig;
-        // A blockfp inference call between a training forward and its
+        // A BlockFp inference forward between a training forward and its
         // backward must not let backward consume the wrong lowering.
         let engine = BlockFpGemm::new(MultiplierConfig::PC3, 14);
         let mul = ExactMul;
@@ -1408,11 +1284,11 @@ mod tests {
         let grad = Tensor::randn(y.shape(), 0.9, grad_seed);
         let gx_clean = clean.backward(&grad, &mul);
 
-        // Interleaved run: a blockfp forward on *different* data between
+        // Interleaved run: a BlockFp forward on *different* data between
         // the training forward and backward.
         let mut mixed = Conv2d::new(1, 2, 3, 1, 1, 9);
         let _ = mixed.forward(&x_train, &mul, true);
-        let _ = mixed.forward_blockfp(&x_other, &engine);
+        let _ = mixed.forward(&x_other, &engine, false);
         let gx_mixed = mixed.backward(&grad, &mul);
 
         for (a, b) in clean.w.grad.data().iter().zip(mixed.w.grad.data()) {
@@ -1441,7 +1317,7 @@ mod tests {
         let x = Tensor::randn(&[3, 1, 4, 4], 1.0, 55);
         let exact = model.forward(&x, &ExactMul, false);
         let engine = BlockFpGemm::new(MultiplierConfig::PC3, 18);
-        let y = model.forward_blockfp(&x, &engine);
+        let y = model.forward(&x, &engine, false);
         assert_eq!(y.shape(), exact.shape());
         // PC3's OR loss (up to ~20% per product, independent of mantissa
         // width) compounds across the three stacked GEMM layers, so the
@@ -1455,7 +1331,7 @@ mod tests {
         // would mean the engine was silently bypassed.
         assert!(
             exact.data().iter().zip(y.data()).any(|(e, b)| e.to_bits() != b.to_bits()),
-            "forward_blockfp output is bit-identical to exact — engine not routed"
+            "BlockFp forward output is bit-identical to exact — engine not routed"
         );
     }
 

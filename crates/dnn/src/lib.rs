@@ -10,16 +10,15 @@
 //! being measured — OR-approximate mantissa products flowing through
 //! convolutions, fully-connected layers and argmax — is the same.
 //!
-//! Every multiply in every layer (forward *and* backward) goes through a
-//! [`ScalarMul`](daism_core::ScalarMul) backend, so the same network can
-//! run exact-`f32`, exact-`bfloat16` or any DAISM configuration, for
-//! both inference and training. Inference can additionally route every
-//! layer GEMM through the **block-floating-point** engine
-//! ([`Layer::forward_blockfp`] /
-//! [`train::accuracy_blockfp`]) — the accelerator's §IV-B integer-mode
-//! dataflow with per-tile shared exponents — via
-//! [`BlockFpGemm`](daism_core::BlockFpGemm), which is also the
-//! standalone matrix entry point.
+//! Every layer GEMM (forward *and* backward) runs on one
+//! [`GemmBackend`](daism_core::GemmBackend) handle, so the same network
+//! can run exact-`f32`, exact-`bfloat16`, any DAISM configuration
+//! (every [`ScalarMul`](daism_core::ScalarMul) is a backend) or the
+//! **block-floating-point** engine
+//! ([`BlockFpGemm`](daism_core::BlockFpGemm): the accelerator's §IV-B
+//! integer-mode dataflow with per-tile shared exponents), for inference
+//! and training alike: [`Layer::forward`], [`train::accuracy`] and
+//! [`Sequential::compile`] take whichever backend they are given.
 //!
 //! For serving, models **compile once and serve many**:
 //! [`Sequential::compile`] snapshots every layer's weights in their
@@ -27,7 +26,7 @@
 //! [`CompiledModel::forward`] takes `&self` so one session is shared
 //! across threads, and [`InferenceSession`] micro-batches queued
 //! requests into one batched GEMM per layer — all byte-identical to
-//! the eager forwards (see the [`session`-module docs](CompiledModel)).
+//! the eager forwards (see [`CompiledModel`]).
 //!
 //! # Example
 //!
@@ -61,5 +60,5 @@ mod tensor;
 pub mod train;
 
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Param, ReLU, Residual, Sequential};
-pub use session::{CompiledLayer, CompiledModel, InferenceBackendRef, InferenceSession};
+pub use session::{CompiledLayer, CompiledModel, InferenceSession};
 pub use tensor::Tensor;

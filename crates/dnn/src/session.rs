@@ -7,12 +7,11 @@
 //! request and thrown away. This module makes the weight-stationary
 //! reuse explicit:
 //!
-//! * [`Sequential::compile`] walks a trained model once and snapshots
-//!   each layer into its immutable serving form — `Dense` captures a
-//!   fully [`PreparedGemmB`] weight matrix (or pre-quantized BlockFp
-//!   tiles), `Conv2d` captures its kernel matrix (and its BlockFp
-//!   row quantization), activations/pooling/reshapes compile to pure
-//!   functions;
+//! * [`Sequential::compile`] walks a trained model once for one
+//!   [`GemmBackend`] and snapshots each layer into its immutable serving
+//!   form — `Dense` stores `Wᵀ` through [`GemmBackend::prepare_b`],
+//!   `Conv2d` its kernel matrix through [`GemmBackend::prepare_a`],
+//!   activations/pooling/reshapes compile to pure functions;
 //! * [`CompiledModel::forward`] takes `&self`, owns per-call scratch,
 //!   and is `Send + Sync` — one compiled session is safely shared
 //!   across serving threads;
@@ -24,10 +23,9 @@
 //! # Bit-exactness
 //!
 //! `CompiledModel::forward` is **byte-identical** to the eager
-//! `Sequential::forward(x, mul, false)` (scalar backends) /
-//! `Sequential::forward_blockfp(x, engine)` (BlockFp backend) — the
+//! `Sequential::forward(x, backend, false)` on the same backend — the
 //! compiled layers run the same kernels over the same values, with only
-//! the operand conversion moved to compile time (enforced by
+//! the stored operand's conversion moved to compile time (enforced by
 //! `tests/compiled_differential.rs`).
 //!
 //! # Staleness
@@ -39,112 +37,46 @@
 //! parameters against the one captured at compile time, and
 //! [`CompiledModel::refresh`] re-snapshots the weights in place.
 
-use crate::layers::{maxpool2x2, ConvGeom, Layer, Sequential};
+use crate::layers::{add_bias_rows, maxpool2x2, ConvGeom, Layer, Sequential};
 use crate::tensor::Tensor;
-use daism_core::{
-    gemm, gemm_with_prepared_b, BlockFpGemm, BlockFpPreparedA, BlockFpPreparedB, PreparedGemmB,
-    ScalarMul,
-};
+use daism_core::{GemmBackend, PreparedA, PreparedB};
 
-/// The arithmetic backend a model is compiled *for* — either a
-/// [`ScalarMul`] (the float datapath the eager `forward` uses) or the
-/// [`BlockFpGemm`] engine (the `forward_blockfp` integer datapath).
-///
-/// Borrowed, not owned: the backend outlives the compiled model (both
-/// are cheap to keep around for the lifetime of a serving process), and
-/// borrowing keeps `compile` callable with the `&dyn ScalarMul` handles
-/// the rest of the crate already passes.
-#[derive(Clone, Copy)]
-pub enum InferenceBackendRef<'b> {
-    /// A scalar-multiplier backend: exact, quantized-exact or the
-    /// approximate floating-point pipeline.
-    Scalar(&'b dyn ScalarMul),
-    /// The block-floating-point GEMM engine (paper §IV-B).
-    BlockFp(&'b BlockFpGemm),
-}
-
-impl std::fmt::Debug for InferenceBackendRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InferenceBackendRef::Scalar(mul) => write!(f, "Scalar({})", mul.name()),
-            InferenceBackendRef::BlockFp(engine) => write!(f, "BlockFp({})", engine.name()),
-        }
-    }
-}
-
-/// A `Dense` layer's captured weights, in the prepared form its
-/// backend's GEMM consumes with zero per-request conversion.
-#[derive(Debug)]
-pub(crate) enum CompiledDenseWeights {
-    /// `Wᵀ` through [`PreparedGemmB`]: packed microkernel panels for
-    /// native f32, decoded tiles (zero lanes dropped) for the
-    /// approximate backends.
-    Scalar(PreparedGemmB),
-    /// `Wᵀ` pre-quantized into per-tile BlockFp mantissas/exponents.
-    BlockFp(BlockFpPreparedB),
-}
-
-/// A compiled `Dense`: `y = x · Wᵀ + b` with `Wᵀ` fully prepared.
+/// A compiled `Dense`: `y = x · Wᵀ + b` with `Wᵀ` (`[in, out]`) the
+/// stored B operand.
 #[derive(Debug)]
 pub(crate) struct CompiledDense {
-    pub(crate) in_features: usize,
-    pub(crate) out_features: usize,
     pub(crate) bias: Vec<f32>,
-    pub(crate) weights: CompiledDenseWeights,
+    pub(crate) weights: PreparedB,
 }
 
 impl CompiledDense {
-    fn forward(&self, x: &Tensor, backend: InferenceBackendRef<'_>) -> Tensor {
+    fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Dense expects [batch, features]");
-        assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
+        assert_eq!(x.shape()[1], self.weights.k(), "Dense input width mismatch");
         let batch = x.shape()[0];
-        let mut y = Tensor::zeros(&[batch, self.out_features]);
-        match (&self.weights, backend) {
-            (CompiledDenseWeights::Scalar(wt), InferenceBackendRef::Scalar(mul)) => {
-                gemm_with_prepared_b(mul, x.data(), wt, y.data_mut(), batch);
-            }
-            (CompiledDenseWeights::BlockFp(wt), InferenceBackendRef::BlockFp(engine)) => {
-                engine.execute_with_prepared_b(x.data(), wt, y.data_mut(), batch);
-            }
-            _ => panic!("compiled Dense served through a different backend class"),
-        }
-        // Same bias loop order as the eager layer, so bits match.
-        for n in 0..batch {
-            for (o, &b) in self.bias.iter().enumerate() {
-                y.data_mut()[n * self.out_features + o] += b;
-            }
-        }
+        let mut y = Tensor::zeros(&[batch, self.weights.n()]);
+        backend.gemm_prepared_b(x.data(), &self.weights, y.data_mut(), batch);
+        add_bias_rows(&mut y, &self.bias);
         y
     }
 }
 
-/// A `Conv2d` layer's captured kernel matrix — exactly one
-/// representation per backend class, mirroring [`CompiledDenseWeights`].
-#[derive(Debug)]
-pub(crate) enum CompiledConvWeights {
-    /// Kernel matrix `[out_ch, in_ch·k·k]` — the GEMM's A operand.
-    Scalar(Vec<f32>),
-    /// The kernel matrix quantized per `(row, k-tile)` block.
-    BlockFp(BlockFpPreparedA),
-}
-
-/// A compiled `Conv2d`: the kernel matrix snapshot (in its backend's
-/// prepared form) and **per-call** lowering scratch — serving through
-/// `&self` can never touch an eager training layer's reused buffers.
+/// A compiled `Conv2d`: the kernel matrix as the stored A operand and
+/// **per-call** lowering scratch — serving through `&self` can never
+/// touch an eager training layer's reused buffers.
 #[derive(Debug)]
 pub(crate) struct CompiledConv {
     pub(crate) geom: ConvGeom,
     pub(crate) bias: Vec<f32>,
-    pub(crate) weights: CompiledConvWeights,
+    pub(crate) weights: PreparedA,
 }
 
 impl CompiledConv {
-    fn forward(&self, x: &Tensor, backend: InferenceBackendRef<'_>) -> Tensor {
+    fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         assert_eq!(x.shape().len(), 4, "Conv2d expects [batch, ch, h, w]");
         assert_eq!(x.shape()[1], self.geom.in_ch, "Conv2d channel mismatch");
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geom.out_hw(h, w);
-        let kdim = self.geom.kdim();
         let bp = batch * oh * ow;
 
         // Same whole-batch lowering as the eager forward, into scratch
@@ -154,15 +86,7 @@ impl CompiledConv {
         let mut cols = Vec::new();
         self.geom.lower_batch(x, &mut cols, None);
         let mut staged = vec![0.0f32; self.geom.out_ch * bp];
-        match (&self.weights, backend) {
-            (CompiledConvWeights::Scalar(w), InferenceBackendRef::Scalar(mul)) => {
-                gemm(mul, w, &cols, &mut staged, self.geom.out_ch, kdim, bp);
-            }
-            (CompiledConvWeights::BlockFp(wq), InferenceBackendRef::BlockFp(engine)) => {
-                engine.execute_with_prepared_a(wq, &cols, &mut staged, bp);
-            }
-            _ => panic!("compiled Conv2d served through a different backend class"),
-        }
+        backend.gemm_prepared_a(&self.weights, &cols, &mut staged, bp);
         self.geom.unstage_with_bias(&self.bias, &staged, batch, oh, ow)
     }
 }
@@ -213,9 +137,8 @@ impl CompiledLayer {
         CompiledLayer(CompiledKind::Seq(inner))
     }
 
-    /// Does this layer (or any nested layer) run a conv lowering? The
-    /// BlockFp backend quantizes the lowered input per tile, which
-    /// couples columns of *different* samples — see
+    /// Does this layer (or any nested layer) stream a conv lowering as
+    /// B? Its columns are different samples — see
     /// [`CompiledModel::batch_invariant`].
     fn has_conv(&self) -> bool {
         match &self.0 {
@@ -227,7 +150,7 @@ impl CompiledLayer {
         }
     }
 
-    fn forward(&self, x: &Tensor, backend: InferenceBackendRef<'_>) -> Tensor {
+    fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         match &self.0 {
             CompiledKind::Dense(d) => d.forward(x, backend),
             CompiledKind::Conv(c) => c.forward(x, backend),
@@ -276,7 +199,9 @@ fn params_fingerprint(model: &Sequential) -> u64 {
 
 /// A model compiled for one backend: every layer an immutable snapshot
 /// with its weight-side operand conversion already done, served through
-/// `&self` — see the [module docs](self) for the full contract.
+/// `&self`. Built by [`Sequential::compile`], byte-identical to the
+/// eager forward on the same backend, and a snapshot: see
+/// [`is_stale`](Self::is_stale) and [`refresh`](Self::refresh).
 ///
 /// # Examples
 ///
@@ -294,7 +219,7 @@ fn params_fingerprint(model: &Sequential) -> u64 {
 /// ```
 #[derive(Debug)]
 pub struct CompiledModel<'b> {
-    backend: InferenceBackendRef<'b>,
+    backend: &'b dyn GemmBackend,
     layers: Vec<CompiledLayer>,
     fingerprint: u64,
     batch_invariant: bool,
@@ -302,23 +227,16 @@ pub struct CompiledModel<'b> {
 
 /// Is a concatenated micro-batch byte-identical to per-request serving
 /// for these layers on this backend? Shared by `build` and `refresh` so
-/// a structural change can never leave the flag stale.
-fn batch_invariant_of(backend: InferenceBackendRef<'_>, layers: &[CompiledLayer]) -> bool {
-    match backend {
-        // Scalar GEMMs are row-independent: concatenating requests
-        // changes nothing about any single row's products.
-        InferenceBackendRef::Scalar(_) => true,
-        // BlockFp quantizes the conv's lowered input per
-        // tile_k × tile_n tile; tiles span (sample, position) columns,
-        // so a request's shared exponents depend on its batch
-        // neighbours. Dense-only models quantize A per row —
-        // batch-invariant.
-        InferenceBackendRef::BlockFp(_) => !layers.iter().any(CompiledLayer::has_conv),
-    }
+/// a structural change can never leave the flag stale. Dense layers
+/// stream samples as A rows, which every backend keeps independent; a
+/// conv streams them as B columns, which a backend that quantizes B per
+/// tile couples.
+fn batch_invariant_of(backend: &dyn GemmBackend, layers: &[CompiledLayer]) -> bool {
+    !backend.couples_b_columns() || !layers.iter().any(CompiledLayer::has_conv)
 }
 
 impl<'b> CompiledModel<'b> {
-    fn build(model: &Sequential, backend: InferenceBackendRef<'b>) -> Option<Self> {
+    fn build(model: &Sequential, backend: &'b dyn GemmBackend) -> Option<Self> {
         let layers = model.compile_chain(backend)?;
         let batch_invariant = batch_invariant_of(backend, &layers);
         Some(CompiledModel {
@@ -330,13 +248,14 @@ impl<'b> CompiledModel<'b> {
     }
 
     /// The backend this model was compiled for.
-    pub fn backend(&self) -> InferenceBackendRef<'b> {
+    pub fn backend(&self) -> &'b dyn GemmBackend {
         self.backend
     }
 
     /// `true` when a concatenated micro-batch is byte-identical to
-    /// serving each request alone — always, except for BlockFp models
-    /// containing a conv (per-tile exponents couple batch neighbours).
+    /// serving each request alone — always, except for convs on a
+    /// backend that couples B columns (BlockFp: per-tile exponents
+    /// couple batch neighbours).
     /// [`InferenceSession::flush`] consults this before concatenating.
     pub fn batch_invariant(&self) -> bool {
         self.batch_invariant
@@ -380,37 +299,25 @@ impl<'b> CompiledModel<'b> {
 }
 
 impl Sequential {
-    /// Compiles the model for a scalar-multiplier backend, or `None` if
-    /// any layer lacks a compiled form. See [`CompiledModel`].
-    pub fn try_compile<'b>(&self, backend: InferenceBackendRef<'b>) -> Option<CompiledModel<'b>> {
+    /// Compiles the model for `backend`, or `None` if any layer lacks a
+    /// compiled form. See [`CompiledModel`].
+    pub fn try_compile<'b>(&self, backend: &'b dyn GemmBackend) -> Option<CompiledModel<'b>> {
         CompiledModel::build(self, backend)
     }
 
-    /// Compiles the model for `mul`: every layer snapshots its weights
-    /// in the backend's prepared form, once, and
-    /// [`CompiledModel::forward`] serves requests against the cache —
-    /// byte-identical to `forward(x, mul, false)`.
+    /// Compiles the model for `backend` — a scalar multiplier or the
+    /// BlockFp engine: every layer stores its weights in the backend's
+    /// prepared form, once, and [`CompiledModel::forward`] serves
+    /// requests against them — byte-identical to
+    /// `forward(x, backend, false)`.
     ///
     /// # Panics
     ///
     /// Panics if a layer has no compiled form (custom layers keep the
     /// [`Layer::compile_layer`] default); use
     /// [`try_compile`](Self::try_compile) to fall back gracefully.
-    pub fn compile<'b>(&self, mul: &'b dyn ScalarMul) -> CompiledModel<'b> {
-        self.try_compile(InferenceBackendRef::Scalar(mul))
-            .expect("model contains a layer without a compiled form")
-    }
-
-    /// Compiles the model for the BlockFp engine — byte-identical to
-    /// `forward_blockfp(x, engine)`, with `Dense` weight tiles and
-    /// `Conv2d` kernel rows pre-quantized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a layer has no compiled form.
-    pub fn compile_blockfp<'b>(&self, engine: &'b BlockFpGemm) -> CompiledModel<'b> {
-        self.try_compile(InferenceBackendRef::BlockFp(engine))
-            .expect("model contains a layer without a compiled form")
+    pub fn compile<'b>(&self, backend: &'b dyn GemmBackend) -> CompiledModel<'b> {
+        self.try_compile(backend).expect("model contains a layer without a compiled form")
     }
 }
 
@@ -421,8 +328,8 @@ impl Sequential {
 /// whole-batch im2col lowering doing the heavy lifting for convs) and
 /// the per-request outputs scattered back in submission order.
 ///
-/// Byte-identical to serving each request alone: scalar GEMMs are
-/// row-independent, and models where concatenation *would* change bits
+/// Byte-identical to serving each request alone: GEMMs keep A rows
+/// independent, and models where concatenation *would* change bits
 /// (BlockFp + conv — see [`CompiledModel::batch_invariant`]) are served
 /// per request automatically.
 #[derive(Debug)]
@@ -582,10 +489,12 @@ mod tests {
         use daism_core::BlockFpGemm;
         let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 9);
         let conv_model = models::mini_vgg(4, 2);
-        let compiled = conv_model.compile_blockfp(&engine);
+        let compiled = conv_model.compile(&engine);
         assert!(!compiled.batch_invariant());
         let dense_model = models::mlp(4, 6, 2, 1);
-        let compiled_dense = dense_model.compile_blockfp(&engine);
+        let compiled_dense = dense_model.compile(&engine);
         assert!(compiled_dense.batch_invariant());
+        // Scalar multipliers keep every column independent.
+        assert!(conv_model.compile(&ExactMul).batch_invariant());
     }
 }

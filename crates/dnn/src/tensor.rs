@@ -6,8 +6,8 @@ use std::fmt;
 ///
 /// Deliberately minimal: shape bookkeeping, element access and
 /// deterministic initialisation. All arithmetic lives in the layer
-/// implementations so that every multiply routes through a
-/// [`ScalarMul`](daism_core::ScalarMul) backend.
+/// implementations so that every matrix product runs on a
+/// [`GemmBackend`](daism_core::GemmBackend).
 ///
 /// # Examples
 ///

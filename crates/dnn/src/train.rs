@@ -1,11 +1,11 @@
 //! Training loop, loss and evaluation — all routed through a pluggable
-//! [`ScalarMul`], enabling both exact training and the paper's
+//! [`GemmBackend`], enabling both exact training and the paper's
 //! "training … with approximate multipliers" claim.
 
 use crate::datasets::Dataset;
 use crate::layers::{Layer, Sequential};
 use crate::tensor::Tensor;
-use daism_core::ScalarMul;
+use daism_core::GemmBackend;
 
 /// Hyper-parameters for [`fit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -95,13 +95,13 @@ fn slice_batch(x: &Tensor, from: usize, to: usize) -> Tensor {
     Tensor::from_vec(x.data()[from * per..to * per].to_vec(), &shape)
 }
 
-/// Trains `model` on `data.train_*` with `mul` as the arithmetic
-/// backend (exact or approximate — the latter exercises the paper's
-/// training claim).
+/// Trains `model` on `data.train_*` with `backend` running every GEMM
+/// (exact or approximate — the latter exercises the paper's training
+/// claim).
 pub fn fit(
     model: &mut Sequential,
     data: &Dataset,
-    mul: &dyn ScalarMul,
+    backend: &dyn GemmBackend,
     params: &TrainParams,
 ) -> History {
     let n = data.train_len();
@@ -114,16 +114,16 @@ pub fn fit(
             let end = (start + params.batch).min(n);
             let x = slice_batch(&data.train_x, start, end);
             let y = &data.train_y[start..end];
-            let logits = model.forward(&x, mul, true);
+            let logits = model.forward(&x, backend, true);
             let (loss, grad) = softmax_cross_entropy(&logits, y);
-            model.backward(&grad, mul);
+            model.backward(&grad, backend);
             sgd_step(model, params.lr, params.momentum, params.weight_decay);
             epoch_loss += loss;
             batches += 1;
             start = end;
         }
         history.loss.push(epoch_loss / batches as f32);
-        history.train_acc.push(accuracy(model, &data.train_x, &data.train_y, mul));
+        history.train_acc.push(accuracy(model, &data.train_x, &data.train_y, backend));
     }
     history
 }
@@ -155,43 +155,31 @@ fn accuracy_chunks(
 
 /// Classification accuracy on `(x, labels)` through an
 /// already-[compiled](crate::CompiledModel) model — the serving-path
-/// evaluator [`accuracy`] and [`accuracy_blockfp`] route through, also
-/// usable directly when the caller wants to amortise one compile over
-/// many evaluations.
+/// evaluator [`accuracy`] routes through, also usable directly when the
+/// caller wants to amortise one compile over many evaluations.
 pub fn accuracy_compiled(model: &crate::CompiledModel<'_>, x: &Tensor, labels: &[usize]) -> f32 {
     accuracy_chunks(x, labels, |xb| model.forward(xb))
 }
 
-/// Classification accuracy of `model` on `(x, labels)` under `mul`.
+/// Classification accuracy of `model` on `(x, labels)` on `backend` — a
+/// scalar multiplier, or the BlockFp engine for the paper's
+/// train-in-float, deploy-on-the-integer-datapath scenario.
 ///
 /// The evaluation loop compiles the model once (weights prepared in
-/// `mul`'s serving form) and scores every chunk through the compiled
-/// session; models with uncompilable custom layers fall back to eager
-/// forwards. Either way the outputs — and therefore the accuracy — are
-/// byte-identical.
-pub fn accuracy(model: &mut Sequential, x: &Tensor, labels: &[usize], mul: &dyn ScalarMul) -> f32 {
-    if let Some(compiled) = model.try_compile(crate::InferenceBackendRef::Scalar(mul)) {
-        return accuracy_compiled(&compiled, x, labels);
-    }
-    accuracy_chunks(x, labels, |xb| model.forward(xb, mul, false))
-}
-
-/// Classification accuracy of `model` on `(x, labels)` with every layer
-/// GEMM routed through the **block-floating-point** engine — the
-/// paper's BlockFp inference scenario, end to end (train in float,
-/// deploy on the integer-mode approximate datapath). Evaluates through
-/// a compiled session (weight tiles quantized once) when the model
-/// compiles, eagerly otherwise — byte-identical either way.
-pub fn accuracy_blockfp(
+/// `backend`'s serving form) and scores every chunk through the
+/// compiled session; models with uncompilable custom layers fall back
+/// to eager forwards. Either way the outputs — and therefore the
+/// accuracy — are byte-identical.
+pub fn accuracy(
     model: &mut Sequential,
     x: &Tensor,
     labels: &[usize],
-    engine: &daism_core::BlockFpGemm,
+    backend: &dyn GemmBackend,
 ) -> f32 {
-    if let Some(compiled) = model.try_compile(crate::InferenceBackendRef::BlockFp(engine)) {
+    if let Some(compiled) = model.try_compile(backend) {
         return accuracy_compiled(&compiled, x, labels);
     }
-    accuracy_chunks(x, labels, |xb| model.forward_blockfp(xb, engine))
+    accuracy_chunks(x, labels, |xb| model.forward(xb, backend, false))
 }
 
 #[cfg(test)]
@@ -281,12 +269,18 @@ mod tests {
         fit(&mut model, &data, &ExactMul, &TrainParams { epochs: 6, ..TrainParams::quick_test() });
         let exact = accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
         let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 12);
-        let bfp = accuracy_blockfp(&mut model, &data.test_x, &data.test_y, &engine);
+        let bfp = accuracy(&mut model, &data.test_x, &data.test_y, &engine);
         assert!(bfp > exact - 0.15, "blockfp {bfp} vs exact {exact}");
         // A coarser mantissa on the weakest multiplier still beats chance.
         let fla = BlockFpGemm::new(MultiplierConfig::FLA, 8);
-        let coarse = accuracy_blockfp(&mut model, &data.test_x, &data.test_y, &fla);
+        let coarse = accuracy(&mut model, &data.test_x, &data.test_y, &fla);
         assert!(coarse > 0.4, "coarse blockfp accuracy {coarse}");
+        // The compiled evaluation equals the chunked eager forward.
+        for (engine, acc) in [(&engine, bfp), (&fla, coarse)] {
+            let eager =
+                accuracy_chunks(&data.test_x, &data.test_y, |xb| model.forward(xb, engine, false));
+            assert_eq!(acc, eager, "{}: compiled accuracy diverged from eager", engine.name());
+        }
     }
 
     #[test]

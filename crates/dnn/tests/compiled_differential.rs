@@ -7,7 +7,9 @@
 //! thread-count determinism of a shared session, staleness detection,
 //! and scratch isolation from interleaved training.
 
-use daism_core::{ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig, QuantizedExactMul};
+use daism_core::{
+    ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend, MultiplierConfig, QuantizedExactMul,
+};
 use daism_dnn::{
     models, train, Conv2d, InferenceSession, Layer, ReLU, Residual, Sequential, Tensor,
 };
@@ -32,29 +34,16 @@ fn assert_bits_eq(a: &Tensor, b: &Tensor, what: &str) {
     }
 }
 
-/// Compiled == eager, bit for bit, for one scalar backend over every
-/// stack × batch size.
-fn assert_scalar_backend_compiles_identically(mul: &dyn daism_core::ScalarMul, seed: u64) {
+/// Compiled == eager, bit for bit, for one backend (scalar multiplier
+/// or BlockFp engine) over every stack × batch size.
+fn assert_backend_compiles_identically(backend: &dyn GemmBackend, seed: u64) {
     for &batch in &[1usize, 3, 17] {
         for (name, mut model, shape) in stacks(batch) {
             let x = Tensor::randn(&shape, 1.0, seed + batch as u64);
-            let compiled = model.compile(mul);
-            let eager = model.forward(&x, mul, false);
+            let compiled = model.compile(backend);
+            let eager = model.forward(&x, backend, false);
             let served = compiled.forward(&x);
-            assert_bits_eq(&eager, &served, &format!("{}/{name}/batch{batch}", mul.name()));
-        }
-    }
-}
-
-/// Compiled == eager `forward_blockfp`, bit for bit, for one engine.
-fn assert_blockfp_compiles_identically(engine: &BlockFpGemm, seed: u64) {
-    for &batch in &[1usize, 3, 17] {
-        for (name, mut model, shape) in stacks(batch) {
-            let x = Tensor::randn(&shape, 1.0, seed + batch as u64);
-            let compiled = model.compile_blockfp(engine);
-            let eager = model.forward_blockfp(&x, engine);
-            let served = compiled.forward(&x);
-            assert_bits_eq(&eager, &served, &format!("{}/{name}/batch{batch}", engine.name()));
+            assert_bits_eq(&eager, &served, &format!("{}/{name}/batch{batch}", backend.name()));
         }
     }
 }
@@ -63,7 +52,7 @@ fn assert_blockfp_compiles_identically(engine: &BlockFpGemm, seed: u64) {
 fn compiled_equals_eager_all_configs_approx_bf16() {
     for config in MultiplierConfig::ALL {
         let mul = ApproxFpMul::new(config, FpFormat::BF16);
-        assert_scalar_backend_compiles_identically(&mul, 11);
+        assert_backend_compiles_identically(&mul, 11);
     }
 }
 
@@ -71,21 +60,21 @@ fn compiled_equals_eager_all_configs_approx_bf16() {
 fn compiled_equals_eager_all_configs_approx_fp16() {
     for config in MultiplierConfig::ALL {
         let mul = ApproxFpMul::new(config, FpFormat::FP16);
-        assert_scalar_backend_compiles_identically(&mul, 13);
+        assert_backend_compiles_identically(&mul, 13);
     }
 }
 
 #[test]
 fn compiled_equals_eager_exact_backends() {
-    assert_scalar_backend_compiles_identically(&ExactMul, 17);
-    assert_scalar_backend_compiles_identically(&QuantizedExactMul::new(FpFormat::BF16), 19);
+    assert_backend_compiles_identically(&ExactMul, 17);
+    assert_backend_compiles_identically(&QuantizedExactMul::new(FpFormat::BF16), 19);
 }
 
 #[test]
 fn compiled_equals_eager_all_configs_blockfp_w9() {
     for config in MultiplierConfig::ALL {
         let engine = BlockFpGemm::new(config, 9);
-        assert_blockfp_compiles_identically(&engine, 23);
+        assert_backend_compiles_identically(&engine, 23);
     }
 }
 
@@ -105,7 +94,7 @@ fn micro_batched_serving_equals_per_request() {
             Tensor::randn(&s, 1.0, seed)
         };
         let backends: Vec<daism_dnn::CompiledModel<'_>> =
-            vec![model.compile(&pc3), model.compile(&ExactMul), model.compile_blockfp(&engine)];
+            vec![model.compile(&pc3), model.compile(&ExactMul), model.compile(&engine)];
         for compiled in &backends {
             let mut session = InferenceSession::new(compiled);
             let requests: Vec<Tensor> = [1usize, 3, 2, 1]
@@ -230,8 +219,8 @@ fn compiled_serving_does_not_corrupt_interleaved_training() {
     }
 }
 
-/// `accuracy` / `accuracy_blockfp` now evaluate through compiled
-/// sessions; the numbers must equal a hand-rolled eager evaluation.
+/// `accuracy` evaluates through compiled sessions on every backend; the
+/// numbers must equal a hand-rolled eager evaluation.
 #[test]
 fn eval_loops_through_compiled_sessions_match_eager() {
     let data = daism_dnn::datasets::gaussian_blobs(3, 8, 60, 30, 5);
@@ -249,12 +238,12 @@ fn eval_loops_through_compiled_sessions_match_eager() {
     assert_eq!(train::accuracy(&mut model, &data.test_x, &data.test_y, &pc3), eager_acc);
 
     let eager_bfp = {
-        let logits = model.forward_blockfp(&data.test_x, &engine);
+        let logits = model.forward(&data.test_x, &engine, false);
         let pred = logits.argmax_rows();
         pred.iter().zip(&data.test_y).filter(|(p, l)| p == l).count() as f32
             / data.test_y.len() as f32
     };
-    assert_eq!(train::accuracy_blockfp(&mut model, &data.test_x, &data.test_y, &engine), eager_bfp);
+    assert_eq!(train::accuracy(&mut model, &data.test_x, &data.test_y, &engine), eager_bfp);
 }
 
 proptest! {
@@ -282,8 +271,8 @@ proptest! {
 
         let mut vgg = models::mini_vgg(4, 3);
         let xc = Tensor::from_vec(vals[..batch * 16].to_vec(), &[batch, 1, 4, 4]);
-        let compiled_bfp = vgg.compile_blockfp(&engine);
-        let eager_bfp = vgg.forward_blockfp(&xc, &engine);
+        let compiled_bfp = vgg.compile(&engine);
+        let eager_bfp = vgg.forward(&xc, &engine, false);
         let served_bfp = compiled_bfp.forward(&xc);
         for (a, b) in eager_bfp.data().iter().zip(served_bfp.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "vgg blockfp compiled diverged");

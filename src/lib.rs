@@ -44,9 +44,9 @@ pub use daism_sram as sram;
 
 pub use daism_arch::{DaismConfig, DaismModel, EyerissModel, FunctionalDaism, GemmShape};
 pub use daism_core::{
-    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, MantissaMultiplier, MultiplierConfig,
-    MultiplierKind, OperandMode, PreparedMultiplicand, QuantizedExactMul, ScalarMul,
-    SramMultiplier,
+    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend, MantissaMultiplier,
+    MultiplierConfig, MultiplierKind, OperandMode, PreparedMultiplicand, QuantizedExactMul,
+    ScalarMul, SramMultiplier,
 };
 pub use daism_num::{Bf16, BlockFp, FpFormat, FpScalar};
 pub use daism_sram::{BankGeometry, SramBank};

@@ -93,9 +93,9 @@ fn train_in_float_compile_and_serve_on_approx_datapaths() {
     // The deployment story end to end: train in exact float, compile
     // the trained model once per target datapath, then serve requests
     // through compiled sessions — with accuracy parity against the
-    // eager evaluators (`accuracy` / `accuracy_blockfp`), which the
+    // evaluator (`accuracy`) and the chunked eager forward, which the
     // bit-identity of compiled serving guarantees exactly.
-    use daism::dnn::{train::accuracy_compiled, InferenceSession};
+    use daism::dnn::{train::accuracy_compiled, InferenceSession, Layer};
     use daism::BlockFpGemm;
 
     let data = datasets::gaussian_blobs(3, 8, 180, 60, 19);
@@ -110,12 +110,18 @@ fn train_in_float_compile_and_serve_on_approx_datapaths() {
     let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
     let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 12);
     let eager_float = train::accuracy(&mut model, &data.test_x, &data.test_y, &pc3);
-    let eager_bfp = train::accuracy_blockfp(&mut model, &data.test_x, &data.test_y, &engine);
+    let eager_bfp = train::accuracy(&mut model, &data.test_x, &data.test_y, &engine);
+    // `accuracy` scores through a compiled session; the eager BlockFp
+    // forward scores the same (the 60-sample test set is one chunk of
+    // the evaluator's 64).
+    let logits = model.forward(&data.test_x, &engine, false);
+    let hits = logits.argmax_rows().iter().zip(&data.test_y).filter(|(p, l)| p == l).count();
+    assert_eq!(hits as f32 / data.test_y.len() as f32, eager_bfp, "eager BlockFp accuracy");
 
     // Compiled sessions serve the same test set — identical accuracy.
     let compiled_float = model.compile(&pc3);
     assert_eq!(accuracy_compiled(&compiled_float, &data.test_x, &data.test_y), eager_float);
-    let compiled_bfp = model.compile_blockfp(&engine);
+    let compiled_bfp = model.compile(&engine);
     assert_eq!(accuracy_compiled(&compiled_bfp, &data.test_x, &data.test_y), eager_bfp);
 
     // And a micro-batched request stream scores the same predictions.
