@@ -32,6 +32,10 @@
 //! operands are mostly zeros. Every row reports its zero fractions and
 //! both `ns_per_mac` and `ns_per_nonzero_mac` (MACs whose A and B
 //! operands are both nonzero — the ones the hardware does not gate).
+//! The shape rows also carry `prepare_ns`, the median time of
+//! [`GemmBackend::prepare_b`] on their B: the tile decode alone, which
+//! `gemm` pays once per call. The top-level `tile_kernel` field names
+//! the decoded-tile kernel the host ran ([`tile_kernel`]).
 //!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions (best-of filters scheduler noise; the median
@@ -53,7 +57,8 @@
 //!   tests.)
 
 use daism_core::{
-    gemm, gemm_reference, ApproxFpMul, BlockFpGemm, ExactMul, MultiplierConfig, ScalarMul,
+    gemm, gemm_reference, tile_kernel, ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend,
+    MultiplierConfig, ScalarMul,
 };
 use daism_num::FpFormat;
 use std::time::Instant;
@@ -199,6 +204,21 @@ fn time_cell(
     (samples[0], samples[samples.len() / 2])
 }
 
+/// The median of `reps` timed [`GemmBackend::prepare_b`] calls on `b`,
+/// after one warm-up.
+fn time_prepare_b(backend: &dyn GemmBackend, b: &[f32], k: usize, n: usize, reps: usize) -> u128 {
+    let _warm = backend.prepare_b(b, k, n);
+    let mut samples: Vec<u128> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            let _prepared = backend.prepare_b(b, k, n);
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
 /// Times one blockfp `(variant, size)` cell, same protocol as
 /// [`time_cell`].
 fn time_blockfp_cell(f: BlockFpFn, engine: &BlockFpGemm, size: usize, reps: usize) -> (u128, u128) {
@@ -270,6 +290,8 @@ struct Cell {
     variant: &'static str,
     best_ns: u128,
     median_ns: u128,
+    /// Median B-preparation time (shape rows only).
+    prepare_ns: Option<u128>,
     /// Under the dispatch guard.
     guarded: bool,
 }
@@ -356,6 +378,7 @@ fn main() {
                     variant: vname,
                     best_ns: best,
                     median_ns: median,
+                    prepare_ns: None,
                     guarded,
                 });
             }
@@ -374,6 +397,7 @@ fn main() {
                 variant: vname,
                 best_ns: best,
                 median_ns: median,
+                prepare_ns: None,
                 guarded,
             });
         }
@@ -382,6 +406,7 @@ fn main() {
     for g in CNN_GEMMS {
         let (a, b) = g.operands();
         let sp = sparsity(&a, &b, g.m, g.k, g.n);
+        let prepare_ns = time_prepare_b(&bf16, &b, g.k, g.n, reps);
         for (vname, f) in VARIANTS {
             let (best, median) = time_cell(*f, &bf16, &a, &b, g.m, g.k, g.n, reps);
             eprintln!("{:>15} bf16_pc3_tr {vname:>11}: best {best} ns, median {median} ns", g.name);
@@ -393,6 +418,7 @@ fn main() {
                 variant: vname,
                 best_ns: best,
                 median_ns: median,
+                prepare_ns: Some(prepare_ns),
                 guarded: !quick,
             });
         }
@@ -403,10 +429,11 @@ fn main() {
     // Hand-rolled JSON (no serde in the offline container).
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-gemm/3\",\n");
+    json.push_str("  \"schema\": \"daism-bench-gemm/4\",\n");
     json.push_str("  \"emitter\": \"bench_gemm_json\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"threads\": {},\n", rayon_threads()));
+    json.push_str(&format!("  \"tile_kernel\": \"{}\",\n", tile_kernel()));
     json.push_str(&format!("  \"reps_per_cell\": {reps},\n"));
     json.push_str("  \"results\": [\n");
     for (i, cell) in cells.iter().enumerate() {
@@ -417,12 +444,13 @@ fn main() {
             Shape::Cnn(name) => format!("\"shape\": \"{name}\""),
         };
         let (m, k, n) = cell.dims;
+        let prepare = cell.prepare_ns.map_or(String::new(), |ns| format!(", \"prepare_ns\": {ns}"));
         let per = |macs: u64| cell.best_ns as f64 / macs.max(1) as f64;
         json.push_str(&format!(
             "    {{{shape}, \"m\": {m}, \"k\": {k}, \"n\": {n}, \"backend\": \"{}\", \
              \"variant\": \"{}\", \"zero_fraction_a\": {:.3}, \"zero_fraction_b\": {:.3}, \
              \"best_ns\": {}, \"median_ns\": {}, \"ns_per_mac\": {:.3}, \
-             \"ns_per_nonzero_mac\": {:.3}, \"speedup_vs_reference\": {:.3}}}{}\n",
+             \"ns_per_nonzero_mac\": {:.3}, \"speedup_vs_reference\": {:.3}{prepare}}}{}\n",
             json_escape(&cell.backend),
             cell.variant,
             cell.sparsity.zero_a,

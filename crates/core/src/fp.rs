@@ -1,6 +1,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
+use crate::tile_kernel::{self, decoded_stride, DecodedRow, LaneDecoder};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -8,6 +9,20 @@ use std::fmt;
 /// Elements per lane group in the lane-packed approximate multiply
 /// kernel (one pre-normalised read-out gather per group).
 const LANES: usize = 8;
+
+/// How [`ApproxFpMul`] encodes the products of one decoded tile row
+/// from their pre-normalised read-outs.
+#[derive(Debug, Clone, Copy)]
+enum Encode {
+    /// Every product of the row is a normal of the format: two integer
+    /// adds with this multiplicand word
+    /// ([`encode_product`](tile_kernel::encode_product)).
+    TwoAdd(u32),
+    /// Some products may saturate or flush: the per-lane select encode,
+    /// with the multiplicand's sign (at the `f32` sign position) and
+    /// exponent.
+    Select { xsign: u32, xexp: i32 },
+}
 
 /// One `KC × NC` tile of the streamed B operand, as the GEMM engine
 /// hands it to [`ScalarMul::prepare_tile`]: rows `l0..l1` and columns
@@ -47,15 +62,16 @@ impl<'a> TileSource<'a> {
 /// Produced by [`ScalarMul::prepare_tile`]. Each tile row is a slab of
 /// fixed stride (a function of the tile width) that keeps only the
 /// lanes that reach the multiplier, packed at the front with their
-/// column index and followed by the row's count of kept lanes. Zero
-/// lanes are dropped at decode time — the hardware's zero gating
-/// (paper §III-C): the MAC loop never visits them, so its cost follows
-/// the nonzeros. The decoded fields are backend-specific (sign, exponent
-/// and mantissa for [`ApproxFpMul`], the quantized `f64` for
-/// [`QuantizedExactMul`]). The tile also keeps its raw values, which
-/// back the exact side logic and let a *different* backend consume the
-/// tile through its [`mul_rows`](ScalarMul::mul_rows) semantics —
-/// correct, just unaccelerated.
+/// column index, followed by the row's count of kept lanes. Zero lanes
+/// are dropped at decode time — the hardware's zero gating (paper
+/// §III-C): the MAC loop never visits them, so its cost follows the
+/// nonzeros. The decoded fields are backend-specific (one `f32` word
+/// per lane for [`ApproxFpMul`], the quantized `f64` for
+/// [`QuantizedExactMul`]; see `TileForm`). The tile also keeps its raw
+/// values, which back the exact side logic and let a *different*
+/// backend consume the tile through its
+/// [`mul_rows`](ScalarMul::mul_rows) semantics — correct, just
+/// unaccelerated.
 #[derive(Debug, Clone)]
 pub struct PreparedTile {
     width: usize,
@@ -72,26 +88,33 @@ pub struct PreparedTile {
 enum TileForm {
     /// [`ApproxFpMul`]: operands decoded into the format straight from
     /// the `f32` bits (round-to-nearest-even, carry, range checks;
-    /// exactly [`FpScalar::from_f32`]). A row slab of a `w`-wide tile
-    /// holds `[man; w] [exp; w] [sign; w] [col; w] kept exotic`:
-    /// `kept` normal lanes at the front of the four lane arrays
-    /// (mantissa with its leading one, unbiased exponent, sign at the
-    /// `f32` sign position, column), and the columns of `exotic` lanes
-    /// at the back of the column array. Exotic lanes — Inf/NaN, or a
-    /// nonzero `f32` that flushes to format zero, whose signed-zero
-    /// product the scalar path *accumulates* rather than skips — take
-    /// the exact side logic on their raw values.
+    /// exactly [`FpScalar::from_f32`]), one `u32` word per kept lane. A
+    /// row slab of a `w`-wide tile holds
+    /// `[word; w] [col; w] kept exotic emin emax` (stride `2w + 4`):
+    ///
+    /// * `kept` normal lanes at the front, each word the `f32` bits of
+    ///   the format-rounded value (sign, biased exponent, fraction) with
+    ///   its column beside it;
+    /// * the columns of `exotic` lanes at the back of the column array.
+    ///   Exotic lanes — Inf/NaN, or a nonzero `f32` that flushes to
+    ///   format zero, whose signed-zero product the scalar path
+    ///   *accumulates* rather than skips — take the exact side logic on
+    ///   their raw values;
+    /// * `emin` / `emax`, the least and greatest biased exponent of the
+    ///   kept words. The MAC checks them once per (A element, row): when
+    ///   every product of the row is a normal of the format, a product is
+    ///   two integer adds of the word, the multiplicand's sign and
+    ///   exponent, and the pre-normalised read-out. A row that fails the
+    ///   check takes a per-lane encode with saturation and flush.
+    ///
+    /// The decode and the product-table MAC have portable and AVX-512
+    /// kernels (`tile_kernel`), bit-identical to each other.
     Decoded(FpFormat),
     /// [`QuantizedExactMul`]: every nonzero operand quantized into the
     /// format once, held as the exact `f64` the per-element multiply
     /// consumes. A row slab holds `[lo; w] [hi; w] [col; w] kept`, the
     /// `f64` bits split into low and high words.
     Quantized(FpFormat),
-}
-
-/// Row-slab stride of [`TileForm::Decoded`] for a `w`-wide tile.
-fn decoded_stride(w: usize) -> usize {
-    4 * w + 2
 }
 
 /// Row-slab stride of [`TileForm::Quantized`] for a `w`-wide tile.
@@ -149,57 +172,9 @@ impl PreparedTile {
         match self.form {
             TileForm::Decoded(_) => {
                 let row = DecodedRow::new(&self.slabs, self.width, r);
-                row.kept.mans.len() + row.exotic.len()
+                row.words.len() + row.exotic.len()
             }
             TileForm::Quantized(_) => QuantizedRow::new(&self.slabs, self.width, r).cols.len(),
-        }
-    }
-}
-
-/// The kept normal lanes of a [`TileForm::Decoded`] row, or a run of
-/// them.
-#[derive(Clone, Copy)]
-struct KeptLanes<'a> {
-    mans: &'a [u32],
-    /// Unbiased exponents, stored as `u32` bits.
-    exps: &'a [u32],
-    signs: &'a [u32],
-    cols: &'a [u32],
-}
-
-impl<'a> KeptLanes<'a> {
-    fn split_at(self, mid: usize) -> (Self, Self) {
-        let (m0, m1) = self.mans.split_at(mid);
-        let (e0, e1) = self.exps.split_at(mid);
-        let (s0, s1) = self.signs.split_at(mid);
-        let (c0, c1) = self.cols.split_at(mid);
-        (
-            KeptLanes { mans: m0, exps: e0, signs: s0, cols: c0 },
-            KeptLanes { mans: m1, exps: e1, signs: s1, cols: c1 },
-        )
-    }
-}
-
-/// One row slab of a [`TileForm::Decoded`] tile.
-struct DecodedRow<'a> {
-    kept: KeptLanes<'a>,
-    /// Columns of the exotic lanes.
-    exotic: &'a [u32],
-}
-
-impl<'a> DecodedRow<'a> {
-    fn new(slabs: &'a [u32], w: usize, r: usize) -> Self {
-        let stride = decoded_stride(w);
-        let slab = &slabs[r * stride..(r + 1) * stride];
-        let (kept, exotic) = (slab[4 * w] as usize, slab[4 * w + 1] as usize);
-        DecodedRow {
-            kept: KeptLanes {
-                mans: &slab[..kept],
-                exps: &slab[w..w + kept],
-                signs: &slab[2 * w..2 * w + kept],
-                cols: &slab[3 * w..3 * w + kept],
-            },
-            exotic: &slab[4 * w - exotic..4 * w],
         }
     }
 }
@@ -226,112 +201,6 @@ impl<'a> QuantizedRow<'a> {
             .zip(hi)
             .map(|(&lo, &hi)| f64::from_bits(((hi as u64) << 32) | lo as u64))
             .zip(self.cols.iter().map(|&c| c as usize))
-    }
-}
-
-/// [`FpScalar::from_f32`] into a `fast_f32` format, computed straight
-/// from the `f32` bits for the tile decode: round-to-nearest-even as
-/// one add and shift, the rounding carry as a shift, then the range
-/// checks. The per-format constants are derived once per tile.
-#[derive(Debug, Clone, Copy)]
-struct LaneDecoder {
-    /// Mantissa width `n` (at most 24).
-    width: u32,
-    /// Low bits of the 24-bit `f32` mantissa the format drops.
-    shift: u32,
-    /// `2^(shift-1) - 1`: the round-half-down bias (0 when nothing is
-    /// dropped).
-    half_minus_one: u32,
-    /// `1` when bits are dropped: the kept LSB breaks ties to even.
-    odd: u32,
-    min_exp: i32,
-    max_exp: i32,
-}
-
-/// One B element as the lane decoder reads it.
-#[derive(Debug, Clone, Copy)]
-struct DecodedLane {
-    /// Mantissa with explicit leading one (meaningful for normals only).
-    man: u32,
-    /// Unbiased exponent (meaningful for normals only).
-    exp: i32,
-    /// Sign at the `f32` sign position (meaningful for normals only).
-    sign: u32,
-    /// A `Normal` value of the format: a kept lane.
-    normal: bool,
-    /// Needs the exact side logic: Inf/NaN, or a nonzero `f32` that
-    /// flushes to format zero.
-    exotic: bool,
-}
-
-impl LaneDecoder {
-    fn new(format: FpFormat) -> Self {
-        let width = format.mantissa_width();
-        debug_assert!(width <= 24, "lane decode needs a fast_f32 format");
-        let shift = 24 - width;
-        LaneDecoder {
-            width,
-            shift,
-            half_minus_one: if shift == 0 { 0 } else { (1 << (shift - 1)) - 1 },
-            odd: (shift != 0) as u32,
-            min_exp: format.min_exp(),
-            max_exp: format.max_exp(),
-        }
-    }
-
-    #[inline]
-    fn decode(&self, bits: u32) -> DecodedLane {
-        let e = (bits >> 23) & 0xFF;
-        let mant24 = (1 << 23) | (bits & 0x7F_FFFF);
-        // Round to nearest, ties to even: adding `half - 1` plus the
-        // kept LSB carries out of the dropped bits exactly when they
-        // exceed half, or equal it with an odd kept part.
-        let rounded =
-            (mant24 + self.half_minus_one + ((mant24 >> self.shift) & self.odd)) >> self.shift;
-        // Rounding can overflow to `2^width` (1.11…1 → 10.0).
-        let carry = rounded >> self.width;
-        let exp = e as i32 - 127 + carry as i32;
-        // `e == 0` is zero or an f32 subnormal (flushed); `e == 0xFF` is
-        // Inf/NaN, and exponents outside the format saturate or flush.
-        let normal = e != 0 && e != 0xFF && (self.min_exp..=self.max_exp).contains(&exp);
-        DecodedLane {
-            man: rounded >> carry,
-            exp,
-            sign: bits & 0x8000_0000,
-            normal,
-            exotic: !normal && bits & 0x7FFF_FFFF != 0,
-        }
-    }
-
-    /// Decodes one tile row into a [`TileForm::Decoded`] slab: normal
-    /// lanes packed at the front, exotic columns at the back of the
-    /// column array, zero lanes dropped.
-    ///
-    /// The compaction is branch-free: every lane is written to the next
-    /// free slot on both ends and the counts advance by its class. A
-    /// speculative write lands on a slot that a later lane of that
-    /// class overwrites, on a slot past the final count, or (when the
-    /// two ends meet) carries the same column as the real write, since
-    /// `kept + exotic` never exceeds the lanes seen.
-    fn decode_row(&self, row: &[f32], slab: &mut [u32]) {
-        let w = row.len();
-        let (lanes, counts) = slab.split_at_mut(4 * w);
-        let (mans, rest) = lanes.split_at_mut(w);
-        let (exps, rest) = rest.split_at_mut(w);
-        let (signs, cols) = rest.split_at_mut(w);
-        let (mut kept, mut exotic) = (0usize, 0usize);
-        for (j, &bv) in row.iter().enumerate() {
-            let lane = self.decode(bv.to_bits());
-            cols[w - 1 - exotic] = j as u32;
-            exotic += lane.exotic as usize;
-            mans[kept] = lane.man;
-            exps[kept] = lane.exp as u32;
-            signs[kept] = lane.sign;
-            cols[kept] = j as u32;
-            kept += lane.normal as usize;
-        }
-        counts[0] = kept as u32;
-        counts[1] = exotic as u32;
     }
 }
 
@@ -728,11 +597,11 @@ impl ApproxFpMul {
     }
 
     /// The products of one group of pre-normalised read-outs (see
-    /// [`prenormalise`](crate::mantissa::prenormalise)) with a `Normal`
-    /// multiplicand of sign `xsign` (at the `f32` sign position) and
-    /// exponent `xexp`: exponent add (the renormalise increment rides in
-    /// bit 23), branch-free encode (saturation/flush as exponent-range
-    /// selects), one OR with sign and fraction. All lanes are fixed-width
+    /// [`prenormalise`](crate::mantissa::prenormalise)) with the kept
+    /// lanes' `words`, encoded as `encode` says. The select encode is
+    /// the exponent add (the renormalise increment rides in bit 23), a
+    /// branch-free encode (saturation/flush as exponent-range selects)
+    /// and one OR with sign and fraction. All lanes are fixed-width
     /// arrays, so the whole group autovectorizes on stable.
     /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
     /// lane. Only valid when `self.fast_f32` and for read-outs of
@@ -741,64 +610,159 @@ impl ApproxFpMul {
     fn product_lanes<const L: usize>(
         &self,
         norm: &[u32; L],
-        exps: &[u32; L],
-        signs: &[u32; L],
-        xsign: u32,
-        xexp: i32,
+        words: &[u32; L],
+        encode: Encode,
     ) -> [f32; L] {
-        let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
         let mut out = [0.0f32; L];
-        for j in 0..L {
-            let e = norm[j];
-            let exp = xexp + exps[j] as i32 + (e >> 23) as i32;
-            let sign = xsign ^ signs[j];
-            // `encode_normal_f32` with saturation/flush as selects; the
-            // out-of-range lanes' `normal` bits are garbage that the
-            // select discards.
-            let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
-            let pbits = if exp > max_exp {
-                sign | 0x7F80_0000 // saturate to (signed) infinity
-            } else if exp < min_exp {
-                sign // flush to (signed) zero
-            } else {
-                normal
-            };
-            out[j] = f32::from_bits(pbits);
+        match encode {
+            Encode::TwoAdd(aword) => {
+                for ((o, &w), &e) in out.iter_mut().zip(words).zip(norm) {
+                    *o = f32::from_bits(tile_kernel::encode_product(w, aword, e));
+                }
+            }
+            Encode::Select { xsign, xexp } => {
+                let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
+                for ((o, &w), &e) in out.iter_mut().zip(words).zip(norm) {
+                    let exp = xexp + ((w >> 23) & 0xFF) as i32 - 127 + (e >> 23) as i32;
+                    let sign = xsign ^ (w & 0x8000_0000);
+                    // `encode_normal_f32` with saturation/flush as
+                    // selects; the out-of-range lanes' `normal` bits are
+                    // garbage that the select discards.
+                    let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
+                    let pbits = if exp > max_exp {
+                        sign | 0x7F80_0000 // saturate to (signed) infinity
+                    } else if exp < min_exp {
+                        sign // flush to (signed) zero
+                    } else {
+                        normal
+                    };
+                    *o = f32::from_bits(pbits);
+                }
+            }
         }
         out
     }
 
     /// Multiply-accumulates runs of `L` kept lanes into their C columns:
-    /// one pre-normalised gather (or chunk read) and one
-    /// [`product_lanes`](Self::product_lanes) per run, then a scatter-add.
-    /// Within a tile row every column appears once, so the scatter order
-    /// cannot matter. `lanes.mans.len()` must be a multiple of `L`.
+    /// the lanes' mantissas, one pre-normalised gather (or chunk read)
+    /// and one [`product_lanes`](Self::product_lanes) per run, then a
+    /// scatter-add. Within a tile row every column appears once, so the
+    /// scatter order cannot matter. `words.len()` must be a multiple of
+    /// `L`.
     #[inline]
     fn mac_lanes<const L: usize>(
         &self,
         prep: &PreparedMultiplicand,
-        xs: &FpScalar,
-        lanes: KeptLanes<'_>,
+        words: &[u32],
+        cols: &[u32],
         c: &mut [f32],
+        encode: Encode,
     ) {
-        let (xsign, xexp) = ((xs.sign() as u32) << 31, xs.exponent());
-        let runs = lanes
-            .mans
-            .chunks_exact(L)
-            .zip(lanes.exps.chunks_exact(L))
-            .zip(lanes.signs.chunks_exact(L))
-            .zip(lanes.cols.chunks_exact(L));
-        for (((mans, exps), signs), cols) in runs {
+        let shift = 24 - self.format.mantissa_width();
+        for (words, cols) in words.chunks_exact(L).zip(cols.chunks_exact(L)) {
             // Fixed-width array views: index-free lanes the compiler can
             // keep in vector registers.
-            let mans: &[u32; L] = mans.try_into().expect("lane run");
-            let exps: &[u32; L] = exps.try_into().expect("lane run");
-            let signs: &[u32; L] = signs.try_into().expect("lane run");
-            let norm = self.mult.norm_lanes_trusted(prep, mans);
-            let products = self.product_lanes(&norm, exps, signs, xsign, xexp);
+            let words: &[u32; L] = words.try_into().expect("lane run");
+            // A plain write loop: `array::map` here measured markedly
+            // slower (see `mul_lanes_trusted`).
+            let mut mans = [0u32; L];
+            for (m, &w) in mans.iter_mut().zip(words) {
+                *m = tile_kernel::word_mantissa(w, shift);
+            }
+            let norm = self.mult.norm_lanes_trusted(prep, &mans);
+            let products = self.product_lanes(&norm, words, encode);
             for (&col, p) in cols.iter().zip(products) {
                 c[col as usize] += p;
             }
+        }
+    }
+
+    /// Whether every product of a `Normal` multiplicand of exponent
+    /// `xexp` with a decoded row is a normal of the format: the least
+    /// product exponent `xexp + emin` and the greatest `xexp + emax + 1`
+    /// (the renormalise increment) are both in range. Then each product
+    /// is the two-add encode; otherwise some may saturate or flush.
+    fn row_in_range(&self, xexp: i32, row: &DecodedRow<'_>) -> bool {
+        let (emin, emax) = (row.emin as i32 - 127, row.emax as i32 - 127);
+        xexp + emin >= self.format.min_exp() && xexp + emax < self.format.max_exp()
+    }
+
+    /// [`prepare_tile`](ScalarMul::prepare_tile), with the AVX-512
+    /// decode when `simd` asks for it and the host has it.
+    fn prepare_tile_with(&self, src: &TileSource<'_>, simd: bool) -> Option<PreparedTile> {
+        if !self.fast_f32 {
+            // Exotic formats stay on the FpScalar path; nothing cheap to
+            // cache, so the engine keeps the raw fused loop.
+            return None;
+        }
+        let dec = LaneDecoder::new(self.format);
+        Some(PreparedTile::build(
+            src,
+            TileForm::Decoded(self.format),
+            decoded_stride(src.width()),
+            |row, slab| dec.decode_row(row, slab, simd),
+        ))
+    }
+
+    /// [`mul_tile_row`](ScalarMul::mul_tile_row), with the AVX-512
+    /// product-table MAC when `simd` asks for it and the host has it.
+    fn mul_tile_row_with(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool) {
+        if tile.form != TileForm::Decoded(self.format) {
+            return self.mul_rows(a, tile.raw_row(r), c);
+        }
+        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
+        let raw = tile.raw_row(r);
+        let xs = FpScalar::from_f32(a, self.format);
+        if xs.class() != FpClass::Normal {
+            // Zero / NaN / Inf multiplicand: rare, exact side logic.
+            for (cv, bv) in c.iter_mut().zip(raw) {
+                if *bv != 0.0 {
+                    *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
+                }
+            }
+            return;
+        }
+        let row = DecodedRow::new(&tile.slabs, tile.width, r);
+        if !row.words.is_empty() {
+            // Per-call work: one decode of `a`, the row's range check and
+            // binding `a`'s table row (or building its chunk tables).
+            // Per-MAC work, over the kept lanes only: one read from the
+            // pre-normalised product row (or one lookup per chunk plus
+            // the same renormalise), the product encode and one add into
+            // C. Zero lanes were dropped at decode, exactly the lanes the
+            // scalar path's `bv == 0.0` test skips, so results stay
+            // bit-identical (the tile-vs-mul_rows equivalence tests and
+            // the differential GEMM suite enforce this).
+            let (xsign, xexp) = ((xs.sign() as u32) << 31, xs.exponent());
+            let encode = if self.row_in_range(xexp, &row) {
+                Encode::TwoAdd(xsign.wrapping_add((xexp as u32) << 23))
+            } else {
+                Encode::Select { xsign, xexp }
+            };
+            // The AVX-512 product-table MAC takes the in-range rows of a
+            // table multiplier when the host has it; every other row runs
+            // the portable lane MAC.
+            let vectorized = match (encode, self.mult.norm_row(xs.mantissa())) {
+                (Encode::TwoAdd(aword), Some(norm)) => {
+                    tile_kernel::mac_table(norm, aword, row.words, row.cols, c, simd)
+                }
+                _ => false,
+            };
+            if !vectorized {
+                let prep = self.mult.prepare(xs.mantissa());
+                let full = row.words.len() / LANES * LANES;
+                let (words, tail) = row.words.split_at(full);
+                let (cols, tail_cols) = row.cols.split_at(full);
+                self.mac_lanes::<LANES>(&prep, words, cols, c, encode);
+                self.mac_lanes::<1>(&prep, tail, tail_cols, c, encode);
+            }
+        }
+        for &col in row.exotic {
+            // Inf/NaN or flushed-nonzero: exact side logic on the raw
+            // value.
+            let col = col as usize;
+            let ys = FpScalar::from_f32(raw[col], self.format);
+            c[col] += self.mul_scalars(&xs, &ys).to_f32();
         }
     }
 
@@ -878,60 +842,11 @@ impl ScalarMul for ApproxFpMul {
     }
 
     fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
-        if !self.fast_f32 {
-            // Exotic formats stay on the FpScalar path; nothing cheap to
-            // cache, so the engine keeps the raw fused loop.
-            return None;
-        }
-        let dec = LaneDecoder::new(self.format);
-        Some(PreparedTile::build(
-            src,
-            TileForm::Decoded(self.format),
-            decoded_stride(src.width()),
-            |row, slab| dec.decode_row(row, slab),
-        ))
+        self.prepare_tile_with(src, true)
     }
 
     fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
-        if tile.form != TileForm::Decoded(self.format) {
-            return self.mul_rows(a, tile.raw_row(r), c);
-        }
-        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
-        let raw = tile.raw_row(r);
-        let xs = FpScalar::from_f32(a, self.format);
-        if xs.class() != FpClass::Normal {
-            // Zero / NaN / Inf multiplicand: rare, exact side logic.
-            for (cv, bv) in c.iter_mut().zip(raw) {
-                if *bv != 0.0 {
-                    *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
-                }
-            }
-            return;
-        }
-        let row = DecodedRow::new(&tile.slabs, tile.width, r);
-        if !row.kept.mans.is_empty() {
-            // Per-call work: one decode of `a` and binding its table row
-            // (or building its chunk tables). Per-MAC work, over the kept
-            // lanes only: one gather from the pre-normalised product row
-            // (or one lookup per chunk plus the same renormalise), the
-            // product encode and one add into C. Zero lanes were dropped
-            // at decode, exactly the lanes the scalar path's `bv == 0.0`
-            // test skips, so results stay bit-identical (the tile-vs-
-            // mul_rows equivalence tests and the differential GEMM suite
-            // enforce this).
-            let prep = self.mult.prepare(xs.mantissa());
-            let full = row.kept.mans.len() / LANES * LANES;
-            let (groups, tail) = row.kept.split_at(full);
-            self.mac_lanes::<LANES>(&prep, &xs, groups, c);
-            self.mac_lanes::<1>(&prep, &xs, tail, c);
-        }
-        for &col in row.exotic {
-            // Inf/NaN or flushed-nonzero: exact side logic on the raw
-            // value.
-            let col = col as usize;
-            let ys = FpScalar::from_f32(raw[col], self.format);
-            c[col] += self.mul_scalars(&xs, &ys).to_f32();
-        }
+        self.mul_tile_row_with(a, tile, r, c, true)
     }
 }
 
@@ -1437,6 +1352,21 @@ mod tests {
         }
     }
 
+    /// The meaningful contents of every row slab of a decoded tile — kept
+    /// words and columns, exotic columns, exponent range — which both
+    /// decode kernels must fill alike (slots past the counts may differ).
+    type RowContents = (Vec<u32>, Vec<u32>, Vec<u32>, u32, u32);
+
+    fn decoded_contents(tile: &PreparedTile) -> Vec<RowContents> {
+        let rows = tile.slabs.len() / decoded_stride(tile.width);
+        (0..rows)
+            .map(|r| {
+                let row = DecodedRow::new(&tile.slabs, tile.width, r);
+                (row.words.to_vec(), row.cols.to_vec(), row.exotic.to_vec(), row.emin, row.emax)
+            })
+            .collect()
+    }
+
     #[test]
     fn lane_decode_matches_from_f32() {
         // All 2^16 upper halves (sign, exponent, top mantissa bits) with
@@ -1446,31 +1376,178 @@ mod tests {
             0x0000u32, 0x0001, 0x0FFF, 0x1000, 0x1001, 0x2000, 0x3000, 0x7FFF, 0x8000, 0x8001,
             0xC000, 0xFFFF,
         ];
+        let all: Vec<u32> = (0..=0xFFFFu32).flat_map(|hi| lows.map(|lo| (hi << 16) | lo)).collect();
         for format in [FpFormat::FP32, FpFormat::BF16, FpFormat::FP16, FpFormat::TF32] {
             let dec = LaneDecoder::new(format);
-            for hi in 0..=0xFFFFu32 {
-                for lo in lows {
-                    let bits = (hi << 16) | lo;
-                    let x = f32::from_bits(bits);
-                    let ys = FpScalar::from_f32(x, format);
-                    let lane = dec.decode(bits);
-                    let class = (lane.normal, lane.exotic);
-                    match ys.class() {
-                        FpClass::Normal => {
-                            assert_eq!(class, (true, false), "{format}: bits {bits:#010x}");
-                            assert_eq!(
-                                (lane.man, lane.exp, lane.sign),
-                                (ys.mantissa() as u32, ys.exponent(), (ys.sign() as u32) << 31),
-                                "{format}: bits {bits:#010x}"
-                            );
-                        }
-                        FpClass::Zero => {
-                            assert_eq!(class, (false, x != 0.0), "{format}: bits {bits:#010x}")
-                        }
-                        FpClass::Inf | FpClass::Nan => {
-                            assert_eq!(class, (false, true), "{format}: bits {bits:#010x}")
+            for &bits in &all {
+                let x = f32::from_bits(bits);
+                let ys = FpScalar::from_f32(x, format);
+                let lane = dec.decode(bits);
+                let class = (lane.normal, lane.exotic);
+                match ys.class() {
+                    FpClass::Normal => {
+                        assert_eq!(class, (true, false), "{format}: bits {bits:#010x}");
+                        assert_eq!(lane.word, ys.to_f32().to_bits(), "{format}: bits {bits:#010x}");
+                    }
+                    FpClass::Zero => {
+                        assert_eq!(class, (false, x != 0.0), "{format}: bits {bits:#010x}")
+                    }
+                    FpClass::Inf | FpClass::Nan => {
+                        assert_eq!(class, (false, true), "{format}: bits {bits:#010x}")
+                    }
+                }
+            }
+            // The row decode on both kernels against the lane decode, in
+            // rows of 1000 lanes (62 full 16-lane blocks and a tail of 8).
+            for chunk in all.chunks(1000) {
+                let row: Vec<f32> = chunk.iter().map(|&b| f32::from_bits(b)).collect();
+                let lanes: Vec<_> = chunk.iter().map(|&b| dec.decode(b)).collect();
+                let kept = || lanes.iter().enumerate().filter(|(_, l)| l.normal);
+                let words: Vec<u32> = kept().map(|(_, l)| l.word).collect();
+                let fields = words.iter().map(|w| (w >> 23) & 0xFF);
+                let expect = (
+                    words.clone(),
+                    kept().map(|(j, _)| j as u32).collect::<Vec<_>>(),
+                    // Exotic columns fill the back from its end, in lane
+                    // order.
+                    lanes.iter().enumerate().rev().filter(|(_, l)| l.exotic).map(|(j, _)| j as u32),
+                    fields.clone().min().unwrap_or(0xFF),
+                    fields.max().unwrap_or(0),
+                );
+                for simd in [false, true] {
+                    let mut slab = vec![0; decoded_stride(row.len())];
+                    dec.decode_row(&row, &mut slab, simd);
+                    let got = DecodedRow::new(&slab, row.len(), 0);
+                    assert_eq!(got.words, expect.0, "{format} simd={simd}");
+                    assert_eq!(got.cols, expect.1, "{format} simd={simd}");
+                    assert!(
+                        got.exotic.iter().copied().eq(expect.2.clone()),
+                        "{format} simd={simd}"
+                    );
+                    assert_eq!((got.emin, got.emax), (expect.3, expect.4), "{format} simd={simd}");
+                }
+            }
+        }
+    }
+
+    /// Decode and MAC on each kernel — portable, and AVX-512 when the
+    /// host has it — against `mul_rows`, bit for bit, for every A value
+    /// and both accumulator signs. `bs` is laid out as `rows` tile rows;
+    /// the two decodes must also fill every slab alike.
+    fn assert_kernels_match_mul_rows(m: &ApproxFpMul, bs: &[f32], rows: usize, as_: &[f32]) {
+        let n = bs.len() / rows;
+        let src = TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false);
+        let tiles = [false, true].map(|simd| m.prepare_tile_with(&src, simd).expect("fast format"));
+        assert_eq!(decoded_contents(&tiles[0]), decoded_contents(&tiles[1]), "{}", m.name());
+        for tile in &tiles {
+            assert_eq!(tile.slabs.len(), rows * (2 * n + 4), "{}: row-slab stride", m.name());
+            for r in 0..rows {
+                let row = &bs[r * n..(r + 1) * n];
+                for &a in as_ {
+                    for init in [0.0f32, -0.0] {
+                        let mut plain = vec![init; n];
+                        m.mul_rows(a, row, &mut plain);
+                        for simd in [false, true] {
+                            let mut tiled = vec![init; n];
+                            m.mul_tile_row_with(a, tile, r, &mut tiled, simd);
+                            for (j, (p, q)) in plain.iter().zip(&tiled).enumerate() {
+                                assert!(
+                                    p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                                    "{}: simd={simd}, a={a}, b={}, c0={init}: mul_rows {p} vs {q}",
+                                    m.name(),
+                                    row[j]
+                                );
+                            }
                         }
                     }
+                }
+            }
+        }
+    }
+
+    const KERNEL_FORMATS: [FpFormat; 4] =
+        [FpFormat::BF16, FpFormat::FP16, FpFormat::TF32, FpFormat::FP32];
+
+    #[test]
+    fn tile_kernels_match_mul_rows() {
+        let mut state = 0x5EED_0014u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Zero-heavy rows with every exotic kind: Inf, NaN, an f32
+        // subnormal, and values that flush or saturate in fp16.
+        let exotic = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-7, 1e6];
+        let mut row = |w: usize| -> Vec<f32> {
+            (0..w)
+                .map(|_| {
+                    let r = next();
+                    match r % 20 {
+                        0..=6 => [0.0, -0.0][(r >> 8) as usize % 2],
+                        7 => exotic[(r >> 8) as usize % exotic.len()],
+                        _ => {
+                            let mag = 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
+                            let v = mag * 2f32.powi((r >> 16) as i32 % 7);
+                            if r & 0x100 == 0 {
+                                v
+                            } else {
+                                -v
+                            }
+                        }
+                    }
+                })
+                .collect()
+        };
+        let mut rows: Vec<Vec<f32>> = [0, 1, 15, 16, 17, 1024].into_iter().map(&mut row).collect();
+        rows.push((0..40).map(|j| if j % 2 == 0 { 0.0 } else { -0.0 }).collect());
+        let as_ = [1.5f32, -0.37, 113.7, 0.0, f32::NAN];
+        for format in KERNEL_FORMATS {
+            for config in MultiplierConfig::ALL {
+                let m = ApproxFpMul::new(config, format);
+                for bs in &rows {
+                    assert_kernels_match_mul_rows(&m, bs, 1, &as_);
+                }
+                // Two rows of 17 (one 16-lane block and a tail each).
+                assert_kernels_match_mul_rows(&m, &rows[5][..34], 2, &as_);
+            }
+        }
+    }
+
+    #[test]
+    fn two_add_range_boundaries_match_mul_rows() {
+        // A row whose kept exponents span exactly [-3, 4], with mantissas
+        // from 1.0 to the format's largest, mixed signs and zeros. A
+        // multiplicand exponent puts the greatest product exponent
+        // (`exp_x + emax + 1`) at `max_exp` and one past it, and the least
+        // (`exp_x + emin`) at `min_exp` and one below it: both encodes run
+        // at both edges.
+        for format in KERNEL_FORMATS {
+            let top = 2.0 - 2f32.powi(1 - format.mantissa_width() as i32);
+            let mut row = Vec::new();
+            for e in -3..=4 {
+                for man in [1.0f32, 1.5, top] {
+                    let v = man * 2f32.powi(e);
+                    row.extend([v, 0.0, -v]);
+                }
+            }
+            let (min_exp, max_exp) = (format.min_exp(), format.max_exp());
+            let cases = [
+                (max_exp - 5, true),
+                (max_exp - 4, false),
+                (min_exp + 3, true),
+                (min_exp + 2, false),
+            ];
+            for config in MultiplierConfig::ALL {
+                let m = ApproxFpMul::new(config, format);
+                let tile = tile_of(&m, &row, 1).expect("fast format");
+                let decoded = DecodedRow::new(&tile.slabs, tile.width, 0);
+                assert_eq!((decoded.emin, decoded.emax), (127 - 3, 127 + 4), "{}", m.name());
+                for (xexp, in_range) in cases {
+                    assert_eq!(m.row_in_range(xexp, &decoded), in_range, "{}: {xexp}", m.name());
+                    let as_ = [1.0f32, 1.5, top, -top].map(|v| v * 2f32.powi(xexp));
+                    assert_kernels_match_mul_rows(&m, &row, 1, &as_);
                 }
             }
         }

@@ -65,9 +65,10 @@
 //! assert!((exact - approx) / exact < 0.05);
 //! ```
 
-// Unsafe is denied crate-wide with exactly one exception: the
-// runtime-gated `core::arch` AVX2 register kernel in `microkernel`
-// (compiled only with the default `simd` feature on x86-64). Everything
+// Unsafe is denied crate-wide with exactly two exceptions, both
+// runtime-gated `core::arch` kernels compiled only with the default
+// `simd` feature on x86-64: the AVX2 register kernel in `microkernel`
+// and the AVX-512 decoded-tile kernels in `tile_kernel`. Everything
 // else — including the portable lane kernels — is checked Rust.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -81,6 +82,7 @@ mod lines;
 mod mantissa;
 mod microkernel;
 mod sram_backed;
+mod tile_kernel;
 
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
@@ -90,3 +92,4 @@ pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
 pub use microkernel::gemm_f32_microkernel_portable;
 pub use sram_backed::SramMultiplier;
+pub use tile_kernel::tile_kernel;

@@ -507,7 +507,7 @@ impl MantissaMultiplier {
         debug_assert!(b.iter().all(|&v| bits::width_of(v) <= self.layout.mantissa_width()));
         match &self.products {
             Products::Table(tables) => {
-                let row = self.row(&tables.raw, prep);
+                let row = self.row(&tables.raw, prep.a);
                 // `row` is exactly 2^n entries, so masking the index both
                 // elides the bounds check and cannot alias distinct
                 // operands (every lane is already proven < 2^n above).
@@ -539,7 +539,7 @@ impl MantissaMultiplier {
         let mut out = [0u32; L];
         match &self.products {
             Products::Table(tables) => {
-                let row = self.row(&tables.norm, prep);
+                let row = self.row(&tables.norm, prep.a);
                 let mask = row.len() - 1;
                 for (o, &v) in out.iter_mut().zip(b) {
                     *o = row[v as usize & mask];
@@ -560,11 +560,29 @@ impl MantissaMultiplier {
         out
     }
 
-    /// The 2ⁿ-entry row of a memoized table bound to `prep`.
+    /// The memoized pre-normalised product row of multiplicand `a` (the
+    /// table [`norm_lanes_trusted`](Self::norm_lanes_trusted) gathers
+    /// from), without [`prepare`](Self::prepare): 2ⁿ entries indexed by
+    /// the multiplier mantissa with its leading one. `None` for a
+    /// chunk-table multiplier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` exceeds `n` bits.
     #[inline]
-    fn row<'t, T>(&self, table: &'t [T], prep: &PreparedMultiplicand) -> &'t [T] {
+    pub(crate) fn norm_row(&self, a: u64) -> Option<&[u32]> {
+        debug_assert_eq!(self.layout.mode(), OperandMode::Fp);
+        match &self.products {
+            Products::Table(tables) => Some(self.row(&tables.norm, a)),
+            Products::Chunked(_) => None,
+        }
+    }
+
+    /// The 2ⁿ-entry row of multiplicand `a` in a memoized table.
+    #[inline]
+    fn row<'t, T>(&self, table: &'t [T], a: u64) -> &'t [T] {
         let n = self.layout.mantissa_width();
-        let base = (prep.a << n) as usize;
+        let base = (a << n) as usize;
         &table[base..base + (1usize << n)]
     }
 

@@ -468,7 +468,9 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        let x = self.cache_x.as_ref().expect("Conv2d::backward before forward").clone();
+        // Taken, not cloned: `col2im_batch` below borrows `self`, and the
+        // input goes back into the cache once backward is done.
+        let x = self.cache_x.take().expect("Conv2d::backward before forward");
         let geom = self.geom();
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = geom.out_hw(h, w);
@@ -535,6 +537,7 @@ impl Layer for Conv2d {
         self.scratch_cols = cols;
         self.scratch_rows = g;
         self.scratch_t = t;
+        self.cache_x = Some(x);
         gx
     }
 
