@@ -25,8 +25,9 @@
 //! For the blockfp backend `parallel` is [`BlockFpGemm::execute`], the
 //! same walk with integer tile MACs.
 //!
-//! Besides the square sizes, bf16/PC3_tr is timed on the six GEMMs of
-//! perfbench's CNN at batch 8 (conv1/conv2 forward, `grad_w` and
+//! Besides the square sizes, bf16/PC3_tr and fp16/PC3_tr (the two
+//! approximate backends perfbench's `cnn_serve` serves) are timed on the
+//! six GEMMs of perfbench's CNN at batch 8 (conv1/conv2 forward, `grad_w` and
 //! `grad_cols`), with seeded random zeros at the fractions measured on
 //! its `train` workload. These shapes are narrow, and their streamed
 //! operands are mostly zeros. Every row reports its zero fractions and
@@ -402,25 +403,30 @@ fn main() {
             });
         }
     }
-    let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
+    // The two approximate backends of perfbench's `cnn_serve`: the
+    // product-table and the chunk-table multiplier.
+    let shape_backends = [("bf16_pc3_tr", FpFormat::BF16), ("fp16_pc3_tr", FpFormat::FP16)];
     for g in CNN_GEMMS {
         let (a, b) = g.operands();
         let sp = sparsity(&a, &b, g.m, g.k, g.n);
-        let prepare_ns = time_prepare_b(&bf16, &b, g.k, g.n, reps);
-        for (vname, f) in VARIANTS {
-            let (best, median) = time_cell(*f, &bf16, &a, &b, g.m, g.k, g.n, reps);
-            eprintln!("{:>15} bf16_pc3_tr {vname:>11}: best {best} ns, median {median} ns", g.name);
-            cells.push(Cell {
-                shape: Shape::Cnn(g.name),
-                dims: (g.m, g.k, g.n),
-                sparsity: sp,
-                backend: "bf16_pc3_tr".into(),
-                variant: vname,
-                best_ns: best,
-                median_ns: median,
-                prepare_ns: Some(prepare_ns),
-                guarded: !quick,
-            });
+        for (bname, format) in shape_backends {
+            let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, format);
+            let prepare_ns = time_prepare_b(&mul, &b, g.k, g.n, reps);
+            for (vname, f) in VARIANTS {
+                let (best, median) = time_cell(*f, &mul, &a, &b, g.m, g.k, g.n, reps);
+                eprintln!("{:>15} {bname} {vname:>11}: best {best} ns, median {median} ns", g.name);
+                cells.push(Cell {
+                    shape: Shape::Cnn(g.name),
+                    dims: (g.m, g.k, g.n),
+                    sparsity: sp,
+                    backend: bname.into(),
+                    variant: vname,
+                    best_ns: best,
+                    median_ns: median,
+                    prepare_ns: Some(prepare_ns),
+                    guarded: !quick,
+                });
+            }
         }
     }
 

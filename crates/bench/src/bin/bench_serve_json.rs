@@ -27,7 +27,7 @@
 //!   measure below 0.95× its eager requests/sec — persisting the packed
 //!   weights must never lose to rebuilding them per request.
 //! * **Batch-1 latency guard**: for the approximate backends
-//!   (`bf16_pc3_tr`, `blockfp_*`) compiled batch-1 must beat eager
+//!   (`bf16_pc3_tr`, `fp16_pc3_tr`, `blockfp_*`) compiled batch-1 must beat eager
 //!   outright (≥ 1.0×) — single-sample requests are exactly where the
 //!   per-request B re-decode hurts most, and the compiled path does
 //!   none of it.
@@ -54,7 +54,7 @@ fn enforce_guards(result: &serve::ServeResult) {
             );
             failed = true;
         }
-        let approximate = row.backend.starts_with("bf16") || row.backend.starts_with("blockfp");
+        let approximate = ["bf16", "fp16", "blockfp"].iter().any(|p| row.backend.starts_with(p));
         if row.batch == 1 && approximate && speedup < 1.0 {
             eprintln!(
                 "serve guard failed: {} batch-1 compiled latency lost to eager ({speedup:.3}x) — \

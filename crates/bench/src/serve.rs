@@ -48,7 +48,8 @@ fn serve_model(quick: bool) -> Sequential {
 /// One timed cell of the experiment.
 #[derive(Debug, Clone)]
 pub struct ServeRow {
-    /// Backend name (`exact_f32`, `bf16_pc3_tr`, `blockfp_w9_pc3_tr`, …).
+    /// Backend name (`exact_f32`, `bf16_pc3_tr`, `fp16_pc3_tr`,
+    /// `blockfp_w9_pc3_tr`).
     pub backend: String,
     /// `"eager"`, `"compiled"`, or `"compile"` (the one-time snapshot
     /// cost, amortised across every subsequent request).
@@ -266,11 +267,15 @@ fn run_backend(
 pub fn run(quick: bool) -> ServeResult {
     let reps = 3;
     let mut rows = Vec::new();
-    let backends: [(String, Box<dyn GemmBackend>); 3] = [
+    let backends: [(String, Box<dyn GemmBackend>); 4] = [
         ("exact_f32".into(), Box::new(ExactMul)),
         (
             "bf16_pc3_tr".into(),
             Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16)),
+        ),
+        (
+            "fp16_pc3_tr".into(),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16)),
         ),
         (
             format!("blockfp_w{BLOCKFP_WIDTH}_pc3_tr"),
@@ -291,8 +296,8 @@ mod tests {
     fn quick_run_produces_all_cells() {
         let result = run(true);
         assert!(result.quick);
-        // 3 backends x (1 compile row + 2 batches x 2 modes).
-        assert_eq!(result.rows.len(), 3 * (1 + 2 * 2));
+        // 4 backends x (1 compile row + 2 batches x 2 modes).
+        assert_eq!(result.rows.len(), 4 * (1 + 2 * 2));
         for row in &result.rows {
             assert!(row.best_ns > 0, "{}/{} timed at 0 ns", row.backend, row.mode);
             assert!(row.best_ns <= row.median_ns);
@@ -302,6 +307,7 @@ mod tests {
         }
         let shown = result.to_string();
         assert!(shown.contains("bf16_pc3_tr"));
+        assert!(shown.contains("fp16_pc3_tr"));
         assert!(shown.contains("compiled"));
     }
 }

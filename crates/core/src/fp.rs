@@ -1,7 +1,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use crate::tile_kernel::{self, decoded_stride, DecodedRow, LaneDecoder};
+use crate::tile_kernel::{self, decoded_stride, DecodedRow, Encode, LaneDecoder};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -9,20 +9,6 @@ use std::fmt;
 /// Elements per lane group in the lane-packed approximate multiply
 /// kernel (one pre-normalised read-out gather per group).
 const LANES: usize = 8;
-
-/// How [`ApproxFpMul`] encodes the products of one decoded tile row
-/// from their pre-normalised read-outs.
-#[derive(Debug, Clone, Copy)]
-enum Encode {
-    /// Every product of the row is a normal of the format: two integer
-    /// adds with this multiplicand word
-    /// ([`encode_product`](tile_kernel::encode_product)).
-    TwoAdd(u32),
-    /// Some products may saturate or flush: the per-lane select encode,
-    /// with the multiplicand's sign (at the `f32` sign position) and
-    /// exponent.
-    Select { xsign: u32, xexp: i32 },
-}
 
 /// One `KC × NC` tile of the streamed B operand, as the GEMM engine
 /// hands it to [`ScalarMul::prepare_tile`]: rows `l0..l1` and columns
@@ -739,14 +725,22 @@ impl ApproxFpMul {
             } else {
                 Encode::Select { xsign, xexp }
             };
-            // The AVX-512 product-table MAC takes the in-range rows of a
-            // table multiplier when the host has it; every other row runs
-            // the portable lane MAC.
-            let vectorized = match (encode, self.mult.norm_row(xs.mantissa())) {
-                (Encode::TwoAdd(aword), Some(norm)) => {
+            // On a host with AVX-512F, the chunk-table MAC takes every
+            // row of a chunk-table multiplier whose read-out fits in 32
+            // bits, and the product-table MAC the in-range rows of a
+            // table multiplier; every other row runs the portable lane
+            // MAC.
+            let man = xs.mantissa();
+            let vectorized = match (encode, self.mult.chunk_plan()) {
+                (_, Some(plan)) => {
+                    let range = (self.format.min_exp(), self.format.max_exp());
+                    tile_kernel::mac_chunks(plan, man, encode, range, &row, c, simd)
+                }
+                (Encode::TwoAdd(aword), None) => {
+                    let norm = self.mult.norm_row(man).expect("a product-table multiplier");
                     tile_kernel::mac_table(norm, aword, row.words, row.cols, c, simd)
                 }
-                _ => false,
+                (Encode::Select { .. }, None) => false,
             };
             if !vectorized {
                 let prep = self.mult.prepare(xs.mantissa());
@@ -1478,7 +1472,10 @@ mod tests {
             state
         };
         // Zero-heavy rows with every exotic kind: Inf, NaN, an f32
-        // subnormal, and values that flush or saturate in fp16.
+        // subnormal, and values that flush or saturate in fp16. The
+        // normals span 2^-6..2^6, and the A values 3000 and 1e-3 push
+        // fp16 products past both ends of its exponent range, so the
+        // select encode runs on the chunk MAC as well as the two-add one.
         let exotic = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-7, 1e6];
         let mut row = |w: usize| -> Vec<f32> {
             (0..w)
@@ -1490,11 +1487,7 @@ mod tests {
                         _ => {
                             let mag = 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
                             let v = mag * 2f32.powi((r >> 16) as i32 % 7);
-                            if r & 0x100 == 0 {
-                                v
-                            } else {
-                                -v
-                            }
+                            [v, -v, 1.0 / v, -1.0 / v][(r >> 8) as usize % 4]
                         }
                     }
                 })
@@ -1502,7 +1495,7 @@ mod tests {
         };
         let mut rows: Vec<Vec<f32>> = [0, 1, 15, 16, 17, 1024].into_iter().map(&mut row).collect();
         rows.push((0..40).map(|j| if j % 2 == 0 { 0.0 } else { -0.0 }).collect());
-        let as_ = [1.5f32, -0.37, 113.7, 0.0, f32::NAN];
+        let as_ = [1.5f32, -0.37, 113.7, 3000.0, -1e-3, 0.0, f32::NAN];
         for format in KERNEL_FORMATS {
             for config in MultiplierConfig::ALL {
                 let m = ApproxFpMul::new(config, format);
@@ -1522,7 +1515,8 @@ mod tests {
         // multiplicand exponent puts the greatest product exponent
         // (`exp_x + emax + 1`) at `max_exp` and one past it, and the least
         // (`exp_x + emin`) at `min_exp` and one below it: both encodes run
-        // at both edges.
+        // at both edges, on the product-table MAC (bf16) and the
+        // chunk-table MAC (the wider formats).
         for format in KERNEL_FORMATS {
             let top = 2.0 - 2f32.powi(1 - format.mantissa_width() as i32);
             let mut row = Vec::new();
@@ -1548,6 +1542,42 @@ mod tests {
                     assert_eq!(m.row_in_range(xexp, &decoded), in_range, "{}: {xexp}", m.name());
                     let as_ = [1.0f32, 1.5, top, -top].map(|v| v * 2f32.powi(xexp));
                     assert_kernels_match_mul_rows(&m, &row, 1, &as_);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_kernel_takes_every_width_with_a_32_bit_read_out() {
+        // The chunk-table MAC (whose bits the tile tests above pin to
+        // `mul_rows`) runs for every chunk-table width whose read-out
+        // fits in 32 bits, and only when asked for on an AVX-512F host;
+        // fp32 without truncation (48-bit read-outs) keeps the portable
+        // lane MAC.
+        let row: Vec<f32> = (0..40).map(|j| 1.0 + j as f32 / 64.0).collect();
+        for format in [FpFormat::FP16, FpFormat::TF32, FpFormat::FP32] {
+            for config in MultiplierConfig::ALL {
+                let m = ApproxFpMul::new(config, format);
+                let plan = m.mantissa_multiplier().chunk_plan().expect("a chunk-table width");
+                let covered = format != FpFormat::FP32 || config.truncate;
+                assert_eq!(plan.fits_u32(), covered, "{}", m.name());
+                let tile = tile_of(&m, &row, 1).expect("fast format");
+                let decoded = DecodedRow::new(&tile.slabs, tile.width, 0);
+                let lead = 1u64 << (format.mantissa_width() - 1);
+                let range = (format.min_exp(), format.max_exp());
+                let avx512 = tile_kernel::tile_kernel() == "avx512";
+                for (simd, runs) in [(false, false), (true, covered && avx512)] {
+                    let mut c = vec![0.0f32; tile.width];
+                    // A multiplicand of 1.0: `aword` 0.
+                    let encode = Encode::TwoAdd(0);
+                    let ran =
+                        tile_kernel::mac_chunks(plan, lead, encode, range, &decoded, &mut c, simd);
+                    assert_eq!(ran, runs, "{}: simd={simd}", m.name());
+                    let mut expect = vec![0.0f32; tile.width];
+                    if ran {
+                        m.mul_rows(1.0, &row, &mut expect);
+                    }
+                    assert_eq!(c, expect, "{}: simd={simd}", m.name());
                 }
             }
         }

@@ -104,11 +104,11 @@ pub(crate) fn prenormalise(raw: u64, n: u32, truncate: bool) -> u32 {
 }
 
 /// Plain multiplier bits per chunk table below the head.
-const CHUNK_BITS: u32 = 4;
+pub(crate) const CHUNK_BITS: u32 = 4;
 
 /// Most plain chunk tables a width can need: `n ≤ 24` with a head of at
 /// least one bit leaves 23 plain bits.
-const MAX_CHUNKS: usize = 6;
+pub(crate) const MAX_CHUNKS: usize = 6;
 
 /// How a table-less multiplier splits `b` into chunks, derived once
 /// from the layout's decoder.
@@ -120,19 +120,21 @@ const MAX_CHUNKS: usize = 6;
 /// a whole multiplier is the OR of one entry per chunk: OR distributes
 /// over disjoint line sets.
 #[derive(Debug, Clone)]
-struct ChunkPlan {
+pub(crate) struct ChunkPlan {
+    /// Mantissa width `n`.
+    pub(crate) n: u32,
     /// `b >> head_shift` is the head chunk (`n` minus the head width).
-    head_shift: u32,
+    pub(crate) head_shift: u32,
     /// Per head value, the line's multiplier `Σ 2^shift` (its stored
     /// pattern is `a · coeff`, before truncation); `0` for values that
     /// activate nothing.
-    head_coeffs: [u64; 8],
+    pub(crate) head_coeffs: [u64; 8],
     /// Bits below the head that drive a plain line (`a << s`).
-    plain_lines: u64,
+    pub(crate) plain_lines: u64,
     /// Plain chunk tables in use (`⌈head_shift / CHUNK_BITS⌉`).
-    chunks: usize,
+    pub(crate) chunks: usize,
     /// Columns each stored pattern drops (`n` when truncated, else 0).
-    drop: u32,
+    pub(crate) drop: u32,
 }
 
 impl ChunkPlan {
@@ -169,55 +171,110 @@ impl ChunkPlan {
                 plain_lines |= 1 << s;
             }
         }
+        // Widths above the table limit with a head of at most 3 bits
+        // leave 6 to 23 plain bits.
+        let chunks = head_shift.div_ceil(CHUNK_BITS) as usize;
+        assert!(
+            (2..=MAX_CHUNKS).contains(&chunks),
+            "{n}-bit chunk plan with {chunks} plain tables"
+        );
         ChunkPlan {
+            n,
             head_shift,
             head_coeffs,
             plain_lines,
-            chunks: head_shift.div_ceil(CHUNK_BITS) as usize,
+            chunks,
             drop: if layout.config().truncate { n } else { 0 },
         }
     }
 
+    /// Whether the read-out (`n` bits truncated, `2n` full) fits in a
+    /// `u32` lane.
+    pub(crate) fn fits_u32(&self) -> bool {
+        let read_bits = if self.drop != 0 { self.n } else { 2 * self.n };
+        read_bits <= 32
+    }
+
+    /// The stored pattern of the plain line of multiplier bit `s` for
+    /// multiplicand `a` (zero when the bit drives none).
+    #[inline]
+    pub(crate) fn plain_line(&self, a: u64, s: u32) -> u64 {
+        let drives = 0u64.wrapping_sub((self.plain_lines >> s) & 1);
+        ((a << s) >> self.drop) & drives
+    }
+
     /// The chunk tables of multiplicand `a`: the head entries, and each
     /// plain chunk by the subset-OR recurrence
-    /// `T[v] = T[v & (v - 1)] | line(lowest set bit of v)`.
-    fn tables(&self, a: u64) -> ChunkTables {
-        let mut t = ChunkTables {
-            head_shift: self.head_shift,
-            chunks: self.chunks,
-            head: [0; 8],
-            plain: [[0; 16]; MAX_CHUNKS],
-        };
-        for (h, &coeff) in t.head.iter_mut().zip(&self.head_coeffs) {
-            *h = (a * coeff) >> self.drop;
-        }
-        for (j, table) in t.plain[..self.chunks].iter_mut().enumerate() {
+    /// `T[v] = T[v & (v - 1)] | line(lowest set bit of v)`. Only the
+    /// `chunks` tables in use are built.
+    pub(crate) fn tables(&self, a: u64) -> ChunkTables {
+        let table = |j: usize| {
             // The chunk's four lines (zero for bits without one, which
             // includes head bits).
-            let lines: [u64; CHUNK_BITS as usize] = std::array::from_fn(|i| {
-                let s = j as u32 * CHUNK_BITS + i as u32;
-                let drives = 0u64.wrapping_sub((self.plain_lines >> s) & 1);
-                ((a << s) >> self.drop) & drives
-            });
+            let lines: [u64; CHUNK_BITS as usize] =
+                std::array::from_fn(|i| self.plain_line(a, j as u32 * CHUNK_BITS + i as u32));
+            let mut table = [0u64; 16];
             for v in 1..16usize {
                 table[v] = table[v & (v - 1)] | lines[v.trailing_zeros() as usize];
             }
+            table
+        };
+        let plain = match self.chunks {
+            2 => PlainTables::Two(std::array::from_fn(table)),
+            3 => PlainTables::Three(std::array::from_fn(table)),
+            4 => PlainTables::Four(std::array::from_fn(table)),
+            5 => PlainTables::Five(std::array::from_fn(table)),
+            6 => PlainTables::Six(std::array::from_fn(table)),
+            chunks => unreachable!("a chunk plan has 2..=6 plain tables, not {chunks}"),
+        };
+        ChunkTables {
+            head_shift: self.head_shift,
+            head: self.head_coeffs.map(|coeff| (a * coeff) >> self.drop),
+            plain,
         }
-        t
+    }
+}
+
+/// The plain chunk tables in use, one variant per count: building them
+/// fills only those tables.
+#[derive(Debug, Clone)]
+enum PlainTables {
+    Two([[u64; 16]; 2]),
+    Three([[u64; 16]; 3]),
+    Four([[u64; 16]; 4]),
+    Five([[u64; 16]; 5]),
+    Six([[u64; 16]; MAX_CHUNKS]),
+}
+
+impl PlainTables {
+    #[inline]
+    fn as_slice(&self) -> &[[u64; 16]] {
+        match self {
+            PlainTables::Two(t) => t,
+            PlainTables::Three(t) => t,
+            PlainTables::Four(t) => t,
+            PlainTables::Five(t) => t,
+            PlainTables::Six(t) => t,
+        }
     }
 }
 
 /// One multiplicand's chunk tables (see [`ChunkPlan`]): a wired-OR read
 /// is one head lookup plus one lookup per plain chunk.
 #[derive(Debug, Clone)]
-struct ChunkTables {
+pub(crate) struct ChunkTables {
     head_shift: u32,
-    chunks: usize,
-    head: [u64; 8],
-    plain: [[u64; 16]; MAX_CHUNKS],
+    pub(crate) head: [u64; 8],
+    plain: PlainTables,
 }
 
 impl ChunkTables {
+    /// The plain tables in use, lowest chunk first.
+    #[inline]
+    pub(crate) fn plain(&self) -> &[[u64; 16]] {
+        self.plain.as_slice()
+    }
+
     #[inline]
     fn read(&self, b: u64) -> u64 {
         let [acc] = self.read_lanes(&[b]);
@@ -232,7 +289,7 @@ impl ChunkTables {
         for (o, &v) in acc.iter_mut().zip(b) {
             *o = self.head[(v >> self.head_shift) as usize & 7];
         }
-        for (j, table) in self.plain[..self.chunks].iter().enumerate() {
+        for (j, table) in self.plain().iter().enumerate() {
             let shift = j as u32 * CHUNK_BITS;
             for (o, &v) in acc.iter_mut().zip(b) {
                 *o |= table[(v >> shift) as usize & 15];
@@ -407,8 +464,9 @@ impl MantissaMultiplier {
     /// multiplier splits into a head chunk (its top 1, 2 or 3 bits under
     /// FLA, PC2 or PC3 — the bits that select a combined line) and
     /// plain chunks of at most 4 bits below it, and each table entry is
-    /// the OR of the stored patterns its chunk value activates. A read
-    /// is then one lookup per chunk, ORed together.
+    /// the OR of the stored patterns its chunk value activates (only
+    /// the tables the width uses are filled: fp16 under PC3 needs two of
+    /// the six). A read is then one lookup per chunk, ORed together.
     ///
     /// # Panics
     ///
@@ -575,6 +633,17 @@ impl MantissaMultiplier {
         match &self.products {
             Products::Table(tables) => Some(self.row(&tables.norm, a)),
             Products::Chunked(_) => None,
+        }
+    }
+
+    /// The chunk plan of a table-less multiplier (`None` for a
+    /// product-table one): what the chunk-table kernels build a
+    /// multiplicand's tables from.
+    #[inline]
+    pub(crate) fn chunk_plan(&self) -> Option<&ChunkPlan> {
+        match &self.products {
+            Products::Table(_) => None,
+            Products::Chunked(plan) => Some(plan),
         }
     }
 

@@ -1,6 +1,7 @@
 //! The decoded B-tile form of [`ApproxFpMul`](crate::ApproxFpMul): the
-//! one-word lane layout, the row decode that fills it and the
-//! product-table MAC that consumes it.
+//! one-word lane layout, the row decode that fills it and the two MACs
+//! that consume it — the product-table MAC (mantissas up to 8 bits) and
+//! the chunk-table MAC (wider ones).
 //!
 //! # Layout
 //!
@@ -23,10 +24,10 @@
 //!
 //! # Kernels
 //!
-//! The decode comes in a portable form and an AVX-512F form; the
-//! product MAC has one AVX-512F kernel here, and its portable form is
-//! the lane MAC of `ApproxFpMul` (`mac_lanes` with the two-add encode),
-//! which serves every other host and every other row. The AVX-512F
+//! The decode comes in a portable form and an AVX-512F form; the two
+//! product MACs have one AVX-512F kernel each here, and their one
+//! portable form is the lane MAC of `ApproxFpMul` (`mac_lanes`), which
+//! serves every other host and every other row. The AVX-512F
 //! forms are compiled with the default `simd` feature on x86-64 and
 //! chosen by runtime detection. Callers pass `simd: bool` to ask for
 //! the detected kernel, so tests can drive both; the two write the same
@@ -43,11 +44,23 @@
 //!   mantissa, plus two integer adds (see [`encode_product`]). It
 //!   gathers 16 table entries (`vpgatherdd`), gathers the C values, adds
 //!   and scatters them back; columns are unique within a row, so the
-//!   scatter order cannot matter.
+//!   scatter order cannot matter. It takes the in-range rows of a
+//!   product-table multiplier (bf16).
+//! * **Chunk MAC** ([`mac_chunks`]) serves the chunk-table widths (fp16,
+//!   tf32, truncated fp32: every width whose read-out fits in 32 bits).
+//!   It builds the multiplicand's chunk tables in registers per call —
+//!   the head's 8 entries from one `vpmuludq` by the plan's head
+//!   coefficients, each 16-entry plain table from four masked ORs —
+//!   then reads each lane's wired-OR product as one `vpermd` per chunk,
+//!   ORed, and pre-normalises it in vector form. Both encodes run
+//!   there: the two-add for in-range rows, the select encode (saturate
+//!   and flush as mask blends) for the rest. The C update is the table
+//!   MAC's gather, add and scatter.
 //!
 //! The only `unsafe` is in the AVX-512 module below: the intrinsic
 //! calls and the `target_feature` call contract.
 
+use crate::mantissa::ChunkPlan;
 use daism_num::FpFormat;
 
 /// The `f32` sign bit.
@@ -57,9 +70,12 @@ const SIGN_EXP: u32 = 0xFF80_0000;
 /// The implicit leading one at its `f32` position.
 const LEAD: u32 = 0x0080_0000;
 
-/// Which decoded-tile kernel this process runs: `"avx512"` when the
-/// AVX-512 kernels are compiled in (feature `simd`, x86-64) and the host
-/// supports AVX-512F, `"portable"` otherwise.
+/// Which decoded-tile kernels this process runs — the row decode, the
+/// product-table MAC (bf16) and the chunk-table MAC (fp16, tf32,
+/// truncated fp32): `"avx512"` when the AVX-512 kernels are compiled in
+/// (feature `simd`, x86-64) and the host supports AVX-512F,
+/// `"portable"` otherwise. Portable hosts, and fp32 without truncation
+/// everywhere, run the one portable lane MAC.
 pub fn tile_kernel() -> &'static str {
     if avx512::available() {
         "avx512"
@@ -149,6 +165,47 @@ pub(crate) fn mac_table(
     simd: bool,
 ) -> bool {
     simd && avx512::mac_table(norm, aword, words, cols, c)
+}
+
+/// How the products of one decoded tile row are encoded from their
+/// pre-normalised read-outs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Encode {
+    /// Every product of the row is a normal of the format: two integer
+    /// adds with this multiplicand word ([`encode_product`]).
+    TwoAdd(u32),
+    /// Some products may saturate or flush: the per-lane select encode,
+    /// with the multiplicand's sign (at the `f32` sign position) and
+    /// exponent.
+    Select { xsign: u32, xexp: i32 },
+}
+
+/// Multiply-accumulates a run of kept lanes into C through the chunk
+/// tables of multiplicand mantissa `a` on AVX-512F: `c[col] +=` the
+/// product of `a` and the lane's mantissa, encoded as `encode` says
+/// (the select encode saturates above and flushes below the format's
+/// normal exponents `exp_range = (min_exp, max_exp)`).
+/// The tables are built in vector registers straight from `plan`, and
+/// each lane's read-out is one `vpermd` lookup per chunk, ORed, then
+/// [`prenormalise`](crate::mantissa::prenormalise)d in vector form.
+/// Returns `false` and leaves `c` alone unless `simd` asks for the
+/// kernel, the host has it and the plan's read-out fits in 32 bits
+/// (every truncated width, and full widths up to 16 bits); the caller
+/// then runs the portable lane MAC, which gives the same bits.
+///
+/// # Panics
+///
+/// Panics if a column is out of range for `c`.
+pub(crate) fn mac_chunks(
+    plan: &ChunkPlan,
+    a: u64,
+    encode: Encode,
+    exp_range: (i32, i32),
+    row: &DecodedRow<'_>,
+    c: &mut [f32],
+    simd: bool,
+) -> bool {
+    simd && plan.fits_u32() && avx512::mac_chunks(plan, a, encode, exp_range, row, c)
 }
 
 /// [`FpScalar::from_f32`](daism_num::FpScalar::from_f32) into an
@@ -282,7 +339,8 @@ mod avx512 {
     //! returns `false` (nothing done) on a host without AVX-512F.
     //! Every load, store, gather and scatter is masked to lanes whose
     //! addresses the surrounding slice bounds prove in range.
-    use super::{LaneDecoder, LEAD, SIGN, SIGN_EXP};
+    use super::{DecodedRow, Encode, LaneDecoder, LEAD, SIGN, SIGN_EXP};
+    use crate::mantissa::{ChunkPlan, CHUNK_BITS, MAX_CHUNKS};
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
 
@@ -416,30 +474,11 @@ mod avx512 {
     #[target_feature(enable = "avx512f")]
     fn mac_table_avx512(norm: &[u32], aword: u32, words: &[u32], cols: &[u32], c: &mut [f32]) {
         let (shift, mask) = table_index(norm);
-        let len = words.len().min(cols.len());
-        debug_assert_eq!(words.len(), cols.len(), "one column per kept word");
-        // Gather and scatter offsets are signed 32-bit lanes.
-        let width = c.len().min(i32::MAX as usize) as i32;
         let lead = _mm512_set1_epi32(LEAD as i32);
         let shift = _mm512_set1_epi32(shift as i32);
         let mask = _mm512_set1_epi32(mask as i32);
-        let sign_exp = _mm512_set1_epi32(SIGN_EXP as i32);
         let aword = _mm512_set1_epi32(aword as i32);
-        let width = _mm512_set1_epi32(width);
-        for j in (0..len).step_by(16) {
-            let k = lanes(len - j);
-            // SAFETY: `k` selects lanes `j..min(j + 16, len)`, inside both
-            // `words` and `cols`; masked-off lanes are not read.
-            let (w, col) = unsafe {
-                (
-                    _mm512_maskz_loadu_epi32(k, words.as_ptr().add(j).cast()),
-                    _mm512_maskz_loadu_epi32(k, cols.as_ptr().add(j).cast()),
-                )
-            };
-            // The scatter below writes through these offsets: every
-            // selected column must address `c`. Decode builds them below
-            // the tile width, which the caller matched to `c`.
-            assert_eq!(_mm512_mask_cmplt_epu32_mask(k, col, width), k, "tile column out of range");
+        mac_runs(words, cols, c, |k, w| {
             // `word_mantissa(w, shift) & mask`: the exponent bits the
             // shift leaves above the leading one fall outside the mask.
             let idx = _mm512_and_si512(_mm512_srlv_epi32(_mm512_or_si512(w, lead), shift), mask);
@@ -454,7 +493,40 @@ mod avx512 {
                     norm.as_ptr().cast(),
                 )
             };
-            let p = _mm512_add_epi32(_mm512_add_epi32(_mm512_and_si512(w, sign_exp), aword), e);
+            two_add(w, aword, e)
+        });
+    }
+
+    /// Runs `product(k, words)` over the kept lanes 16 at a time (`k`
+    /// masks the tail) and adds each product's `f32` bits into its C
+    /// column: a C gather, `vaddps` and a scatter.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn mac_runs(
+        words: &[u32],
+        cols: &[u32],
+        c: &mut [f32],
+        mut product: impl FnMut(__mmask16, __m512i) -> __m512i,
+    ) {
+        let len = words.len().min(cols.len());
+        debug_assert_eq!(words.len(), cols.len(), "one column per kept word");
+        // Gather and scatter offsets are signed 32-bit lanes.
+        let width = _mm512_set1_epi32(c.len().min(i32::MAX as usize) as i32);
+        for j in (0..len).step_by(16) {
+            let k = lanes(len - j);
+            // SAFETY: `k` selects lanes `j..min(j + 16, len)`, inside both
+            // `words` and `cols`; masked-off lanes are not read.
+            let (w, col) = unsafe {
+                (
+                    _mm512_maskz_loadu_epi32(k, words.as_ptr().add(j).cast()),
+                    _mm512_maskz_loadu_epi32(k, cols.as_ptr().add(j).cast()),
+                )
+            };
+            // The scatter below writes through these offsets: every
+            // selected column must address `c`. Decode builds them below
+            // the tile width, which the caller matched to `c`.
+            assert_eq!(_mm512_mask_cmplt_epu32_mask(k, col, width), k, "tile column out of range");
+            let p = product(k, w);
             // SAFETY: every selected column is non-negative and below
             // `c.len()` (asserted above), so the gather reads and the
             // scatter writes stay inside `c`. Columns are distinct within
@@ -467,6 +539,173 @@ mod avx512 {
             }
         }
     }
+
+    /// [`encode_product`](super::encode_product) on 16 lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn two_add(w: __m512i, aword: __m512i, norm: __m512i) -> __m512i {
+        let sign_exp = _mm512_and_si512(w, _mm512_set1_epi32(SIGN_EXP as i32));
+        _mm512_add_epi32(_mm512_add_epi32(sign_exp, aword), norm)
+    }
+
+    /// Lanes `v` of a 16-entry plain chunk table whose bit `i` is set:
+    /// `BIT_LANES[i]` masks the entries that OR in line `i`.
+    const BIT_LANES: [__mmask16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+
+    /// Multiplicand `a`'s chunk tables in registers, as `u32` entries:
+    /// the head in the low 8 lanes of the first vector, then the `chunks`
+    /// plain tables of 16 (the rest zero). Bit-identical to
+    /// `plan.tables(a)` when the plan's read-out fits in 32 bits.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn chunk_tables(plan: &ChunkPlan, a: u64) -> (__m512i, [__m512i; MAX_CHUNKS]) {
+        let [c0, c1, c2, c3, c4, c5, c6, c7] = plan.head_coeffs.map(|c| c as i64);
+        // `a · coeff` as 64-bit products (`vpmuludq`: both factors are
+        // below 2^24), shifted down by the dropped columns and narrowed:
+        // each head entry fits 32 bits when the read-out does.
+        let coeffs = _mm512_setr_epi64(c0, c1, c2, c3, c4, c5, c6, c7);
+        let products = _mm512_mul_epu32(_mm512_set1_epi64(a as i64), coeffs);
+        let shifted = _mm512_srlv_epi64(products, _mm512_set1_epi64(plan.drop as i64));
+        let head = _mm512_zextsi256_si512(_mm512_cvtepi64_epi32(shifted));
+        let mut plain = [_mm512_setzero_si512(); MAX_CHUNKS];
+        for (j, table) in plain.iter_mut().enumerate().take(plan.chunks) {
+            // `T[v]` is the OR of the lines of the set bits of `v`: one
+            // masked OR per bit of the chunk.
+            for (i, &bit_lanes) in BIT_LANES.iter().enumerate() {
+                let line = plan.plain_line(a, j as u32 * CHUNK_BITS + i as u32);
+                *table =
+                    _mm512_mask_or_epi32(*table, bit_lanes, *table, _mm512_set1_epi32(line as i32));
+            }
+        }
+        (head, plain)
+    }
+
+    /// [`super::mac_chunks`] on AVX-512F; `false` without it. The caller
+    /// has checked that the read-out fits in 32 bits.
+    pub(super) fn mac_chunks(
+        plan: &ChunkPlan,
+        a: u64,
+        encode: Encode,
+        exp_range: (i32, i32),
+        row: &DecodedRow<'_>,
+        c: &mut [f32],
+    ) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: AVX-512F support was detected at runtime just above.
+        unsafe { mac_chunks_avx512(plan, a, encode, exp_range, row, c) };
+        true
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn mac_chunks_avx512(
+        plan: &ChunkPlan,
+        a: u64,
+        encode: Encode,
+        (min_exp, max_exp): (i32, i32),
+        row: &DecodedRow<'_>,
+        c: &mut [f32],
+    ) {
+        let (words, cols) = (row.words, row.cols);
+        debug_assert!(plan.fits_u32(), "chunk read-out wider than a u32 lane");
+        let (head, plain) = chunk_tables(plan, a);
+        let plain = &plain[..plan.chunks];
+        let n = plan.n;
+        let set1 = |v: u32| _mm512_set1_epi32(v as i32);
+        let (fraction_bits, lead, one) = (set1(0x7F_FFFF), set1(LEAD), set1(1));
+        // `24 - n` drops a word's fraction to the format's mantissa, and
+        // lifts a read-out's fraction back to the `f32` position.
+        let (shift, head_shift) = (set1(24 - n), set1(plan.head_shift));
+        // `prenormalise`: the top read-out column (`n - 1` truncated,
+        // `2n - 1` full) is the renormalise shift `t`; the mantissa is
+        // `raw << (1 - t)` truncated or `raw >> (n - 1 + t)` full, and
+        // its fraction moves to the `f32` position.
+        let truncate = plan.drop != 0;
+        let top = set1(if truncate { n - 1 } else { 2 * n - 1 });
+        let (n_minus_one, frac) = (set1(n - 1), set1((1 << (n - 1)) - 1));
+        let norm_of = |w: __m512i| {
+            // `word_mantissa(w, 24 - n)`: `n` bits, nothing above.
+            let fraction = _mm512_and_si512(w, fraction_bits);
+            let m = _mm512_srlv_epi32(_mm512_or_si512(fraction, lead), shift);
+            // `vpermd` reads the low 4 index bits: the head index is at
+            // most 7 and each plain chunk is the next 4 bits of `m`
+            // (head bits in the top chunk index entries without lines).
+            let mut raw = _mm512_permutexvar_epi32(_mm512_srlv_epi32(m, head_shift), head);
+            let mut idx = m;
+            for &table in plain {
+                raw = _mm512_or_si512(raw, _mm512_permutexvar_epi32(idx, table));
+                idx = _mm512_srli_epi32::<4>(idx);
+            }
+            let t = _mm512_and_si512(_mm512_srlv_epi32(raw, top), one);
+            let man = if truncate {
+                _mm512_sllv_epi32(raw, _mm512_sub_epi32(one, t))
+            } else {
+                _mm512_srlv_epi32(raw, _mm512_add_epi32(n_minus_one, t))
+            };
+            let fraction = _mm512_sllv_epi32(_mm512_and_si512(man, frac), shift);
+            _mm512_or_si512(_mm512_slli_epi32::<23>(t), fraction)
+        };
+        match encode {
+            Encode::TwoAdd(aword) => {
+                let aword = set1(aword);
+                mac_runs(words, cols, c, |_, w| two_add(w, aword, norm_of(w)));
+            }
+            Encode::Select { xsign, xexp } => {
+                let (sign_bit, exp_field) = (set1(SIGN), set1(0xFF));
+                let (xsign, xexp) = (set1(xsign), set1(xexp as u32));
+                let (hi, lo) = (set1((max_exp + 127) as u32), set1((min_exp + 127) as u32));
+                let inf = set1(0x7F80_0000);
+                mac_runs(words, cols, c, |_, w| {
+                    let norm = norm_of(w);
+                    // The biased product exponent `exp + 127`.
+                    let exp_field_w = _mm512_and_si512(_mm512_srli_epi32::<23>(w), exp_field);
+                    let biased = _mm512_add_epi32(
+                        _mm512_add_epi32(exp_field_w, _mm512_srli_epi32::<23>(norm)),
+                        xexp,
+                    );
+                    let sign = _mm512_and_si512(_mm512_xor_si512(w, xsign), sign_bit);
+                    let normal = _mm512_or_si512(
+                        _mm512_or_si512(sign, _mm512_slli_epi32::<23>(biased)),
+                        _mm512_and_si512(norm, fraction_bits),
+                    );
+                    // `encode_normal_f32`'s saturate and flush as blends;
+                    // the two masks never overlap.
+                    let saturate = _mm512_cmpgt_epi32_mask(biased, hi);
+                    let flush = _mm512_cmplt_epi32_mask(biased, lo);
+                    let p = _mm512_mask_mov_epi32(normal, flush, sign);
+                    _mm512_mask_mov_epi32(p, saturate, _mm512_or_si512(sign, inf))
+                });
+            }
+        }
+    }
+
+    /// The in-register chunk tables of `a`, stored to arrays: the head's
+    /// 8 entries and `plan.chunks` plain tables of 16.
+    #[cfg(test)]
+    pub(super) fn chunk_tables_of(plan: &ChunkPlan, a: u64) -> Option<([u32; 8], Vec<[u32; 16]>)> {
+        if !available() {
+            return None;
+        }
+        // SAFETY: AVX-512F support was detected at runtime just above.
+        Some(unsafe { chunk_tables_stored(plan, a) })
+    }
+
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f")]
+    fn chunk_tables_stored(plan: &ChunkPlan, a: u64) -> ([u32; 8], Vec<[u32; 16]>) {
+        let store = |v: __m512i| {
+            let mut out = [0u32; 16];
+            // SAFETY: `out` holds exactly the 16 lanes the store writes.
+            unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) };
+            out
+        };
+        let (head, plain) = chunk_tables(plan, a);
+        let head = store(head);
+        assert!(head[8..].iter().all(|&e| e == 0), "head lanes 8..16 are zero");
+        let head: [u32; 8] = head[..8].try_into().expect("8 head entries");
+        (head, plain[..plan.chunks].iter().map(|&t| store(t)).collect())
+    }
 }
 
 #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
@@ -474,7 +713,8 @@ mod avx512 {
     //! Without the `simd` feature (or off x86-64) no AVX-512 kernel is
     //! compiled: every entry point reports "not done" and callers run
     //! the portable kernels.
-    use super::LaneDecoder;
+    use super::{DecodedRow, Encode, LaneDecoder};
+    use crate::mantissa::ChunkPlan;
 
     pub(super) fn available() -> bool {
         false
@@ -498,5 +738,55 @@ mod avx512 {
         _c: &mut [f32],
     ) -> bool {
         false
+    }
+
+    pub(super) fn mac_chunks(
+        _plan: &ChunkPlan,
+        _a: u64,
+        _encode: Encode,
+        _exp_range: (i32, i32),
+        _row: &DecodedRow<'_>,
+        _c: &mut [f32],
+    ) -> bool {
+        false
+    }
+
+    #[cfg(test)]
+    pub(super) fn chunk_tables_of(
+        _plan: &ChunkPlan,
+        _a: u64,
+    ) -> Option<([u32; 8], Vec<[u32; 16]>)> {
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{MultiplierConfig, OperandMode};
+    use crate::mantissa::MantissaMultiplier;
+
+    #[test]
+    fn register_chunk_tables_match_the_plan_for_every_fp16_multiplicand() {
+        // All 2^10 fp16 mantissas (with their leading one) under every
+        // config: the in-register head and plain tables against
+        // `ChunkPlan::tables`, entry for entry.
+        let n = FpFormat::FP16.mantissa_width();
+        for config in MultiplierConfig::ALL {
+            let mult = MantissaMultiplier::new(config, OperandMode::Fp, n);
+            let plan = mult.chunk_plan().expect("fp16 runs on chunk tables");
+            assert!(plan.fits_u32(), "{config}: fp16 read-outs fit 32 bits");
+            for a in 1u64 << (n - 1)..1 << n {
+                let Some((head, plain)) = avx512::chunk_tables_of(plan, a) else {
+                    return; // no AVX-512F: nothing to compare
+                };
+                let expect = plan.tables(a);
+                assert_eq!(head.map(u64::from), expect.head, "{config}: head of a={a:#x}");
+                assert_eq!(plain.len(), expect.plain().len(), "{config}: plain tables");
+                for (j, (got, want)) in plain.iter().zip(expect.plain()).enumerate() {
+                    assert_eq!(got.map(u64::from), *want, "{config}: chunk {j} of a={a:#x}");
+                }
+            }
+        }
     }
 }

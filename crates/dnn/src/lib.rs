@@ -60,5 +60,5 @@ mod tensor;
 pub mod train;
 
 pub use layers::{Conv2d, Dense, Flatten, Layer, MaxPool2d, Param, ReLU, Residual, Sequential};
-pub use session::{CompiledLayer, CompiledModel, InferenceSession};
+pub use session::{CompiledLayer, CompiledModel, InferenceSession, RequestShapeError};
 pub use tensor::Tensor;

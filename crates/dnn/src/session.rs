@@ -150,6 +150,48 @@ impl CompiledLayer {
         }
     }
 
+    /// The per-sample output shape for a per-sample input shape
+    /// `sample` (the request shape without its batch dimension), or why
+    /// this layer cannot take it: the same checks its forward asserts.
+    fn sample_shape(&self, sample: &[usize]) -> Result<Vec<usize>, String> {
+        match &self.0 {
+            CompiledKind::Dense(d) => match sample {
+                [k] if *k == d.weights.k() => Ok(vec![d.weights.n()]),
+                _ => Err(format!("Dense expects [{}] per sample", d.weights.k())),
+            },
+            CompiledKind::Conv(c) => {
+                let g = &c.geom;
+                let fits = |d: usize| d + 2 * g.padding >= g.kernel;
+                match sample {
+                    &[ch, h, w] if ch == g.in_ch && fits(h) && fits(w) => {
+                        let (oh, ow) = g.out_hw(h, w);
+                        Ok(vec![g.out_ch, oh, ow])
+                    }
+                    _ => Err(format!(
+                        "Conv2d expects [{}, h, w] per sample with h, w >= {}",
+                        g.in_ch,
+                        g.kernel.saturating_sub(2 * g.padding)
+                    )),
+                }
+            }
+            CompiledKind::ReLU => Ok(sample.to_vec()),
+            CompiledKind::MaxPool => match sample {
+                &[ch, h, w] if h % 2 == 0 && w % 2 == 0 => Ok(vec![ch, h / 2, w / 2]),
+                _ => Err("MaxPool2d expects [ch, h, w] per sample with even h, w".into()),
+            },
+            CompiledKind::Flatten => Ok(vec![sample.iter().product()]),
+            CompiledKind::Residual(inner) => {
+                let out = sample_shape_of(inner, sample)?;
+                if out == sample {
+                    Ok(out)
+                } else {
+                    Err(format!("Residual inner maps {sample:?} to {out:?}"))
+                }
+            }
+            CompiledKind::Seq(inner) => sample_shape_of(inner, sample),
+        }
+    }
+
     fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         match &self.0 {
             CompiledKind::Dense(d) => d.forward(x, backend),
@@ -178,6 +220,33 @@ impl CompiledLayer {
         }
     }
 }
+
+/// The per-sample output shape of a layer chain (see
+/// [`CompiledLayer::sample_shape`]).
+fn sample_shape_of(layers: &[CompiledLayer], sample: &[usize]) -> Result<Vec<usize>, String> {
+    layers.iter().try_fold(sample.to_vec(), |shape, layer| {
+        layer.sample_shape(&shape).map_err(|why| format!("{why}, got {shape:?}"))
+    })
+}
+
+/// A request a [`CompiledModel`] cannot serve: its per-sample shape
+/// does not fit the compiled layers. Returned by
+/// [`InferenceSession::try_submit`] before the request is queued.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestShapeError {
+    /// The rejected request's shape.
+    pub shape: Vec<usize>,
+    /// Where the shape walk over the compiled layers stopped, and why.
+    pub reason: String,
+}
+
+impl std::fmt::Display for RequestShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "request of shape {:?} rejected: {}", self.shape, self.reason)
+    }
+}
+
+impl std::error::Error for RequestShapeError {}
 
 /// FNV-1a over every parameter's bits (values only — gradients and
 /// momentum don't affect what a snapshot serves), plus a length mix per
@@ -272,6 +341,18 @@ impl<'b> CompiledModel<'b> {
         y
     }
 
+    /// The per-sample output shape this model serves for a request of
+    /// shape `shape` (leading dimension = samples), or why it cannot
+    /// serve it: a walk over the compiled layers' input checks (conv
+    /// channels and kernel reach, pooling parity, Dense width).
+    fn output_sample_shape(&self, shape: &[usize]) -> Result<Vec<usize>, RequestShapeError> {
+        let reject = |reason: String| RequestShapeError { shape: shape.to_vec(), reason };
+        match shape.split_first() {
+            None => Err(reject("requests need a leading batch dimension".into())),
+            Some((_, sample)) => sample_shape_of(&self.layers, sample).map_err(reject),
+        }
+    }
+
     /// `true` when `model`'s parameters no longer match the snapshot
     /// this compiled model captured — serving would silently use stale
     /// weights. Detection is by parameter fingerprint, so it costs one
@@ -346,15 +427,27 @@ impl<'m, 'b> InferenceSession<'m, 'b> {
 
     /// Enqueues one request (leading dimension = samples in the
     /// request), returning its index into [`flush`](Self::flush)'s
-    /// output.
+    /// output, or an error — leaving the queue untouched — when the
+    /// compiled model cannot serve its per-sample shape. The check walks
+    /// the shape through the compiled layers' input checks (conv
+    /// channels and kernel reach, pooling parity, Dense width), so a
+    /// malformed request never reaches the micro-batch it would share
+    /// with valid ones.
+    pub fn try_submit(&mut self, x: Tensor) -> Result<usize, RequestShapeError> {
+        self.model.output_sample_shape(x.shape())?;
+        self.queue.push(x);
+        Ok(self.queue.len() - 1)
+    }
+
+    /// [`try_submit`](Self::try_submit) for requests known to be
+    /// well-formed.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has no dimensions.
+    /// Panics here, at the submit site, with the
+    /// [`RequestShapeError`], if the model cannot serve `x`'s shape.
     pub fn submit(&mut self, x: Tensor) -> usize {
-        assert!(!x.shape().is_empty(), "requests need a leading batch dimension");
-        self.queue.push(x);
-        self.queue.len() - 1
+        self.try_submit(x).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of queued requests.
@@ -482,6 +575,48 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "micro-batched output diverged");
             }
         }
+    }
+
+    #[test]
+    fn malformed_requests_are_rejected_before_the_micro_batch() {
+        // mini_vgg(8): conv(1→8) pool conv(8→16) pool flatten Dense(64).
+        let model = models::mini_vgg(8, 3);
+        let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16);
+        let compiled = model.compile(&mul);
+        assert_eq!(compiled.output_sample_shape(&[2, 1, 8, 8]), Ok(vec![3]));
+        for bad in [&[2, 3, 8, 8][..], &[2, 1, 6, 8], &[2, 1, 7, 8], &[2, 64], &[2, 1, 8]] {
+            let err = compiled.output_sample_shape(bad).expect_err("malformed shape");
+            assert_eq!(err.shape, bad, "{err}");
+        }
+        // Valid requests queued around a rejected one flush to the same
+        // bits as when served alone.
+        let requests: Vec<Tensor> =
+            (0..3).map(|s| Tensor::randn(&[1 + s, 1, 8, 8], 1.0, 80 + s as u64)).collect();
+        let mut session = InferenceSession::new(&compiled);
+        assert_eq!(session.try_submit(requests[0].clone()), Ok(0));
+        let bad = Tensor::randn(&[1, 2, 8, 8], 1.0, 90);
+        let err = session.try_submit(bad).expect_err("two input channels");
+        assert!(err.reason.contains("Conv2d"), "{err}");
+        assert_eq!(session.pending(), 1);
+        assert_eq!(session.try_submit(requests[1].clone()), Ok(1));
+        assert_eq!(session.submit(requests[2].clone()), 2);
+        let outs = session.flush();
+        assert_eq!(outs.len(), 3);
+        for (x, y) in requests.iter().zip(&outs) {
+            let solo = compiled.forward(x);
+            assert_eq!(solo.shape(), y.shape());
+            for (a, b) in solo.data().iter().zip(y.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "micro-batched output diverged");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rejected: Dense expects [5] per sample")]
+    fn submit_panics_at_the_submit_site() {
+        let model = models::mlp(5, 8, 3, 1);
+        let compiled = model.compile(&ExactMul);
+        InferenceSession::new(&compiled).submit(Tensor::randn(&[2, 4], 1.0, 1));
     }
 
     #[test]
