@@ -729,7 +729,10 @@ impl ApproxFpMul {
             // row of a chunk-table multiplier whose read-out fits in 32
             // bits, and the product-table MAC the in-range rows of a
             // table multiplier; every other row runs the portable lane
-            // MAC.
+            // MAC. fp16's narrow exponent range makes out-of-range rows
+            // common (about 15% of the chunk MAC's lanes when serving
+            // perfbench's CNN, none of bf16's), so only the chunk MAC
+            // also vectorizes the select encode.
             let man = xs.mantissa();
             let vectorized = match (encode, self.mult.chunk_plan()) {
                 (_, Some(plan)) => {

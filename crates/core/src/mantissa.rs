@@ -171,19 +171,12 @@ impl ChunkPlan {
                 plain_lines |= 1 << s;
             }
         }
-        // Widths above the table limit with a head of at most 3 bits
-        // leave 6 to 23 plain bits.
-        let chunks = head_shift.div_ceil(CHUNK_BITS) as usize;
-        assert!(
-            (2..=MAX_CHUNKS).contains(&chunks),
-            "{n}-bit chunk plan with {chunks} plain tables"
-        );
         ChunkPlan {
             n,
             head_shift,
             head_coeffs,
             plain_lines,
-            chunks,
+            chunks: head_shift.div_ceil(CHUNK_BITS) as usize,
             drop: if layout.config().truncate { n } else { 0 },
         }
     }
@@ -205,57 +198,27 @@ impl ChunkPlan {
 
     /// The chunk tables of multiplicand `a`: the head entries, and each
     /// plain chunk by the subset-OR recurrence
-    /// `T[v] = T[v & (v - 1)] | line(lowest set bit of v)`. Only the
-    /// `chunks` tables in use are built.
+    /// `T[v] = T[v & (v - 1)] | line(lowest set bit of v)`.
     pub(crate) fn tables(&self, a: u64) -> ChunkTables {
-        let table = |j: usize| {
+        let mut t = ChunkTables {
+            head_shift: self.head_shift,
+            chunks: self.chunks,
+            head: [0; 8],
+            plain: [[0; 16]; MAX_CHUNKS],
+        };
+        for (h, &coeff) in t.head.iter_mut().zip(&self.head_coeffs) {
+            *h = (a * coeff) >> self.drop;
+        }
+        for (j, table) in t.plain[..self.chunks].iter_mut().enumerate() {
             // The chunk's four lines (zero for bits without one, which
             // includes head bits).
             let lines: [u64; CHUNK_BITS as usize] =
                 std::array::from_fn(|i| self.plain_line(a, j as u32 * CHUNK_BITS + i as u32));
-            let mut table = [0u64; 16];
             for v in 1..16usize {
                 table[v] = table[v & (v - 1)] | lines[v.trailing_zeros() as usize];
             }
-            table
-        };
-        let plain = match self.chunks {
-            2 => PlainTables::Two(std::array::from_fn(table)),
-            3 => PlainTables::Three(std::array::from_fn(table)),
-            4 => PlainTables::Four(std::array::from_fn(table)),
-            5 => PlainTables::Five(std::array::from_fn(table)),
-            6 => PlainTables::Six(std::array::from_fn(table)),
-            chunks => unreachable!("a chunk plan has 2..=6 plain tables, not {chunks}"),
-        };
-        ChunkTables {
-            head_shift: self.head_shift,
-            head: self.head_coeffs.map(|coeff| (a * coeff) >> self.drop),
-            plain,
         }
-    }
-}
-
-/// The plain chunk tables in use, one variant per count: building them
-/// fills only those tables.
-#[derive(Debug, Clone)]
-enum PlainTables {
-    Two([[u64; 16]; 2]),
-    Three([[u64; 16]; 3]),
-    Four([[u64; 16]; 4]),
-    Five([[u64; 16]; 5]),
-    Six([[u64; 16]; MAX_CHUNKS]),
-}
-
-impl PlainTables {
-    #[inline]
-    fn as_slice(&self) -> &[[u64; 16]] {
-        match self {
-            PlainTables::Two(t) => t,
-            PlainTables::Three(t) => t,
-            PlainTables::Four(t) => t,
-            PlainTables::Five(t) => t,
-            PlainTables::Six(t) => t,
-        }
+        t
     }
 }
 
@@ -264,15 +227,16 @@ impl PlainTables {
 #[derive(Debug, Clone)]
 pub(crate) struct ChunkTables {
     head_shift: u32,
+    chunks: usize,
     pub(crate) head: [u64; 8],
-    plain: PlainTables,
+    plain: [[u64; 16]; MAX_CHUNKS],
 }
 
 impl ChunkTables {
     /// The plain tables in use, lowest chunk first.
     #[inline]
     pub(crate) fn plain(&self) -> &[[u64; 16]] {
-        self.plain.as_slice()
+        &self.plain[..self.chunks]
     }
 
     #[inline]
@@ -464,9 +428,8 @@ impl MantissaMultiplier {
     /// multiplier splits into a head chunk (its top 1, 2 or 3 bits under
     /// FLA, PC2 or PC3 — the bits that select a combined line) and
     /// plain chunks of at most 4 bits below it, and each table entry is
-    /// the OR of the stored patterns its chunk value activates (only
-    /// the tables the width uses are filled: fp16 under PC3 needs two of
-    /// the six). A read is then one lookup per chunk, ORed together.
+    /// the OR of the stored patterns its chunk value activates. A read
+    /// is then one lookup per chunk, ORed together.
     ///
     /// # Panics
     ///

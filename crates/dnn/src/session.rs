@@ -50,9 +50,8 @@ pub(crate) struct CompiledDense {
 }
 
 impl CompiledDense {
+    /// `x` is `[batch, k]` (checked by [`CompiledLayer::forward`]).
     fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        assert_eq!(x.shape().len(), 2, "Dense expects [batch, features]");
-        assert_eq!(x.shape()[1], self.weights.k(), "Dense input width mismatch");
         let batch = x.shape()[0];
         let mut y = Tensor::zeros(&[batch, self.weights.n()]);
         backend.gemm_prepared_b(x.data(), &self.weights, y.data_mut(), batch);
@@ -72,9 +71,9 @@ pub(crate) struct CompiledConv {
 }
 
 impl CompiledConv {
+    /// `x` is `[batch, in_ch, h, w]` with the kernel's reach inside the
+    /// padded input (checked by [`CompiledLayer::forward`]).
     fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "Conv2d expects [batch, ch, h, w]");
-        assert_eq!(x.shape()[1], self.geom.in_ch, "Conv2d channel mismatch");
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geom.out_hw(h, w);
         let bp = batch * oh * ow;
@@ -151,8 +150,11 @@ impl CompiledLayer {
     }
 
     /// The per-sample output shape for a per-sample input shape
-    /// `sample` (the request shape without its batch dimension), or why
-    /// this layer cannot take it: the same checks its forward asserts.
+    /// `sample` (the input shape without its batch dimension), or why
+    /// this layer cannot take it. The one statement of what a compiled
+    /// layer accepts: [`forward`](Self::forward) runs it before the
+    /// layer, and [`InferenceSession::try_submit`] walks it over the
+    /// whole model.
     fn sample_shape(&self, sample: &[usize]) -> Result<Vec<usize>, String> {
         match &self.0 {
             CompiledKind::Dense(d) => match sample {
@@ -192,22 +194,28 @@ impl CompiledLayer {
         }
     }
 
+    /// Runs the layer on `x` after checking `x`'s per-sample shape with
+    /// [`sample_shape`](Self::sample_shape), and asserts that the output
+    /// has the shape it predicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has no batch dimension or the layer cannot take
+    /// its per-sample shape.
     fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        match &self.0 {
+        let (&batch, sample) = x.shape().split_first().expect("inputs need a batch dimension");
+        let out = self.sample_shape(sample).unwrap_or_else(|why| panic!("{why}, got {sample:?}"));
+        let y = match &self.0 {
             CompiledKind::Dense(d) => d.forward(x, backend),
             CompiledKind::Conv(c) => c.forward(x, backend),
             CompiledKind::ReLU => x.map(|v| v.max(0.0)),
             CompiledKind::MaxPool => maxpool2x2(x, None),
-            CompiledKind::Flatten => {
-                let batch = x.shape()[0];
-                x.reshape(&[batch, x.len() / batch])
-            }
+            CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
             CompiledKind::Residual(inner) => {
                 let mut y = x.clone();
                 for layer in inner {
                     y = layer.forward(&y, backend);
                 }
-                assert_eq!(y.shape(), x.shape(), "Residual inner must preserve shape");
                 y.add(x)
             }
             CompiledKind::Seq(inner) => {
@@ -217,7 +225,13 @@ impl CompiledLayer {
                 }
                 y
             }
-        }
+        };
+        assert!(
+            y.shape().split_first() == Some((&batch, &out[..])),
+            "{sample:?} served as {:?}, predicted {out:?}",
+            &y.shape()[1..]
+        );
+        y
     }
 }
 
@@ -608,6 +622,31 @@ mod tests {
             for (a, b) in solo.data().iter().zip(y.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "micro-batched output diverged");
             }
+        }
+    }
+
+    #[test]
+    fn every_shape_the_walk_accepts_serves_as_predicted() {
+        // `try_submit`'s walk and the compiled forwards check shapes with
+        // the same rule: every per-sample shape the walk accepts serves,
+        // with the output shape it predicts.
+        let samples = (1..=8).map(|k| vec![k]).chain(
+            (1..=2)
+                .flat_map(|ch| (1..=16).flat_map(move |h| (1..=16).map(move |w| vec![ch, h, w]))),
+        );
+        let samples: Vec<Vec<usize>> = samples.collect();
+        for model in [models::mlp(5, 8, 3, 1), models::mini_vgg(8, 3), models::tiny_resnet(8, 3)] {
+            let compiled = model.compile(&ExactMul);
+            let mut accepted = 0;
+            for sample in &samples {
+                let shape = [&[2][..], sample].concat();
+                if let Ok(out) = compiled.output_sample_shape(&shape) {
+                    let y = compiled.forward(&Tensor::randn(&shape, 1.0, 5));
+                    assert_eq!(y.shape(), [&[2][..], &out].concat(), "served {shape:?}");
+                    accepted += 1;
+                }
+            }
+            assert!(accepted > 0, "the walk accepts the model's own input shape");
         }
     }
 
