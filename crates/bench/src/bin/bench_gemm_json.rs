@@ -38,6 +38,16 @@
 //! `gemm` pays once per call. The top-level `tile_kernel` field names
 //! the decoded-tile kernel the host ran ([`tile_kernel`]).
 //!
+//! A separate `products` array times the primitives under the GEMMs,
+//! one row per primitive (`ns_per_op`):
+//!
+//! * `scalar_mul` — one [`ScalarMul::mul`] call, bf16 and fp16 PC3_tr;
+//! * `mul_lanes` — one lane of [`MantissaMultiplier::mul_lanes`] over
+//!   16-lane groups against a prepared multiplicand, at the bf16 (8-bit,
+//!   product table) and fp16 (11-bit, chunk tables) mantissa widths;
+//! * `read_or_group` — one [`SramBank::read_or_group`] multi-wordline
+//!   OR read of a programmed 8 kB bank (8 lines per group).
+//!
 //! Each (size, backend, variant) cell reports the best and median of a
 //! few timed repetitions (best-of filters scheduler noise; the median
 //! shows spread). Derived speedups versus the reference are included
@@ -48,9 +58,10 @@
 //! * **Dispatch guard**: at sizes ≥ 64³ and on the CNN shapes (full
 //!   mode only) every non-`reference` row must
 //!   measure `speedup_vs_reference ≥ 0.95` — the dispatch layer must
-//!   never pick a variant that loses to the naive loop (the PR-1/PR-2
-//!   exact-f32 regression this PR fixes). Smaller smoke sizes are below
-//!   timing resolution and are exempt.
+//!   never pick a variant that loses to the naive loop (the early
+//!   exact-f32 regression stays fixed). Smaller smoke sizes are below
+//!   timing resolution and are exempt. The JSON is written before the
+//!   guard exits, so a failing run keeps its rows.
 //! * **BlockFp validation**: before timing, the engine's output is
 //!   checked — all-finite, no scale blowup against the exact f32 GEMM,
 //!   byte-identical across repeats. (Byte-identity across C row-chunk
@@ -59,9 +70,11 @@
 
 use daism_core::{
     gemm, gemm_reference, tile_kernel, ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend,
-    MultiplierConfig, ScalarMul,
+    MantissaMultiplier, MultiplierConfig, OperandMode, ScalarMul,
 };
 use daism_num::FpFormat;
+use daism_sram::{BankGeometry, GroupLayout, SramBank};
+use std::hint::black_box;
 use std::time::Instant;
 
 type GemmFn = fn(&dyn ScalarMul, &[f32], &[f32], &mut [f32], usize, usize, usize);
@@ -205,19 +218,108 @@ fn time_cell(
     (samples[0], samples[samples.len() / 2])
 }
 
-/// The median of `reps` timed [`GemmBackend::prepare_b`] calls on `b`,
-/// after one warm-up.
-fn time_prepare_b(backend: &dyn GemmBackend, b: &[f32], k: usize, n: usize, reps: usize) -> u128 {
-    let _warm = backend.prepare_b(b, k, n);
+/// `reps` timed calls of `run` after one warm-up: `(best_ns,
+/// median_ns)`.
+fn time_reps(reps: usize, mut run: impl FnMut()) -> (u128, u128) {
+    run();
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
-            let _prepared = backend.prepare_b(b, k, n);
+            run();
             t0.elapsed().as_nanos()
         })
         .collect();
     samples.sort_unstable();
-    samples[samples.len() / 2]
+    (samples[0], samples[samples.len() / 2])
+}
+
+/// The median of `reps` timed [`GemmBackend::prepare_b`] calls on `b`,
+/// after one warm-up.
+fn time_prepare_b(backend: &dyn GemmBackend, b: &[f32], k: usize, n: usize, reps: usize) -> u128 {
+    time_reps(reps, || {
+        black_box(backend.prepare_b(b, k, n));
+    })
+    .1
+}
+
+/// One `products` row: `ops` invocations of a primitive per timed
+/// repetition.
+struct ProductRow {
+    op: &'static str,
+    backend: &'static str,
+    ops: usize,
+    best_ns: u128,
+    median_ns: u128,
+}
+
+/// Operands that vary call to call: `count` values `lead | (i·73 mod
+/// lead)`, so every one has the leading one an fp mantissa carries.
+fn mantissas(lead: u64, count: usize) -> Vec<u64> {
+    (0..count as u64).map(|i| lead | ((i * 73) % lead)).collect()
+}
+
+/// Times the product-level primitives, `ops` per repetition.
+fn time_products(ops: usize, reps: usize) -> Vec<ProductRow> {
+    let mut rows = Vec::new();
+    let mut push = |op, backend, ops, (best_ns, median_ns)| {
+        rows.push(ProductRow { op, backend, ops, best_ns, median_ns });
+    };
+    let xs: Vec<f32> = (0..256).map(|i| 0.37 + (i as f32) * 0.113).collect();
+    for (backend, format) in [("bf16_pc3_tr", FpFormat::BF16), ("fp16_pc3_tr", FpFormat::FP16)] {
+        let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, format);
+        push(
+            "scalar_mul",
+            backend,
+            ops,
+            time_reps(reps, || {
+                for i in 0..ops {
+                    black_box(mul.mul(black_box(xs[i % 256]), black_box(-xs[(i * 7 + 3) % 256])));
+                }
+            }),
+        );
+    }
+    const LANES: usize = 16;
+    for (backend, n) in [("bf16_pc3_tr", 8u32), ("fp16_pc3_tr", 11)] {
+        let mm = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, n);
+        let lead = 1u64 << (n - 1);
+        let preps: Vec<_> = mantissas(lead, 16).into_iter().map(|a| mm.prepare(a)).collect();
+        let groups: Vec<[u64; LANES]> = mantissas(lead, 64 * LANES)
+            .chunks_exact(LANES)
+            .map(|g| g.try_into().expect("LANES lanes"))
+            .collect();
+        let calls = ops / LANES;
+        push(
+            "mul_lanes",
+            backend,
+            calls * LANES,
+            time_reps(reps, || {
+                for i in 0..calls {
+                    black_box(mm.mul_lanes(&preps[i % 16], black_box(&groups[i % 64])));
+                }
+            }),
+        );
+    }
+    let geometry = BankGeometry::square_from_bytes(8 * 1024).expect("8 kB bank");
+    let mut bank = SramBank::new(geometry, GroupLayout::new(8, 16).expect("layout")).expect("bank");
+    for slot in 0..bank.slots() {
+        for line in 0..8 {
+            let pattern = ((slot * 131 + line * 7) & 0xFFFF) as u64;
+            bank.write_line(0, line, slot, pattern).expect("programmed line");
+        }
+    }
+    let calls = ops / 64;
+    push(
+        "read_or_group",
+        "sram_8kb",
+        calls,
+        time_reps(reps, || {
+            for i in 0..calls {
+                let mask = black_box(1 + (i as u64 * 37) % 255);
+                black_box(bank.read_or_group(0, mask).expect("mask within the 8 lines"));
+            }
+        }),
+    );
+    rows
 }
 
 /// Times one blockfp `(variant, size)` cell, same protocol as
@@ -319,8 +421,9 @@ fn reference_ns(cells: &[Cell], cell: &Cell) -> u128 {
 
 /// The dispatch guard: no guarded non-reference row may lose more than
 /// 5% to the naive reference — if one does, the dispatch layer (or a
-/// kernel) has regressed. Exits non-zero.
-fn enforce_dispatch_guard(cells: &[Cell]) {
+/// kernel) has regressed. Returns `false` (after reporting each losing
+/// row) on a violation.
+fn dispatch_guard_holds(cells: &[Cell]) -> bool {
     let mut failed = false;
     for cell in cells.iter().filter(|c| c.guarded && c.variant != "reference") {
         let reference = reference_ns(cells, cell);
@@ -337,9 +440,7 @@ fn enforce_dispatch_guard(cells: &[Cell]) {
             failed = true;
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    !failed
 }
 
 fn main() {
@@ -430,12 +531,15 @@ fn main() {
         }
     }
 
-    enforce_dispatch_guard(&cells);
+    let products = time_products(if quick { 1 << 12 } else { 1 << 16 }, reps);
+    for p in &products {
+        eprintln!("{:>13} {:>12}: {} ops, best {} ns", p.op, p.backend, p.ops, p.best_ns);
+    }
 
     // Hand-rolled JSON (no serde in the offline container).
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema\": \"daism-bench-gemm/4\",\n");
+    json.push_str("  \"schema\": \"daism-bench-gemm/5\",\n");
     json.push_str("  \"emitter\": \"bench_gemm_json\",\n");
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!("  \"threads\": {},\n", rayon_threads()));
@@ -469,6 +573,20 @@ fn main() {
             if i + 1 == cells.len() { "" } else { "," }
         ));
     }
+    json.push_str("  ],\n  \"products\": [\n");
+    for (i, p) in products.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"op\": \"{}\", \"backend\": \"{}\", \"ops\": {}, \"best_ns\": {}, \
+             \"median_ns\": {}, \"ns_per_op\": {:.3}}}{}\n",
+            p.op,
+            p.backend,
+            p.ops,
+            p.best_ns,
+            p.median_ns,
+            p.best_ns as f64 / p.ops.max(1) as f64,
+            if i + 1 == products.len() { "" } else { "," }
+        ));
+    }
     json.push_str("  ]\n}\n");
 
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -476,6 +594,9 @@ fn main() {
         std::process::exit(1);
     }
     println!("wrote {out_path}");
+    if !dispatch_guard_holds(&cells) {
+        std::process::exit(1);
+    }
 }
 
 fn rayon_threads() -> usize {

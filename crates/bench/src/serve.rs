@@ -4,16 +4,18 @@
 //! The workload is the repo's serving scenario distilled: a trained
 //! Dense stack with 256-wide hidden layers (each request drives
 //! `batch × 256 × 256`-class GEMMs), fixed weights, a stream of
-//! requests. The *eager* mode re-derives every weight-side operand per
-//! request — decoded B tiles, microkernel packing, BlockFp weight
-//! tiles — exactly as `Sequential::forward` always has; the *compiled*
-//! mode serves from a [`CompiledModel`](daism_dnn::CompiledModel)
-//! snapshot that paid the conversion once at compile time.
+//! requests. The *eager* mode is `Sequential::forward`, which compiles
+//! every layer from its current weights on every request — decoded B
+//! tiles, microkernel packing, BlockFp weight tiles — and throws the
+//! compiled form away; the *compiled* mode serves from a
+//! [`CompiledModel`](daism_dnn::CompiledModel) snapshot that paid the
+//! conversion once. Both run the same compiled layers, so the gap
+//! between them is the per-request weight conversion.
 //!
 //! Before timing, each backend's compiled output is validated
-//! bit-identical to its eager output (a wrong cache must never win a
-//! benchmark). The `bench_serve_json` bin wraps this module with JSON
-//! emission (`BENCH_serve.json`) and the CI throughput guard.
+//! bit-identical to its eager output (a stale or wrong snapshot must
+//! never win a benchmark). The `bench_serve_json` bin wraps this module
+//! with JSON emission (`BENCH_serve.json`) and the CI throughput guard.
 
 use daism_core::{ApproxFpMul, BlockFpGemm, ExactMul, GemmBackend, MultiplierConfig};
 use daism_dnn::{models, Layer, Sequential, Tensor};

@@ -34,7 +34,12 @@ impl Param {
 /// networks can be trained and evaluated on any datapath.
 pub trait Layer {
     /// Forward pass; caches whatever `backward` will need when
-    /// `training`.
+    /// `training`. The built-in layers compile themselves from their
+    /// current weights ([`compile_layer`](Self::compile_layer)) and run
+    /// the compiled form (a training max-pool runs the same walk with
+    /// its argmax recorded), so a forward computes the same bits as a
+    /// [`CompiledModel`](crate::CompiledModel) built from the same
+    /// weights.
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor;
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output,
@@ -65,8 +70,9 @@ pub trait Layer {
     /// [`CompiledModel`](crate::CompiledModel)).
     ///
     /// Returns `None` when the layer has no compiled form (the
-    /// default); [`Sequential::compile`](crate::Sequential) then falls
-    /// back to eager execution for the whole model.
+    /// default); [`Sequential::try_compile`] then returns `None` too,
+    /// and [`train::accuracy`](crate::train::accuracy) falls back to
+    /// the layers' own forwards.
     fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
         let _ = backend;
         None
@@ -103,8 +109,8 @@ impl Dense {
         }
     }
 
-    /// `Wᵀ` as a fresh `[in, out]` buffer — the B operand both the
-    /// eager and the compiled forward feed the GEMM.
+    /// `Wᵀ` as a fresh `[in, out]` buffer — the stored B operand of the
+    /// compiled forward.
     fn weight_t(&self) -> Vec<f32> {
         let mut wt = vec![0.0f32; self.in_features * self.out_features];
         for o in 0..self.out_features {
@@ -114,29 +120,22 @@ impl Dense {
         }
         wt
     }
-}
 
-/// Adds `bias` to every row of the `[batch, out]` tensor `y` — the one
-/// bias loop behind the eager and the compiled `Dense`, so their bits
-/// match.
-pub(crate) fn add_bias_rows(y: &mut Tensor, bias: &[f32]) {
-    let (batch, out) = (y.shape()[0], bias.len());
-    for n in 0..batch {
-        for (o, &b) in bias.iter().enumerate() {
-            y.data_mut()[n * out + o] += b;
-        }
+    fn compiled(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+        // Dense multiplies Wᵀ from the right: the weights are the stored
+        // B operand, so the whole per-request conversion (tile decode /
+        // microkernel packing / BlockFp tile quantization) is hoisted
+        // into the snapshot.
+        CompiledLayer::dense(CompiledDense {
+            bias: self.b.value.data().to_vec(),
+            weights: backend.prepare_b(&self.weight_t(), self.in_features, self.out_features),
+        })
     }
 }
 
 impl Layer for Dense {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 2, "Dense expects [batch, features]");
-        assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
-        let batch = x.shape()[0];
-        let wt = self.weight_t();
-        let mut y = Tensor::zeros(&[batch, self.out_features]);
-        backend.gemm(x.data(), &wt, y.data_mut(), batch, self.in_features, self.out_features);
-        add_bias_rows(&mut y, self.b.value.data());
+        let y = self.compiled(backend).forward(x, backend, None);
         if training {
             self.cache_x = Some(x.clone());
         }
@@ -189,14 +188,7 @@ impl Layer for Dense {
     }
 
     fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        // Dense multiplies Wᵀ from the right: the weights are the stored
-        // B operand, so the whole per-request conversion (tile decode /
-        // microkernel packing / BlockFp tile quantization) is hoisted
-        // into the snapshot.
-        Some(CompiledLayer::dense(CompiledDense {
-            bias: self.b.value.data().to_vec(),
-            weights: backend.prepare_b(&self.weight_t(), self.in_features, self.out_features),
-        }))
+        Some(self.compiled(backend))
     }
 
     fn name(&self) -> String {
@@ -208,9 +200,9 @@ impl Layer for Dense {
 // Conv2d
 // -------------------------------------------------------------------
 
-/// The geometry of a conv lowering — shared by the eager [`Conv2d`]
-/// layer and its compiled serving snapshot, so the bounds / padding /
-/// stride math exists exactly once.
+/// The geometry of a conv lowering — shared by the [`Conv2d`] layer's
+/// backward and its compiled form, so the bounds / padding / stride
+/// math exists exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ConvGeom {
     pub(crate) in_ch: usize,
@@ -233,10 +225,10 @@ impl ConvGeom {
         self.in_ch * self.kernel * self.kernel
     }
 
-    /// The single lowering walk behind every im2col entry point: always
-    /// fills `cols` as `[in_ch·k·k, batch·oh·ow]` (sample-major
-    /// columns, padding positions zero), and mirrors every element into
-    /// the transposed `colst` when given one.
+    /// The single lowering walk: always fills `cols` as
+    /// `[in_ch·k·k, batch·oh·ow]` (sample-major columns, padding
+    /// positions zero), and mirrors every element into the transposed
+    /// `colst` when given one.
     pub(crate) fn lower_batch(
         &self,
         x: &Tensor,
@@ -322,8 +314,8 @@ impl ConvGeom {
 /// column matrix, so forward and backward each run **one GEMM per
 /// layer** instead of one per sample — feeding the engine tiles wide
 /// enough for its decoded-tile pre-decode and the worker pool to pay
-/// off. im2col/transpose scratch buffers are owned by the layer and
-/// reused across calls and iterations (no per-call allocation churn).
+/// off. A training forward keeps the transposed lowering, from the same
+/// walk, for backward's weight-gradient GEMM.
 ///
 /// Results are bit-identical to the per-sample lowering: the batched
 /// GEMM visits each output element's products in the same
@@ -338,18 +330,9 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cache_x: Option<Tensor>,
-    /// Batched im2col scratch `[in_ch·k·k, batch·oh·ow]`; in backward it
-    /// is recycled a second time as the `grad_cols` GEMM destination.
-    scratch_cols: Vec<f32>,
-    /// `scratch_cols` currently holds the lowering of `cache_x` — set by a
-    /// training forward, cleared once backward recycles the buffer — so
-    /// backward can skip re-lowering the cached input.
-    cols_valid: bool,
-    /// Forward: staged GEMM output `[out_ch, batch·oh·ow]`. Backward:
-    /// the gathered upstream gradient in the same layout.
-    scratch_rows: Vec<f32>,
-    /// Backward: `colsᵀ` / `Wᵀ` transpose staging.
-    scratch_t: Vec<f32>,
+    /// The transposed lowering of `cache_x`, `[batch·oh·ow, in_ch·k·k]`:
+    /// written only by a training forward, read by backward.
+    cols_t: Vec<f32>,
 }
 
 impl Conv2d {
@@ -373,10 +356,7 @@ impl Conv2d {
             stride,
             padding,
             cache_x: None,
-            scratch_cols: Vec::new(),
-            cols_valid: false,
-            scratch_rows: Vec::new(),
-            scratch_t: Vec::new(),
+            cols_t: Vec::new(),
         }
     }
 
@@ -424,43 +404,26 @@ impl Conv2d {
             }
         }
     }
+
+    fn compiled(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+        // Conv2d multiplies the kernel matrix from the *left*: it is the
+        // stored A operand, and the per-request B operand is the im2col
+        // lowering of the input. What the snapshot hoists is the A-side
+        // work: the weight copy (serving never re-reads the layer) and,
+        // on the BlockFp backend, the per-(row, k-tile) quantization.
+        let geom = self.geom();
+        CompiledLayer::conv(CompiledConv {
+            geom,
+            bias: self.b.value.data().to_vec(),
+            weights: backend.prepare_a(self.w.value.data(), self.out_ch, geom.kdim()),
+        })
+    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "Conv2d expects [batch, ch, h, w]");
-        assert_eq!(x.shape()[1], self.in_ch, "Conv2d channel mismatch");
-        let geom = self.geom();
-        let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = geom.out_hw(h, w);
-        let bp = batch * oh * ow;
-
-        // One GEMM for the whole batch: W[out_ch × kdim] · cols[kdim × bp],
-        // lowered into the layer's reused scratch (sample-major columns,
-        // padding positions zero). A training forward lowers into both
-        // layouts in one walk, so backward's grad_w GEMM consumes the
-        // transpose directly instead of re-walking the lowering.
-        let mut cols = std::mem::take(&mut self.scratch_cols);
-        if training {
-            let mut colst = std::mem::take(&mut self.scratch_t);
-            geom.lower_batch(x, &mut cols, Some(&mut colst));
-            self.scratch_t = colst;
-        } else {
-            geom.lower_batch(x, &mut cols, None);
-        }
-        let mut staged = std::mem::take(&mut self.scratch_rows);
-        staged.clear();
-        staged.resize(self.out_ch * bp, 0.0);
-        backend.gemm(self.w.value.data(), &cols, &mut staged, self.out_ch, geom.kdim(), bp);
-
-        // Un-stage [out_ch, batch·p] -> [batch, out_ch, p], adding bias.
-        let y = geom.unstage_with_bias(self.b.value.data(), &staged, batch, oh, ow);
-        self.scratch_cols = cols;
-        // A training forward leaves `scratch_cols` holding exactly the
-        // lowering backward needs for this `cache_x`; an inference
-        // forward leaves a lowering of some other input there.
-        self.cols_valid = training;
-        self.scratch_rows = staged;
+        let compiled = self.compiled(backend);
+        let y = compiled.forward(x, backend, training.then_some(&mut self.cols_t));
         if training {
             self.cache_x = Some(x.clone());
         }
@@ -468,9 +431,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        // Taken, not cloned: `col2im_batch` below borrows `self`, and the
-        // input goes back into the cache once backward is done.
-        let x = self.cache_x.take().expect("Conv2d::backward before forward");
+        let x = self.cache_x.as_ref().expect("Conv2d::backward before forward");
         let geom = self.geom();
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = geom.out_hw(h, w);
@@ -478,23 +439,9 @@ impl Layer for Conv2d {
         let p = oh * ow;
         let bp = batch * p;
 
-        let mut cols = std::mem::take(&mut self.scratch_cols);
-        let mut t = std::mem::take(&mut self.scratch_t);
-        if !self.cols_valid {
-            // An interleaved inference call replaced the training
-            // lowering: rebuild both layouts from the cached input.
-            geom.lower_batch(&x, &mut cols, Some(&mut t));
-        }
-        // Either way the buffers stop holding the lowering below: `cols`
-        // is recycled as the grad_cols destination and `t` as the Wᵀ
-        // staging.
-        self.cols_valid = false;
-
         // Gather the upstream gradient [batch, out_ch, p] into
         // sample-major rows g[out_ch × bp], matching the cols layout.
-        let mut g = std::mem::take(&mut self.scratch_rows);
-        g.clear();
-        g.resize(self.out_ch * bp, 0.0);
+        let mut g = vec![0.0f32; self.out_ch * bp];
         for n in 0..batch {
             for c in 0..self.out_ch {
                 let src = &grad.data()[(n * self.out_ch + c) * p..(n * self.out_ch + c + 1) * p];
@@ -503,12 +450,11 @@ impl Layer for Conv2d {
         }
 
         // grad_w += g · colsᵀ — one GEMM over the whole batch, with the
-        // transposed lowering already staged by the training forward
-        // (transpose-free backward). The k dimension runs over (sample,
-        // position) in ascending order, exactly the order the
-        // per-sample loop accumulated in.
-        debug_assert_eq!(t.len(), bp * kdim, "colsᵀ staging out of step with the lowering");
-        backend.gemm(&g, &t, self.w.grad.data_mut(), self.out_ch, bp, kdim);
+        // transposed lowering the training forward kept. The k dimension
+        // runs over (sample, position) in ascending order, exactly the
+        // order the per-sample loop accumulated in.
+        debug_assert_eq!(self.cols_t.len(), bp * kdim, "colsᵀ out of step with the cached input");
+        backend.gemm(&g, &self.cols_t, self.w.grad.data_mut(), self.out_ch, bp, kdim);
 
         // grad_b += row sums of g, sample by sample (same partial-sum
         // order as the per-sample loop, so bits match).
@@ -519,25 +465,18 @@ impl Layer for Conv2d {
             }
         }
 
-        // grad_cols = Wᵀ · g — the second whole-batch GEMM; `cols` is
-        // recycled as its destination (its contents were consumed by the
-        // transpose above).
-        t.clear();
-        t.resize(kdim * self.out_ch, 0.0);
+        // grad_cols = Wᵀ · g — the second whole-batch GEMM.
+        let mut wt = vec![0.0f32; kdim * self.out_ch];
         for c in 0..self.out_ch {
             for r in 0..kdim {
-                t[r * self.out_ch + c] = self.w.value.data()[c * kdim + r];
+                wt[r * self.out_ch + c] = self.w.value.data()[c * kdim + r];
             }
         }
-        cols.iter_mut().for_each(|v| *v = 0.0);
-        backend.gemm(&t, &g, &mut cols, kdim, self.out_ch, bp);
+        let mut grad_cols = vec![0.0f32; kdim * bp];
+        backend.gemm(&wt, &g, &mut grad_cols, kdim, self.out_ch, bp);
 
         let mut gx = Tensor::zeros(x.shape());
-        self.col2im_batch(&cols, &mut gx);
-        self.scratch_cols = cols;
-        self.scratch_rows = g;
-        self.scratch_t = t;
-        self.cache_x = Some(x);
+        self.col2im_batch(&grad_cols, &mut gx);
         gx
     }
 
@@ -550,17 +489,7 @@ impl Layer for Conv2d {
     }
 
     fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        // Conv2d multiplies the kernel matrix from the *left*: it is the
-        // stored A operand, and the per-request B operand is the im2col
-        // lowering of the input. What the snapshot hoists is the A-side
-        // work: the weight copy (serving never re-reads the layer) and,
-        // on the BlockFp backend, the per-(row, k-tile) quantization.
-        let geom = self.geom();
-        Some(CompiledLayer::conv(CompiledConv {
-            geom,
-            bias: self.b.value.data().to_vec(),
-            weights: backend.prepare_a(self.w.value.data(), self.out_ch, geom.kdim()),
-        }))
+        Some(self.compiled(backend))
     }
 
     fn name(&self) -> String {
@@ -589,11 +518,11 @@ impl ReLU {
 }
 
 impl Layer for ReLU {
-    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         if training {
             self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
         }
-        x.map(|v| v.max(0.0))
+        CompiledLayer::relu().forward(x, backend, None)
     }
 
     fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {
@@ -625,10 +554,10 @@ impl MaxPool2d {
     }
 }
 
-/// The pure 2×2/stride-2 max-pool walk, shared by the eager layer and
-/// the compiled serving path. `argmax`, when given, is resized and
+/// The pure 2×2/stride-2 max-pool walk, shared by the layer's training
+/// forward and the compiled form. `argmax`, when given, is resized and
 /// filled with the winning input offsets (what backward needs); the
-/// compiled path passes `None` so serving a request allocates nothing
+/// compiled form passes `None` so serving a request allocates nothing
 /// beyond the pooled tensor.
 ///
 /// # Panics
@@ -673,9 +602,9 @@ pub(crate) fn maxpool2x2(x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Ten
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         if !training {
-            return maxpool2x2(x, None);
+            return CompiledLayer::maxpool().forward(x, backend, None);
         }
         let mut argmax = Vec::new();
         let y = maxpool2x2(x, Some(&mut argmax));
@@ -717,13 +646,11 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let batch = x.shape()[0];
-        let features = x.len() / batch;
+    fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         if training {
             self.in_shape = Some(x.shape().to_vec());
         }
-        x.reshape(&[batch, features])
+        CompiledLayer::flatten().forward(x, backend, None)
     }
 
     fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {

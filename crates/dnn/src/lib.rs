@@ -20,13 +20,17 @@
 //! and training alike: [`Layer::forward`], [`train::accuracy`] and
 //! [`Sequential::compile`] take whichever backend they are given.
 //!
-//! For serving, models **compile once and serve many**:
-//! [`Sequential::compile`] snapshots every layer's weights in their
-//! backend-prepared form (no per-request operand re-decode),
-//! [`CompiledModel::forward`] takes `&self` so one session is shared
-//! across threads, and [`InferenceSession`] micro-batches queued
-//! requests into one batched GEMM per layer — all byte-identical to
-//! the eager forwards (see [`CompiledModel`]).
+//! Each built-in layer has one forward: its compiled form
+//! ([`CompiledLayer`]), which holds the weights in the backend's
+//! stored-operand form. [`Layer::forward`] compiles the layer from its
+//! current weights and runs it; a training forward also keeps what
+//! backward needs. For serving, models **compile once and serve
+//! many**: [`Sequential::compile`] snapshots every layer once (no
+//! per-request weight conversion), [`CompiledModel::forward`] takes
+//! `&self` so one session is shared across threads, and
+//! [`InferenceSession`] micro-batches queued requests into one batched
+//! GEMM per layer — all byte-identical to [`Layer::forward`] on the same
+//! weights (see [`CompiledModel`]).
 //!
 //! # Example
 //!

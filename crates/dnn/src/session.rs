@@ -1,11 +1,14 @@
-//! Compiled inference sessions: **compile once, serve many**.
+//! Compiled layers and inference sessions: **compile once, serve
+//! many**.
 //!
 //! DAISM's inference story is static weights flowing through the
-//! in-SRAM multiplier array, yet the eager layers re-derive every
-//! weight-side operand on **every** forward call — decoded B tiles,
-//! microkernel packed panels and BlockFp weight tiles are rebuilt per
-//! request and thrown away. This module makes the weight-stationary
-//! reuse explicit:
+//! in-SRAM multiplier array. A [`CompiledLayer`] holds one layer's
+//! weights in the backend's stored-operand form — decoded B tiles,
+//! microkernel packed panels, BlockFp weight tiles — and runs the one
+//! forward that layer has: [`Layer::forward`] compiles the layer from
+//! its current weights and runs it (a training forward also keeps what
+//! backward needs), so a plain forward pays the weight conversion on
+//! every call. This module makes the weight-stationary reuse explicit:
 //!
 //! * [`Sequential::compile`] walks a trained model once for one
 //!   [`GemmBackend`] and snapshots each layer into its immutable serving
@@ -22,11 +25,14 @@
 //!
 //! # Bit-exactness
 //!
-//! `CompiledModel::forward` is **byte-identical** to the eager
-//! `Sequential::forward(x, backend, false)` on the same backend — the
-//! compiled layers run the same kernels over the same values, with only
-//! the stored operand's conversion moved to compile time (enforced by
-//! `tests/compiled_differential.rs`).
+//! `CompiledModel::forward` is **byte-identical** to
+//! `Sequential::forward(x, backend, false)` on the same weights and
+//! backend, because both run these compiled layers. Both are in turn
+//! byte-identical to a reference that feeds the raw weights to
+//! [`GemmBackend::gemm`]: the stored-operand GEMMs
+//! (`gemm_prepared_a` / `gemm_prepared_b`) run the same kernels over
+//! the same values, with only the stored operand's conversion moved to
+//! compile time (enforced by `tests/compiled_differential.rs`).
 //!
 //! # Staleness
 //!
@@ -37,7 +43,7 @@
 //! parameters against the one captured at compile time, and
 //! [`CompiledModel::refresh`] re-snapshots the weights in place.
 
-use crate::layers::{add_bias_rows, maxpool2x2, ConvGeom, Layer, Sequential};
+use crate::layers::{maxpool2x2, ConvGeom, Layer, Sequential};
 use crate::tensor::Tensor;
 use daism_core::{GemmBackend, PreparedA, PreparedB};
 
@@ -52,17 +58,21 @@ pub(crate) struct CompiledDense {
 impl CompiledDense {
     /// `x` is `[batch, k]` (checked by [`CompiledLayer::forward`]).
     fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        let batch = x.shape()[0];
-        let mut y = Tensor::zeros(&[batch, self.weights.n()]);
+        let (batch, out) = (x.shape()[0], self.weights.n());
+        let mut y = Tensor::zeros(&[batch, out]);
         backend.gemm_prepared_b(x.data(), &self.weights, y.data_mut(), batch);
-        add_bias_rows(&mut y, &self.bias);
+        for row in y.data_mut().chunks_exact_mut(out) {
+            for (v, &b) in row.iter_mut().zip(&self.bias) {
+                *v += b;
+            }
+        }
         y
     }
 }
 
 /// A compiled `Conv2d`: the kernel matrix as the stored A operand and
-/// **per-call** lowering scratch — serving through `&self` can never
-/// touch an eager training layer's reused buffers.
+/// **per-call** lowering scratch — serving through `&self` never
+/// touches a training layer's buffers.
 #[derive(Debug)]
 pub(crate) struct CompiledConv {
     pub(crate) geom: ConvGeom,
@@ -72,18 +82,22 @@ pub(crate) struct CompiledConv {
 
 impl CompiledConv {
     /// `x` is `[batch, in_ch, h, w]` with the kernel's reach inside the
-    /// padded input (checked by [`CompiledLayer::forward`]).
-    fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
+    /// padded input (checked by [`CompiledLayer::forward`]). `cols_t`,
+    /// when given, receives the transposed lowering from the same walk.
+    fn forward(
+        &self,
+        x: &Tensor,
+        backend: &dyn GemmBackend,
+        cols_t: Option<&mut Vec<f32>>,
+    ) -> Tensor {
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.geom.out_hw(h, w);
         let bp = batch * oh * ow;
 
-        // Same whole-batch lowering as the eager forward, into scratch
-        // owned by *this call* — `&self` sharing across threads (or an
-        // interleaved eager training step on the source layer) cannot
-        // corrupt it.
+        // The whole-batch lowering, into scratch owned by *this call* —
+        // `&self` sharing across threads cannot corrupt it.
         let mut cols = Vec::new();
-        self.geom.lower_batch(x, &mut cols, None);
+        self.geom.lower_batch(x, &mut cols, cols_t);
         let mut staged = vec![0.0f32; self.geom.out_ch * bp];
         backend.gemm_prepared_a(&self.weights, &cols, &mut staged, bp);
         self.geom.unstage_with_bias(&self.bias, &staged, batch, oh, ow)
@@ -102,8 +116,10 @@ enum CompiledKind {
 }
 
 /// One layer of a [`CompiledModel`]: an immutable serving snapshot
-/// produced by [`Layer::compile_layer`]. Opaque — built through the
-/// crate's layer implementations, consumed by `CompiledModel::forward`.
+/// produced by [`Layer::compile_layer`], and the one forward the
+/// built-in layers have. Opaque — built through the crate's layer
+/// implementations, run by `CompiledModel::forward` and by each
+/// built-in layer's own [`Layer::forward`].
 #[derive(Debug)]
 pub struct CompiledLayer(CompiledKind);
 
@@ -196,32 +212,40 @@ impl CompiledLayer {
 
     /// Runs the layer on `x` after checking `x`'s per-sample shape with
     /// [`sample_shape`](Self::sample_shape), and asserts that the output
-    /// has the shape it predicts.
+    /// has the shape it predicts. A training forward passes `tape`: a
+    /// conv fills it with its transposed lowering
+    /// `[batch·oh·ow, in_ch·k·k]`, which backward's weight-gradient GEMM
+    /// reads; every other layer leaves it untouched.
     ///
     /// # Panics
     ///
     /// Panics if `x` has no batch dimension or the layer cannot take
     /// its per-sample shape.
-    fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
+    pub(crate) fn forward(
+        &self,
+        x: &Tensor,
+        backend: &dyn GemmBackend,
+        tape: Option<&mut Vec<f32>>,
+    ) -> Tensor {
         let (&batch, sample) = x.shape().split_first().expect("inputs need a batch dimension");
         let out = self.sample_shape(sample).unwrap_or_else(|why| panic!("{why}, got {sample:?}"));
         let y = match &self.0 {
             CompiledKind::Dense(d) => d.forward(x, backend),
-            CompiledKind::Conv(c) => c.forward(x, backend),
+            CompiledKind::Conv(c) => c.forward(x, backend, tape),
             CompiledKind::ReLU => x.map(|v| v.max(0.0)),
             CompiledKind::MaxPool => maxpool2x2(x, None),
             CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
             CompiledKind::Residual(inner) => {
                 let mut y = x.clone();
                 for layer in inner {
-                    y = layer.forward(&y, backend);
+                    y = layer.forward(&y, backend, None);
                 }
                 y.add(x)
             }
             CompiledKind::Seq(inner) => {
                 let mut y = x.clone();
                 for layer in inner {
-                    y = layer.forward(&y, backend);
+                    y = layer.forward(&y, backend, None);
                 }
                 y
             }
@@ -283,7 +307,7 @@ fn params_fingerprint(model: &Sequential) -> u64 {
 /// A model compiled for one backend: every layer an immutable snapshot
 /// with its weight-side operand conversion already done, served through
 /// `&self`. Built by [`Sequential::compile`], byte-identical to the
-/// eager forward on the same backend, and a snapshot: see
+/// model's own forward on the same backend, and a snapshot: see
 /// [`is_stale`](Self::is_stale) and [`refresh`](Self::refresh).
 ///
 /// # Examples
@@ -345,12 +369,12 @@ impl<'b> CompiledModel<'b> {
     }
 
     /// One inference forward through the compiled layers. Byte-identical
-    /// to the eager model's inference forward on the same backend;
+    /// to the source model's inference forward on the same backend;
     /// `&self`, so one compiled model serves many threads.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         let mut y = x.clone();
         for layer in &self.layers {
-            y = layer.forward(&y, self.backend);
+            y = layer.forward(&y, self.backend, None);
         }
         y
     }
@@ -527,6 +551,31 @@ mod tests {
 
     fn assert_send_sync<T: Send + Sync>() {}
 
+    /// `models::mlp`'s inference forward through [`GemmBackend::gemm`] on
+    /// the raw weights: the second path the compiled layers are checked
+    /// against.
+    fn mlp_reference(model: &Sequential, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
+        let mut y = x.clone();
+        for (i, wb) in model.params().chunks(2).enumerate() {
+            if i > 0 {
+                y = y.map(|v| v.max(0.0));
+            }
+            let (w, b) = (&wb[0].value, &wb[1].value);
+            let (out, inp, batch) = (w.shape()[0], w.shape()[1], y.shape()[0]);
+            let wt: Vec<f32> =
+                (0..inp * out).map(|j| w.data()[(j % out) * inp + j / out]).collect();
+            let mut z = Tensor::zeros(&[batch, out]);
+            backend.gemm(y.data(), &wt, z.data_mut(), batch, inp, out);
+            for row in z.data_mut().chunks_exact_mut(out) {
+                for (v, bias) in row.iter_mut().zip(b.data()) {
+                    *v += bias;
+                }
+            }
+            y = z;
+        }
+        y
+    }
+
     #[test]
     fn compiled_model_is_send_sync() {
         assert_send_sync::<CompiledModel<'_>>();
@@ -540,11 +589,14 @@ mod tests {
         let compiled = model.compile(&mul);
         for seed in 0..3 {
             let x = Tensor::randn(&[3, 6], 1.0, 40 + seed);
-            let eager = model.forward(&x, &mul, false);
+            let reference = mlp_reference(&model, &x, &mul);
             let served = compiled.forward(&x);
-            assert_eq!(eager.shape(), served.shape());
-            for (a, b) in eager.data().iter().zip(served.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "compiled diverged from eager");
+            let eager = model.forward(&x, &mul, false);
+            assert_eq!(reference.shape(), served.shape());
+            assert_eq!(reference.shape(), eager.shape());
+            for ((r, s), e) in reference.data().iter().zip(served.data()).zip(eager.data()) {
+                assert_eq!(r.to_bits(), s.to_bits(), "compiled diverged from the reference");
+                assert_eq!(r.to_bits(), e.to_bits(), "forward diverged from the reference");
             }
         }
     }
@@ -562,8 +614,8 @@ mod tests {
         compiled.refresh(&model);
         assert!(!compiled.is_stale(&model));
         let x = Tensor::randn(&[2, 4], 1.0, 3);
-        let eager = model.forward(&x, &mul, false);
-        for (a, b) in eager.data().iter().zip(compiled.forward(&x).data()) {
+        let reference = mlp_reference(&model, &x, &mul);
+        for (a, b) in reference.data().iter().zip(compiled.forward(&x).data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

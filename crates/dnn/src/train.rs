@@ -130,10 +130,11 @@ pub fn fit(
 
 /// The one chunked-evaluation loop behind every accuracy entry point:
 /// `forward` maps an input chunk to logits. Chunking bounds activation
-/// memory; it exists exactly once so the eager and compiled evaluators
-/// can never disagree on how a test set is split (BlockFp conv outputs
-/// depend on batch grouping, so a split mismatch would break the
-/// byte-parity guarantee).
+/// memory; it exists exactly once so the compiled evaluator and the
+/// fallback through the layers' own forwards (for a model with a custom
+/// layer that has no compiled form) can never disagree on how a test
+/// set is split (BlockFp conv outputs depend on batch grouping, so a
+/// split mismatch would break the byte-parity guarantee).
 fn accuracy_chunks(
     x: &Tensor,
     labels: &[usize],
@@ -168,8 +169,9 @@ pub fn accuracy_compiled(model: &crate::CompiledModel<'_>, x: &Tensor, labels: &
 /// The evaluation loop compiles the model once (weights prepared in
 /// `backend`'s serving form) and scores every chunk through the
 /// compiled session; models with uncompilable custom layers fall back
-/// to eager forwards. Either way the outputs — and therefore the
-/// accuracy — are byte-identical.
+/// to the layers' own forwards, which compile each built-in layer per
+/// chunk. Either way the outputs — and therefore the accuracy — are
+/// byte-identical.
 pub fn accuracy(
     model: &mut Sequential,
     x: &Tensor,
@@ -275,7 +277,8 @@ mod tests {
         let fla = BlockFpGemm::new(MultiplierConfig::FLA, 8);
         let coarse = accuracy(&mut model, &data.test_x, &data.test_y, &fla);
         assert!(coarse > 0.4, "coarse blockfp accuracy {coarse}");
-        // The compiled evaluation equals the chunked eager forward.
+        // The compiled evaluation equals the fallback loop through the
+        // layers' own forwards.
         for (engine, acc) in [(&engine, bfp), (&fla, coarse)] {
             let eager =
                 accuracy_chunks(&data.test_x, &data.test_y, |xb| model.forward(xb, engine, false));
