@@ -1,7 +1,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use crate::tile_kernel::{self, decoded_stride, DecodedRow, Encode, LaneDecoder};
+use crate::tile_kernel::{self, decoded_stride, BlockProducts, DecodedRow, Encode, LaneDecoder};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -46,16 +46,18 @@ impl<'a> TileSource<'a> {
 /// (one decode per tile *element*, reused by every C row).
 ///
 /// Produced by [`ScalarMul::prepare_tile`]. Each tile row is a slab of
-/// fixed stride (a function of the tile width) that keeps only the
-/// lanes that reach the multiplier, packed at the front with their
-/// column index, followed by the row's count of kept lanes. Zero lanes
-/// are dropped at decode time — the hardware's zero gating (paper
-/// §III-C): the MAC loop never visits them, so its cost follows the
-/// nonzeros. The decoded fields are backend-specific (one `f32` word
-/// per lane for [`ApproxFpMul`], the quantized `f64` for
-/// [`QuantizedExactMul`]; see `TileForm`). The tile also keeps its raw
-/// values, which back the exact side logic and let a *different*
-/// backend consume the tile through its
+/// fixed stride (a function of the tile width) that records which lanes
+/// reach the multiplier, followed by the row's count of kept lanes.
+/// Zero lanes never reach C — the hardware's zero gating (paper
+/// §III-C). A sparse row keeps only its nonzero lanes, packed at the
+/// front with their column index, so the MAC loop never visits the
+/// zeros and its cost follows the nonzeros; [`ApproxFpMul`] stores a
+/// row with at least a quarter of its lanes kept in place instead, and
+/// its MAC masks the zero lanes off. The decoded fields are
+/// backend-specific (one `f32` word per lane for [`ApproxFpMul`], the
+/// quantized `f64` for [`QuantizedExactMul`]; see `TileForm`). The tile
+/// also keeps its raw values, which back the exact side logic and let a
+/// *different* backend consume the tile through its
 /// [`mul_rows`](ScalarMul::mul_rows) semantics — correct, just
 /// unaccelerated.
 #[derive(Debug, Clone)]
@@ -74,13 +76,22 @@ pub struct PreparedTile {
 enum TileForm {
     /// [`ApproxFpMul`]: operands decoded into the format straight from
     /// the `f32` bits (round-to-nearest-even, carry, range checks;
-    /// exactly [`FpScalar::from_f32`]), one `u32` word per kept lane. A
-    /// row slab of a `w`-wide tile holds
-    /// `[word; w] [col; w] kept exotic emin emax` (stride `2w + 4`):
+    /// exactly [`FpScalar::from_f32`]), one `u32` word per lane — the
+    /// `f32` bits of the format-rounded value (sign, biased exponent,
+    /// fraction). A row slab of a `w`-wide tile holds
+    /// `[word; w] [col; w] kept exotic emin emax` (stride `2w + 4`), in
+    /// one of two layouts picked from the row's `kept` count of normal
+    /// lanes (`tile_kernel::is_dense`):
     ///
-    /// * `kept` normal lanes at the front, each word the `f32` bits of
-    ///   the format-rounded value (sign, biased exponent, fraction) with
-    ///   its column beside it;
+    /// * dense, at least a quarter of the lanes kept: every word at its
+    ///   column, 0 for a zero or exotic lane. The MAC updates C
+    ///   contiguously, masked by `word != 0`;
+    /// * compressed, sparser rows: the `kept` words at the front. The MAC
+    ///   visits only those lanes.
+    ///
+    /// Both layouts also hold:
+    ///
+    /// * the `kept` lanes' columns at the front of the column array;
     /// * the columns of `exotic` lanes at the back of the column array.
     ///   Exotic lanes — Inf/NaN, or a nonzero `f32` that flushes to
     ///   format zero, whose signed-zero product the scalar path
@@ -93,8 +104,8 @@ enum TileForm {
     ///   exponent, and the pre-normalised read-out. A row that fails the
     ///   check takes a per-lane encode with saturation and flush.
     ///
-    /// The decode and the product-table MAC have portable and AVX-512
-    /// kernels (`tile_kernel`), bit-identical to each other.
+    /// The decode and the two MACs have portable and AVX-512 kernels
+    /// (`tile_kernel`), bit-identical to each other.
     Decoded(FpFormat),
     /// [`QuantizedExactMul`]: every nonzero operand quantized into the
     /// format once, held as the exact `f64` the per-element multiply
@@ -157,8 +168,9 @@ impl PreparedTile {
     fn kept(&self, r: usize) -> usize {
         match self.form {
             TileForm::Decoded(_) => {
+                // A kept word is never 0; a dense row holds 0 for the rest.
                 let row = DecodedRow::new(&self.slabs, self.width, r);
-                row.words.len() + row.exotic.len()
+                row.words.iter().filter(|&&w| w != 0).count() + row.exotic.len()
             }
             TileForm::Quantized(_) => QuantizedRow::new(&self.slabs, self.width, r).cols.len(),
         }
@@ -248,7 +260,8 @@ pub trait ScalarMul: GemmBackend {
     /// decode out of the MAC loop entirely — the GEMM engine prepares
     /// each `KC×NC` B tile once and reuses it for every C row, so the
     /// per-MAC `FpScalar::from_f32` disappears, and the zero lanes the
-    /// hardware gates are dropped so no C row ever visits them.
+    /// hardware gates never reach C: a sparse row drops them, a dense
+    /// one (in the [`ApproxFpMul`] form) marks them for the MAC to mask.
     ///
     /// `None` (the default) means the backend has no cheaper form: the
     /// engine keeps the raw fused [`mul_rows`](Self::mul_rows) loop.
@@ -582,17 +595,47 @@ impl ApproxFpMul {
         encode_normal_f32(sign, exp, man, self.format)
     }
 
+    /// The portable lane MAC, for every row the AVX-512 kernels do not
+    /// take: `c[col] +=` the product of multiplicand mantissa `man` with
+    /// each kept lane of `row`, encoded as `encode` says. A dense row of
+    /// a product-table multiplier updates C in place
+    /// ([`tile_kernel::mac_dense_row`]; the encode is picked here, once
+    /// per row). Every other row runs [`mac_lanes`](Self::mac_lanes) over
+    /// its kept columns: a compressed row's words are packed, and a
+    /// chunk-table product costs too much to spend on a dense row's gated
+    /// lanes.
+    fn mac_portable(&self, man: u64, row: &DecodedRow<'_>, c: &mut [f32], encode: Encode) {
+        if let (true, Some(table)) = (row.dense, self.mult.norm_row(man)) {
+            let norms = TableNorms { table, shift: 24 - self.format.mantissa_width() };
+            match encode {
+                Encode::TwoAdd(aword) => {
+                    tile_kernel::mac_dense_row(row.words, c, &TwoAddProducts { norms, aword })
+                }
+                Encode::Select { xsign, xexp } => {
+                    let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
+                    let products = SelectProducts { norms, xsign, xexp, max_exp, min_exp };
+                    tile_kernel::mac_dense_row(row.words, c, &products)
+                }
+            }
+            return;
+        }
+        let prep = self.mult.prepare(man);
+        let full = row.cols.len() / LANES * LANES;
+        let (cols, tail_cols) = row.cols.split_at(full);
+        let (words, tail) =
+            if row.dense { (row.words, row.words) } else { row.words.split_at(full) };
+        self.mac_lanes::<LANES>(&prep, words, cols, row.dense, c, encode);
+        self.mac_lanes::<1>(&prep, tail, tail_cols, row.dense, c, encode);
+    }
+
     /// The products of one group of pre-normalised read-outs (see
     /// [`prenormalise`](crate::mantissa::prenormalise)) with the kept
-    /// lanes' `words`, encoded as `encode` says. The select encode is
-    /// the exponent add (the renormalise increment rides in bit 23), a
-    /// branch-free encode (saturation/flush as exponent-range selects)
-    /// and one OR with sign and fraction. All lanes are fixed-width
-    /// arrays, so the whole group autovectorizes on stable.
-    /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
-    /// lane. Only valid when `self.fast_f32` and for read-outs of
-    /// `Normal` operands.
-    #[inline]
+    /// lanes' `words`, encoded as `encode` says (see [`select_encode`]
+    /// for the select encode). All lanes are fixed-width arrays, so the
+    /// whole group autovectorizes on stable. Bit-identical to
+    /// [`fuse_combine`](Self::fuse_combine) on every lane. Only valid
+    /// when `self.fast_f32` and for read-outs of `Normal` operands.
+    #[inline(always)]
     fn product_lanes<const L: usize>(
         &self,
         norm: &[u32; L],
@@ -609,20 +652,7 @@ impl ApproxFpMul {
             Encode::Select { xsign, xexp } => {
                 let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
                 for ((o, &w), &e) in out.iter_mut().zip(words).zip(norm) {
-                    let exp = xexp + ((w >> 23) & 0xFF) as i32 - 127 + (e >> 23) as i32;
-                    let sign = xsign ^ (w & 0x8000_0000);
-                    // `encode_normal_f32` with saturation/flush as
-                    // selects; the out-of-range lanes' `normal` bits are
-                    // garbage that the select discards.
-                    let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
-                    let pbits = if exp > max_exp {
-                        sign | 0x7F80_0000 // saturate to (signed) infinity
-                    } else if exp < min_exp {
-                        sign // flush to (signed) zero
-                    } else {
-                        normal
-                    };
-                    *o = f32::from_bits(pbits);
+                    *o = f32::from_bits(select_encode(w, e, xsign, xexp, max_exp, min_exp));
                 }
             }
         }
@@ -632,34 +662,56 @@ impl ApproxFpMul {
     /// Multiply-accumulates runs of `L` kept lanes into their C columns:
     /// the lanes' mantissas, one pre-normalised gather (or chunk read)
     /// and one [`product_lanes`](Self::product_lanes) per run, then a
-    /// scatter-add. Within a tile row every column appears once, so the
-    /// scatter order cannot matter. `words.len()` must be a multiple of
-    /// `L`.
+    /// scatter-add. A lane's word is `words[col]` on a dense row and the
+    /// next packed word otherwise. Within a tile row every column appears
+    /// once, so the scatter order cannot matter. `cols.len()` must be a
+    /// multiple of `L`.
     #[inline]
     fn mac_lanes<const L: usize>(
         &self,
         prep: &PreparedMultiplicand,
         words: &[u32],
         cols: &[u32],
+        dense: bool,
+        c: &mut [f32],
+        encode: Encode,
+    ) {
+        if dense {
+            for cols in cols.chunks_exact(L) {
+                let mut run = [0u32; L];
+                for (w, &col) in run.iter_mut().zip(cols) {
+                    *w = words[col as usize];
+                }
+                self.mac_run(prep, &run, cols, c, encode);
+            }
+        } else {
+            for (run, cols) in words.chunks_exact(L).zip(cols.chunks_exact(L)) {
+                self.mac_run::<L>(prep, run.try_into().expect("lane run"), cols, c, encode);
+            }
+        }
+    }
+
+    /// One run of [`mac_lanes`](Self::mac_lanes): fixed-width arrays,
+    /// index-free lanes the compiler can keep in vector registers.
+    #[inline(always)]
+    fn mac_run<const L: usize>(
+        &self,
+        prep: &PreparedMultiplicand,
+        words: &[u32; L],
+        cols: &[u32],
         c: &mut [f32],
         encode: Encode,
     ) {
         let shift = 24 - self.format.mantissa_width();
-        for (words, cols) in words.chunks_exact(L).zip(cols.chunks_exact(L)) {
-            // Fixed-width array views: index-free lanes the compiler can
-            // keep in vector registers.
-            let words: &[u32; L] = words.try_into().expect("lane run");
-            // A plain write loop: `array::map` here measured markedly
-            // slower (see `mul_lanes_trusted`).
-            let mut mans = [0u32; L];
-            for (m, &w) in mans.iter_mut().zip(words) {
-                *m = tile_kernel::word_mantissa(w, shift);
-            }
-            let norm = self.mult.norm_lanes_trusted(prep, &mans);
-            let products = self.product_lanes(&norm, words, encode);
-            for (&col, p) in cols.iter().zip(products) {
-                c[col as usize] += p;
-            }
+        // A plain write loop: `array::map` here measured markedly slower
+        // (see `mul_lanes_trusted`).
+        let mut mans = [0u32; L];
+        for (m, &w) in mans.iter_mut().zip(words) {
+            *m = tile_kernel::word_mantissa(w, shift);
+        }
+        let norm = self.mult.norm_lanes_trusted(prep, &mans);
+        for (&col, p) in cols.iter().zip(self.product_lanes(&norm, words, encode)) {
+            c[col as usize] += p;
         }
     }
 
@@ -712,11 +764,12 @@ impl ApproxFpMul {
         if !row.words.is_empty() {
             // Per-call work: one decode of `a`, the row's range check and
             // binding `a`'s table row (or building its chunk tables).
-            // Per-MAC work, over the kept lanes only: one read from the
-            // pre-normalised product row (or one lookup per chunk plus
-            // the same renormalise), the product encode and one add into
-            // C. Zero lanes were dropped at decode, exactly the lanes the
-            // scalar path's `bv == 0.0` test skips, so results stay
+            // Per-MAC work: one read from the pre-normalised product row
+            // (or one lookup per chunk plus the same renormalise), the
+            // product encode and one add into C. Only kept lanes reach C:
+            // a compressed row dropped its zero lanes at decode, a dense
+            // row masks them off by their zero word — exactly the lanes
+            // the scalar path's `bv == 0.0` test skips, so results stay
             // bit-identical (the tile-vs-mul_rows equivalence tests and
             // the differential GEMM suite enforce this).
             let (xsign, xexp) = ((xs.sign() as u32) << 31, xs.exponent());
@@ -741,17 +794,12 @@ impl ApproxFpMul {
                 }
                 (Encode::TwoAdd(aword), None) => {
                     let norm = self.mult.norm_row(man).expect("a product-table multiplier");
-                    tile_kernel::mac_table(norm, aword, row.words, row.cols, c, simd)
+                    tile_kernel::mac_table(norm, aword, &row, c, simd)
                 }
                 (Encode::Select { .. }, None) => false,
             };
             if !vectorized {
-                let prep = self.mult.prepare(xs.mantissa());
-                let full = row.words.len() / LANES * LANES;
-                let (words, tail) = row.words.split_at(full);
-                let (cols, tail_cols) = row.cols.split_at(full);
-                self.mac_lanes::<LANES>(&prep, words, cols, c, encode);
-                self.mac_lanes::<1>(&prep, tail, tail_cols, c, encode);
+                self.mac_portable(man, &row, c, encode);
             }
         }
         for &col in row.exotic {
@@ -785,6 +833,87 @@ impl ApproxFpMul {
             } else {
                 self.mul_scalars(xs, &ys).to_f32()
             };
+        }
+    }
+}
+
+/// One product of the select encode, for a row that may saturate or
+/// flush: the exponent add (the renormalise increment rides in bit 23
+/// of the pre-normalised read-out `e`), saturation and flush as
+/// exponent-range selects, and one OR with sign and fraction.
+/// Bit-identical to `ApproxFpMul::fuse_combine`.
+#[inline(always)]
+fn select_encode(w: u32, e: u32, xsign: u32, xexp: i32, max_exp: i32, min_exp: i32) -> u32 {
+    let exp = xexp + ((w >> 23) & 0xFF) as i32 - 127 + (e >> 23) as i32;
+    let sign = xsign ^ (w & 0x8000_0000);
+    // `encode_normal_f32` with saturation/flush as selects; the
+    // out-of-range lanes' `normal` bits are garbage that the select
+    // discards.
+    let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
+    if exp > max_exp {
+        sign | 0x7F80_0000 // saturate to (signed) infinity
+    } else if exp < min_exp {
+        sign // flush to (signed) zero
+    } else {
+        normal
+    }
+}
+
+/// A block of lanes' pre-normalised read-outs (see
+/// [`prenormalise`](crate::mantissa::prenormalise)) from one bound
+/// product-table row.
+struct TableNorms<'a> {
+    /// The multiplicand's 2ⁿ-entry pre-normalised row.
+    table: &'a [u32],
+    /// Drops a word's fraction to the format's mantissa.
+    shift: u32,
+}
+
+impl TableNorms<'_> {
+    /// Writes the read-outs of `words`' mantissas to `out`; bits the
+    /// caller discards for a zero word.
+    #[inline(always)]
+    fn read(&self, words: &[u32], out: &mut [u32]) {
+        // The row is exactly 2^n entries: the mask elides the bounds
+        // check.
+        let mask = self.table.len() - 1;
+        for (o, &w) in out.iter_mut().zip(words) {
+            *o = self.table[tile_kernel::word_mantissa(w, self.shift) as usize & mask];
+        }
+    }
+}
+
+/// The products of an in-range row: [`tile_kernel::encode_product`].
+struct TwoAddProducts<'a> {
+    norms: TableNorms<'a>,
+    aword: u32,
+}
+
+impl BlockProducts for TwoAddProducts<'_> {
+    #[inline(always)]
+    fn products(&self, words: &[u32], out: &mut [u32]) {
+        self.norms.read(words, out);
+        for (o, &w) in out.iter_mut().zip(words) {
+            *o = tile_kernel::encode_product(w, self.aword, *o);
+        }
+    }
+}
+
+/// The products of a row that may saturate or flush: [`select_encode`].
+struct SelectProducts<'a> {
+    norms: TableNorms<'a>,
+    xsign: u32,
+    xexp: i32,
+    max_exp: i32,
+    min_exp: i32,
+}
+
+impl BlockProducts for SelectProducts<'_> {
+    #[inline(always)]
+    fn products(&self, words: &[u32], out: &mut [u32]) {
+        self.norms.read(words, out);
+        for (o, &w) in out.iter_mut().zip(words) {
+            *o = select_encode(w, *o, self.xsign, self.xexp, self.max_exp, self.min_exp);
         }
     }
 }
@@ -1278,7 +1407,7 @@ mod tests {
     }
 
     /// The `f32` a pre-normalised read-out encodes for sign `sign` and
-    /// exponent sum `exp_sum` (in range), as `combine_lanes` builds it.
+    /// exponent sum `exp_sum` (in range), as the lane MACs build it.
     fn from_norm(sign: bool, exp_sum: i32, e: u32) -> f32 {
         let exp = exp_sum + (e >> 23) as i32;
         f32::from_bits(((sign as u32) << 31) | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF))
@@ -1349,19 +1478,20 @@ mod tests {
         }
     }
 
-    /// The meaningful contents of every row slab of a decoded tile — kept
-    /// words and columns, exotic columns, exponent range — which both
-    /// decode kernels must fill alike (slots past the counts may differ).
-    type RowContents = (Vec<u32>, Vec<u32>, Vec<u32>, u32, u32);
+    /// The meaningful contents of every row slab of a decoded tile —
+    /// layout, words, kept columns, exotic columns, exponent range —
+    /// which both decode kernels must fill alike (slots past the counts
+    /// may differ).
+    type RowContents = (bool, Vec<u32>, Vec<u32>, Vec<u32>, u32, u32);
+
+    fn row_contents(row: &DecodedRow<'_>) -> RowContents {
+        let (words, cols, exotic) = (row.words.to_vec(), row.cols.to_vec(), row.exotic.to_vec());
+        (row.dense, words, cols, exotic, row.emin, row.emax)
+    }
 
     fn decoded_contents(tile: &PreparedTile) -> Vec<RowContents> {
         let rows = tile.slabs.len() / decoded_stride(tile.width);
-        (0..rows)
-            .map(|r| {
-                let row = DecodedRow::new(&tile.slabs, tile.width, r);
-                (row.words.to_vec(), row.cols.to_vec(), row.exotic.to_vec(), row.emin, row.emax)
-            })
-            .collect()
+        (0..rows).map(|r| row_contents(&DecodedRow::new(&tile.slabs, tile.width, r))).collect()
     }
 
     #[test]
@@ -1395,33 +1525,43 @@ mod tests {
                 }
             }
             // The row decode on both kernels against the lane decode, in
-            // rows of 1000 lanes (62 full 16-lane blocks and a tail of 8).
-            for chunk in all.chunks(1000) {
+            // rows of 1000 lanes (62 full 16-lane blocks and a tail of 8),
+            // and in rows of 250 with only every eighth lane left nonzero,
+            // so both row layouts are checked.
+            let sparse: Vec<u32> =
+                all.iter().enumerate().map(|(i, &b)| if i % 8 == 0 { b } else { 0 }).collect();
+            for chunk in all.chunks(1000).chain(sparse.chunks(250)) {
                 let row: Vec<f32> = chunk.iter().map(|&b| f32::from_bits(b)).collect();
                 let lanes: Vec<_> = chunk.iter().map(|&b| dec.decode(b)).collect();
                 let kept = || lanes.iter().enumerate().filter(|(_, l)| l.normal);
-                let words: Vec<u32> = kept().map(|(_, l)| l.word).collect();
-                let fields = words.iter().map(|w| (w >> 23) & 0xFF);
-                let expect = (
-                    words.clone(),
-                    kept().map(|(j, _)| j as u32).collect::<Vec<_>>(),
+                let dense = tile_kernel::is_dense(kept().count(), row.len());
+                let words: Vec<u32> = if dense {
+                    lanes.iter().map(|l| if l.normal { l.word } else { 0 }).collect()
+                } else {
+                    kept().map(|(_, l)| l.word).collect()
+                };
+                let fields: Vec<u32> = kept().map(|(_, l)| (l.word >> 23) & 0xFF).collect();
+                let expect: RowContents = (
+                    dense,
+                    words,
+                    kept().map(|(j, _)| j as u32).collect(),
                     // Exotic columns fill the back from its end, in lane
                     // order.
-                    lanes.iter().enumerate().rev().filter(|(_, l)| l.exotic).map(|(j, _)| j as u32),
-                    fields.clone().min().unwrap_or(0xFF),
-                    fields.max().unwrap_or(0),
+                    lanes
+                        .iter()
+                        .enumerate()
+                        .rev()
+                        .filter(|(_, l)| l.exotic)
+                        .map(|(j, _)| j as u32)
+                        .collect(),
+                    fields.iter().copied().min().unwrap_or(0xFF),
+                    fields.iter().copied().max().unwrap_or(0),
                 );
                 for simd in [false, true] {
                     let mut slab = vec![0; decoded_stride(row.len())];
                     dec.decode_row(&row, &mut slab, simd);
-                    let got = DecodedRow::new(&slab, row.len(), 0);
-                    assert_eq!(got.words, expect.0, "{format} simd={simd}");
-                    assert_eq!(got.cols, expect.1, "{format} simd={simd}");
-                    assert!(
-                        got.exotic.iter().copied().eq(expect.2.clone()),
-                        "{format} simd={simd}"
-                    );
-                    assert_eq!((got.emin, got.emax), (expect.3, expect.4), "{format} simd={simd}");
+                    let got = row_contents(&DecodedRow::new(&slab, row.len(), 0));
+                    assert_eq!(got, expect, "{format} simd={simd}");
                 }
             }
         }
@@ -1437,9 +1577,14 @@ mod tests {
         let tiles = [false, true].map(|simd| m.prepare_tile_with(&src, simd).expect("fast format"));
         assert_eq!(decoded_contents(&tiles[0]), decoded_contents(&tiles[1]), "{}", m.name());
         for tile in &tiles {
-            assert_eq!(tile.slabs.len(), rows * (2 * n + 4), "{}: row-slab stride", m.name());
+            assert_eq!(tile.slabs.len(), rows * decoded_stride(n), "{}: row-slab stride", m.name());
             for r in 0..rows {
                 let row = &bs[r * n..(r + 1) * n];
+                let normal =
+                    |b: &&f32| FpScalar::from_f32(**b, m.format).class() == FpClass::Normal;
+                let kept = row.iter().filter(normal).count();
+                let decoded = DecodedRow::new(&tile.slabs, n, r);
+                assert_eq!(decoded.dense, tile_kernel::is_dense(kept, n), "{}", m.name());
                 for &a in as_ {
                     for init in [0.0f32, -0.0] {
                         let mut plain = vec![init; n];
@@ -1479,14 +1624,18 @@ mod tests {
         // normals span 2^-6..2^6, and the A values 3000 and 1e-3 push
         // fp16 products past both ends of its exponent range, so the
         // select encode runs on the chunk MAC as well as the two-add one.
+        //
+        // Rows of 20ths zero: 7 of 20 keeps about 60% of the lanes (a
+        // dense row, like a conv forward's B), 18 of 20 about 8% (a
+        // compressed row, like an output gradient's).
         let exotic = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40, -1e-7, 1e6];
-        let mut row = |w: usize| -> Vec<f32> {
+        let mut row = |w: usize, zeros: u64| -> Vec<f32> {
             (0..w)
                 .map(|_| {
                     let r = next();
                     match r % 20 {
-                        0..=6 => [0.0, -0.0][(r >> 8) as usize % 2],
-                        7 => exotic[(r >> 8) as usize % exotic.len()],
+                        z if z < zeros => [0.0, -0.0][(r >> 8) as usize % 2],
+                        z if z == zeros => exotic[(r >> 8) as usize % exotic.len()],
                         _ => {
                             let mag = 1.0 + (r >> 40) as f32 / (1u64 << 24) as f32;
                             let v = mag * 2f32.powi((r >> 16) as i32 % 7);
@@ -1496,18 +1645,76 @@ mod tests {
                 })
                 .collect()
         };
-        let mut rows: Vec<Vec<f32>> = [0, 1, 15, 16, 17, 1024].into_iter().map(&mut row).collect();
+        let mut rows = Vec::new();
+        for zeros in [7, 18] {
+            rows.extend([0, 1, 15, 16, 17, 1024].into_iter().map(|w| row(w, zeros)));
+        }
         rows.push((0..40).map(|j| if j % 2 == 0 { 0.0 } else { -0.0 }).collect());
+        // A dense row (5 of 16 lanes kept) whose other lanes are zeros,
+        // Inf, NaN and an f32 subnormal that flushes: against a `-0.0`
+        // accumulator a masked-off lane must keep its sign, and a flushed
+        // lane's signed-zero product must still reach C.
+        let mut dense_gated = vec![0.0, -0.0, f32::INFINITY, f32::NAN, 1e-40, -1e-40];
+        dense_gated.extend([0.0, 1.5, -0.0, -2.25, 0.0, 3.0, f32::NEG_INFINITY, 0.75, -0.0, 1.0]);
+        rows.push(dense_gated);
         let as_ = [1.5f32, -0.37, 113.7, 3000.0, -1e-3, 0.0, f32::NAN];
+        let (mut dense, mut compressed) = (0, 0);
         for format in KERNEL_FORMATS {
             for config in MultiplierConfig::ALL {
                 let m = ApproxFpMul::new(config, format);
                 for bs in &rows {
                     assert_kernels_match_mul_rows(&m, bs, 1, &as_);
+                    let tile = tile_of(&m, bs, 1).expect("fast format");
+                    match DecodedRow::new(&tile.slabs, tile.width, 0).dense {
+                        true => dense += 1,
+                        false => compressed += 1,
+                    }
                 }
-                // Two rows of 17 (one 16-lane block and a tail each).
+                // Two rows of 17 (one 16-lane block and a tail each), of
+                // each density.
                 assert_kernels_match_mul_rows(&m, &rows[5][..34], 2, &as_);
+                assert_kernels_match_mul_rows(&m, &rows[11][..34], 2, &as_);
             }
+        }
+        assert!(dense > 0 && compressed > 0, "rows of both layouts: {dense} dense, {compressed}");
+    }
+
+    #[test]
+    fn decode_picks_the_layout_from_the_kept_count() {
+        // Every kept count of a few widths, on both decode kernels: a row
+        // is dense from a quarter of its lanes kept. 9 lanes is a conv1
+        // `grad_w` row (dense from 3 kept), 16 one vector group (from 4).
+        let m = pc3tr_bf16();
+        let dec = LaneDecoder::new(m.format);
+        for w in [1usize, 3, 4, 9, 16, 17, 64, 100] {
+            for kept in 0..=w {
+                // Kept lanes spread over the row, with an exotic lane
+                // (never kept) in the first gap.
+                let mut row = vec![0.0f32; w];
+                for i in 0..kept {
+                    row[i * w / kept.max(1)] = 1.0 + i as f32;
+                }
+                if let Some(gap) = row.iter().position(|&b| b == 0.0) {
+                    row[gap] = f32::INFINITY;
+                }
+                let want_dense = 4 * kept >= w;
+                assert_eq!(tile_kernel::is_dense(kept, w), want_dense, "w={w} kept={kept}");
+                for simd in [false, true] {
+                    let mut slab = vec![0; decoded_stride(w)];
+                    dec.decode_row(&row, &mut slab, simd);
+                    let got = DecodedRow::new(&slab, w, 0);
+                    let what = format!("w={w} kept={kept} simd={simd}");
+                    assert_eq!(got.dense, want_dense, "{what}");
+                    assert_eq!(got.cols.len(), kept, "{what}");
+                    assert_eq!(got.words.len(), if want_dense { w } else { kept }, "{what}");
+                    assert_eq!(got.words.iter().filter(|&&w| w != 0).count(), kept, "{what}");
+                    assert_eq!(got.exotic.len(), usize::from(kept < w), "{what}");
+                }
+            }
+        }
+        for (w, first_dense) in [(9, 3), (16, 4), (17, 5), (1024, 256)] {
+            assert!(!tile_kernel::is_dense(first_dense - 1, w), "w={w}");
+            assert!(tile_kernel::is_dense(first_dense, w), "w={w}");
         }
     }
 

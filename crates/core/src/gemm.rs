@@ -15,17 +15,19 @@
 //!   `NC` columns), walked `j0` outer and `l0` inner. Each tile is
 //!   consumed in one of three forms:
 //!   * *raw* — the fused loop issues one [`ScalarMul::mul_rows`] per
-//!     (A-element, B-row-segment) pair. Used for `m == 1`, for backends
-//!     without a decoded form, and for tiny native-`f32` problems, where
-//!     converting B has no cross-row reuse to amortise;
+//!     (A-element, B-row-segment) pair. Used for backends without a
+//!     decoded form, and for tiny native-`f32` problems, where packing B
+//!     has no cross-row reuse to amortise;
 //!   * *decoded* — [`ScalarMul::prepare_tile`] decodes the whole tile
-//!     once into one [`PreparedTile`]: each tile row keeps only its
-//!     nonzero lanes, packed at the front of a fixed-stride row slab
-//!     with their column index and followed by the row's count of kept
-//!     lanes. [`ScalarMul::mul_tile_row`] then visits those lanes for
-//!     every C row and scatter-adds them into C, so per-MAC operand
-//!     decode disappears from the approximate backends and per-MAC cost
-//!     follows the nonzeros;
+//!     once into one [`PreparedTile`], even for a single C row (the
+//!     decoded MAC beats the fused per-element loop from the first row):
+//!     one fixed-stride slab per tile row, followed by the row's count
+//!     of kept lanes. A sparse row keeps only its nonzero lanes, packed
+//!     with their column index, and [`ScalarMul::mul_tile_row`]
+//!     scatter-adds them into C, so per-MAC cost follows the nonzeros;
+//!     the approximate backends store a row with at least a quarter of
+//!     its lanes kept in place instead, and add into a contiguous C
+//!     masked by lane. Per-MAC operand decode disappears either way;
 //!   * *packed* — native-`f32` backends pack each tile into `NR`-major
 //!     panels for the register-tile microkernel.
 //! * **Prepare once or per call.** [`gemm`] builds each decoded or
@@ -52,10 +54,12 @@
 //!
 //! Zero operands are skipped rather than multiplied — mirroring the
 //! hardware's zero gating (paper §III-C), where a zero operand never
-//! activates the SRAM array. Zero A elements are tested per row; zero B
-//! lanes are dropped when a tile is decoded, so the MAC loop never
-//! visits them at all. Skipping is bit-identical to accumulating the
-//! `±0.0` product because a `+0.0` accumulator absorbs signed zeros.
+//! activates the SRAM array. Zero A elements are tested per row. Zero B
+//! lanes never reach C: a sparse decoded row drops them, so the MAC
+//! loop never visits them, and a dense one holds them as zero words
+//! that mask the C update off, leaving those accumulators untouched.
+//! Skipping is bit-identical to accumulating the `±0.0` product because
+//! a `+0.0` accumulator absorbs signed zeros.
 //! (Lanes that are nonzero `f32`s but flush to format zero are kept:
 //! their signed-zero product can flip a `-0.0` accumulator, and the
 //! scalar path accumulates it.)
@@ -157,9 +161,10 @@ pub fn gemm_reference(
 /// backends with a decoded form ([`ScalarMul::prepare_tile`]) decode
 /// each `KC×NC` B tile once, dropping its zero lanes, and share it
 /// across rows and threads; native-`f32` backends pack it for the
-/// register-tile microkernel. `m == 1`, backends without a decoded form
-/// and tiny native-`f32` problems, where conversion has no cross-row
-/// reuse to amortise, keep the fused per-call path. Small problems
+/// register-tile microkernel. Decoding pays off even for `m == 1`.
+/// Backends without a decoded form and tiny native-`f32` problems,
+/// where packing has no cross-row reuse to amortise, keep the fused
+/// per-call path. Small problems
 /// (under ~16k MACs) run serially; larger ones split C row panels across
 /// the persistent worker pool. Either way the per-element accumulation
 /// order is ascending-`k`, so the result does not depend on problem
@@ -203,10 +208,9 @@ pub fn gemm(
         } else {
             BForm::Raw(b)
         }
-    } else if m > 1 {
-        BForm::Tiles(BTiles::Raw(b))
     } else {
-        BForm::Raw(b)
+        // Backends without a decoded form run each tile raw.
+        BForm::Tiles(BTiles::Raw(b))
     };
     run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
 }
@@ -508,9 +512,9 @@ enum StoredA {
 ///   re-derives per call exactly as [`gemm`] does;
 /// * [`BlockFpGemm`] — one quantized block per `tile_k × tile_n` tile.
 ///
-/// A scalar stored B serves `m == 1` from the cache too, although
-/// [`gemm`] keeps that case on the fused path: single-sample inference
-/// requests are exactly where a per-request B re-decode hurts most.
+/// A scalar stored B serves `m == 1` from the cache too: single-sample
+/// inference requests are exactly where a per-request B re-decode hurts
+/// most.
 #[derive(Debug, Clone)]
 pub struct PreparedB {
     k: usize,
@@ -1356,9 +1360,9 @@ mod tests {
 
     #[test]
     fn prepared_b_serves_the_m_equals_1_case() {
-        // Regression for the m > 1 prepared gate in `gemm`: a persistent
-        // tile must serve single-sample requests bit-identically to the
-        // eager engine (which routes m == 1 to the fused path).
+        // A persistent tile must serve single-sample requests
+        // bit-identically to the eager engine, which decodes its tiles
+        // per call for m == 1 as for every other row count.
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         let muls: [&dyn ScalarMul; 3] = [&ExactMul, &pc3, &quant];

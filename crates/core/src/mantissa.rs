@@ -550,7 +550,7 @@ impl MantissaMultiplier {
     /// from the memoized pre-normalised row for narrow mantissas, the
     /// chunk-table read plus the same renormalise otherwise. Lanes must
     /// carry their leading one (decoded tiles keep only normal lanes).
-    #[inline]
+    #[inline(always)]
     pub(crate) fn norm_lanes_trusted<const L: usize>(
         &self,
         prep: &PreparedMultiplicand,

@@ -6,12 +6,25 @@
 //! # Layout
 //!
 //! A `w`-wide tile row is one slab of [`decoded_stride`]`(w) = 2w + 4`
-//! words, `[word; w] [col; w] kept exotic emin emax`:
+//! words, `[word; w] [col; w] kept exotic emin emax`. A lane's word is
+//! the `f32` bits of its format-rounded value — exactly
+//! `FpScalar::from_f32(b).to_f32().to_bits()`: sign, biased exponent and
+//! the format's fraction bits, all at their `f32` positions. The decode
+//! stores a row in one of two layouts, chosen from the row's own count
+//! of `kept` normal lanes (see [`is_dense`]):
 //!
-//! * the `kept` normal lanes sit at the front of both arrays. A lane's
-//!   word is the `f32` bits of its format-rounded value — exactly
-//!   `FpScalar::from_f32(b).to_f32().to_bits()`: sign, biased exponent
-//!   and the format's fraction bits, all at their `f32` positions;
+//! * **dense** (at least a quarter of the lanes kept): every lane's word
+//!   sits in place, at its column, and a zero or exotic lane holds the
+//!   word 0 (a normal word never is 0);
+//! * **compressed** (sparser rows): the `kept` lanes' words sit packed
+//!   at the front of the word array.
+//!
+//! In both layouts:
+//!
+//! * the kept lanes' columns sit at the front of the column array, in
+//!   lane order. A compressed row's MACs need them, and so does the
+//!   portable MAC on a dense row of a chunk-table multiplier, to skip
+//!   its gated lanes;
 //! * the columns of the `exotic` lanes — Inf/NaN, or a nonzero `f32`
 //!   that flushes to format zero — sit at the back of the column array.
 //!   They take the exact side logic on the tile's raw values;
@@ -20,32 +33,50 @@
 //!   the exponent of every product of the row, which decides the encode
 //!   (see [`encode_product`]).
 //!
-//! Zero lanes are dropped: the MAC never visits them.
+//! Zero lanes never reach C: a compressed row drops them, a dense row
+//! masks them off by their zero word.
 //!
 //! # Kernels
 //!
 //! The decode comes in a portable form and an AVX-512F form; the two
 //! product MACs have one AVX-512F kernel each here, and their one
-//! portable form is the lane MAC of `ApproxFpMul` (`mac_lanes`), which
-//! serves every other host and every other row. The AVX-512F
-//! forms are compiled with the default `simd` feature on x86-64 and
-//! chosen by runtime detection. Callers pass `simd: bool` to ask for
-//! the detected kernel, so tests can drive both; the two write the same
-//! slab words and the same C bits (pinned by the tile tests in `fp.rs`).
+//! portable form is the lane MAC of `ApproxFpMul` (`mac_portable`),
+//! which serves every other host and every other row.
+//! The AVX-512F forms are compiled with the default `simd` feature on
+//! x86-64 and chosen by runtime detection. Callers pass `simd: bool` to
+//! ask for the detected kernel, so tests can drive both; the two write
+//! the same slab words and the same C bits (pinned by the tile tests in
+//! `fp.rs`).
 //!
 //! * **Decode** ([`LaneDecoder::decode_row`]) rounds on the IEEE bits,
 //!   so the rounding carry lands in the exponent field by itself, and
-//!   classifies each lane from its exponent fields. The portable form
-//!   compacts branch-free; the AVX-512 form compress-stores 16 lanes at
-//!   a time (`vpcompressd`) and tracks the exponent range in vector
-//!   min/max registers.
-//! * **Table MAC** ([`mac_table`]) adds one product per kept lane into
-//!   its C column: the pre-normalised product-table entry of the lane's
-//!   mantissa, plus two integer adds (see [`encode_product`]). It
-//!   gathers 16 table entries (`vpgatherdd`), gathers the C values, adds
+//!   classifies each lane from its exponent fields. Both forms write
+//!   every word in place (0 for a lane that is not kept) and the kept
+//!   columns packed — the portable form branch-free, the AVX-512 form
+//!   16 lanes at a time (`vpcompressd` for the columns) with the
+//!   exponent range in vector min/max registers. A row that turns out
+//!   compressed then moves its kept words to the front (the AVX-512
+//!   form with one more `vpcompressd` pass).
+//! * **C update.** Both MACs add their products into C the same way. On
+//!   a dense row C is contiguous: each 16-lane group masks its lanes by
+//!   `word != 0` and runs one masked load, add and store of C, and a
+//!   group with no kept lane is skipped. Lanes off the mask, among them
+//!   a `-0.0` accumulator behind a zero lane, keep their bits. On a
+//!   compressed row it gathers the C values of the kept columns, adds
 //!   and scatters them back; columns are unique within a row, so the
-//!   scatter order cannot matter. It takes the in-range rows of a
-//!   product-table multiplier (bf16).
+//!   scatter order cannot matter. The portable MAC updates a dense
+//!   row of a product-table multiplier in place too
+//!   ([`mac_dense_row`]), where a gated lane adds `-0.0`, which leaves
+//!   the accumulator's value alone. It reads any other row by its kept
+//!   columns: a chunk-table product costs too much to spend on a gated
+//!   lane without vector registers to hold the tables.
+//! * **Table MAC** ([`mac_table`]) serves every product-table width
+//!   (mantissas up to 8 bits, so bf16): a product is the pre-normalised
+//!   product-table entry of the lane's mantissa, plus two integer adds
+//!   (see [`encode_product`]). It takes the in-range rows. The bound
+//!   row's 2ⁿ⁻¹ leading-one entries sit in at most 8 zmm registers, and
+//!   each lookup is four `vpermi2d` (32 entries each) and two levels of
+//!   mask blends on the index's top two bits — no gather.
 //! * **Chunk MAC** ([`mac_chunks`]) serves the chunk-table widths (fp16,
 //!   tf32, truncated fp32: every width whose read-out fits in 32 bits).
 //!   It builds the multiplicand's chunk tables in registers per call —
@@ -54,8 +85,7 @@
 //!   then reads each lane's wired-OR product as one `vpermd` per chunk,
 //!   ORed, and pre-normalises it in vector form. Both encodes run
 //!   there: the two-add for in-range rows, the select encode (saturate
-//!   and flush as mask blends) for the rest. The C update is the table
-//!   MAC's gather, add and scatter.
+//!   and flush as mask blends) for the rest.
 //!
 //! The only `unsafe` is in the AVX-512 module below: the intrinsic
 //! calls and the `target_feature` call contract.
@@ -84,6 +114,20 @@ pub fn tile_kernel() -> &'static str {
     }
 }
 
+/// A decoded row is stored dense when at least `1 / DENSE_SHARE` of its
+/// lanes are kept. On perfbench's CNN at batch 8 the conv forward and
+/// `grad_w` B rows keep 69–92% of their lanes and go dense; the
+/// `grad_cols` B rows (the output gradient) keep 5–20% and stay
+/// compressed. A dense MAC pays for every gated lane of its 16-lane
+/// groups: with every row dense, `conv2_grad_cols` ran about 2× slower.
+const DENSE_SHARE: usize = 4;
+
+/// Whether a `w`-wide row with `kept` kept lanes is stored dense (see
+/// the module docs).
+pub(crate) fn is_dense(kept: usize, w: usize) -> bool {
+    kept * DENSE_SHARE >= w
+}
+
 /// Row-slab stride of the decoded form for a `w`-wide tile.
 pub(crate) fn decoded_stride(w: usize) -> usize {
     2 * w + 4
@@ -91,9 +135,15 @@ pub(crate) fn decoded_stride(w: usize) -> usize {
 
 /// One row slab of a decoded tile.
 pub(crate) struct DecodedRow<'a> {
-    /// The kept lanes' words.
+    /// Whether the row is stored dense (see [`is_dense`]).
+    pub(crate) dense: bool,
+    /// Dense row: every lane's word at its column, 0 for a zero or
+    /// exotic lane. Compressed row: the kept lanes' words, packed.
     pub(crate) words: &'a [u32],
-    /// The kept lanes' columns.
+    /// The kept lanes' columns, in lane order. The decode packs them in
+    /// both layouts; a dense row's MACs read its words in place and need
+    /// them only where a gated lane would cost a full chunk-table
+    /// product.
     pub(crate) cols: &'a [u32],
     /// The exotic lanes' columns.
     pub(crate) exotic: &'a [u32],
@@ -111,8 +161,10 @@ impl<'a> DecodedRow<'a> {
         let (lanes, meta) = slab.split_at(2 * w);
         let (words, cols) = lanes.split_at(w);
         let (kept, exotic) = (meta[0] as usize, meta[1] as usize);
+        let dense = is_dense(kept, w);
         DecodedRow {
-            words: &words[..kept],
+            dense,
+            words: if dense { words } else { &words[..kept] },
             cols: &cols[..kept],
             exotic: &cols[w - exotic..],
             emin: meta[2],
@@ -144,27 +196,69 @@ pub(crate) fn word_mantissa(word: u32, shift: u32) -> u32 {
     ((word & 0x7F_FFFF) | LEAD) >> shift
 }
 
-/// Multiply-accumulates a run of kept lanes into C through the bound
-/// pre-normalised product row `norm` on AVX-512F: `c[col] +=
-/// encode_product(word, aword, norm[mantissa(word)])` per lane. Only
-/// valid when every product of the run is in range (see
-/// [`encode_product`]). Returns `false` and leaves `c` alone unless
-/// `simd` asks for the kernel and the host has it; the caller then runs
-/// the portable lane MAC, which gives the same bits.
+/// Multiply-accumulates the kept lanes of a decoded row into C through
+/// the bound pre-normalised product row `norm` on AVX-512F: `c[col] +=
+/// encode_product(word, aword, norm[mantissa(word)])` per lane, with the
+/// products looked up in registers (see the module docs). Only valid
+/// when every product of the row is in range (see [`encode_product`]).
+/// Returns `false` and leaves `c` alone unless `simd` asks for the
+/// kernel and the host has it; the caller then runs the portable lane
+/// MAC, which gives the same bits.
 ///
 /// # Panics
 ///
-/// Panics if `norm` is not a `2^n`-entry row, or a column is out of
-/// range for `c`.
+/// Panics if `norm` is not a `2^n`-entry row with `1 <= n <= 8`, or the
+/// row's columns are out of range for `c`.
 pub(crate) fn mac_table(
     norm: &[u32],
     aword: u32,
-    words: &[u32],
-    cols: &[u32],
+    row: &DecodedRow<'_>,
     c: &mut [f32],
     simd: bool,
 ) -> bool {
-    simd && avx512::mac_table(norm, aword, words, cols, c)
+    simd && avx512::mac_table(norm, aword, row, c)
+}
+
+/// Lanes per block of the portable dense-row C update
+/// ([`mac_dense_row`]).
+const BLOCK: usize = 64;
+
+/// The product bits of a block of lanes, from their words: what the
+/// portable dense-row C update ([`mac_dense_row`]) adds. A trait rather
+/// than a closure, so that the implementation can be forced inline into
+/// the lane loop.
+pub(crate) trait BlockProducts {
+    /// Writes the products of `words` to `out`, of the same length (at
+    /// most [`BLOCK`]); anything for a zero word.
+    fn products(&self, words: &[u32], out: &mut [u32]);
+}
+
+/// Adds the products of a dense row's kept lanes into C in place, a
+/// block of [`BLOCK`] lanes at a time: the portable form of the AVX-512
+/// MACs' masked update. Each step is a plain pass over the block, so
+/// the compiler can vectorize it, and a block with no kept lane is
+/// skipped. A gated lane (zero word) adds `-0.0`, which leaves every
+/// accumulator's value alone, `-0.0` included. That is plain arithmetic
+/// on purpose: a select on the loaded C value compiles to a branch, and
+/// gated lanes sit at random in a dense row.
+///
+/// # Panics
+///
+/// Panics if `words` is longer than `c`.
+#[inline(always)]
+pub(crate) fn mac_dense_row(words: &[u32], c: &mut [f32], block_products: &impl BlockProducts) {
+    let mut products = [0u32; BLOCK];
+    for (c, words) in c[..words.len()].chunks_mut(BLOCK).zip(words.chunks(BLOCK)) {
+        if words.iter().fold(0, |any, &w| any | w) == 0 {
+            continue;
+        }
+        let products = &mut products[..words.len()];
+        block_products.products(words, products);
+        for ((cv, &w), &p) in c.iter_mut().zip(words).zip(products.iter()) {
+            let keep = ((w != 0) as u32).wrapping_neg();
+            *cv += f32::from_bits((p & keep) | (!keep & SIGN));
+        }
+    }
 }
 
 /// How the products of one decoded tile row are encoded from their
@@ -300,12 +394,15 @@ impl LaneDecoder {
         }
     }
 
-    /// The portable decode. The compaction is branch-free: every lane is
-    /// written to the next free slot on both ends and the counts advance
-    /// by its class. A speculative write lands on a slot that a later
-    /// lane of that class overwrites, on a slot past the final count, or
-    /// (when the two ends meet) carries the same column as the real
-    /// write, since `kept + exotic` never exceeds the lanes seen.
+    /// The portable decode: every word in place (0 for a lane that is
+    /// not kept) and the kept and exotic columns packed at the two ends
+    /// of the column array; a compressed row then packs its words. The
+    /// column compaction is branch-free: every lane's column is written
+    /// to the next free slot on both ends and the counts advance by its
+    /// class. A speculative write lands on a slot that a later lane of
+    /// that class overwrites, on a slot past the final count, or (when
+    /// the two ends meet) carries the same column as the real write,
+    /// since `kept + exotic` never exceeds the lanes seen.
     fn decode_row_portable(
         &self,
         row: &[f32],
@@ -315,18 +412,28 @@ impl LaneDecoder {
     ) {
         let w = row.len();
         let (mut kept, mut exotic) = (0usize, 0usize);
+        let (mut emin, mut emax) = (0xFF, 0);
         for (j, &bv) in row.iter().enumerate() {
             let lane = self.decode(bv.to_bits());
             cols[w - 1 - exotic] = j as u32;
             exotic += lane.exotic as usize;
-            words[kept] = lane.word;
             cols[kept] = j as u32;
             kept += lane.normal as usize;
+            // All ones for a kept lane: the word and the range update
+            // are masked, not branched on.
+            let keep = (lane.normal as u32).wrapping_neg();
+            let e = (lane.word >> 23) & 0xFF;
+            emin = emin.min(e | (!keep & 0xFF));
+            emax = emax.max(e & keep);
+            words[j] = lane.word & keep;
         }
-        let (emin, emax) = words[..kept].iter().fold((0xFF, 0), |(lo, hi), &word| {
-            let e = (word >> 23) & 0xFF;
-            (e.min(lo), e.max(hi))
-        });
+        if !is_dense(kept, w) {
+            // Compress: kept lane `i` sits at column `cols[i] >= i`, so
+            // each word is read before the loop overwrites its slot.
+            for i in 0..kept {
+                words[i] = words[cols[i] as usize];
+            }
+        }
         meta.copy_from_slice(&[kept as u32, exotic as u32, emin, emax]);
     }
 }
@@ -343,17 +450,6 @@ mod avx512 {
     use crate::mantissa::{ChunkPlan, CHUNK_BITS, MAX_CHUNKS};
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
-
-    /// `(shift, mask)` that index a pre-normalised product row of `2^n`
-    /// entries by a word's mantissa: `word_mantissa(word, shift) & mask`
-    /// (the mask only proves the index in range).
-    fn table_index(norm: &[u32]) -> (u32, u32) {
-        assert!(
-            norm.len().is_power_of_two() && norm.len() <= 1 << 24,
-            "a product row has 2^n entries, n <= 24"
-        );
-        (24 - norm.len().trailing_zeros(), norm.len() as u32 - 1)
-    }
 
     /// `true` when the host supports AVX-512F.
     pub(super) fn available() -> bool {
@@ -431,13 +527,16 @@ mod avx512 {
             let nonzero = _mm512_mask_test_epi32_mask(k, mag, mag);
             let word = _mm512_or_si512(rounded, _mm512_and_si512(bits, sign));
             let col = _mm512_add_epi32(iota, _mm512_set1_epi32(j as i32));
-            // SAFETY: each compress store writes `normal.count_ones()`
-            // consecutive words from `kept`. Every lane before `j` added
-            // at most one to `kept`, so `kept <= j`, and at most
-            // `min(16, w - j)` lanes are selected: the writes end at or
-            // before `w`, inside `words` and `cols` (asserted above).
+            // SAFETY: the word store writes lanes `j..min(j + 16, w)`
+            // (mask `k`), inside `words`. The compress store writes
+            // `normal.count_ones()` consecutive columns from `kept`.
+            // Every lane before `j` added at most one to `kept`, so
+            // `kept <= j`, and at most `min(16, w - j)` lanes are
+            // selected: the writes end at or before `w`, inside `cols`
+            // (both asserted above).
             unsafe {
-                _mm512_mask_compressstoreu_epi32(words.as_mut_ptr().add(kept).cast(), normal, word);
+                let kept_word = _mm512_maskz_mov_epi32(normal, word);
+                _mm512_mask_storeu_epi32(words.as_mut_ptr().add(j).cast(), k, kept_word);
                 _mm512_mask_compressstoreu_epi32(cols.as_mut_ptr().add(kept).cast(), normal, col);
             }
             kept += normal.count_ones() as usize;
@@ -452,62 +551,115 @@ mod avx512 {
                 rare &= rare - 1;
             }
         }
+        if !super::is_dense(kept, w) {
+            // Compress the in-place words of a sparse row: each block's
+            // nonzero words move to the front. `packed <= j`, so a block
+            // is loaded before any store reaches it, and a store ends at
+            // or before `j + 16`.
+            let mut packed = 0;
+            for j in (0..w).step_by(16) {
+                // SAFETY: the load reads lanes `j..min(j + 16, w)` of
+                // `words`; the compress store writes `count_ones(nonzero)
+                // <= min(16, w - j)` words from `packed <= j`, ending at
+                // or before `w`.
+                unsafe {
+                    let v = _mm512_maskz_loadu_epi32(lanes(w - j), words.as_ptr().add(j).cast());
+                    let nonzero = _mm512_test_epi32_mask(v, v);
+                    let to = words.as_mut_ptr().add(packed).cast();
+                    _mm512_mask_compressstoreu_epi32(to, nonzero, v);
+                    packed += nonzero.count_ones() as usize;
+                }
+            }
+        }
         [kept as u32, exotic as u32, _mm512_reduce_min_epu32(emin), _mm512_reduce_max_epu32(emax)]
     }
 
     /// [`super::mac_table`] on AVX-512F; `false` without it.
-    pub(super) fn mac_table(
-        norm: &[u32],
-        aword: u32,
-        words: &[u32],
-        cols: &[u32],
-        c: &mut [f32],
-    ) -> bool {
+    pub(super) fn mac_table(norm: &[u32], aword: u32, row: &DecodedRow<'_>, c: &mut [f32]) -> bool {
         if !available() {
             return false;
         }
         // SAFETY: AVX-512F support was detected at runtime just above.
-        unsafe { mac_table_avx512(norm, aword, words, cols, c) };
+        unsafe { mac_table_avx512(norm, aword, row, c) };
         true
     }
 
     #[target_feature(enable = "avx512f")]
-    fn mac_table_avx512(norm: &[u32], aword: u32, words: &[u32], cols: &[u32], c: &mut [f32]) {
-        let (shift, mask) = table_index(norm);
-        let lead = _mm512_set1_epi32(LEAD as i32);
-        let shift = _mm512_set1_epi32(shift as i32);
-        let mask = _mm512_set1_epi32(mask as i32);
+    fn mac_table_avx512(norm: &[u32], aword: u32, row: &DecodedRow<'_>, c: &mut [f32]) {
+        assert!(
+            norm.len().is_power_of_two() && (2..=256).contains(&norm.len()),
+            "a product row has 2^n entries, 1 <= n <= 8"
+        );
+        // A kept word's mantissa carries its leading one: only the upper
+        // half of the row, 2^(n-1) <= 128 entries, is ever read. It sits
+        // in eight registers, zero past its end.
+        let lead_half = &norm[norm.len() / 2..];
+        let table: [__m512i; 8] = core::array::from_fn(|i| {
+            let part = &lead_half[(16 * i).min(lead_half.len())..];
+            // SAFETY: the mask selects the first `min(16, part.len())`
+            // entries of `part`; masked-off lanes are not read.
+            unsafe { _mm512_maskz_loadu_epi32(lanes(part.len()), part.as_ptr().cast()) }
+        });
+        // The index into the upper half: the word's `n - 1` fraction
+        // bits, shifted down from their `f32` position.
+        let fraction_bits = _mm512_set1_epi32(0x7F_FFFF);
+        let shift = _mm512_set1_epi32(24 - norm.len().trailing_zeros() as i32);
+        let (bit5, bit6) = (_mm512_set1_epi32(1 << 5), _mm512_set1_epi32(1 << 6));
         let aword = _mm512_set1_epi32(aword as i32);
-        mac_runs(words, cols, c, |k, w| {
-            // `word_mantissa(w, shift) & mask`: the exponent bits the
-            // shift leaves above the leading one fall outside the mask.
-            let idx = _mm512_and_si512(_mm512_srlv_epi32(_mm512_or_si512(w, lead), shift), mask);
-            // SAFETY: every lane of `idx` is at most `mask = norm.len() -
-            // 1` (the AND above), so each selected gather reads inside
-            // `norm`.
-            let e = unsafe {
-                _mm512_mask_i32gather_epi32::<4>(
-                    _mm512_setzero_si512(),
-                    k,
-                    idx,
-                    norm.as_ptr().cast(),
-                )
-            };
+        mac_runs(row, c, |w| {
+            let idx = _mm512_srlv_epi32(_mm512_and_si512(w, fraction_bits), shift);
+            // `vpermi2d` reads the low 5 index bits from 32 entries;
+            // bits 5 and 6 (zero below n = 8) pick among the four pairs.
+            let quarter = |lo: usize| _mm512_permutex2var_epi32(table[lo], idx, table[lo + 1]);
+            let (q0, q1, q2, q3) = (quarter(0), quarter(2), quarter(4), quarter(6));
+            let upper = _mm512_test_epi32_mask(idx, bit5);
+            let (h0, h1) =
+                (_mm512_mask_blend_epi32(upper, q0, q1), _mm512_mask_blend_epi32(upper, q2, q3));
+            let e = _mm512_mask_blend_epi32(_mm512_test_epi32_mask(idx, bit6), h0, h1);
             two_add(w, aword, e)
         });
     }
 
-    /// Runs `product(k, words)` over the kept lanes 16 at a time (`k`
-    /// masks the tail) and adds each product's `f32` bits into its C
-    /// column: a C gather, `vaddps` and a scatter.
+    /// Runs `product(words)` over a decoded row's kept lanes 16 at a
+    /// time and adds each product's `f32` bits into its C column. A
+    /// dense row updates C in place: one masked load, add and store per
+    /// group, masked to the lanes whose word is nonzero, skipping groups
+    /// with none. A compressed row gathers C at its columns, adds and
+    /// scatters. `product` sees zero words in lanes off the mask and
+    /// may return anything there.
     #[inline]
     #[target_feature(enable = "avx512f")]
-    fn mac_runs(
-        words: &[u32],
-        cols: &[u32],
-        c: &mut [f32],
-        mut product: impl FnMut(__mmask16, __m512i) -> __m512i,
-    ) {
+    fn mac_runs(row: &DecodedRow<'_>, c: &mut [f32], mut product: impl FnMut(__m512i) -> __m512i) {
+        let words = row.words;
+        if row.dense {
+            let len = words.len();
+            // The stores below write C at the word positions.
+            assert!(len <= c.len(), "dense row wider than C");
+            for j in (0..len).step_by(16) {
+                // SAFETY: `lanes(len - j)` selects lanes `j..min(j + 16,
+                // len)`, inside `words`; masked-off lanes read as zero.
+                let w = unsafe {
+                    _mm512_maskz_loadu_epi32(lanes(len - j), words.as_ptr().add(j).cast())
+                };
+                let kept = _mm512_test_epi32_mask(w, w);
+                if kept == 0 {
+                    continue;
+                }
+                let p = _mm512_castsi512_ps(product(w));
+                // SAFETY: `kept` selects only lanes below `len <= c.len()`
+                // (the word load zeroed the rest), so the masked load and
+                // store stay inside `c`; the other lanes of C are not
+                // touched. The add is masked too, so the products of gated
+                // lanes are never computed on.
+                unsafe {
+                    let cv = _mm512_maskz_loadu_ps(kept, c.as_ptr().add(j));
+                    let sum = _mm512_maskz_add_ps(kept, cv, p);
+                    _mm512_mask_storeu_ps(c.as_mut_ptr().add(j), kept, sum);
+                }
+            }
+            return;
+        }
+        let cols = row.cols;
         let len = words.len().min(cols.len());
         debug_assert_eq!(words.len(), cols.len(), "one column per kept word");
         // Gather and scatter offsets are signed 32-bit lanes.
@@ -526,7 +678,7 @@ mod avx512 {
             // selected column must address `c`. Decode builds them below
             // the tile width, which the caller matched to `c`.
             assert_eq!(_mm512_mask_cmplt_epu32_mask(k, col, width), k, "tile column out of range");
-            let p = product(k, w);
+            let p = product(w);
             // SAFETY: every selected column is non-negative and below
             // `c.len()` (asserted above), so the gather reads and the
             // scatter writes stay inside `c`. Columns are distinct within
@@ -607,7 +759,6 @@ mod avx512 {
         row: &DecodedRow<'_>,
         c: &mut [f32],
     ) {
-        let (words, cols) = (row.words, row.cols);
         debug_assert!(plan.fits_u32(), "chunk read-out wider than a u32 lane");
         let (head, plain) = chunk_tables(plan, a);
         let plain = &plain[..plan.chunks];
@@ -649,14 +800,14 @@ mod avx512 {
         match encode {
             Encode::TwoAdd(aword) => {
                 let aword = set1(aword);
-                mac_runs(words, cols, c, |_, w| two_add(w, aword, norm_of(w)));
+                mac_runs(row, c, |w| two_add(w, aword, norm_of(w)));
             }
             Encode::Select { xsign, xexp } => {
                 let (sign_bit, exp_field) = (set1(SIGN), set1(0xFF));
                 let (xsign, xexp) = (set1(xsign), set1(xexp as u32));
                 let (hi, lo) = (set1((max_exp + 127) as u32), set1((min_exp + 127) as u32));
                 let inf = set1(0x7F80_0000);
-                mac_runs(words, cols, c, |_, w| {
+                mac_runs(row, c, |w| {
                     let norm = norm_of(w);
                     // The biased product exponent `exp + 127`.
                     let exp_field_w = _mm512_and_si512(_mm512_srli_epi32::<23>(w), exp_field);
@@ -733,8 +884,7 @@ mod avx512 {
     pub(super) fn mac_table(
         _norm: &[u32],
         _aword: u32,
-        _words: &[u32],
-        _cols: &[u32],
+        _row: &DecodedRow<'_>,
         _c: &mut [f32],
     ) -> bool {
         false

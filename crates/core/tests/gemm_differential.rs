@@ -417,3 +417,37 @@ fn mantissa_lut_equals_bitwise_for_every_fp_operand_pair() {
         }
     }
 }
+
+#[test]
+fn tiles_mixing_dense_and_compressed_rows_match_reference() {
+    // The decoded tile stores a B row in place when at least a quarter of
+    // its lanes are kept, and compressed otherwise. Here B's rows cycle
+    // through kept counts on both sides of that rule — every lane,
+    // exactly a quarter, one short of it, three, none — so each tile
+    // holds rows of both layouts. Kept lanes spread over the row, and the
+    // first gap of each row holds an exotic lane (never kept), so zero,
+    // exotic and kept lanes share 16-lane groups. C starts with `-0.0`
+    // in every third element. m == 1 runs the tile walk too, and m = 37
+    // clears the engine's thread gate.
+    const GAP: [f32; 4] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1e-40];
+    let (k, n) = (24usize, 40usize);
+    let values = zero_heavy_operand(k * n, 0.0, 0.0, 0x5EED_0018);
+    let mut b = vec![0.0f32; k * n];
+    for l in 0..k {
+        let kept = [n, n / 4, n / 4 - 1, 3, 0][l % 5];
+        let row = &mut b[l * n..(l + 1) * n];
+        for i in 0..kept {
+            let j = i * n / kept;
+            row[j] = values[l * n + j];
+        }
+        if let Some(gap) = row.iter().position(|&v| v == 0.0) {
+            row[gap] = GAP[l % GAP.len()];
+        }
+    }
+    for m in [1usize, 5, 37] {
+        let (a, _, c0) = zero_heavy_case(m, k, n, 0.0, 0x5EED + m as u64);
+        if let Err(e) = assert_all_backends_bit_identical_into(&a, &b, &c0, m, k, n) {
+            panic!("m = {m}: {e:?}");
+        }
+    }
+}

@@ -1,6 +1,7 @@
 use crate::session::{CompiledConv, CompiledDense, CompiledLayer};
 use crate::tensor::Tensor;
 use daism_core::GemmBackend;
+use std::ops::Range;
 
 /// A trainable parameter: value, gradient accumulator and SGD momentum
 /// buffer.
@@ -225,10 +226,25 @@ impl ConvGeom {
         self.in_ch * self.kernel * self.kernel
     }
 
+    /// The output positions `o` in `0..out` whose input position
+    /// `o·stride + k − padding`, for kernel offset `k`, lies in `0..len`:
+    /// one contiguous range, so the lowering copies spans instead of
+    /// testing both bounds per element.
+    fn span(&self, k: usize, len: usize, out: usize) -> Range<usize> {
+        // `o·stride + k >= padding`, and `o·stride + k − padding < len`.
+        let lo = self.padding.saturating_sub(k).div_ceil(self.stride);
+        let hi = match (len + self.padding).checked_sub(k + 1) {
+            Some(last) => (last / self.stride + 1).min(out),
+            None => 0,
+        };
+        lo.min(hi)..hi
+    }
+
     /// The single lowering walk: always fills `cols` as
     /// `[in_ch·k·k, batch·oh·ow]` (sample-major columns, padding
     /// positions zero), and mirrors every element into the transposed
-    /// `colst` when given one.
+    /// `colst` when given one. Each (kernel row, output row) pair copies
+    /// its valid output columns as one span.
     pub(crate) fn lower_batch(
         &self,
         x: &Tensor,
@@ -239,7 +255,7 @@ impl ConvGeom {
         let (oh, ow) = self.out_hw(h, w);
         let p = oh * ow;
         let bp = batch * p;
-        let kk = self.kernel;
+        let (kk, s) = (self.kernel, self.stride);
         let rows = self.in_ch * kk * kk;
         cols.clear();
         cols.resize(rows * bp, 0.0);
@@ -248,26 +264,27 @@ impl ConvGeom {
             t.resize(bp * rows, 0.0);
             t.as_mut_slice()
         });
+        let data = x.data();
         for n in 0..batch {
             for c in 0..self.in_ch {
                 for ki in 0..kk {
                     for kj in 0..kk {
                         let row = (c * kk + ki) * kk + kj;
-                        for oi in 0..oh {
-                            let src_i = (oi * self.stride + ki) as isize - self.padding as isize;
-                            if src_i < 0 || src_i >= h as isize {
-                                continue;
-                            }
-                            for oj in 0..ow {
-                                let src_j =
-                                    (oj * self.stride + kj) as isize - self.padding as isize;
-                                if src_j < 0 || src_j >= w as isize {
-                                    continue;
+                        let js = self.span(kj, w, ow);
+                        for oi in self.span(ki, h, oh) {
+                            let src_i = oi * s + ki - self.padding;
+                            let src = x.offset4(n, c, src_i, js.start * s + kj - self.padding);
+                            let q0 = n * p + oi * ow + js.start;
+                            let dst = &mut cols[row * bp + q0..row * bp + q0 + js.len()];
+                            if s == 1 {
+                                dst.copy_from_slice(&data[src..src + js.len()]);
+                            } else {
+                                for (d, &v) in dst.iter_mut().zip(data[src..].iter().step_by(s)) {
+                                    *d = v;
                                 }
-                                let q = n * p + oi * ow + oj;
-                                let v = x.data()[x.offset4(n, c, src_i as usize, src_j as usize)];
-                                cols[row * bp + q] = v;
-                                if let Some(t) = colst.as_mut() {
+                            }
+                            if let Some(t) = colst.as_mut() {
+                                for (q, &v) in (q0..).zip(dst.iter()) {
                                     t[q * rows + row] = v;
                                 }
                             }
@@ -372,31 +389,30 @@ impl Conv2d {
     }
 
     /// Batched col2im: scatter-adds a `[in_ch·k·k, batch·oh·ow]`
-    /// gradient back to image space for every sample.
+    /// gradient back to image space for every sample, one span of valid
+    /// output columns per (kernel row, output row) pair, in the lowering's
+    /// order.
     fn col2im_batch(&self, cols: &[f32], gx: &mut Tensor) {
         let (batch, h, w) = (gx.shape()[0], gx.shape()[2], gx.shape()[3]);
-        let (oh, ow) = self.geom().out_hw(h, w);
+        let geom = self.geom();
+        let (oh, ow) = geom.out_hw(h, w);
         let p = oh * ow;
         let bp = batch * p;
-        let kk = self.kernel;
+        let (kk, s) = (self.kernel, self.stride);
         for n in 0..batch {
             for c in 0..self.in_ch {
                 for ki in 0..kk {
                     for kj in 0..kk {
                         let row = (c * kk + ki) * kk + kj;
-                        for oi in 0..oh {
-                            let src_i = (oi * self.stride + ki) as isize - self.padding as isize;
-                            if src_i < 0 || src_i >= h as isize {
-                                continue;
-                            }
-                            for oj in 0..ow {
-                                let src_j =
-                                    (oj * self.stride + kj) as isize - self.padding as isize;
-                                if src_j < 0 || src_j >= w as isize {
-                                    continue;
-                                }
-                                let off = gx.offset4(n, c, src_i as usize, src_j as usize);
-                                gx.data_mut()[off] += cols[row * bp + n * p + oi * ow + oj];
+                        let js = geom.span(kj, w, ow);
+                        for oi in geom.span(ki, h, oh) {
+                            let src_i = oi * s + ki - self.padding;
+                            let off = gx.offset4(n, c, src_i, js.start * s + kj - self.padding);
+                            let q0 = row * bp + n * p + oi * ow + js.start;
+                            let src = &cols[q0..q0 + js.len()];
+                            let dst = gx.data_mut()[off..].iter_mut().step_by(s);
+                            for (g, &v) in dst.zip(src) {
+                                *g += v;
                             }
                         }
                     }
@@ -1043,7 +1059,9 @@ mod tests {
             Box::new(ExactMul),
             Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16)),
         ];
-        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 0), (2, 1, 1)] {
+        // Spans of valid output columns: stride 2 with padding, and a
+        // padding wider than the kernel (whole output rows in the pad).
+        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 0), (2, 1, 1), (3, 2, 1), (1, 2, 2)] {
             let mut layer = Conv2d::new(2, 3, kernel, stride, padding, 5);
             for iter in 0..3 {
                 let x = Tensor::randn(&[3, 2, 6, 6], 1.0, 13 + iter);
