@@ -1,7 +1,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use crate::tile_kernel::{self, decoded_stride, BlockProducts, DecodedRow, Encode, LaneDecoder};
+use crate::tile_kernel::{self, decoded_stride, DecodedRow, Encode, LaneDecoder};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -84,8 +84,9 @@ enum TileForm {
     /// lanes (`tile_kernel::is_dense`):
     ///
     /// * dense, at least a quarter of the lanes kept: every word at its
-    ///   column, 0 for a zero or exotic lane. The MAC updates C
-    ///   contiguously, masked by `word != 0`;
+    ///   column, 0 for a zero or exotic lane. The AVX-512 MACs update C
+    ///   contiguously, masked by `word != 0`; the portable MAC visits
+    ///   the kept columns;
     /// * compressed, sparser rows: the `kept` words at the front. The MAC
     ///   visits only those lanes.
     ///
@@ -597,28 +598,10 @@ impl ApproxFpMul {
 
     /// The portable lane MAC, for every row the AVX-512 kernels do not
     /// take: `c[col] +=` the product of multiplicand mantissa `man` with
-    /// each kept lane of `row`, encoded as `encode` says. A dense row of
-    /// a product-table multiplier updates C in place
-    /// ([`tile_kernel::mac_dense_row`]; the encode is picked here, once
-    /// per row). Every other row runs [`mac_lanes`](Self::mac_lanes) over
-    /// its kept columns: a compressed row's words are packed, and a
-    /// chunk-table product costs too much to spend on a dense row's gated
-    /// lanes.
+    /// each kept lane of `row`, encoded as `encode` says. It walks the
+    /// row's kept columns in both layouts (see
+    /// [`mac_lanes`](Self::mac_lanes)).
     fn mac_portable(&self, man: u64, row: &DecodedRow<'_>, c: &mut [f32], encode: Encode) {
-        if let (true, Some(table)) = (row.dense, self.mult.norm_row(man)) {
-            let norms = TableNorms { table, shift: 24 - self.format.mantissa_width() };
-            match encode {
-                Encode::TwoAdd(aword) => {
-                    tile_kernel::mac_dense_row(row.words, c, &TwoAddProducts { norms, aword })
-                }
-                Encode::Select { xsign, xexp } => {
-                    let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
-                    let products = SelectProducts { norms, xsign, xexp, max_exp, min_exp };
-                    tile_kernel::mac_dense_row(row.words, c, &products)
-                }
-            }
-            return;
-        }
         let prep = self.mult.prepare(man);
         let full = row.cols.len() / LANES * LANES;
         let (cols, tail_cols) = row.cols.split_at(full);
@@ -630,11 +613,14 @@ impl ApproxFpMul {
 
     /// The products of one group of pre-normalised read-outs (see
     /// [`prenormalise`](crate::mantissa::prenormalise)) with the kept
-    /// lanes' `words`, encoded as `encode` says (see [`select_encode`]
-    /// for the select encode). All lanes are fixed-width arrays, so the
-    /// whole group autovectorizes on stable. Bit-identical to
-    /// [`fuse_combine`](Self::fuse_combine) on every lane. Only valid
-    /// when `self.fast_f32` and for read-outs of `Normal` operands.
+    /// lanes' `words`, encoded as `encode` says. The select encode is
+    /// the exponent add (the renormalise increment rides in bit 23), a
+    /// branch-free encode (saturation/flush as exponent-range selects)
+    /// and one OR with sign and fraction. All lanes are fixed-width
+    /// arrays, so the whole group autovectorizes on stable.
+    /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
+    /// lane. Only valid when `self.fast_f32` and for read-outs of
+    /// `Normal` operands.
     #[inline(always)]
     fn product_lanes<const L: usize>(
         &self,
@@ -652,7 +638,20 @@ impl ApproxFpMul {
             Encode::Select { xsign, xexp } => {
                 let (max_exp, min_exp) = (self.format.max_exp(), self.format.min_exp());
                 for ((o, &w), &e) in out.iter_mut().zip(words).zip(norm) {
-                    *o = f32::from_bits(select_encode(w, e, xsign, xexp, max_exp, min_exp));
+                    let exp = xexp + ((w >> 23) & 0xFF) as i32 - 127 + (e >> 23) as i32;
+                    let sign = xsign ^ (w & 0x8000_0000);
+                    // `encode_normal_f32` with saturation/flush as
+                    // selects; the out-of-range lanes' `normal` bits are
+                    // garbage that the select discards.
+                    let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
+                    let pbits = if exp > max_exp {
+                        sign | 0x7F80_0000 // saturate to (signed) infinity
+                    } else if exp < min_exp {
+                        sign // flush to (signed) zero
+                    } else {
+                        normal
+                    };
+                    *o = f32::from_bits(pbits);
                 }
             }
         }
@@ -833,87 +832,6 @@ impl ApproxFpMul {
             } else {
                 self.mul_scalars(xs, &ys).to_f32()
             };
-        }
-    }
-}
-
-/// One product of the select encode, for a row that may saturate or
-/// flush: the exponent add (the renormalise increment rides in bit 23
-/// of the pre-normalised read-out `e`), saturation and flush as
-/// exponent-range selects, and one OR with sign and fraction.
-/// Bit-identical to `ApproxFpMul::fuse_combine`.
-#[inline(always)]
-fn select_encode(w: u32, e: u32, xsign: u32, xexp: i32, max_exp: i32, min_exp: i32) -> u32 {
-    let exp = xexp + ((w >> 23) & 0xFF) as i32 - 127 + (e >> 23) as i32;
-    let sign = xsign ^ (w & 0x8000_0000);
-    // `encode_normal_f32` with saturation/flush as selects; the
-    // out-of-range lanes' `normal` bits are garbage that the select
-    // discards.
-    let normal = sign | (((exp + 127) as u32) << 23) | (e & 0x7F_FFFF);
-    if exp > max_exp {
-        sign | 0x7F80_0000 // saturate to (signed) infinity
-    } else if exp < min_exp {
-        sign // flush to (signed) zero
-    } else {
-        normal
-    }
-}
-
-/// A block of lanes' pre-normalised read-outs (see
-/// [`prenormalise`](crate::mantissa::prenormalise)) from one bound
-/// product-table row.
-struct TableNorms<'a> {
-    /// The multiplicand's 2ⁿ-entry pre-normalised row.
-    table: &'a [u32],
-    /// Drops a word's fraction to the format's mantissa.
-    shift: u32,
-}
-
-impl TableNorms<'_> {
-    /// Writes the read-outs of `words`' mantissas to `out`; bits the
-    /// caller discards for a zero word.
-    #[inline(always)]
-    fn read(&self, words: &[u32], out: &mut [u32]) {
-        // The row is exactly 2^n entries: the mask elides the bounds
-        // check.
-        let mask = self.table.len() - 1;
-        for (o, &w) in out.iter_mut().zip(words) {
-            *o = self.table[tile_kernel::word_mantissa(w, self.shift) as usize & mask];
-        }
-    }
-}
-
-/// The products of an in-range row: [`tile_kernel::encode_product`].
-struct TwoAddProducts<'a> {
-    norms: TableNorms<'a>,
-    aword: u32,
-}
-
-impl BlockProducts for TwoAddProducts<'_> {
-    #[inline(always)]
-    fn products(&self, words: &[u32], out: &mut [u32]) {
-        self.norms.read(words, out);
-        for (o, &w) in out.iter_mut().zip(words) {
-            *o = tile_kernel::encode_product(w, self.aword, *o);
-        }
-    }
-}
-
-/// The products of a row that may saturate or flush: [`select_encode`].
-struct SelectProducts<'a> {
-    norms: TableNorms<'a>,
-    xsign: u32,
-    xexp: i32,
-    max_exp: i32,
-    min_exp: i32,
-}
-
-impl BlockProducts for SelectProducts<'_> {
-    #[inline(always)]
-    fn products(&self, words: &[u32], out: &mut [u32]) {
-        self.norms.read(words, out);
-        for (o, &w) in out.iter_mut().zip(words) {
-            *o = select_encode(w, *o, self.xsign, self.xexp, self.max_exp, self.min_exp);
         }
     }
 }

@@ -209,7 +209,8 @@ pub fn gemm(
             BForm::Raw(b)
         }
     } else {
-        // Backends without a decoded form run each tile raw.
+        // Decode each tile per call, even for m == 1; a tile the backend
+        // has no decoded form for runs raw.
         BForm::Tiles(BTiles::Raw(b))
     };
     run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));

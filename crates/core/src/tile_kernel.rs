@@ -23,8 +23,7 @@
 //!
 //! * the kept lanes' columns sit at the front of the column array, in
 //!   lane order. A compressed row's MACs need them, and so does the
-//!   portable MAC on a dense row of a chunk-table multiplier, to skip
-//!   its gated lanes;
+//!   portable MAC on a dense row, to skip its gated lanes;
 //! * the columns of the `exotic` lanes — Inf/NaN, or a nonzero `f32`
 //!   that flushes to format zero — sit at the back of the column array.
 //!   They take the exact side logic on the tile's raw values;
@@ -64,12 +63,10 @@
 //!   a `-0.0` accumulator behind a zero lane, keep their bits. On a
 //!   compressed row it gathers the C values of the kept columns, adds
 //!   and scatters them back; columns are unique within a row, so the
-//!   scatter order cannot matter. The portable MAC updates a dense
-//!   row of a product-table multiplier in place too
-//!   ([`mac_dense_row`]), where a gated lane adds `-0.0`, which leaves
-//!   the accumulator's value alone. It reads any other row by its kept
-//!   columns: a chunk-table product costs too much to spend on a gated
-//!   lane without vector registers to hold the tables.
+//!   scatter order cannot matter. The portable MAC walks the kept
+//!   columns of both layouts, reading a dense row's words at their
+//!   columns: without vector registers to mask by, a gated lane in
+//!   place would cost a full product.
 //! * **Table MAC** ([`mac_table`]) serves every product-table width
 //!   (mantissas up to 8 bits, so bf16): a product is the pre-normalised
 //!   product-table entry of the lane's mantissa, plus two integer adds
@@ -217,48 +214,6 @@ pub(crate) fn mac_table(
     simd: bool,
 ) -> bool {
     simd && avx512::mac_table(norm, aword, row, c)
-}
-
-/// Lanes per block of the portable dense-row C update
-/// ([`mac_dense_row`]).
-const BLOCK: usize = 64;
-
-/// The product bits of a block of lanes, from their words: what the
-/// portable dense-row C update ([`mac_dense_row`]) adds. A trait rather
-/// than a closure, so that the implementation can be forced inline into
-/// the lane loop.
-pub(crate) trait BlockProducts {
-    /// Writes the products of `words` to `out`, of the same length (at
-    /// most [`BLOCK`]); anything for a zero word.
-    fn products(&self, words: &[u32], out: &mut [u32]);
-}
-
-/// Adds the products of a dense row's kept lanes into C in place, a
-/// block of [`BLOCK`] lanes at a time: the portable form of the AVX-512
-/// MACs' masked update. Each step is a plain pass over the block, so
-/// the compiler can vectorize it, and a block with no kept lane is
-/// skipped. A gated lane (zero word) adds `-0.0`, which leaves every
-/// accumulator's value alone, `-0.0` included. That is plain arithmetic
-/// on purpose: a select on the loaded C value compiles to a branch, and
-/// gated lanes sit at random in a dense row.
-///
-/// # Panics
-///
-/// Panics if `words` is longer than `c`.
-#[inline(always)]
-pub(crate) fn mac_dense_row(words: &[u32], c: &mut [f32], block_products: &impl BlockProducts) {
-    let mut products = [0u32; BLOCK];
-    for (c, words) in c[..words.len()].chunks_mut(BLOCK).zip(words.chunks(BLOCK)) {
-        if words.iter().fold(0, |any, &w| any | w) == 0 {
-            continue;
-        }
-        let products = &mut products[..words.len()];
-        block_products.products(words, products);
-        for ((cv, &w), &p) in c.iter_mut().zip(words).zip(products.iter()) {
-            let keep = ((w != 0) as u32).wrapping_neg();
-            *cv += f32::from_bits((p & keep) | (!keep & SIGN));
-        }
-    }
 }
 
 /// How the products of one decoded tile row are encoded from their
@@ -412,28 +367,30 @@ impl LaneDecoder {
     ) {
         let w = row.len();
         let (mut kept, mut exotic) = (0usize, 0usize);
-        let (mut emin, mut emax) = (0xFF, 0);
         for (j, &bv) in row.iter().enumerate() {
             let lane = self.decode(bv.to_bits());
             cols[w - 1 - exotic] = j as u32;
             exotic += lane.exotic as usize;
             cols[kept] = j as u32;
             kept += lane.normal as usize;
-            // All ones for a kept lane: the word and the range update
-            // are masked, not branched on.
-            let keep = (lane.normal as u32).wrapping_neg();
-            let e = (lane.word >> 23) & 0xFF;
-            emin = emin.min(e | (!keep & 0xFF));
-            emax = emax.max(e & keep);
-            words[j] = lane.word & keep;
+            words[j] = lane.word & (lane.normal as u32).wrapping_neg();
         }
-        if !is_dense(kept, w) {
+        let len = if is_dense(kept, w) {
+            w
+        } else {
             // Compress: kept lane `i` sits at column `cols[i] >= i`, so
             // each word is read before the loop overwrites its slot.
             for i in 0..kept {
                 words[i] = words[cols[i] as usize];
             }
-        }
+            kept
+        };
+        // A kept word is never 0; a dense row's zero words leave the
+        // range alone.
+        let (emin, emax) = words[..len].iter().fold((0xFF, 0), |(lo, hi), &word| {
+            let e = (word >> 23) & 0xFF;
+            (lo.min(e | (((word == 0) as u32) * 0xFF)), hi.max(e))
+        });
         meta.copy_from_slice(&[kept as u32, exotic as u32, emin, emax]);
     }
 }

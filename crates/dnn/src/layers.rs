@@ -271,6 +271,9 @@ impl ConvGeom {
                     for kj in 0..kk {
                         let row = (c * kk + ki) * kk + kj;
                         let js = self.span(kj, w, ow);
+                        if js.is_empty() {
+                            continue;
+                        }
                         for oi in self.span(ki, h, oh) {
                             let src_i = oi * s + ki - self.padding;
                             let src = x.offset4(n, c, src_i, js.start * s + kj - self.padding);
@@ -405,6 +408,9 @@ impl Conv2d {
                     for kj in 0..kk {
                         let row = (c * kk + ki) * kk + kj;
                         let js = geom.span(kj, w, ow);
+                        if js.is_empty() {
+                            continue;
+                        }
                         for oi in geom.span(ki, h, oh) {
                             let src_i = oi * s + ki - self.padding;
                             let off = gx.offset4(n, c, src_i, js.start * s + kj - self.padding);
@@ -1059,12 +1065,23 @@ mod tests {
             Box::new(ExactMul),
             Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16)),
         ];
-        // Spans of valid output columns: stride 2 with padding, and a
-        // padding wider than the kernel (whole output rows in the pad).
-        for (kernel, stride, padding) in [(3, 1, 1), (3, 2, 0), (2, 1, 1), (3, 2, 1), (1, 2, 2)] {
+        // Spans of valid output columns: stride 2 with padding, a padding
+        // wider than the kernel (whole output rows in the pad), and on a
+        // one-column input, kernel columns whose span is empty (every
+        // position in the pad, or past the input's last column).
+        let geometries = [
+            (3, 1, 1, 6, 6),
+            (3, 2, 0, 6, 6),
+            (2, 1, 1, 6, 6),
+            (3, 2, 1, 6, 6),
+            (1, 2, 2, 6, 6),
+            (5, 1, 2, 4, 1),
+            (1, 3, 1, 4, 1),
+        ];
+        for (kernel, stride, padding, h, w) in geometries {
             let mut layer = Conv2d::new(2, 3, kernel, stride, padding, 5);
             for iter in 0..3 {
-                let x = Tensor::randn(&[3, 2, 6, 6], 1.0, 13 + iter);
+                let x = Tensor::randn(&[3, 2, h, w], 1.0, 13 + iter);
                 for mul in &backends {
                     let y = layer.forward(&x, mul.as_ref(), true);
                     let y_ref = per_sample_reference::forward(&layer, &x, mul.as_ref());
