@@ -1,7 +1,7 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use crate::tile_kernel::{self, decoded_stride, DecodedRow, Encode, LaneDecoder};
+use crate::tile_kernel::{self, decoded_stride, f32_encodable, DecodedRow, Encode, LaneDecoder};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -45,94 +45,57 @@ impl<'a> TileSource<'a> {
 /// the operand conversion the GEMM engine hoists out of the MAC loop
 /// (one decode per tile *element*, reused by every C row).
 ///
-/// Produced by [`ScalarMul::prepare_tile`]. Each tile row is a slab of
-/// fixed stride (a function of the tile width) that records which lanes
-/// reach the multiplier, followed by the row's count of kept lanes.
-/// Zero lanes never reach C — the hardware's zero gating (paper
-/// §III-C). A sparse row keeps only its nonzero lanes, packed at the
-/// front with their column index, so the MAC loop never visits the
-/// zeros and its cost follows the nonzeros; [`ApproxFpMul`] stores a
-/// row with at least a quarter of its lanes kept in place instead, and
-/// its MAC masks the zero lanes off. The decoded fields are
-/// backend-specific (one `f32` word per lane for [`ApproxFpMul`], the
-/// quantized `f64` for [`QuantizedExactMul`]; see `TileForm`). The tile
-/// also keeps its raw values, which back the exact side logic and let a
-/// *different* backend consume the tile through its
-/// [`mul_rows`](ScalarMul::mul_rows) semantics — correct, just
-/// unaccelerated.
+/// Produced by [`ScalarMul::prepare_tile`]. A tile belongs to the format
+/// it was rounded into, not to the backend that asked for it: every
+/// lane is decoded into its format straight from the `f32` bits
+/// (round-to-nearest-even, carry, range checks; exactly
+/// [`FpScalar::from_f32`]) and kept as one `u32` word, the `f32` bits of
+/// the format-rounded value. So only the `f32`-encodable formats have
+/// this form, and every tile-decoding backend of the format reads the
+/// same tile: [`ApproxFpMul`]'s lane MACs and [`QuantizedExactMul`]'s
+/// exact products alike.
+///
+/// Each tile row is a slab of fixed stride (a function of the tile
+/// width) that records which lanes reach the multiplier, followed by the
+/// row's count of kept lanes. Zero lanes never reach C — the hardware's
+/// zero gating (paper §III-C). A sparse row keeps only its nonzero
+/// lanes, packed at the front with their column index, so the MAC loop
+/// never visits the zeros and its cost follows the nonzeros; a row with
+/// at least a quarter of its lanes kept is stored in place instead, and
+/// the MACs mask its zero lanes off. Exotic lanes — Inf/NaN, a value that
+/// saturates, or a nonzero `f32` that flushes to format zero, whose
+/// signed-zero product the scalar path *accumulates* rather than skips —
+/// are listed per row and take the exact side logic on their raw values
+/// (the module docs of `tile_kernel` give the layout). The tile keeps
+/// its raw values for that, and so that a backend of *another* format
+/// can consume the tile through its [`mul_rows`](ScalarMul::mul_rows)
+/// semantics — correct, just unaccelerated.
 #[derive(Debug, Clone)]
 pub struct PreparedTile {
     width: usize,
     /// The tile's values, row-major.
     raw: Vec<f32>,
-    /// One fixed-stride slab per row, laid out as `form` says.
+    /// One `decoded_stride(width)`-word slab per row.
     slabs: Vec<u32>,
-    form: TileForm,
-}
-
-/// Which backend decoded a [`PreparedTile`], into which format: the
-/// layout of its row slabs. A backend accelerates only its own form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileForm {
-    /// [`ApproxFpMul`]: operands decoded into the format straight from
-    /// the `f32` bits (round-to-nearest-even, carry, range checks;
-    /// exactly [`FpScalar::from_f32`]), one `u32` word per lane — the
-    /// `f32` bits of the format-rounded value (sign, biased exponent,
-    /// fraction). A row slab of a `w`-wide tile holds
-    /// `[word; w] [col; w] kept exotic emin emax` (stride `2w + 4`), in
-    /// one of two layouts picked from the row's `kept` count of normal
-    /// lanes (`tile_kernel::is_dense`):
-    ///
-    /// * dense, at least a quarter of the lanes kept: every word at its
-    ///   column, 0 for a zero or exotic lane. The AVX-512 MACs update C
-    ///   contiguously, masked by `word != 0`; the portable MAC visits
-    ///   the kept columns;
-    /// * compressed, sparser rows: the `kept` words at the front. The MAC
-    ///   visits only those lanes.
-    ///
-    /// Both layouts also hold:
-    ///
-    /// * the `kept` lanes' columns at the front of the column array;
-    /// * the columns of `exotic` lanes at the back of the column array.
-    ///   Exotic lanes — Inf/NaN, or a nonzero `f32` that flushes to
-    ///   format zero, whose signed-zero product the scalar path
-    ///   *accumulates* rather than skips — take the exact side logic on
-    ///   their raw values;
-    /// * `emin` / `emax`, the least and greatest biased exponent of the
-    ///   kept words. The MAC checks them once per (A element, row): when
-    ///   every product of the row is a normal of the format, a product is
-    ///   two integer adds of the word, the multiplicand's sign and
-    ///   exponent, and the pre-normalised read-out. A row that fails the
-    ///   check takes a per-lane encode with saturation and flush.
-    ///
-    /// The decode and the two MACs have portable and AVX-512 kernels
-    /// (`tile_kernel`), bit-identical to each other.
-    Decoded(FpFormat),
-    /// [`QuantizedExactMul`]: every nonzero operand quantized into the
-    /// format once, held as the exact `f64` the per-element multiply
-    /// consumes. A row slab holds `[lo; w] [hi; w] [col; w] kept`, the
-    /// `f64` bits split into low and high words.
-    Quantized(FpFormat),
-}
-
-/// Row-slab stride of [`TileForm::Quantized`] for a `w`-wide tile.
-fn quantized_stride(w: usize) -> usize {
-    3 * w + 1
+    /// The format the lanes were rounded into.
+    format: FpFormat,
 }
 
 impl PreparedTile {
-    /// Copies the raw rows of `src` and fills one `stride`-word slab per
-    /// row with `decode(row, slab)` — across the pool, in 8-row blocks,
-    /// when the source asks for it. Every slab has a fixed place, so
-    /// blocks write disjoint memory and scheduling cannot change the
-    /// tile.
-    fn build(
-        src: &TileSource<'_>,
-        form: TileForm,
-        stride: usize,
-        decode: impl Fn(&[f32], &mut [u32]) + Sync,
-    ) -> Self {
+    /// Decodes `src` into `format`, with the AVX-512 row decode when
+    /// `simd` asks for it and the host has it — across the pool, in
+    /// 8-row blocks, when the source asks for it. Every slab has a fixed
+    /// place, so blocks write disjoint memory and scheduling cannot
+    /// change the tile. `None` when `format` is not `f32`-encodable:
+    /// there is nothing cheap to cache, so the engine keeps the raw
+    /// fused loop.
+    fn decode(src: &TileSource<'_>, format: FpFormat, simd: bool) -> Option<Self> {
+        if !f32_encodable(format) {
+            return None;
+        }
+        let dec = LaneDecoder::new(format);
         let (rows, width) = (src.rows(), src.width());
+        let stride = decoded_stride(width);
         let mut raw = Vec::with_capacity(rows * width);
         for r in 0..rows {
             raw.extend_from_slice(src.row(r));
@@ -140,7 +103,7 @@ impl PreparedTile {
         let mut slabs = vec![0u32; rows * stride];
         let fill = |r0: usize, block: &mut [u32]| {
             for (r, slab) in block.chunks_exact_mut(stride).enumerate() {
-                decode(src.row(r0 + r), slab);
+                dec.decode_row(src.row(r0 + r), slab, simd);
             }
         };
         if src.parallel {
@@ -151,7 +114,7 @@ impl PreparedTile {
         } else {
             fill(0, &mut slabs);
         }
-        PreparedTile { width, raw, slabs, form }
+        Some(PreparedTile { width, raw, slabs, format })
     }
 
     /// Columns in the tile.
@@ -164,42 +127,16 @@ impl PreparedTile {
         &self.raw[r * self.width..(r + 1) * self.width]
     }
 
+    /// The decoded slab of row `r`.
+    fn row(&self, r: usize) -> DecodedRow<'_> {
+        DecodedRow::new(&self.slabs, self.width, r)
+    }
+
     /// Lanes of row `r` that [`ScalarMul::mul_tile_row`] visits.
     #[cfg(test)]
     fn kept(&self, r: usize) -> usize {
-        match self.form {
-            TileForm::Decoded(_) => {
-                // A kept word is never 0; a dense row holds 0 for the rest.
-                let row = DecodedRow::new(&self.slabs, self.width, r);
-                row.words.iter().filter(|&&w| w != 0).count() + row.exotic.len()
-            }
-            TileForm::Quantized(_) => QuantizedRow::new(&self.slabs, self.width, r).cols.len(),
-        }
-    }
-}
-
-/// One row slab of a [`TileForm::Quantized`] tile.
-struct QuantizedRow<'a> {
-    lo: &'a [u32],
-    hi: &'a [u32],
-    cols: &'a [u32],
-}
-
-impl<'a> QuantizedRow<'a> {
-    fn new(slabs: &'a [u32], w: usize, r: usize) -> Self {
-        let stride = quantized_stride(w);
-        let slab = &slabs[r * stride..(r + 1) * stride];
-        let kept = slab[3 * w] as usize;
-        QuantizedRow { lo: &slab[..kept], hi: &slab[w..w + kept], cols: &slab[2 * w..2 * w + kept] }
-    }
-
-    /// The kept lanes as `(quantized value, column)`.
-    fn lanes(&self) -> impl Iterator<Item = (f64, usize)> + 'a {
-        let (lo, hi) = (self.lo, self.hi);
-        lo.iter()
-            .zip(hi)
-            .map(|(&lo, &hi)| f64::from_bits(((hi as u64) << 32) | lo as u64))
-            .zip(self.cols.iter().map(|&c| c as usize))
+        let row = self.row(r);
+        row.lanes().count() + row.exotic.len()
     }
 }
 
@@ -262,7 +199,7 @@ pub trait ScalarMul: GemmBackend {
     /// each `KC×NC` B tile once and reuses it for every C row, so the
     /// per-MAC `FpScalar::from_f32` disappears, and the zero lanes the
     /// hardware gates never reach C: a sparse row drops them, a dense
-    /// one (in the [`ApproxFpMul`] form) marks them for the MAC to mask.
+    /// one marks them for the MAC to mask.
     ///
     /// `None` (the default) means the backend has no cheaper form: the
     /// engine keeps the raw fused [`mul_rows`](Self::mul_rows) loop.
@@ -277,8 +214,8 @@ pub trait ScalarMul: GemmBackend {
     /// must equal `mul_rows(a, tile.raw_row(r), c)` exactly (the
     /// equivalence tests and the differential GEMM suite enforce this).
     ///
-    /// The default, also taken by a tile prepared by a *different*
-    /// backend, runs `mul_rows` on the raw row: still correct, just not
+    /// The default, also taken by a tile decoded into *another* format,
+    /// runs `mul_rows` on the raw row: still correct, just not
     /// accelerated.
     ///
     /// # Panics
@@ -337,6 +274,19 @@ impl QuantizedExactMul {
     pub fn format(&self) -> FpFormat {
         self.format
     }
+
+    /// An operand quantized into the format, as the exact `f64` the
+    /// product consumes.
+    #[inline]
+    fn quantize(&self, x: f32) -> f64 {
+        FpScalar::from_f32(x, self.format).to_f64()
+    }
+
+    /// The product of two quantized operands, re-quantized.
+    #[inline]
+    fn product(&self, xq: f64, yq: f64) -> f32 {
+        FpScalar::from_f32((xq * yq) as f32, self.format).to_f32()
+    }
 }
 
 impl fmt::Display for QuantizedExactMul {
@@ -347,60 +297,42 @@ impl fmt::Display for QuantizedExactMul {
 
 impl ScalarMul for QuantizedExactMul {
     fn mul(&self, x: f32, y: f32) -> f32 {
-        let xq = FpScalar::from_f32(x, self.format).to_f64();
-        let yq = FpScalar::from_f32(y, self.format).to_f64();
-        FpScalar::from_f32((xq * yq) as f32, self.format).to_f32()
+        self.product(self.quantize(x), self.quantize(y))
     }
 
     fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
         // Quantize the reused operand once per panel; per-element math is
         // unchanged, so results stay bit-identical to `mul`.
-        let xq = FpScalar::from_f32(a, self.format).to_f64();
+        let xq = self.quantize(a);
         for (cv, bv) in c.iter_mut().zip(b) {
             if *bv != 0.0 {
-                let yq = FpScalar::from_f32(*bv, self.format).to_f64();
-                *cv += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
+                *cv += self.product(xq, self.quantize(*bv));
             }
         }
     }
 
     fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
-        let w = src.width();
-        let decode = |row: &[f32], slab: &mut [u32]| {
-            let (lo, rest) = slab.split_at_mut(w);
-            let (hi, rest) = rest.split_at_mut(w);
-            let (cols, count) = rest.split_at_mut(w);
-            let mut kept = 0;
-            for (j, &bv) in row.iter().enumerate() {
-                // Branch-free compaction: a zero lane's write is
-                // overwritten by the next kept lane or lies past the count.
-                let yq = FpScalar::from_f32(bv, self.format).to_f64().to_bits();
-                lo[kept] = yq as u32;
-                hi[kept] = (yq >> 32) as u32;
-                cols[kept] = j as u32;
-                kept += (bv != 0.0) as usize;
-            }
-            count[0] = kept as u32;
-        };
-        Some(PreparedTile::build(
-            src,
-            TileForm::Quantized(self.format),
-            quantized_stride(w),
-            decode,
-        ))
+        PreparedTile::decode(src, self.format, true)
     }
 
     fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
-        if tile.form != TileForm::Quantized(self.format) {
+        if tile.format != self.format {
             return self.mul_rows(a, tile.raw_row(r), c);
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
-        // The cached `yq` is exactly the value `mul_rows` re-derives per
-        // element; only the result quantization (which depends on `a`)
-        // remains in the loop, and only over the nonzero lanes.
-        let xq = FpScalar::from_f32(a, self.format).to_f64();
-        for (yq, col) in QuantizedRow::new(&tile.slabs, tile.width, r).lanes() {
-            c[col] += FpScalar::from_f32((xq * yq) as f32, self.format).to_f32();
+        // A kept word is the `f32` of the format-rounded lane: exactly the
+        // `yq` that `mul_rows` re-derives per element. Only the result
+        // quantization (which depends on `a`) remains in the loop, over
+        // the kept lanes, then the exotic ones from their raw values.
+        let xq = self.quantize(a);
+        let row = tile.row(r);
+        for (word, col) in row.lanes() {
+            c[col] += self.product(xq, f32::from_bits(word) as f64);
+        }
+        let raw = tile.raw_row(r);
+        for &col in row.exotic {
+            let col = col as usize;
+            c[col] += self.product(xq, self.quantize(raw[col]));
         }
     }
 }
@@ -432,11 +364,6 @@ impl ScalarMul for QuantizedExactMul {
 pub struct ApproxFpMul {
     format: FpFormat,
     mult: MantissaMultiplier,
-    /// `true` when every normal result of this format is directly
-    /// encodable in `f32` bits (mantissa ≤ 24 bits, exponent range
-    /// within `f32`'s) — lets the batched path skip the `FpScalar`
-    /// round-trip. Holds for all predefined formats.
-    fast_f32: bool,
 }
 
 impl ApproxFpMul {
@@ -444,9 +371,7 @@ impl ApproxFpMul {
     /// format.
     pub fn new(config: MultiplierConfig, format: FpFormat) -> Self {
         let mult = MantissaMultiplier::new(config, OperandMode::Fp, format.mantissa_width());
-        let fast_f32 =
-            format.mantissa_width() <= 24 && format.max_exp() <= 127 && format.min_exp() >= -126;
-        ApproxFpMul { format, mult, fast_f32 }
+        ApproxFpMul { format, mult }
     }
 
     /// The operand/result format.
@@ -561,8 +486,8 @@ impl ApproxFpMul {
     /// skipping the `FpScalar` round-trip (and its `powi`): same
     /// normalisation, same saturation, same panic on a denormalised
     /// read-out — **bit-identical** results, asserted by the
-    /// `mul_rows`-vs-`mul` equivalence tests. Only valid when
-    /// `self.fast_f32` (checked by the caller).
+    /// `mul_rows`-vs-`mul` equivalence tests. Only valid for an
+    /// `f32`-encodable format (checked by the caller).
     #[inline]
     fn combine_raw_to_f32(&self, x: &FpScalar, y: &FpScalar, raw: u64) -> f32 {
         self.fuse_combine(x.sign() ^ y.sign(), x.exponent() + y.exponent(), raw)
@@ -570,8 +495,8 @@ impl ApproxFpMul {
 
     /// The parts-level core of [`combine_raw_to_f32`](Self::combine_raw_to_f32):
     /// takes the already-XORed sign and already-summed exponent, without
-    /// materialising `FpScalar`s. Only valid when `self.fast_f32`
-    /// (checked by callers).
+    /// materialising `FpScalar`s. Only valid for an `f32`-encodable
+    /// format (checked by callers).
     #[inline]
     fn fuse_combine(&self, sign: bool, exp_sum: i32, raw: u64) -> f32 {
         if raw == 0 {
@@ -619,8 +544,8 @@ impl ApproxFpMul {
     /// and one OR with sign and fraction. All lanes are fixed-width
     /// arrays, so the whole group autovectorizes on stable.
     /// Bit-identical to [`fuse_combine`](Self::fuse_combine) on every
-    /// lane. Only valid when `self.fast_f32` and for read-outs of
-    /// `Normal` operands.
+    /// lane. Only valid for an `f32`-encodable format and for read-outs
+    /// of `Normal` operands.
     #[inline(always)]
     fn product_lanes<const L: usize>(
         &self,
@@ -724,27 +649,10 @@ impl ApproxFpMul {
         xexp + emin >= self.format.min_exp() && xexp + emax < self.format.max_exp()
     }
 
-    /// [`prepare_tile`](ScalarMul::prepare_tile), with the AVX-512
-    /// decode when `simd` asks for it and the host has it.
-    fn prepare_tile_with(&self, src: &TileSource<'_>, simd: bool) -> Option<PreparedTile> {
-        if !self.fast_f32 {
-            // Exotic formats stay on the FpScalar path; nothing cheap to
-            // cache, so the engine keeps the raw fused loop.
-            return None;
-        }
-        let dec = LaneDecoder::new(self.format);
-        Some(PreparedTile::build(
-            src,
-            TileForm::Decoded(self.format),
-            decoded_stride(src.width()),
-            |row, slab| dec.decode_row(row, slab, simd),
-        ))
-    }
-
     /// [`mul_tile_row`](ScalarMul::mul_tile_row), with the AVX-512
     /// product-table MAC when `simd` asks for it and the host has it.
     fn mul_tile_row_with(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool) {
-        if tile.form != TileForm::Decoded(self.format) {
+        if tile.format != self.format {
             return self.mul_rows(a, tile.raw_row(r), c);
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
@@ -759,7 +667,7 @@ impl ApproxFpMul {
             }
             return;
         }
-        let row = DecodedRow::new(&tile.slabs, tile.width, r);
+        let row = tile.row(r);
         if !row.words.is_empty() {
             // Per-call work: one decode of `a`, the row's range check and
             // binding `a`'s table row (or building its chunk tables).
@@ -809,31 +717,6 @@ impl ApproxFpMul {
             c[col] += self.mul_scalars(&xs, &ys).to_f32();
         }
     }
-
-    /// The scalar per-element multiply-accumulate over a slice of raw B
-    /// values with the multiplicand already decoded and prepared — the
-    /// body of the batched `mul_rows` fast path. Only valid when
-    /// `self.fast_f32` and `xs` is `Normal` (checked by callers).
-    fn mul_prepared_scalar_chunk(
-        &self,
-        xs: &FpScalar,
-        prep: &PreparedMultiplicand,
-        bs: &[f32],
-        c: &mut [f32],
-    ) {
-        for (cv, bv) in c.iter_mut().zip(bs) {
-            if *bv == 0.0 {
-                continue; // zero bypass (§III-C) — never touches the array
-            }
-            let ys = FpScalar::from_f32(*bv, self.format);
-            *cv += if ys.class() == FpClass::Normal {
-                let raw = self.mult.multiply_prepared_trusted(prep, ys.mantissa());
-                self.combine_raw_to_f32(xs, &ys, raw)
-            } else {
-                self.mul_scalars(xs, &ys).to_f32()
-            };
-        }
-    }
 }
 
 impl fmt::Display for ApproxFpMul {
@@ -855,9 +738,11 @@ impl ScalarMul for ApproxFpMul {
         // GEMM engine exists for. Every per-element step below matches
         // `mul_scalars` exactly, keeping results bit-identical.
         let xs = FpScalar::from_f32(a, self.format);
-        if xs.class() != FpClass::Normal {
+        if xs.class() != FpClass::Normal || !f32_encodable(self.format) {
             // Zero / NaN / Inf multiplicand: rare, handled by the exact
-            // side logic — no mantissa work to hoist.
+            // side logic — no mantissa work to hoist. A format wider than
+            // `f32` has no fused encode and takes the same per-element
+            // pipeline.
             for (cv, bv) in c.iter_mut().zip(b) {
                 if *bv != 0.0 {
                     *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
@@ -866,27 +751,22 @@ impl ScalarMul for ApproxFpMul {
             return;
         }
         let prep = self.mult.prepare(xs.mantissa());
-        if self.fast_f32 {
-            self.mul_prepared_scalar_chunk(&xs, &prep, b, c);
-            return;
-        }
         for (cv, bv) in c.iter_mut().zip(b) {
             if *bv == 0.0 {
                 continue; // zero bypass (§III-C) — never touches the array
             }
             let ys = FpScalar::from_f32(*bv, self.format);
-            let product = if ys.class() == FpClass::Normal {
-                let raw = self.mult.multiply_prepared(&prep, ys.mantissa());
-                self.combine_raw(&xs, &ys, raw)
+            *cv += if ys.class() == FpClass::Normal {
+                let raw = self.mult.multiply_prepared_trusted(&prep, ys.mantissa());
+                self.combine_raw_to_f32(&xs, &ys, raw)
             } else {
-                self.mul_scalars(&xs, &ys)
+                self.mul_scalars(&xs, &ys).to_f32()
             };
-            *cv += product.to_f32();
         }
     }
 
     fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
-        self.prepare_tile_with(src, true)
+        PreparedTile::decode(src, self.format, true)
     }
 
     fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
@@ -1222,7 +1102,7 @@ mod tests {
             |parallel| TileSource::new(&bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, parallel);
         let serial = m.prepare_tile(&src(false)).expect("fast format");
         let parallel = m.prepare_tile(&src(true)).expect("fast format");
-        assert_eq!(serial.form, parallel.form);
+        assert_eq!(serial.format, parallel.format);
         assert_eq!(serial.slabs, parallel.slabs);
         let bits = |t: &PreparedTile| t.raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&serial), bits(&parallel));
@@ -1231,22 +1111,38 @@ mod tests {
     #[test]
     fn foreign_tiles_fall_back_correctly() {
         // A tile prepared by one backend fed to another must still match
-        // the consumer's own `mul_rows` semantics (unaccelerated path).
+        // the consumer's own `mul_rows` semantics. A consumer of the
+        // tile's format reads it natively, whichever backend decoded it
+        // (a shared read); one of another format, or without a tile form,
+        // falls back to the raw row. Both kinds of pair run here.
         let bs = edge_values();
         let preparers: Vec<Box<dyn ScalarMul>> = vec![
             Box::new(QuantizedExactMul::new(FpFormat::BF16)),
             Box::new(pc3tr_bf16()),
             Box::new(ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16)),
         ];
-        let consumers: Vec<Box<dyn ScalarMul>> = vec![
-            Box::new(ExactMul),
-            Box::new(QuantizedExactMul::new(FpFormat::FP32)),
-            Box::new(pc3tr_bf16()),
-            Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
+        let consumers: Vec<(Box<dyn ScalarMul>, Option<FpFormat>)> = vec![
+            (Box::new(ExactMul), None),
+            (Box::new(QuantizedExactMul::new(FpFormat::FP32)), Some(FpFormat::FP32)),
+            (Box::new(QuantizedExactMul::new(FpFormat::BF16)), Some(FpFormat::BF16)),
+            (Box::new(pc3tr_bf16()), Some(FpFormat::BF16)),
+            (
+                Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
+                Some(FpFormat::BF16),
+            ),
+            (
+                Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16)),
+                Some(FpFormat::FP16),
+            ),
         ];
+        let (mut shared, mut fallback) = (0, 0);
         for preparer in &preparers {
             let tile = tile_of(preparer.as_ref(), &bs, 1).expect("caching backend");
-            for consumer in &consumers {
+            for (consumer, format) in &consumers {
+                match *format == Some(tile.format) {
+                    true => shared += 1,
+                    false => fallback += 1,
+                }
                 for &a in &[1.5f32, -0.37, 0.0] {
                     let mut plain = vec![0.0f32; bs.len()];
                     let mut tiled = vec![0.0f32; bs.len()];
@@ -1263,6 +1159,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!((shared, fallback), (7, 11), "pairs of both kinds");
     }
 
     #[test]
@@ -1409,7 +1306,7 @@ mod tests {
 
     fn decoded_contents(tile: &PreparedTile) -> Vec<RowContents> {
         let rows = tile.slabs.len() / decoded_stride(tile.width);
-        (0..rows).map(|r| row_contents(&DecodedRow::new(&tile.slabs, tile.width, r))).collect()
+        (0..rows).map(|r| row_contents(&tile.row(r))).collect()
     }
 
     #[test]
@@ -1485,31 +1382,61 @@ mod tests {
         }
     }
 
+    /// A tile-decoding backend as the kernel tests drive it.
+    trait TileBackend: ScalarMul {
+        /// The format its tiles are decoded into.
+        fn tile_format(&self) -> FpFormat;
+
+        /// [`ScalarMul::mul_tile_row`] on the MAC kernel `simd` asks for.
+        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool);
+    }
+
+    impl TileBackend for ApproxFpMul {
+        fn tile_format(&self) -> FpFormat {
+            self.format
+        }
+
+        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool) {
+            self.mul_tile_row_with(a, tile, r, c, simd);
+        }
+    }
+
+    impl TileBackend for QuantizedExactMul {
+        fn tile_format(&self) -> FpFormat {
+            self.format
+        }
+
+        /// One MAC kernel: `simd` picks only the decode.
+        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], _simd: bool) {
+            self.mul_tile_row(a, tile, r, c);
+        }
+    }
+
     /// Decode and MAC on each kernel — portable, and AVX-512 when the
     /// host has it — against `mul_rows`, bit for bit, for every A value
     /// and both accumulator signs. `bs` is laid out as `rows` tile rows;
     /// the two decodes must also fill every slab alike.
-    fn assert_kernels_match_mul_rows(m: &ApproxFpMul, bs: &[f32], rows: usize, as_: &[f32]) {
+    fn assert_kernels_match_mul_rows(m: &dyn TileBackend, bs: &[f32], rows: usize, as_: &[f32]) {
         let n = bs.len() / rows;
+        let format = m.tile_format();
         let src = TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false);
-        let tiles = [false, true].map(|simd| m.prepare_tile_with(&src, simd).expect("fast format"));
+        let tiles = [false, true]
+            .map(|simd| PreparedTile::decode(&src, format, simd).expect("f32-encodable format"));
         assert_eq!(decoded_contents(&tiles[0]), decoded_contents(&tiles[1]), "{}", m.name());
         for tile in &tiles {
             assert_eq!(tile.slabs.len(), rows * decoded_stride(n), "{}: row-slab stride", m.name());
             for r in 0..rows {
                 let row = &bs[r * n..(r + 1) * n];
-                let normal =
-                    |b: &&f32| FpScalar::from_f32(**b, m.format).class() == FpClass::Normal;
+                let normal = |b: &&f32| FpScalar::from_f32(**b, format).class() == FpClass::Normal;
                 let kept = row.iter().filter(normal).count();
-                let decoded = DecodedRow::new(&tile.slabs, n, r);
-                assert_eq!(decoded.dense, tile_kernel::is_dense(kept, n), "{}", m.name());
+                assert_eq!(tile.row(r).dense, tile_kernel::is_dense(kept, n), "{}", m.name());
                 for &a in as_ {
                     for init in [0.0f32, -0.0] {
                         let mut plain = vec![init; n];
                         m.mul_rows(a, row, &mut plain);
                         for simd in [false, true] {
                             let mut tiled = vec![init; n];
-                            m.mul_tile_row_with(a, tile, r, &mut tiled, simd);
+                            m.mac(a, tile, r, &mut tiled, simd);
                             for (j, (p, q)) in plain.iter().zip(&tiled).enumerate() {
                                 assert!(
                                     p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
@@ -1576,25 +1503,36 @@ mod tests {
         dense_gated.extend([0.0, 1.5, -0.0, -2.25, 0.0, 3.0, f32::NEG_INFINITY, 0.75, -0.0, 1.0]);
         rows.push(dense_gated);
         let as_ = [1.5f32, -0.37, 113.7, 3000.0, -1e-3, 0.0, f32::NAN];
-        let (mut dense, mut compressed) = (0, 0);
+        // Every approximate backend, and the exact one on the tiles it
+        // shares with them.
+        let mut backends: Vec<Box<dyn TileBackend>> = vec![
+            Box::new(QuantizedExactMul::new(FpFormat::BF16)),
+            Box::new(QuantizedExactMul::new(FpFormat::FP32)),
+        ];
         for format in KERNEL_FORMATS {
             for config in MultiplierConfig::ALL {
-                let m = ApproxFpMul::new(config, format);
-                for bs in &rows {
-                    assert_kernels_match_mul_rows(&m, bs, 1, &as_);
-                    let tile = tile_of(&m, bs, 1).expect("fast format");
-                    match DecodedRow::new(&tile.slabs, tile.width, 0).dense {
-                        true => dense += 1,
-                        false => compressed += 1,
-                    }
-                }
-                // Two rows of 17 (one 16-lane block and a tail each), of
-                // each density.
-                assert_kernels_match_mul_rows(&m, &rows[5][..34], 2, &as_);
-                assert_kernels_match_mul_rows(&m, &rows[11][..34], 2, &as_);
+                backends.push(Box::new(ApproxFpMul::new(config, format)));
             }
         }
-        assert!(dense > 0 && compressed > 0, "rows of both layouts: {dense} dense, {compressed}");
+        for m in &backends {
+            let (mut dense, mut compressed) = (0, 0);
+            for bs in &rows {
+                assert_kernels_match_mul_rows(m.as_ref(), bs, 1, &as_);
+                match tile_of(m.as_ref(), bs, 1).expect("f32-encodable format").row(0).dense {
+                    true => dense += 1,
+                    false => compressed += 1,
+                }
+            }
+            // Two rows of 17 (one 16-lane block and a tail each), of each
+            // density.
+            assert_kernels_match_mul_rows(m.as_ref(), &rows[5][..34], 2, &as_);
+            assert_kernels_match_mul_rows(m.as_ref(), &rows[11][..34], 2, &as_);
+            assert!(
+                dense > 0 && compressed > 0,
+                "{}: rows of both layouts: {dense} dense, {compressed}",
+                m.name()
+            );
+        }
     }
 
     #[test]
@@ -1664,7 +1602,7 @@ mod tests {
             for config in MultiplierConfig::ALL {
                 let m = ApproxFpMul::new(config, format);
                 let tile = tile_of(&m, &row, 1).expect("fast format");
-                let decoded = DecodedRow::new(&tile.slabs, tile.width, 0);
+                let decoded = tile.row(0);
                 assert_eq!((decoded.emin, decoded.emax), (127 - 3, 127 + 4), "{}", m.name());
                 for (xexp, in_range) in cases {
                     assert_eq!(m.row_in_range(xexp, &decoded), in_range, "{}: {xexp}", m.name());
@@ -1690,7 +1628,7 @@ mod tests {
                 let covered = format != FpFormat::FP32 || config.truncate;
                 assert_eq!(plan.fits_u32(), covered, "{}", m.name());
                 let tile = tile_of(&m, &row, 1).expect("fast format");
-                let decoded = DecodedRow::new(&tile.slabs, tile.width, 0);
+                let decoded = tile.row(0);
                 let lead = 1u64 << (format.mantissa_width() - 1);
                 let range = (format.min_exp(), format.max_exp());
                 let avx512 = tile_kernel::tile_kernel() == "avx512";

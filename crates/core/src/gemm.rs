@@ -22,12 +22,14 @@
 //!     once into one [`PreparedTile`], even for a single C row (the
 //!     decoded MAC beats the fused per-element loop from the first row):
 //!     one fixed-stride slab per tile row, followed by the row's count
-//!     of kept lanes. A sparse row keeps only its nonzero lanes, packed
-//!     with their column index, and [`ScalarMul::mul_tile_row`]
-//!     scatter-adds them into C, so per-MAC cost follows the nonzeros;
-//!     the approximate backends store a row with at least a quarter of
-//!     its lanes kept in place instead, and add into a contiguous C
-//!     masked by lane. Per-MAC operand decode disappears either way;
+//!     of kept lanes. The form belongs to the format, not the backend:
+//!     every tile-decoding backend of one format reads the same tile. A
+//!     sparse row keeps only its nonzero lanes, packed with their column
+//!     index, and [`ScalarMul::mul_tile_row`] scatter-adds them into C,
+//!     so per-MAC cost follows the nonzeros; a row with at least a
+//!     quarter of its lanes kept is stored in place instead, and the
+//!     AVX-512 MACs add into a contiguous C masked by lane. Per-MAC
+//!     operand decode disappears either way;
 //!   * *packed* — native-`f32` backends pack each tile into `NR`-major
 //!     panels for the register-tile microkernel.
 //! * **Prepare once or per call.** [`gemm`] builds each decoded or
@@ -159,7 +161,7 @@ pub fn gemm_reference(
 /// Picks a form for B, then runs the same tile walk as
 /// [`GemmBackend::gemm_prepared_b`], converting each tile as it gets there:
 /// backends with a decoded form ([`ScalarMul::prepare_tile`]) decode
-/// each `KC×NC` B tile once, dropping its zero lanes, and share it
+/// each `KC×NC` B tile once, gating its zero lanes, and share it
 /// across rows and threads; native-`f32` backends pack it for the
 /// register-tile microkernel. Decoding pays off even for `m == 1`.
 /// Backends without a decoded form and tiny native-`f32` problems,
@@ -383,19 +385,18 @@ fn mac_rows(
 ///
 /// Both model how DAISM runs a matrix product: one operand is *stored*
 /// (programmed into the SRAM banks once) and the other *streams* past
-/// it. [`prepare_a`](Self::prepare_a) / [`prepare_b`](Self::prepare_b)
-/// do the stored operand's conversion once, and
-/// [`gemm_prepared_a`](Self::gemm_prepared_a) /
-/// [`gemm_prepared_b`](Self::gemm_prepared_b) replay it against many
-/// streamed operands — **bit-identical** to [`gemm`](Self::gemm) on the
-/// same values, for every shape including `m == 1`.
+/// it. The stored operand is B: [`prepare_b`](Self::prepare_b) does its
+/// conversion once, and [`gemm_prepared_b`](Self::gemm_prepared_b)
+/// replays it against many streamed A operands — **bit-identical** to
+/// [`gemm`](Self::gemm) on the same values, for every shape including
+/// `m == 1`.
 ///
-/// A prepared operand belongs to the backend class that made it: a
-/// BlockFp form served through a scalar multiplier (or the reverse)
-/// panics, and so does a panel packed for native `f32` served through a
-/// non-native multiplier. Decoded tiles served through a *different*
-/// tile-decoding multiplier stay correct (they fall back to their raw
-/// rows).
+/// A prepared B belongs to the backend class that made it: a BlockFp
+/// form served through a scalar multiplier (or the reverse) panics, and
+/// so does a panel packed for native `f32` served through a non-native
+/// multiplier. Decoded tiles are keyed by format: any tile-decoding
+/// multiplier of the same format reads them natively, and one of
+/// another format falls back to their raw rows.
 ///
 /// # Examples
 ///
@@ -432,14 +433,6 @@ pub trait GemmBackend: fmt::Debug + fmt::Display + Send + Sync {
     /// Panics if slice lengths do not match the shape.
     fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize);
 
-    /// Prepares the `m × k` matrix `a` as a stored A operand for
-    /// repeated [`gemm_prepared_a`](Self::gemm_prepared_a) calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a.len() != m * k`.
-    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA;
-
     /// Prepares the `k × n` matrix `b` as a stored B operand for
     /// repeated [`gemm_prepared_b`](Self::gemm_prepared_b) calls.
     ///
@@ -447,15 +440,6 @@ pub trait GemmBackend: fmt::Debug + fmt::Display + Send + Sync {
     ///
     /// Panics if `b.len() != k * n`.
     fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB;
-
-    /// [`gemm`](Self::gemm) against a stored A; `m` and `k` come from
-    /// the prepared operand.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths do not match the shape, or if `a` was
-    /// prepared by another backend class or another BlockFp geometry.
-    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize);
 
     /// [`gemm`](Self::gemm) against a stored B; `k` and `n` come from
     /// the prepared operand.
@@ -469,31 +453,12 @@ pub trait GemmBackend: fmt::Debug + fmt::Display + Send + Sync {
 
     /// `true` when C's columns are not computed independently of each
     /// other: B is quantized per tile, so the columns of one tile share
-    /// an exponent. When a stored-A GEMM streams a micro-batch as B
-    /// columns (a conv's lowered input), each sample's result then
-    /// depends on its batch neighbours. Only BlockFp does this; a scalar
-    /// multiplier's products are column- and row-independent.
+    /// an exponent. When a GEMM streams a micro-batch as B columns (a
+    /// conv's lowered input, with the kernel matrix as A), each sample's
+    /// result then depends on its batch neighbours. Only BlockFp does
+    /// this; a scalar multiplier's products are column- and
+    /// row-independent.
     fn couples_b_columns(&self) -> bool;
-}
-
-/// A stored A operand made by [`GemmBackend::prepare_a`]: a plain copy
-/// for scalar multipliers (their tile walk prepares A per row on every
-/// call), per-`(row, k-tile)` BlockFp blocks for [`BlockFpGemm`].
-#[derive(Debug, Clone)]
-pub struct PreparedA {
-    m: usize,
-    k: usize,
-    stored: StoredA,
-}
-
-#[derive(Debug, Clone)]
-enum StoredA {
-    Raw(Vec<f32>),
-    /// With the engine's `(man_width, tile_k)`.
-    BlockFp {
-        blocks: Vec<BlockFp>,
-        geometry: (u32, usize),
-    },
 }
 
 /// A stored B operand made by [`GemmBackend::prepare_b`] — the operand
@@ -505,10 +470,12 @@ enum StoredA {
 ///
 /// * native-`f32` multipliers — `NR`-major packed panels for the
 ///   register-tile microkernel;
-/// * tile-decoding multipliers ([`ApproxFpMul`](crate::ApproxFpMul) on
-///   the fast formats, [`QuantizedExactMul`](crate::QuantizedExactMul))
-///   — one decoded [`PreparedTile`] per `KC × NC` tile, each row keeping
-///   only its nonzero lanes and their count;
+/// * tile-decoding multipliers ([`ApproxFpMul`](crate::ApproxFpMul) and
+///   [`QuantizedExactMul`](crate::QuantizedExactMul) on the
+///   `f32`-encodable formats) — one decoded [`PreparedTile`] per
+///   `KC × NC` tile, in the one form of its format: each row gates its
+///   zero lanes, either packing its kept lanes with their columns or,
+///   when at least a quarter are kept, holding every lane in place;
 /// * other scalar multipliers — the raw values, which the fused loop
 ///   re-derives per call exactly as [`gemm`] does;
 /// * [`BlockFpGemm`] — one quantized block per `tile_k × tile_n` tile.
@@ -557,20 +524,8 @@ impl<T: ScalarMul> GemmBackend for T {
         gemm(self, a, b, c, m, k, n);
     }
 
-    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA {
-        assert_eq!(a.len(), m * k, "A has wrong length");
-        PreparedA { m, k, stored: StoredA::Raw(a.to_vec()) }
-    }
-
     fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB {
         scalar_prepare_b(self, b, k, n)
-    }
-
-    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize) {
-        let StoredA::Raw(raw) = &a.stored else {
-            panic!("prepared A was quantized by a BlockFp engine; {self} cannot consume it");
-        };
-        gemm(self, raw, b, c, a.m, a.k, n);
     }
 
     fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize) {
@@ -804,11 +759,6 @@ impl BlockFpGemm {
     #[inline]
     pub fn tile_n(&self) -> usize {
         self.tile_n
-    }
-
-    /// What a stored A's quantization depends on.
-    fn geometry_a(&self) -> (u32, usize) {
-        (self.man_width, self.tile_k)
     }
 
     /// What a stored B's quantization depends on.
@@ -1068,22 +1018,15 @@ impl fmt::Display for BlockFpGemm {
     }
 }
 
-/// The BlockFp engine as a GEMM backend: a stored A is quantized per
-/// `(row, k-tile)` block (the `Conv2d` serving pattern: the kernel
-/// matrix multiplies from the left), a stored B per `tile_k × tile_n`
-/// tile in walk order (the `Dense` pattern: `Wᵀ` multiplies from the
-/// right). Both replay [`execute`](BlockFpGemm::execute)'s walk with
-/// that side's quantization already done — byte-identical, same thread
-/// gate.
+/// The BlockFp engine as a GEMM backend: a stored B is quantized per
+/// `tile_k × tile_n` tile in walk order (the `Dense` pattern: `Wᵀ`
+/// multiplies from the right), and
+/// [`gemm_prepared_b`](GemmBackend::gemm_prepared_b) replays
+/// [`execute`](BlockFpGemm::execute)'s walk with that quantization
+/// already done — byte-identical, same thread gate.
 impl GemmBackend for BlockFpGemm {
     fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         self.execute(a, b, c, m, k, n);
-    }
-
-    fn prepare_a(&self, a: &[f32], m: usize, k: usize) -> PreparedA {
-        assert_eq!(a.len(), m * k, "A has wrong length");
-        let blocks = BlockFp::quantize_rows(a, k, self.tile_k, self.man_width);
-        PreparedA { m, k, stored: StoredA::BlockFp { blocks, geometry: self.geometry_a() } }
     }
 
     fn prepare_b(&self, b: &[f32], k: usize, n: usize) -> PreparedB {
@@ -1093,20 +1036,6 @@ impl GemmBackend for BlockFpGemm {
             .map(|tile| self.gather_tile(b, n, tile, &mut buf))
             .collect();
         PreparedB { k, n, stored: StoredB::BlockFp { tiles, geometry: self.geometry_b() } }
-    }
-
-    fn gemm_prepared_a(&self, a: &PreparedA, b: &[f32], c: &mut [f32], n: usize) {
-        let StoredA::BlockFp { blocks, geometry } = &a.stored else {
-            panic!("prepared A was made by a scalar backend; {self} cannot consume it");
-        };
-        assert_eq!(*geometry, self.geometry_a(), "prepared A geometry does not match this engine");
-        let (m, k) = (a.m, a.k);
-        assert_eq!(b.len(), k * n, "B has wrong length");
-        assert_eq!(c.len(), m * n, "C has wrong length");
-        if m == 0 || n == 0 || k == 0 {
-            return;
-        }
-        self.run(blocks, BTiles::Raw(b), c, k, n, par_chunk_rows(m, k, n));
     }
 
     fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize) {
@@ -1344,14 +1273,16 @@ mod tests {
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
         // One backend per scalar stored-B form: packed (native f32),
-        // decoded tiles, fused (raw fallback — an exotic format
-        // ApproxFpMul keeps the FpScalar path).
+        // decoded tiles, fused (raw fallback — an exotic format keeps the
+        // FpScalar path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
-        // e11m9: exponent range beyond f32's, so the fast-f32 tile
-        // decode is off and the stored B keeps the raw fused fallback.
-        let exotic = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::new(11, 9).unwrap());
-        let muls: [&dyn ScalarMul; 4] = [&ExactMul, &pc3, &quant, &exotic];
+        // e11m9: exponent range beyond f32's, so the format has no
+        // decoded tile and the stored B keeps the raw fused fallback.
+        let e11m9 = FpFormat::new(11, 9).unwrap();
+        let exotic = ApproxFpMul::new(MultiplierConfig::FLA, e11m9);
+        let exotic_quant = QuantizedExactMul::new(e11m9);
+        let muls: [&dyn ScalarMul; 5] = [&ExactMul, &pc3, &quant, &exotic, &exotic_quant];
         for mul in muls {
             for &(m, k, n) in &[(1, 7, 9), (3, 5, 7), (33, 17, 9), (64, 32, 32)] {
                 assert_prepared_b_matches_gemm(mul, m, k, n);
@@ -1413,10 +1344,12 @@ mod tests {
     #[test]
     fn foreign_panel_prepared_b_falls_back_correctly() {
         // Tiles prepared by one tile-decoding backend served through
-        // another (another decoded form, or the same form in another
-        // format) must match the consumer's own eager semantics: the
-        // consumer falls back to the tile's raw rows. Sizes straddle the
-        // lane group width, and zero-heavy B rows keep few lanes.
+        // another must match the consumer's own eager semantics. Tiles
+        // are keyed by format: the first two pairs share a format, so the
+        // consumer reads the other backend's tiles natively; the last two
+        // do not, so the consumer falls back to the tiles' raw rows.
+        // Sizes straddle the lane group width, and zero-heavy B rows keep
+        // few lanes.
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let fp16 = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16);
@@ -1640,7 +1573,7 @@ mod tests {
 
     #[test]
     fn blockfp_prepared_operands_bit_match_execute() {
-        // Both prepared entry points must equal the eager engine bit for
+        // The prepared-B entry point must equal the eager engine bit for
         // bit — across shapes that straddle tile boundaries, including
         // the single-row serving case.
         let engine = BlockFpGemm::with_tiles(MultiplierConfig::PC3_TR, 12, 3, 4);
@@ -1653,12 +1586,8 @@ mod tests {
             assert_eq!((bp.k(), bp.n()), (k, n));
             let mut served_b = vec![0.0f32; m * n];
             engine.gemm_prepared_b(&a, &bp, &mut served_b, m);
-            let ap = engine.prepare_a(&a, m, k);
-            let mut served_a = vec![0.0f32; m * n];
-            engine.gemm_prepared_a(&ap, &b, &mut served_a, n);
             for (i, r) in eager.iter().enumerate() {
                 assert_eq!(r.to_bits(), served_b[i].to_bits(), "{m}x{k}x{n} prepared-B elem {i}");
-                assert_eq!(r.to_bits(), served_a[i].to_bits(), "{m}x{k}x{n} prepared-A elem {i}");
             }
         }
     }
@@ -1690,15 +1619,6 @@ mod tests {
         let bp = coarse.prepare_b(&b, 4, 2);
         let mut c = [0.0f32; 2];
         fine.gemm_prepared_b(&[1.0; 4], &bp, &mut c, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot consume it")]
-    fn prepared_a_rejects_the_other_backend_class() {
-        let engine = BlockFpGemm::new(MultiplierConfig::PC3, 9);
-        let a = test_matrix(4, 1);
-        let mut c = [0.0f32; 2];
-        ExactMul.gemm_prepared_a(&engine.prepare_a(&a, 2, 2), &[1.0, 2.0], &mut c, 1);
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //!   shared exponent per tile, integer-mode OR-approximate mantissa
 //!   products, exact `i64` tile accumulation (the accelerator's §IV-B
 //!   dataflow);
-//! * [`GemmBackend`] — the one GEMM handle over both datapaths, with a
-//!   stored operand prepared once ([`PreparedA`] / [`PreparedB`]) and
-//!   served against many streamed ones;
+//! * [`GemmBackend`] — the one GEMM handle over both datapaths, with the
+//!   stored B operand prepared once ([`PreparedB`]) and served against
+//!   many streamed A operands;
 //! * [`error_analysis`] — exhaustive and Monte-Carlo error
 //!   characterisation of every configuration.
 //!
@@ -87,7 +87,7 @@ mod tile_kernel;
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
 pub use fp::{ApproxFpMul, ExactMul, PreparedTile, QuantizedExactMul, ScalarMul, TileSource};
-pub use gemm::{gemm, gemm_reference, BlockFpGemm, GemmBackend, PreparedA, PreparedB};
+pub use gemm::{gemm, gemm_reference, BlockFpGemm, GemmBackend, PreparedB};
 pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
 pub use microkernel::gemm_f32_microkernel_portable;

@@ -1,7 +1,10 @@
-//! The decoded B-tile form of [`ApproxFpMul`](crate::ApproxFpMul): the
-//! one-word lane layout, the row decode that fills it and the two MACs
-//! that consume it — the product-table MAC (mantissas up to 8 bits) and
-//! the chunk-table MAC (wider ones).
+//! The decoded B-tile form of every `f32`-encodable format (see
+//! [`f32_encodable`]): the one-word lane layout, the row decode that
+//! fills it and the two MACs of [`ApproxFpMul`](crate::ApproxFpMul) that
+//! consume it — the product-table MAC (mantissas up to 8 bits) and the
+//! chunk-table MAC (wider ones). A tile belongs to its format, not to a
+//! backend: [`QuantizedExactMul`](crate::QuantizedExactMul) reads the
+//! same tile, one kept lane at a time.
 //!
 //! # Layout
 //!
@@ -111,6 +114,15 @@ pub fn tile_kernel() -> &'static str {
     }
 }
 
+/// Whether every normal of `format` is encodable in `f32` bits: a
+/// mantissa of at most 24 bits and an exponent range within `f32`'s.
+/// Exactly these formats have a decoded tile form, and the lane MACs and
+/// `ApproxFpMul`'s fused `f32` encode run only for them. Holds for every
+/// predefined format.
+pub(crate) fn f32_encodable(format: FpFormat) -> bool {
+    format.mantissa_width() <= 24 && format.min_exp() >= -126 && format.max_exp() <= 127
+}
+
 /// A decoded row is stored dense when at least `1 / DENSE_SHARE` of its
 /// lanes are kept. On perfbench's CNN at batch 8 the conv forward and
 /// `grad_w` B rows keep 69–92% of their lanes and go dense; the
@@ -167,6 +179,15 @@ impl<'a> DecodedRow<'a> {
             emin: meta[2],
             emax: meta[3],
         }
+    }
+
+    /// The kept lanes as `(word, column)` pairs, in lane order, in
+    /// either layout.
+    pub(crate) fn lanes(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
+        self.cols.iter().enumerate().map(|(i, &col)| {
+            let col = col as usize;
+            (self.words[if self.dense { col } else { i }], col)
+        })
     }
 }
 
@@ -292,14 +313,10 @@ impl LaneDecoder {
     ///
     /// # Panics
     ///
-    /// Panics if `format`'s normals are not all `f32`-encodable.
+    /// Panics unless [`f32_encodable`]`(format)`.
     pub(crate) fn new(format: FpFormat) -> Self {
-        let width = format.mantissa_width();
-        assert!(
-            width <= 24 && format.min_exp() >= -126 && format.max_exp() <= 127,
-            "lane decode needs an f32-encodable format"
-        );
-        let shift = 24 - width;
+        assert!(f32_encodable(format), "lane decode needs an f32-encodable format");
+        let shift = 24 - format.mantissa_width();
         LaneDecoder {
             shift,
             half_minus_one: if shift == 0 { 0 } else { (1 << (shift - 1)) - 1 },

@@ -64,11 +64,12 @@ pub trait Layer {
     }
 
     /// Compiles this layer into its immutable serving form for
-    /// `backend` — an owned snapshot of the weights with every
-    /// per-request operand conversion (tile decode, microkernel
-    /// packing, BlockFp quantization) already done, served through
-    /// `&self` so one compiled model can be shared across threads (see
-    /// [`CompiledModel`](crate::CompiledModel)).
+    /// `backend` — an owned snapshot of the weights, with a stored B
+    /// operand's conversion (tile decode, microkernel packing, BlockFp
+    /// quantization) already done where the layer has one (`Dense`'s
+    /// `Wᵀ`; a conv's kernel matrix is the GEMM's A and stays a copy),
+    /// served through `&self` so one compiled model can be shared across
+    /// threads (see [`CompiledModel`](crate::CompiledModel)).
     ///
     /// Returns `None` when the layer has no compiled form (the
     /// default); [`Sequential::try_compile`] then returns `None` too,
@@ -81,6 +82,18 @@ pub trait Layer {
 
     /// Layer name for summaries.
     fn name(&self) -> String;
+}
+
+/// The transpose of the row-major `rows × cols` matrix `src`, as a
+/// fresh `cols × rows` buffer.
+fn transpose(src: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; rows * cols];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = src[r * cols + c];
+        }
+    }
+    t
 }
 
 // -------------------------------------------------------------------
@@ -110,26 +123,15 @@ impl Dense {
         }
     }
 
-    /// `Wᵀ` as a fresh `[in, out]` buffer — the stored B operand of the
-    /// compiled forward.
-    fn weight_t(&self) -> Vec<f32> {
-        let mut wt = vec![0.0f32; self.in_features * self.out_features];
-        for o in 0..self.out_features {
-            for i in 0..self.in_features {
-                wt[i * self.out_features + o] = self.w.value.data()[o * self.in_features + i];
-            }
-        }
-        wt
-    }
-
     fn compiled(&self, backend: &dyn GemmBackend) -> CompiledLayer {
         // Dense multiplies Wᵀ from the right: the weights are the stored
         // B operand, so the whole per-request conversion (tile decode /
         // microkernel packing / BlockFp tile quantization) is hoisted
         // into the snapshot.
+        let wt = transpose(self.w.value.data(), self.out_features, self.in_features);
         CompiledLayer::dense(CompiledDense {
             bias: self.b.value.data().to_vec(),
-            weights: backend.prepare_b(&self.weight_t(), self.in_features, self.out_features),
+            weights: backend.prepare_b(&wt, self.in_features, self.out_features),
         })
     }
 }
@@ -147,12 +149,7 @@ impl Layer for Dense {
         let x = self.cache_x.as_ref().expect("Dense::backward before forward");
         let batch = x.shape()[0];
         // grad_w[o,i] += sum_n grad[n,o] * x[n,i]  (gradᵀ · x)
-        let mut gt = vec![0.0f32; self.out_features * batch];
-        for n in 0..batch {
-            for o in 0..self.out_features {
-                gt[o * batch + n] = grad[(n, o)];
-            }
-        }
+        let gt = transpose(grad.data(), batch, self.out_features);
         backend.gemm(
             &gt,
             x.data(),
@@ -427,24 +424,23 @@ impl Conv2d {
         }
     }
 
-    fn compiled(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+    fn compiled(&self) -> CompiledLayer {
         // Conv2d multiplies the kernel matrix from the *left*: it is the
-        // stored A operand, and the per-request B operand is the im2col
-        // lowering of the input. What the snapshot hoists is the A-side
-        // work: the weight copy (serving never re-reads the layer) and,
-        // on the BlockFp backend, the per-(row, k-tile) quantization.
-        let geom = self.geom();
+        // GEMM's A operand, which has no stored form, and the per-request
+        // B operand is the im2col lowering of the input. The snapshot
+        // holds a copy of the weights, so serving never re-reads the
+        // layer.
         CompiledLayer::conv(CompiledConv {
-            geom,
+            geom: self.geom(),
             bias: self.b.value.data().to_vec(),
-            weights: backend.prepare_a(self.w.value.data(), self.out_ch, geom.kdim()),
+            weights: self.w.value.data().to_vec(),
         })
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let compiled = self.compiled(backend);
+        let compiled = self.compiled();
         let y = compiled.forward(x, backend, training.then_some(&mut self.cols_t));
         if training {
             self.cache_x = Some(x.clone());
@@ -488,12 +484,7 @@ impl Layer for Conv2d {
         }
 
         // grad_cols = Wᵀ · g — the second whole-batch GEMM.
-        let mut wt = vec![0.0f32; kdim * self.out_ch];
-        for c in 0..self.out_ch {
-            for r in 0..kdim {
-                wt[r * self.out_ch + c] = self.w.value.data()[c * kdim + r];
-            }
-        }
+        let wt = transpose(self.w.value.data(), self.out_ch, kdim);
         let mut grad_cols = vec![0.0f32; kdim * bp];
         backend.gemm(&wt, &g, &mut grad_cols, kdim, self.out_ch, bp);
 
@@ -510,8 +501,8 @@ impl Layer for Conv2d {
         vec![&self.w, &self.b]
     }
 
-    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(self.compiled(backend))
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
+        Some(self.compiled())
     }
 
     fn name(&self) -> String {

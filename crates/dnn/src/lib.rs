@@ -21,16 +21,16 @@
 //! [`Sequential::compile`] take whichever backend they are given.
 //!
 //! Each built-in layer has one forward: its compiled form
-//! ([`CompiledLayer`]), which holds the weights in the backend's
-//! stored-operand form. [`Layer::forward`] compiles the layer from its
-//! current weights and runs it; a training forward also keeps what
-//! backward needs. For serving, models **compile once and serve
-//! many**: [`Sequential::compile`] snapshots every layer once (no
-//! per-request weight conversion), [`CompiledModel::forward`] takes
-//! `&self` so one session is shared across threads, and
-//! [`InferenceSession`] micro-batches queued requests into one batched
-//! GEMM per layer — all byte-identical to [`Layer::forward`] on the same
-//! weights (see [`CompiledModel`]).
+//! ([`CompiledLayer`]), which holds a `Dense` layer's weights in the
+//! backend's stored-B form and a `Conv2d`'s as a copy. [`Layer::forward`]
+//! compiles the layer from its current weights and runs it; a training
+//! forward also keeps what backward needs. For serving, models **compile
+//! once and serve many**: [`Sequential::compile`] snapshots every layer
+//! once (no per-request conversion of a stored B),
+//! [`CompiledModel::forward`] takes `&self` so one session is shared
+//! across threads, and [`InferenceSession`] micro-batches queued requests
+//! into one batched GEMM per layer — all byte-identical to
+//! [`Layer::forward`] on the same weights (see [`CompiledModel`]).
 //!
 //! # Example
 //!

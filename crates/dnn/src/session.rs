@@ -3,8 +3,9 @@
 //!
 //! DAISM's inference story is static weights flowing through the
 //! in-SRAM multiplier array. A [`CompiledLayer`] holds one layer's
-//! weights in the backend's stored-operand form — decoded B tiles,
-//! microkernel packed panels, BlockFp weight tiles — and runs the one
+//! weights — a `Dense` layer's in the backend's stored-B form (decoded
+//! tiles, microkernel packed panels, BlockFp weight tiles), a `Conv2d`'s
+//! as a plain copy of its kernel matrix — and runs the one
 //! forward that layer has: [`Layer::forward`] compiles the layer from
 //! its current weights and runs it (a training forward also keeps what
 //! backward needs), so a plain forward pays the weight conversion on
@@ -13,7 +14,8 @@
 //! * [`Sequential::compile`] walks a trained model once for one
 //!   [`GemmBackend`] and snapshots each layer into its immutable serving
 //!   form — `Dense` stores `Wᵀ` through [`GemmBackend::prepare_b`],
-//!   `Conv2d` its kernel matrix through [`GemmBackend::prepare_a`],
+//!   `Conv2d` copies its kernel matrix (the GEMM's A, which has no
+//!   stored form: the engine converts it on every call),
 //!   activations/pooling/reshapes compile to pure functions;
 //! * [`CompiledModel::forward`] takes `&self`, owns per-call scratch,
 //!   and is `Send + Sync` — one compiled session is safely shared
@@ -29,10 +31,10 @@
 //! `Sequential::forward(x, backend, false)` on the same weights and
 //! backend, because both run these compiled layers. Both are in turn
 //! byte-identical to a reference that feeds the raw weights to
-//! [`GemmBackend::gemm`]: the stored-operand GEMMs
-//! (`gemm_prepared_a` / `gemm_prepared_b`) run the same kernels over
-//! the same values, with only the stored operand's conversion moved to
-//! compile time (enforced by `tests/compiled_differential.rs`).
+//! [`GemmBackend::gemm`]: a `Dense` layer's stored-B GEMM
+//! (`gemm_prepared_b`) runs the same kernels over the same values, with
+//! only the weights' conversion moved to compile time, and a `Conv2d`
+//! runs `gemm` itself (enforced by `tests/compiled_differential.rs`).
 //!
 //! # Staleness
 //!
@@ -45,7 +47,7 @@
 
 use crate::layers::{maxpool2x2, ConvGeom, Layer, Sequential};
 use crate::tensor::Tensor;
-use daism_core::{GemmBackend, PreparedA, PreparedB};
+use daism_core::{GemmBackend, PreparedB};
 
 /// A compiled `Dense`: `y = x · Wᵀ + b` with `Wᵀ` (`[in, out]`) the
 /// stored B operand.
@@ -70,14 +72,14 @@ impl CompiledDense {
     }
 }
 
-/// A compiled `Conv2d`: the kernel matrix as the stored A operand and
-/// **per-call** lowering scratch — serving through `&self` never
-/// touches a training layer's buffers.
+/// A compiled `Conv2d`: a copy of the `[out_ch, in_ch·k·k]` kernel
+/// matrix, the GEMM's A operand, and **per-call** lowering scratch —
+/// serving through `&self` never touches a training layer's buffers.
 #[derive(Debug)]
 pub(crate) struct CompiledConv {
     pub(crate) geom: ConvGeom,
     pub(crate) bias: Vec<f32>,
-    pub(crate) weights: PreparedA,
+    pub(crate) weights: Vec<f32>,
 }
 
 impl CompiledConv {
@@ -98,8 +100,9 @@ impl CompiledConv {
         // `&self` sharing across threads cannot corrupt it.
         let mut cols = Vec::new();
         self.geom.lower_batch(x, &mut cols, cols_t);
-        let mut staged = vec![0.0f32; self.geom.out_ch * bp];
-        backend.gemm_prepared_a(&self.weights, &cols, &mut staged, bp);
+        let (out_ch, kdim) = (self.geom.out_ch, self.geom.kdim());
+        let mut staged = vec![0.0f32; out_ch * bp];
+        backend.gemm(&self.weights, &cols, &mut staged, out_ch, kdim, bp);
         self.geom.unstage_with_bias(&self.bias, &staged, batch, oh, ow)
     }
 }

@@ -3,7 +3,7 @@
 //! "training … with approximate multipliers" claim.
 
 use crate::datasets::Dataset;
-use crate::layers::{Layer, Sequential};
+use crate::layers::{Layer, Param, Sequential};
 use crate::tensor::Tensor;
 use daism_core::GemmBackend;
 
@@ -74,15 +74,11 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
 /// One SGD-with-momentum step over the model's parameters.
 pub fn sgd_step(model: &mut Sequential, lr: f32, momentum: f32, weight_decay: f32) {
     for p in model.params_mut() {
-        let value = p.value.data().to_vec();
-        for ((v, g), vel) in
-            value.iter().zip(p.grad.data().to_vec()).zip(p.velocity.data_mut().iter_mut())
+        let Param { value, grad, velocity } = &mut *p;
+        for ((v, &g), vel) in value.data_mut().iter_mut().zip(grad.data()).zip(velocity.data_mut())
         {
-            *vel = momentum * *vel - lr * (g + weight_decay * v);
-        }
-        let velocity = p.velocity.data().to_vec();
-        for (v, vel) in p.value.data_mut().iter_mut().zip(velocity) {
-            *v += vel;
+            *vel = momentum * *vel - lr * (g + weight_decay * *v);
+            *v += *vel;
         }
         p.zero_grad();
     }

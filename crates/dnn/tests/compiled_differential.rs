@@ -5,8 +5,10 @@
 //! scalar and BlockFp backends, batch sizes including 1, and Dense /
 //! Conv2d / Residual stacks — and micro-batched serving must be
 //! byte-identical to serving each request alone. The reference is the
-//! second path: the layers themselves only ever run the stored-operand
-//! GEMMs (`gemm_prepared_a` / `gemm_prepared_b`). Plus the
+//! second path for Dense layers, which themselves only ever run the
+//! stored-B GEMM (`gemm_prepared_b`); a conv's kernel matrix has no
+//! stored form, so there the reference pins the lowering, the un-stage
+//! and the bias against the layer's own `gemm` call. Plus the
 //! serving-specific contracts: thread-count determinism of a shared
 //! session, staleness detection, and scratch isolation from
 //! interleaved training.
