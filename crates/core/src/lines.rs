@@ -547,19 +547,142 @@ mod tests {
     #[test]
     fn expected_active_lines_matches_exhaustive_average() {
         for config in MultiplierConfig::ALL {
-            let l = LineLayout::new(config, OperandMode::Fp, 8);
-            let mut total = 0u32;
-            let mut count = 0u32;
-            for b in 0x80u64..=0xFF {
-                total += l.active_lines(b);
-                count += 1;
+            for (mode, multipliers) in
+                [(OperandMode::Fp, 0x80u64..=0xFF), (OperandMode::Int, 0..=0xFF)]
+            {
+                let l = LineLayout::new(config, mode, 8);
+                let count = multipliers.clone().count() as f64;
+                let total: u32 = multipliers.map(|b| l.active_lines(b)).sum();
+                let measured = f64::from(total) / count;
+                let predicted = l.expected_active_lines();
+                assert!(
+                    (measured - predicted).abs() < 1e-9,
+                    "{config} {mode}: measured {measured}, predicted {predicted}"
+                );
             }
-            let measured = total as f64 / count as f64;
-            let predicted = l.expected_active_lines();
-            assert!(
-                (measured - predicted).abs() < 1e-9,
-                "{config}: measured {measured}, predicted {predicted}"
-            );
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of `decode(b)` for every valid
+    /// multiplier `b`, ascending (fp mode: zero and the values with the
+    /// leading one).
+    fn decode_fingerprint(l: &LineLayout) -> u64 {
+        let n = l.mantissa_width();
+        let lo = if l.mode() == OperandMode::Fp { 1u64 << (n - 1) } else { 1 };
+        std::iter::once(0).chain(lo..1 << n).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            l.decode(b)
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &byte| (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn decode_is_pinned_bit_for_bit() {
+        // One fingerprint per (kind, mode) and n = 4..=16; truncation
+        // does not change the decoder, so each truncated config must
+        // match its untruncated kind.
+        let pins = |kind, mode| -> [u64; 13] {
+            match (kind, mode) {
+                (MultiplierKind::Fla, OperandMode::Fp) => [
+                    0x6253847d38a1f1c5,
+                    0xe20c19e41bc875c5,
+                    0x419b90ab9770a3c5,
+                    0xd0734f65a5c3c9c5,
+                    0xf4485ec9d1f5d9c5,
+                    0x233be3e83a08b9c5,
+                    0x3c28512306c969c5,
+                    0xf706e86b027158c5,
+                    0xdad36149ab5c01c5,
+                    0x274da5880d5353c5,
+                    0x24e5b5c15093f5c5,
+                    0x08c399dade4bcbc5,
+                    0xce49efc556e391c5,
+                ],
+                (MultiplierKind::Fla, OperandMode::Int) => [
+                    0xa50f00a514fb3ba5,
+                    0x3e110a68e1f36c25,
+                    0xbca7eeb1b8d6d325,
+                    0x69ad16acb3ad8325,
+                    0x1a743981679e6b25,
+                    0xd7ed6e846063e325,
+                    0x1fb7ed26b6b61025,
+                    0x2427100f4eb96125,
+                    0x4f7be21873580125,
+                    0x1ea2620f9359bb25,
+                    0x0e537d749d26a425,
+                    0x6eb5a15fd3040325,
+                    0xc4f3484ea846f725,
+                ],
+                (MultiplierKind::Pc2, OperandMode::Fp) => [
+                    0x7107dce726541605,
+                    0x8f31b0baaecede45,
+                    0x1af01e0b18f2d3c5,
+                    0x61119d6412e46dc5,
+                    0x1fbc4d690611ddc5,
+                    0x4e0d1d093724c1c5,
+                    0x1b6213bf25e83ec5,
+                    0x9e195adb587929c5,
+                    0xcff944c3b6198fc5,
+                    0x870484d36cafb3c5,
+                    0x9ac53ac0ffd645c5,
+                    0x2e4a8ab8ad067fc5,
+                    0xabc050b4211e2bc5,
+                ],
+                (MultiplierKind::Pc2, OperandMode::Int) => [
+                    0xd1b025fa79803165,
+                    0x22458d8e01cb6ba5,
+                    0x097ff0c261c92225,
+                    0x9cd8e9f946abdf25,
+                    0xaf1e708050325f25,
+                    0x396fb8f9293cff25,
+                    0x50588cd32e253125,
+                    0x8c5f064bb69130a5,
+                    0xc6484227c0596025,
+                    0x4da8c36485f8dc25,
+                    0x54609db9896d1d25,
+                    0x74c94953fd950d25,
+                    0x34233a2cbac0d325,
+                ],
+                (MultiplierKind::Pc3, OperandMode::Fp) => [
+                    0x184f8b0c97ce0565,
+                    0x3288aaf42f7a3945,
+                    0x15ffd906153349c5,
+                    0xf9beed08796326c5,
+                    0x44b7a482a20577c5,
+                    0xb19af1968f2dabc5,
+                    0x4c9995c423ddeac5,
+                    0xffb272473a03adc5,
+                    0x063b107b38968ec5,
+                    0x7ec0a9f3e120e5c5,
+                    0xf42bbca2523bd5c5,
+                    0x72970fe387eac1c5,
+                    0x77ae674f977071c5,
+                ],
+                (MultiplierKind::Pc3, OperandMode::Int) => [
+                    0x6c57833e067af985,
+                    0x97208010673086e5,
+                    0x6c3d561764eed6a5,
+                    0xcb3cfc1409b3efd5,
+                    0xece035d645bdcd65,
+                    0x1dcf0cb16efcf8a5,
+                    0xa62b334056fbe525,
+                    0x05deb9cde0572325,
+                    0xb42bbbd412397225,
+                    0x0447d638792a9925,
+                    0x4687423e3da8be25,
+                    0xdb00bdb93d306e25,
+                    0x7af848dc22cd8e25,
+                ],
+            }
+        };
+        for config in MultiplierConfig::ALL {
+            for mode in [OperandMode::Fp, OperandMode::Int] {
+                for (n, &pin) in (4..=16).zip(&pins(config.kind, mode)) {
+                    let l = LineLayout::new(config, mode, n);
+                    assert_eq!(decode_fingerprint(&l), pin, "{config} {mode} n={n}");
+                }
+            }
         }
     }
 
