@@ -341,6 +341,24 @@ mod tests {
     }
 
     #[test]
+    fn full_capacity_kernel_on_the_paper_design() {
+        // 16 banks × 32 groups × 16 slots: a 16×512 kernel fills every
+        // group, which fits only if a group is the 8 physical PC3_tr
+        // lines (the identically-zero H line has no row).
+        let config = DaismConfig::paper_16x8kb();
+        let gemm = GemmShape::new(16, 512, 2).unwrap();
+        assert_eq!(gemm.kernel_elements(), config.kernel_capacity());
+        let weights = test_weights(16, 512);
+        let inputs = test_inputs(512, 2);
+        let mut hw = FunctionalDaism::new(config, gemm, &weights).unwrap();
+        let out = hw.execute(&inputs).unwrap();
+        let reference = hw.reference(&inputs);
+        for (i, (a, b)) in out.iter().zip(&reference).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "output {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
     fn weight_shape_validated() {
         let gemm = GemmShape::new(4, 3, 5).unwrap();
         let bad_weights = vec![1.0f32; 11];

@@ -97,6 +97,16 @@ impl fmt::Display for LineSpec {
 /// | PC2    | `n`   | `A, AB, C, …` (`B` never fires alone — §III-C) |
 /// | PC3    | `n+1` | `A, AB, AC, ABC, D, …` |
 ///
+/// The line list is the one statement of a multiplier; the decoder is
+/// derived from it. The *head* is the top `max(precomputed_depth, 1)`
+/// multiplier bits (1, 2 or 3 for FLA, PC2, PC3): each head value
+/// activates the one line whose shifts are exactly its set bits, or
+/// nothing if no line has them. Every bit below the head activates the
+/// plain line of its own shift, or nothing if there is none (integer-mode
+/// PC2's bit 0, whose line holds `AB`). [`decode`](Self::decode),
+/// [`expected_active_lines`](Self::expected_active_lines) and the
+/// table-less multiplier's chunk split all read these two tables.
+///
 /// # Examples
 ///
 /// ```
@@ -114,6 +124,14 @@ pub struct LineLayout {
     config: MultiplierConfig,
     mode: OperandMode,
     n: u32,
+    /// `b >> head_shift` is the head of multiplier `b`.
+    head_shift: u32,
+    /// Per head value, the mask of its line (0 when it has none).
+    head: [u64; 8],
+    /// The bits below the head that drive a plain line.
+    plain_bits: u64,
+    /// Per plain bit `s`, the index of its line `a << s`.
+    plain_line: [u8; 24],
 }
 
 impl LineLayout {
@@ -169,7 +187,25 @@ impl LineLayout {
                 v
             }
         };
-        LineLayout { specs, config, mode, n }
+        let head_shift = n - config.kind.precomputed_depth().max(1);
+        let line_of = |shifts: &[u32]| specs.iter().position(|spec| spec.shifts() == shifts);
+        let mut head = [0u64; 8];
+        for (v, mask) in head.iter_mut().enumerate().take(1 << (n - head_shift)) {
+            let shifts: Vec<u32> =
+                (head_shift..n).rev().filter(|&s| (v >> (s - head_shift)) & 1 != 0).collect();
+            if let Some(i) = line_of(&shifts) {
+                *mask = 1 << i;
+            }
+        }
+        let mut plain_bits = 0u64;
+        let mut plain_line = [0u8; 24];
+        for s in 0..head_shift {
+            if let Some(i) = line_of(&[s]) {
+                plain_bits |= 1 << s;
+                plain_line[s as usize] = i as u8;
+            }
+        }
+        LineLayout { specs, config, mode, n, head_shift, head, plain_bits, plain_line }
     }
 
     /// Number of wordlines per group.
@@ -233,7 +269,8 @@ impl LineLayout {
 
     /// Address decode: turns multiplier `b` into the wordline-activation
     /// mask (bit *i* set activates line *i*), implementing the paper's
-    /// modified decoder.
+    /// modified decoder: the head's line plus the plain line of every
+    /// set bit below the head (see [`LineLayout`]).
     ///
     /// # Panics
     ///
@@ -247,94 +284,32 @@ impl LineLayout {
                 "fp-mode multiplier {b:#x} lacks its leading one"
             );
         }
-        if b == 0 {
-            return 0;
+        let mut mask = self.head[(b >> self.head_shift) as usize];
+        let mut plain = b & self.plain_bits;
+        while plain != 0 {
+            mask |= 1 << self.plain_line[plain.trailing_zeros() as usize];
+            plain &= plain - 1;
         }
-        let n = self.n;
-        match (self.config.kind, self.mode) {
-            (MultiplierKind::Fla, _) => {
-                // Line i is the plain PP of bit n-1-i.
-                let mut mask = 0u64;
-                for i in 0..n {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                mask
-            }
-            (MultiplierKind::Pc2, OperandMode::Fp) => {
-                // Line 0 = A, line 1 = AB, lines 2.. = C.. (shift n-1-i).
-                let mut mask = if bits::bit(b, n - 2) { 0b10 } else { 0b01 };
-                for i in 2..n {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                mask
-            }
-            (MultiplierKind::Pc3, OperandMode::Fp) => {
-                // Lines 0..=3 = A, AB, AC, ABC selected by bits n-2, n-3;
-                // lines 4.. = D.. (shift n-1-i... laid out from n-4 down).
-                let idx = match (bits::bit(b, n - 2), bits::bit(b, n - 3)) {
-                    (false, false) => 0,
-                    (true, false) => 1,
-                    (false, true) => 2,
-                    (true, true) => 3,
-                };
-                let mut mask = 1u64 << idx;
-                for s in 0..=n - 4 {
-                    if bits::bit(b, s) {
-                        // Plain line for shift s sits at index 4 + (n-4-s).
-                        mask |= 1 << (4 + (n - 4 - s));
-                    }
-                }
-                mask
-            }
-            (MultiplierKind::Pc2, OperandMode::Int) => {
-                // Lines 0..n-2 = A..G (shifts n-1..1), line n-1 = AB.
-                let a_set = bits::bit(b, n - 1);
-                let b_set = bits::bit(b, n - 2);
-                let mut mask = 0u64;
-                if a_set && b_set {
-                    mask |= 1 << (n - 1); // AB replaces both
-                } else if a_set {
-                    mask |= 1 << 0;
-                } else if b_set {
-                    mask |= 1 << 1;
-                }
-                // Remaining plain lines: shifts n-3..1 at indices 2..n-2.
-                for i in 2..(n - 1) {
-                    if bits::bit(b, n - 1 - i) {
-                        mask |= 1 << i;
-                    }
-                }
-                // Bit 0 (H) has no line: its contribution is lost, as in
-                // the paper's Fig. 2.
-                mask
-            }
-            (MultiplierKind::Pc3, OperandMode::Int) => {
-                // Lines 0..=6 = A, B, C, AB, AC, BC, ABC; 7.. = D..
-                let a = bits::bit(b, n - 1);
-                let bb = bits::bit(b, n - 2);
-                let c = bits::bit(b, n - 3);
-                let mut mask = match (a, bb, c) {
-                    (false, false, false) => 0u64,
-                    (true, false, false) => 1 << 0,
-                    (false, true, false) => 1 << 1,
-                    (false, false, true) => 1 << 2,
-                    (true, true, false) => 1 << 3,
-                    (true, false, true) => 1 << 4,
-                    (false, true, true) => 1 << 5,
-                    (true, true, true) => 1 << 6,
-                };
-                for s in 0..=n - 4 {
-                    if bits::bit(b, s) {
-                        mask |= 1 << (7 + (n - 4 - s));
-                    }
-                }
-                mask
-            }
-        }
+        mask
+    }
+
+    /// `b >> head_shift()` is the head of multiplier `b`: the bits that
+    /// together select one line.
+    #[inline]
+    pub(crate) fn head_shift(&self) -> u32 {
+        self.head_shift
+    }
+
+    /// The line head value `v` activates, if any.
+    pub(crate) fn head_line(&self, v: usize) -> Option<&LineSpec> {
+        let mask = self.head[v];
+        (mask != 0).then(|| &self.specs[mask.trailing_zeros() as usize])
+    }
+
+    /// The multiplier bits below the head that drive a plain line.
+    #[inline]
+    pub(crate) fn plain_bits(&self) -> u64 {
+        self.plain_bits
     }
 
     /// Number of wordlines `decode(b)` activates.
@@ -345,51 +320,35 @@ impl LineLayout {
     /// Number of lines that can ever hold a non-zero pattern — the count
     /// that determines physical group height.
     ///
-    /// Under truncation, a line whose smallest shift is 0 stores
-    /// `(a << 0) >> n = 0` for every `n`-bit multiplicand: the plain `H`
-    /// line is identically zero and can be dropped from the array. This
-    /// is how the paper's `PC3_tr` groups fit in 8 wordlines for
-    /// `bfloat16` (Fig. 3's 512 kB bank stores 128×256 kernel elements =
-    /// 2048 rows / 8 lines).
+    /// Under truncation, the plain shift-0 line (`H` at `n = 8`) stores
+    /// `a >> n = 0` for every `n`-bit multiplicand: it is identically
+    /// zero and can be dropped from the array. This is how the paper's
+    /// `PC3_tr` groups fit in 8 wordlines for `bfloat16` (Fig. 3's 512 kB
+    /// bank stores 128×256 kernel elements = 2048 rows / 8 lines). That
+    /// line, when a layout has one, is its last, so the physical lines
+    /// are the first `effective_lines()`.
     pub fn effective_lines(&self) -> usize {
-        if !self.config.truncate {
-            return self.specs.len();
-        }
-        self.specs
-            .iter()
-            .filter(|spec| {
-                // A line is non-trivial if any multiplicand produces a
-                // non-zero truncated pattern; the max multiplicand
-                // (all-ones) witnesses it.
-                let max_a = (1u64 << self.n) - 1;
-                spec.full_pattern(max_a) >> self.n != 0
-            })
-            .count()
+        let zero_last =
+            self.config.truncate && self.specs.last().map(LineSpec::shifts) == Some(&[0]);
+        self.specs.len() - usize::from(zero_last)
     }
 
     /// Expected number of active wordlines over uniformly random
     /// multipliers (fp mode: uniform over mantissas with the leading one
     /// set) — the quantity the energy model charges wordline drive for.
     ///
+    /// The head values a multiplier can take are equally likely (in fp
+    /// mode only those with the leading one), and each plain bit fires
+    /// with probability ½.
+    ///
     /// PC3 fires fewer lines than PC2, which fires fewer than FLA: the
     /// paper's §V-D reason #2 for preferring PC3.
     pub fn expected_active_lines(&self) -> f64 {
-        let n = self.n as f64;
-        match (self.config.kind, self.mode) {
-            // Leading one always fires + half of the remaining n-1 bits.
-            (MultiplierKind::Fla, OperandMode::Fp) => 1.0 + (n - 1.0) / 2.0,
-            // Exactly one of {A, AB} + half of the n-2 low bits.
-            (MultiplierKind::Pc2, OperandMode::Fp) => 1.0 + (n - 2.0) / 2.0,
-            // Exactly one of {A, AB, AC, ABC} + half of the n-3 low bits.
-            (MultiplierKind::Pc3, OperandMode::Fp) => 1.0 + (n - 3.0) / 2.0,
-            // Uniform b: every bit fires with p=1/2.
-            (MultiplierKind::Fla, OperandMode::Int) => n / 2.0,
-            // A,B merge when both set: E = (n-2)/2 plains + E[top] where
-            // E[top] = P(ab)·1 + P(a xor b)·1 = 1/4 + 1/2 = 3/4.
-            (MultiplierKind::Pc2, OperandMode::Int) => 0.75 + (n - 2.0) / 2.0,
-            // One combo line iff any of the top 3 bits set (p = 7/8).
-            (MultiplierKind::Pc3, OperandMode::Int) => 7.0 / 8.0 + (n - 3.0) / 2.0,
-        }
+        let values = 1usize << (self.n - self.head_shift);
+        let first = if self.mode == OperandMode::Fp { values / 2 } else { 0 };
+        let heads = &self.head[first..values];
+        let lit = heads.iter().filter(|&&mask| mask != 0).count();
+        lit as f64 / heads.len() as f64 + f64::from(self.plain_bits.count_ones()) / 2.0
     }
 }
 

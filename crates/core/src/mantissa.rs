@@ -110,15 +110,15 @@ pub(crate) const CHUNK_BITS: u32 = 4;
 /// least one bit leaves 23 plain bits.
 pub(crate) const MAX_CHUNKS: usize = 6;
 
-/// How a table-less multiplier splits `b` into chunks, derived once
-/// from the layout's decoder.
+/// How a table-less multiplier splits `b` into chunks, read once from
+/// the layout's decoder tables.
 ///
-/// The head chunk is the top 1, 2 or 3 bits (FLA, PC2, PC3): each head
-/// value activates at most one line, plain or combined (`A`, `AB`,
-/// `ABC`, …). Below it, every bit drives at most one plain line of its
-/// own shift (integer-mode PC2's bit 0 drives none), so the wired-OR of
-/// a whole multiplier is the OR of one entry per chunk: OR distributes
-/// over disjoint line sets.
+/// The head chunk is the layout's head, the top 1, 2 or 3 bits (FLA,
+/// PC2, PC3): each head value activates at most one line, plain or
+/// combined (`A`, `AB`, `ABC`, …). Below it, every bit drives at most
+/// one plain line of its own shift (integer-mode PC2's bit 0 drives
+/// none), so the wired-OR of a whole multiplier is the OR of one entry
+/// per chunk: OR distributes over disjoint line sets.
 #[derive(Debug, Clone)]
 pub(crate) struct ChunkPlan {
     /// Mantissa width `n`.
@@ -140,42 +140,14 @@ pub(crate) struct ChunkPlan {
 impl ChunkPlan {
     fn new(layout: &LineLayout) -> Self {
         let n = layout.mantissa_width();
-        // The bits that share combined lines; FLA has none, so its head
-        // is just the leading bit.
-        let head_bits = layout.config().kind.precomputed_depth().max(1);
-        let head_shift = n - head_bits;
-        let fp = layout.mode() == OperandMode::Fp;
-        let single_line = |mask: u64| -> Option<usize> {
-            assert!(mask.count_ones() <= 1, "a chunk must select at most one line");
-            (mask != 0).then(|| mask.trailing_zeros() as usize)
-        };
-        let mut head_coeffs = [0u64; 8];
-        for (v, coeff) in head_coeffs.iter_mut().enumerate().take(1 << head_bits) {
-            // Fp-mode heads without the leading one are unreachable
-            // (only `b == 0` has one, and it reads zero).
-            if fp && v >> (head_bits - 1) == 0 {
-                continue;
-            }
-            if let Some(i) = single_line(layout.decode((v as u64) << head_shift)) {
-                *coeff = layout.specs()[i].full_pattern(1);
-            }
-        }
-        // A plain bit's line is what it adds to the decode of the
-        // smallest valid multiplier (the bare leading one in fp mode).
-        let lead = if fp { 1u64 << (n - 1) } else { 0 };
-        let base = layout.decode(lead);
-        let mut plain_lines = 0u64;
-        for s in 0..head_shift {
-            if let Some(i) = single_line(layout.decode(lead | (1 << s)) & !base) {
-                assert_eq!(layout.specs()[i].shifts(), [s], "bit {s} must drive its plain line");
-                plain_lines |= 1 << s;
-            }
-        }
+        let head_shift = layout.head_shift();
         ChunkPlan {
             n,
             head_shift,
-            head_coeffs,
-            plain_lines,
+            head_coeffs: std::array::from_fn(|v| {
+                layout.head_line(v).map_or(0, |line| line.full_pattern(1))
+            }),
+            plain_lines: layout.plain_bits(),
             chunks: head_shift.div_ceil(CHUNK_BITS) as usize,
             drop: if layout.config().truncate { n } else { 0 },
         }
@@ -332,8 +304,9 @@ impl MantissaMultiplier {
     /// construction (memoized process-wide per `config`/`mode`/`n`), so
     /// [`multiply`](Self::multiply) in the GEMM hot loop is one table
     /// read instead of an address decode plus a line-pattern OR chain.
-    /// Wider mantissas derive their chunk split (see
-    /// [`prepare`](Self::prepare)) from the decoder once, here.
+    /// Wider mantissas read their chunk split (see
+    /// [`prepare`](Self::prepare)) from the layout's decoder tables
+    /// once, here.
     ///
     /// # Panics
     ///

@@ -51,7 +51,8 @@ impl SramMultiplier {
     /// # Errors
     ///
     /// Returns an error if the geometry cannot hold a single group of the
-    /// configuration's lines at its stored width.
+    /// configuration's physical lines
+    /// ([`LineLayout::effective_lines`]) at its stored width.
     pub fn new(
         config: MultiplierConfig,
         mode: OperandMode,
@@ -59,7 +60,7 @@ impl SramMultiplier {
         geometry: BankGeometry,
     ) -> Result<Self, CoreError> {
         let layout = LineLayout::new(config, mode, n);
-        let group_layout = GroupLayout::new(layout.len(), layout.stored_width())?;
+        let group_layout = GroupLayout::new(layout.effective_lines(), layout.stored_width())?;
         let bank = SramBank::new(geometry, group_layout)?;
         let capacity = bank.capacity();
         Ok(SramMultiplier { bank, layout, programmed: vec![None; capacity] })
@@ -112,9 +113,10 @@ impl SramMultiplier {
         Ok(())
     }
 
-    /// Programs multiplicand `a` into `(group, slot)`: writes every line
-    /// pattern of the layout (the kernel pre-loading step whose cost the
-    /// paper amortises over operand reuse).
+    /// Programs multiplicand `a` into `(group, slot)`: writes the pattern
+    /// of every physical line ([`LineLayout::effective_lines`]; the kernel
+    /// pre-loading step whose cost the paper amortises over operand
+    /// reuse).
     ///
     /// # Errors
     ///
@@ -122,7 +124,7 @@ impl SramMultiplier {
     /// [`CoreError::OperandWidth`] if `a` exceeds the mantissa width.
     pub fn program(&mut self, group: usize, slot: usize, a: u64) -> Result<(), CoreError> {
         self.check_operand(a, false)?;
-        for (line, _) in self.layout.specs().iter().enumerate() {
+        for line in 0..self.layout.effective_lines() {
             let pattern = self.layout.stored_pattern(line, a);
             self.bank.write_line(group, line, slot, pattern)?;
         }
@@ -166,7 +168,9 @@ impl SramMultiplier {
     /// Returns operand/range errors.
     pub fn multiply_group(&mut self, group: usize, b: u64) -> Result<Vec<u64>, CoreError> {
         self.check_operand(b, true)?;
-        let mask = self.layout.decode(b);
+        // A truncated layout's last line is identically zero and has no
+        // row; dropping it from the mask leaves the OR unchanged.
+        let mask = self.layout.decode(b) & bits::mask(self.layout.effective_lines() as u32);
         Ok(self.bank.read_or_group(group, mask)?)
     }
 

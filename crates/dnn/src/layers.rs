@@ -70,15 +70,7 @@ pub trait Layer {
     /// `Wᵀ`; a conv's kernel matrix is the GEMM's A and stays a copy),
     /// served through `&self` so one compiled model can be shared across
     /// threads (see [`CompiledModel`](crate::CompiledModel)).
-    ///
-    /// Returns `None` when the layer has no compiled form (the
-    /// default); [`Sequential::try_compile`] then returns `None` too,
-    /// and [`train::accuracy`](crate::train::accuracy) falls back to
-    /// the layers' own forwards.
-    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        let _ = backend;
-        None
-    }
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> CompiledLayer;
 
     /// Layer name for summaries.
     fn name(&self) -> String;
@@ -185,8 +177,8 @@ impl Layer for Dense {
         vec![&self.w, &self.b]
     }
 
-    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(self.compiled(backend))
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+        self.compiled(backend)
     }
 
     fn name(&self) -> String {
@@ -501,8 +493,8 @@ impl Layer for Conv2d {
         vec![&self.w, &self.b]
     }
 
-    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(self.compiled())
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> CompiledLayer {
+        self.compiled()
     }
 
     fn name(&self) -> String {
@@ -544,8 +536,8 @@ impl Layer for ReLU {
         Tensor::from_vec(data, grad.shape())
     }
 
-    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(CompiledLayer::relu())
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> CompiledLayer {
+        CompiledLayer::relu()
     }
 
     fn name(&self) -> String {
@@ -636,8 +628,8 @@ impl Layer for MaxPool2d {
         gx
     }
 
-    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(CompiledLayer::maxpool())
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> CompiledLayer {
+        CompiledLayer::maxpool()
     }
 
     fn name(&self) -> String {
@@ -671,8 +663,8 @@ impl Layer for Flatten {
         grad.reshape(shape)
     }
 
-    fn compile_layer(&self, _backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(CompiledLayer::flatten())
+    fn compile_layer(&self, _backend: &dyn GemmBackend) -> CompiledLayer {
+        CompiledLayer::flatten()
     }
 
     fn name(&self) -> String {
@@ -717,8 +709,8 @@ impl Layer for Residual {
         self.inner.params()
     }
 
-    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(CompiledLayer::residual(self.inner.compile_chain(backend)?))
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+        CompiledLayer::residual(self.inner.compile_chain(backend))
     }
 
     fn name(&self) -> String {
@@ -755,11 +747,10 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Compiles every layer of the chain, or `None` if any layer has no
-    /// compiled form — the shared walk behind
-    /// [`Sequential::try_compile`](crate::Sequential::try_compile) and
-    /// the container `compile_layer` implementations.
-    pub(crate) fn compile_chain(&self, backend: &dyn GemmBackend) -> Option<Vec<CompiledLayer>> {
+    /// Compiles every layer of the chain — the shared walk behind
+    /// [`Sequential::compile`](crate::Sequential::compile) and the
+    /// container `compile_layer` implementations.
+    pub(crate) fn compile_chain(&self, backend: &dyn GemmBackend) -> Vec<CompiledLayer> {
         self.layers.iter().map(|l| l.compile_layer(backend)).collect()
     }
 }
@@ -789,8 +780,8 @@ impl Layer for Sequential {
         self.layers.iter().flat_map(|l| l.params()).collect()
     }
 
-    fn compile_layer(&self, backend: &dyn GemmBackend) -> Option<CompiledLayer> {
-        Some(CompiledLayer::seq(self.compile_chain(backend)?))
+    fn compile_layer(&self, backend: &dyn GemmBackend) -> CompiledLayer {
+        CompiledLayer::seq(self.compile_chain(backend))
     }
 
     fn name(&self) -> String {

@@ -336,27 +336,16 @@ pub struct CompiledModel<'b> {
 }
 
 /// Is a concatenated micro-batch byte-identical to per-request serving
-/// for these layers on this backend? Shared by `build` and `refresh` so
-/// a structural change can never leave the flag stale. Dense layers
-/// stream samples as A rows, which every backend keeps independent; a
-/// conv streams them as B columns, which a backend that quantizes B per
-/// tile couples.
+/// for these layers on this backend? Shared by `Sequential::compile` and
+/// `refresh` so a structural change can never leave the flag stale.
+/// Dense layers stream samples as A rows, which every backend keeps
+/// independent; a conv streams them as B columns, which a backend that
+/// quantizes B per tile couples.
 fn batch_invariant_of(backend: &dyn GemmBackend, layers: &[CompiledLayer]) -> bool {
     !backend.couples_b_columns() || !layers.iter().any(CompiledLayer::has_conv)
 }
 
 impl<'b> CompiledModel<'b> {
-    fn build(model: &Sequential, backend: &'b dyn GemmBackend) -> Option<Self> {
-        let layers = model.compile_chain(backend)?;
-        let batch_invariant = batch_invariant_of(backend, &layers);
-        Some(CompiledModel {
-            backend,
-            layers,
-            fingerprint: params_fingerprint(model),
-            batch_invariant,
-        })
-    }
-
     /// The backend this model was compiled for.
     pub fn backend(&self) -> &'b dyn GemmBackend {
         self.backend
@@ -405,14 +394,8 @@ impl<'b> CompiledModel<'b> {
     /// Re-snapshots `model`'s current weights (same backend), clearing
     /// staleness. Cheaper to call than to reason about: it rebuilds
     /// only the prepared weight state, not the backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `model` is no longer compilable (a layer without a
-    /// compiled form was pushed since).
     pub fn refresh(&mut self, model: &Sequential) {
-        self.layers =
-            model.compile_chain(self.backend).expect("model no longer compilable on refresh");
+        self.layers = model.compile_chain(self.backend);
         self.fingerprint = params_fingerprint(model);
         // The structure may have changed too (e.g. a conv pushed onto a
         // Dense-only BlockFp model) — recompute, don't carry over.
@@ -421,25 +404,15 @@ impl<'b> CompiledModel<'b> {
 }
 
 impl Sequential {
-    /// Compiles the model for `backend`, or `None` if any layer lacks a
-    /// compiled form. See [`CompiledModel`].
-    pub fn try_compile<'b>(&self, backend: &'b dyn GemmBackend) -> Option<CompiledModel<'b>> {
-        CompiledModel::build(self, backend)
-    }
-
     /// Compiles the model for `backend` — a scalar multiplier or the
     /// BlockFp engine: every layer stores its weights in the backend's
     /// prepared form, once, and [`CompiledModel::forward`] serves
     /// requests against them — byte-identical to
     /// `forward(x, backend, false)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a layer has no compiled form (custom layers keep the
-    /// [`Layer::compile_layer`] default); use
-    /// [`try_compile`](Self::try_compile) to fall back gracefully.
     pub fn compile<'b>(&self, backend: &'b dyn GemmBackend) -> CompiledModel<'b> {
-        self.try_compile(backend).expect("model contains a layer without a compiled form")
+        let layers = self.compile_chain(backend);
+        let batch_invariant = batch_invariant_of(backend, &layers);
+        CompiledModel { backend, layers, fingerprint: params_fingerprint(self), batch_invariant }
     }
 }
 

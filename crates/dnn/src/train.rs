@@ -124,25 +124,19 @@ pub fn fit(
     history
 }
 
-/// The one chunked-evaluation loop behind every accuracy entry point:
-/// `forward` maps an input chunk to logits. Chunking bounds activation
-/// memory; it exists exactly once so the compiled evaluator and the
-/// fallback through the layers' own forwards (for a model with a custom
-/// layer that has no compiled form) can never disagree on how a test
-/// set is split (BlockFp conv outputs depend on batch grouping, so a
-/// split mismatch would break the byte-parity guarantee).
-fn accuracy_chunks(
-    x: &Tensor,
-    labels: &[usize],
-    mut forward: impl FnMut(&Tensor) -> Tensor,
-) -> f32 {
+/// Classification accuracy on `(x, labels)` through an
+/// already-[compiled](crate::CompiledModel) model — the evaluator
+/// [`accuracy`] runs, also usable directly when the caller wants to
+/// amortise one compile over many evaluations. The test set is scored
+/// in chunks of 64 samples, which bounds activation memory.
+pub fn accuracy_compiled(model: &crate::CompiledModel<'_>, x: &Tensor, labels: &[usize]) -> f32 {
     let n = x.shape()[0];
     let chunk = 64usize;
     let mut correct = 0usize;
     let mut start = 0;
     while start < n {
         let end = (start + chunk).min(n);
-        let logits = forward(&slice_batch(x, start, end));
+        let logits = model.forward(&slice_batch(x, start, end));
         let pred = logits.argmax_rows();
         correct += pred.iter().zip(&labels[start..end]).filter(|(p, l)| p == l).count();
         start = end;
@@ -150,34 +144,20 @@ fn accuracy_chunks(
     correct as f32 / n as f32
 }
 
-/// Classification accuracy on `(x, labels)` through an
-/// already-[compiled](crate::CompiledModel) model — the serving-path
-/// evaluator [`accuracy`] routes through, also usable directly when the
-/// caller wants to amortise one compile over many evaluations.
-pub fn accuracy_compiled(model: &crate::CompiledModel<'_>, x: &Tensor, labels: &[usize]) -> f32 {
-    accuracy_chunks(x, labels, |xb| model.forward(xb))
-}
-
 /// Classification accuracy of `model` on `(x, labels)` on `backend` — a
 /// scalar multiplier, or the BlockFp engine for the paper's
 /// train-in-float, deploy-on-the-integer-datapath scenario.
 ///
-/// The evaluation loop compiles the model once (weights prepared in
-/// `backend`'s serving form) and scores every chunk through the
-/// compiled session; models with uncompilable custom layers fall back
-/// to the layers' own forwards, which compile each built-in layer per
-/// chunk. Either way the outputs — and therefore the accuracy — are
-/// byte-identical.
+/// The model is compiled once (weights prepared in `backend`'s serving
+/// form) and every chunk is scored through the compiled model, whose
+/// outputs are byte-identical to the layers' own forwards.
 pub fn accuracy(
     model: &mut Sequential,
     x: &Tensor,
     labels: &[usize],
     backend: &dyn GemmBackend,
 ) -> f32 {
-    if let Some(compiled) = model.try_compile(backend) {
-        return accuracy_compiled(&compiled, x, labels);
-    }
-    accuracy_chunks(x, labels, |xb| model.forward(xb, backend, false))
+    accuracy_compiled(&model.compile(backend), x, labels)
 }
 
 #[cfg(test)]
@@ -273,11 +253,13 @@ mod tests {
         let fla = BlockFpGemm::new(MultiplierConfig::FLA, 8);
         let coarse = accuracy(&mut model, &data.test_x, &data.test_y, &fla);
         assert!(coarse > 0.4, "coarse blockfp accuracy {coarse}");
-        // The compiled evaluation equals the fallback loop through the
-        // layers' own forwards.
+        // The compiled, chunked evaluation equals one forward of the
+        // whole test set through the layers' own forwards (Dense layers
+        // keep samples independent, so chunking cannot change them).
         for (engine, acc) in [(&engine, bfp), (&fla, coarse)] {
-            let eager =
-                accuracy_chunks(&data.test_x, &data.test_y, |xb| model.forward(xb, engine, false));
+            let pred = model.forward(&data.test_x, engine, false).argmax_rows();
+            let hits = pred.iter().zip(&data.test_y).filter(|(p, y)| p == y).count();
+            let eager = hits as f32 / data.test_len() as f32;
             assert_eq!(acc, eager, "{}: compiled accuracy diverged from eager", engine.name());
         }
     }

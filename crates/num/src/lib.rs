@@ -11,7 +11,6 @@
 //! * [`FpScalar`] — a decoded floating-point value (sign, unbiased exponent,
 //!   mantissa with explicit leading one) with bit-exact conversions from/to
 //!   `f32`, including round-to-nearest-even narrowing;
-//! * [`Bf16`] — a compact 16-bit storage type for `bfloat16` values;
 //! * [`BlockFp`] — block floating point (one shared exponent per block), the
 //!   representation the DAISM accelerator uses for whole matrices;
 //! * [`bits`] — small bit-manipulation helpers used across the workspace.
@@ -36,10 +35,8 @@ mod blockfp;
 mod error;
 mod format;
 mod scalar;
-mod storage;
 
 pub use blockfp::BlockFp;
 pub use error::FormatError;
 pub use format::FpFormat;
 pub use scalar::{encode_normal_f32, quantize_f32, FpClass, FpScalar};
-pub use storage::Bf16;

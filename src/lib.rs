@@ -48,5 +48,5 @@ pub use daism_core::{
     MultiplierConfig, MultiplierKind, OperandMode, PreparedMultiplicand, QuantizedExactMul,
     ScalarMul, SramMultiplier,
 };
-pub use daism_num::{Bf16, BlockFp, FpFormat, FpScalar};
+pub use daism_num::{BlockFp, FpFormat, FpScalar};
 pub use daism_sram::{BankGeometry, SramBank};
