@@ -280,6 +280,26 @@ mod tests {
     }
 
     #[test]
+    fn expected_active_lines_is_what_the_datapath_fires() {
+        // The energy model charges `expected_active_lines` per OR read;
+        // driving every fp-mode multiplier through the bit-level datapath
+        // must fire exactly that many wordlines on average.
+        for config in MultiplierConfig::ALL {
+            let mut hw = SramMultiplier::new(config, OperandMode::Fp, 8, geom_2k()).unwrap();
+            hw.program(0, 0, 0xB7).unwrap();
+            hw.reset_stats();
+            for b in 0x80u64..=0xFF {
+                let _ = hw.multiply_group(0, b).unwrap();
+            }
+            assert_eq!(
+                hw.stats().avg_wordlines_per_or_read(),
+                hw.layout().expected_active_lines(),
+                "{config}"
+            );
+        }
+    }
+
+    #[test]
     fn capacity_and_geometry() {
         // 128x128 bits, PC3 full: 9 lines/group, 16-bit slots.
         let hw = SramMultiplier::new(MultiplierConfig::PC3, OperandMode::Fp, 8, geom_2k()).unwrap();
