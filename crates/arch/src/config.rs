@@ -93,7 +93,7 @@ impl DaismConfig {
             format,
             mult,
             clock_mhz,
-            lines_per_group: layout.effective_lines(),
+            lines_per_group: layout.len(),
             element_width: layout.stored_width(),
             input_spad_kb: 128,
             output_spad_kb: 128,
@@ -166,16 +166,13 @@ impl DaismConfig {
                 geom.cols()
             )));
         }
-        // The physically required line count (identically-zero truncated
-        // lines are dropped) must fit inside the configured group height,
+        // The layout's lines must fit inside the configured group height,
         // otherwise the decoder would address missing rows.
-        let layout = self.line_layout();
-        if layout.effective_lines() > self.lines_per_group {
+        let lines = self.line_layout().len();
+        if lines > self.lines_per_group {
             return Err(ArchError::InvalidConfig(format!(
-                "{} needs {} physical lines but groups have {}",
-                self.mult,
-                layout.effective_lines(),
-                self.lines_per_group
+                "{} needs {lines} lines but groups have {}",
+                self.mult, self.lines_per_group
             )));
         }
         Ok(geom)

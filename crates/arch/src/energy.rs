@@ -82,10 +82,8 @@ pub fn energy_from_mapping(
     let mut b = EnergyBreakdown::new(format!("{} on {}", gemm, config.short_name()));
 
     // Multi-wordline group reads.
-    let read_pj = macro_model.read_energy_pj(
-        layout.expected_active_lines().round() as usize,
-        config.sensed_cols_per_activation(),
-    );
+    let read_pj = macro_model
+        .read_energy_pj(layout.expected_active_lines(), config.sensed_cols_per_activation());
     b.add("sram group read", activations * read_pj);
 
     // Modified address decoder.

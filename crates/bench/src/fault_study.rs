@@ -58,7 +58,7 @@ pub fn run(config: MultiplierConfig, max_faults: usize, seed: u64) -> FaultStudy
             SramMultiplier::new(config, OperandMode::Fp, n, geom).expect("bank fits config");
         let elements: Vec<u64> = (0..hw.capacity()).map(|_| 0x80 | (next() & 0x7F)).collect();
         let homes = hw.program_all(&elements).expect("capacity checked");
-        let lines = hw.layout().effective_lines();
+        let lines = hw.layout().len();
         for _ in 0..faults {
             let group = (next() as usize) % hw.groups();
             let line = (next() as usize) % lines;

@@ -74,26 +74,26 @@ fn dtype_of(format: FpFormat) -> String {
 /// Per-computation energy for one multiplier configuration on one bank.
 pub fn cell(config: MultiplierConfig, format: FpFormat, bank_kb: usize) -> Cell {
     let n = format.mantissa_width();
-    let layout = LineLayout::new(config, OperandMode::Fp, n);
     let bits = bank_kb * 1024 * 8;
     let side = (bits as f64).sqrt() as usize;
     let macro_model = SramMacro::new(side, side, TechNode::N45);
 
-    let width = config.stored_width(n) as usize;
-    let slots = (side / width).max(1) as f64;
-    let read = macro_model.read_energy_pj(layout.expected_active_lines().round() as usize, side);
-    let memory_read_pj = read / slots;
+    // One group read serves every slot of the row.
+    let slots_of =
+        |config: MultiplierConfig| (side / config.stored_width(n) as usize).max(1) as f64;
+    let read_pj = |config: MultiplierConfig| {
+        let lines = LineLayout::new(config, OperandMode::Fp, n).expected_active_lines();
+        macro_model.read_energy_pj(lines, side) / slots_of(config)
+    };
+    let slots = slots_of(config);
+    let memory_read_pj = read_pj(config);
     let decoder_pj = components::daism_decoder_energy_pj() / slots;
     let rf_pj = components::rf_read_pj(format.total_bits()) / slots;
 
-    // What the same bank would pay per computation without truncation.
-    let no_tr_penalty_pj = if config.truncate {
-        let full_width = (2 * n) as usize;
-        let full_slots = (side / full_width).max(1) as f64;
-        read / full_slots - memory_read_pj
-    } else {
-        0.0
-    };
+    // What the same bank would pay per computation without truncation
+    // (the untruncated layout also fires its shift-0 line); 0 for an
+    // untruncated config.
+    let no_tr_penalty_pj = read_pj(MultiplierConfig { truncate: false, ..config }) - memory_read_pj;
 
     Cell {
         config: config.to_string(),

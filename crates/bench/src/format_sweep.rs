@@ -6,7 +6,7 @@
 //! linearly.
 
 use daism_core::error_analysis::{exhaustive, monte_carlo, ErrorStats};
-use daism_core::{LineLayout, MantissaMultiplier, MultiplierConfig, OperandMode};
+use daism_core::{MantissaMultiplier, MultiplierConfig, OperandMode};
 use std::fmt;
 
 /// One mantissa width's characterisation.
@@ -51,12 +51,12 @@ pub fn run(config: MultiplierConfig, mc_samples: u64) -> FormatSweep {
         .map(|&n| {
             let m = MantissaMultiplier::new(config, OperandMode::Fp, n);
             let stats = if n <= 12 { exhaustive(&m) } else { monte_carlo(&m, mc_samples, 0x5EED) };
-            let layout = LineLayout::new(config, OperandMode::Fp, n);
+            let layout = m.layout();
             WidthPoint {
                 n,
                 format_name: format_name(n),
                 stats,
-                lines: layout.effective_lines(),
+                lines: layout.len(),
                 stored_bits: layout.stored_width(),
             }
         })

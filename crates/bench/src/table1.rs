@@ -45,8 +45,8 @@ pub fn run() -> Table1 {
                     daism_core::MultiplierKind::Pc3 => "Between 3 PP",
                 },
                 truncation: config.truncate,
-                lines_bf16: bf16.effective_lines(),
-                lines_fp32: fp32.effective_lines(),
+                lines_bf16: bf16.len(),
+                lines_fp32: fp32.len(),
                 avg_active_bf16: bf16.expected_active_lines(),
             }
         }

@@ -91,19 +91,27 @@ impl fmt::Display for LineSpec {
 ///
 /// Line counts (floating-point mode, mantissa width `n`):
 ///
-/// | config | lines | layout |
-/// |--------|-------|--------|
-/// | FLA    | `n`   | `A, B, C, …` (plain PPs) |
-/// | PC2    | `n`   | `A, AB, C, …` (`B` never fires alone — §III-C) |
-/// | PC3    | `n+1` | `A, AB, AC, ABC, D, …` |
+/// | config | lines | `_tr` lines | layout |
+/// |--------|-------|-------------|--------|
+/// | FLA    | `n`   | `n-1`       | `A, B, C, …` (plain PPs) |
+/// | PC2    | `n`   | `n-1`       | `A, AB, C, …` (`B` never fires alone — §III-C) |
+/// | PC3    | `n+1` | `n`         | `A, AB, AC, ABC, D, …` |
+///
+/// A truncated config lists one line fewer: its plain shift-0 line (`H`
+/// at `n = 8`) would store `a >> n = 0` for every `n`-bit multiplicand,
+/// so it has no row. That is how the paper's `PC3_tr` groups fit in 8
+/// wordlines for `bfloat16` (Fig. 3's 512 kB bank stores 128×256 kernel
+/// elements = 2048 rows / 8 lines). The list is the physical group:
+/// [`len`](Self::len) is its height.
 ///
 /// The line list is the one statement of a multiplier; the decoder is
 /// derived from it. The *head* is the top `max(precomputed_depth, 1)`
 /// multiplier bits (1, 2 or 3 for FLA, PC2, PC3): each head value
 /// activates the one line whose shifts are exactly its set bits, or
 /// nothing if no line has them. Every bit below the head activates the
-/// plain line of its own shift, or nothing if there is none (integer-mode
-/// PC2's bit 0, whose line holds `AB`). [`decode`](Self::decode),
+/// plain line of its own shift, or nothing if there is none (a truncated
+/// config's bit 0, and integer-mode PC2's, whose line holds `AB`).
+/// [`decode`](Self::decode),
 /// [`expected_active_lines`](Self::expected_active_lines) and the
 /// table-less multiplier's chunk split all read these two tables.
 ///
@@ -143,13 +151,16 @@ impl LineLayout {
     /// `n > 24` (nothing in the paper goes beyond `float32`).
     pub fn new(config: MultiplierConfig, mode: OperandMode, n: u32) -> Self {
         assert!((4..=24).contains(&n), "mantissa width {n} outside supported range 4..=24");
+        // Truncated, the plain shift-0 line would store `a >> n = 0`: it
+        // has no row, so the plain lines start at shift 1.
+        let lo = u32::from(config.truncate);
         let specs = match (config.kind, mode) {
-            (MultiplierKind::Fla, _) => (0..n).rev().map(LineSpec::plain).collect(),
+            (MultiplierKind::Fla, _) => (lo..n).rev().map(LineSpec::plain).collect(),
             (MultiplierKind::Pc2, OperandMode::Fp) => {
                 // A, AB, C.. (B dropped: with the implicit one, B never
                 // fires without A).
                 let mut v = vec![LineSpec::plain(n - 1), LineSpec::pre_sum(&[n - 1, n - 2])];
-                v.extend((0..=n - 3).rev().map(LineSpec::plain));
+                v.extend((lo..=n - 3).rev().map(LineSpec::plain));
                 v
             }
             (MultiplierKind::Pc3, OperandMode::Fp) => {
@@ -160,7 +171,7 @@ impl LineLayout {
                     LineSpec::pre_sum(&[n - 1, n - 3]),
                     LineSpec::pre_sum(&[n - 1, n - 2, n - 3]),
                 ];
-                v.extend((0..=n - 4).rev().map(LineSpec::plain));
+                v.extend((lo..=n - 4).rev().map(LineSpec::plain));
                 v
             }
             (MultiplierKind::Pc2, OperandMode::Int) => {
@@ -183,7 +194,7 @@ impl LineLayout {
                     LineSpec::pre_sum(&[n - 2, n - 3]),
                     LineSpec::pre_sum(&[n - 1, n - 2, n - 3]),
                 ];
-                v.extend((0..=n - 4).rev().map(LineSpec::plain));
+                v.extend((lo..=n - 4).rev().map(LineSpec::plain));
                 v
             }
         };
@@ -208,7 +219,7 @@ impl LineLayout {
         LineLayout { specs, config, mode, n, head_shift, head, plain_bits, plain_line }
     }
 
-    /// Number of wordlines per group.
+    /// Number of wordlines per group: the physical group height.
     #[inline]
     pub fn len(&self) -> usize {
         self.specs.len()
@@ -315,22 +326,6 @@ impl LineLayout {
     /// Number of wordlines `decode(b)` activates.
     pub fn active_lines(&self, b: u64) -> u32 {
         self.decode(b).count_ones()
-    }
-
-    /// Number of lines that can ever hold a non-zero pattern — the count
-    /// that determines physical group height.
-    ///
-    /// Under truncation, the plain shift-0 line (`H` at `n = 8`) stores
-    /// `a >> n = 0` for every `n`-bit multiplicand: it is identically
-    /// zero and can be dropped from the array. This is how the paper's
-    /// `PC3_tr` groups fit in 8 wordlines for `bfloat16` (Fig. 3's 512 kB
-    /// bank stores 128×256 kernel elements = 2048 rows / 8 lines). That
-    /// line, when a layout has one, is its last, so the physical lines
-    /// are the first `effective_lines()`.
-    pub fn effective_lines(&self) -> usize {
-        let zero_last =
-            self.config.truncate && self.specs.last().map(LineSpec::shifts) == Some(&[0]);
-        self.specs.len() - usize::from(zero_last)
     }
 
     /// Expected number of active wordlines over uniformly random
@@ -478,9 +473,11 @@ mod tests {
         let full = LineLayout::new(MultiplierConfig::PC3, OperandMode::Fp, 8);
         let tr = LineLayout::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 8);
         let a = 0b1011_0101;
-        for i in 0..full.len() {
+        for i in 0..tr.len() {
             assert_eq!(tr.stored_pattern(i, a), full.stored_pattern(i, a) >> 8, "line {i}");
         }
+        // The line truncation drops (H, the last) would store nothing.
+        assert_eq!(full.stored_pattern(tr.len(), a) >> 8, 0);
     }
 
     #[test]
@@ -522,13 +519,18 @@ mod tests {
         }
     }
 
-    /// FNV-1a over the little-endian bytes of `decode(b)` for every valid
-    /// multiplier `b`, ascending (fp mode: zero and the values with the
-    /// leading one).
-    fn decode_fingerprint(l: &LineLayout) -> u64 {
+    /// Every valid multiplier `b`, ascending (fp mode: zero and the
+    /// values with the leading one).
+    fn valid_multipliers(l: &LineLayout) -> impl Iterator<Item = u64> {
         let n = l.mantissa_width();
         let lo = if l.mode() == OperandMode::Fp { 1u64 << (n - 1) } else { 1 };
-        std::iter::once(0).chain(lo..1 << n).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        std::iter::once(0).chain(lo..1 << n)
+    }
+
+    /// FNV-1a over the little-endian bytes of `decode(b)` for every valid
+    /// multiplier `b`.
+    fn decode_fingerprint(l: &LineLayout) -> u64 {
+        valid_multipliers(l).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             l.decode(b)
                 .to_le_bytes()
                 .iter()
@@ -538,9 +540,9 @@ mod tests {
 
     #[test]
     fn decode_is_pinned_bit_for_bit() {
-        // One fingerprint per (kind, mode) and n = 4..=16; truncation
-        // does not change the decoder, so each truncated config must
-        // match its untruncated kind.
+        // One fingerprint per untruncated (kind, mode) and n = 4..=16. A
+        // truncated layout is its untruncated kind's without the trailing
+        // shift-0 line, so its decode is the same mask cut to its lines.
         let pins = |kind, mode| -> [u64; 13] {
             match (kind, mode) {
                 (MultiplierKind::Fla, OperandMode::Fp) => [
@@ -638,8 +640,17 @@ mod tests {
         for config in MultiplierConfig::ALL {
             for mode in [OperandMode::Fp, OperandMode::Int] {
                 for (n, &pin) in (4..=16).zip(&pins(config.kind, mode)) {
+                    let full =
+                        LineLayout::new(MultiplierConfig { truncate: false, ..config }, mode, n);
+                    if !config.truncate {
+                        assert_eq!(decode_fingerprint(&full), pin, "{config} {mode} n={n}");
+                        continue;
+                    }
                     let l = LineLayout::new(config, mode, n);
-                    assert_eq!(decode_fingerprint(&l), pin, "{config} {mode} n={n}");
+                    let lines = bits::mask(l.len() as u32);
+                    for b in valid_multipliers(&l) {
+                        assert_eq!(l.decode(b), full.decode(b) & lines, "{config} {mode} b={b:#x}");
+                    }
                 }
             }
         }
@@ -655,17 +666,16 @@ mod tests {
     }
 
     #[test]
-    fn effective_lines_drop_zero_h_under_truncation() {
-        // PC3_tr at bf16: 9 layout lines, but H is identically zero ->
-        // 8 physical wordlines (the paper's group height).
+    fn truncated_layouts_drop_zero_h() {
+        // PC3_tr at bf16: H is identically zero, so 9 -> 8 wordlines (the
+        // paper's group height).
         let pc3tr = LineLayout::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 8);
-        assert_eq!(pc3tr.len(), 9);
-        assert_eq!(pc3tr.effective_lines(), 8);
-        // PC2_tr: 8 -> 7. FLA untruncated: all lines physical.
+        assert_eq!(pc3tr.len(), 8);
+        // PC2_tr: 8 -> 7. FLA untruncated: every line stays.
         let pc2tr = LineLayout::new(MultiplierConfig::PC2_TR, OperandMode::Fp, 8);
-        assert_eq!(pc2tr.effective_lines(), 7);
+        assert_eq!(pc2tr.len(), 7);
         let fla = LineLayout::new(MultiplierConfig::FLA, OperandMode::Fp, 8);
-        assert_eq!(fla.effective_lines(), 8);
+        assert_eq!(fla.len(), 8);
     }
 
     #[test]

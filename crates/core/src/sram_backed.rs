@@ -51,8 +51,7 @@ impl SramMultiplier {
     /// # Errors
     ///
     /// Returns an error if the geometry cannot hold a single group of the
-    /// configuration's physical lines
-    /// ([`LineLayout::effective_lines`]) at its stored width.
+    /// configuration's lines ([`LineLayout::len`]) at its stored width.
     pub fn new(
         config: MultiplierConfig,
         mode: OperandMode,
@@ -60,7 +59,7 @@ impl SramMultiplier {
         geometry: BankGeometry,
     ) -> Result<Self, CoreError> {
         let layout = LineLayout::new(config, mode, n);
-        let group_layout = GroupLayout::new(layout.effective_lines(), layout.stored_width())?;
+        let group_layout = GroupLayout::new(layout.len(), layout.stored_width())?;
         let bank = SramBank::new(geometry, group_layout)?;
         let capacity = bank.capacity();
         Ok(SramMultiplier { bank, layout, programmed: vec![None; capacity] })
@@ -114,9 +113,8 @@ impl SramMultiplier {
     }
 
     /// Programs multiplicand `a` into `(group, slot)`: writes the pattern
-    /// of every physical line ([`LineLayout::effective_lines`]; the kernel
-    /// pre-loading step whose cost the paper amortises over operand
-    /// reuse).
+    /// of every line of the layout (the kernel pre-loading step whose
+    /// cost the paper amortises over operand reuse).
     ///
     /// # Errors
     ///
@@ -124,7 +122,7 @@ impl SramMultiplier {
     /// [`CoreError::OperandWidth`] if `a` exceeds the mantissa width.
     pub fn program(&mut self, group: usize, slot: usize, a: u64) -> Result<(), CoreError> {
         self.check_operand(a, false)?;
-        for line in 0..self.layout.effective_lines() {
+        for line in 0..self.layout.len() {
             let pattern = self.layout.stored_pattern(line, a);
             self.bank.write_line(group, line, slot, pattern)?;
         }
@@ -168,10 +166,7 @@ impl SramMultiplier {
     /// Returns operand/range errors.
     pub fn multiply_group(&mut self, group: usize, b: u64) -> Result<Vec<u64>, CoreError> {
         self.check_operand(b, true)?;
-        // A truncated layout's last line is identically zero and has no
-        // row; dropping it from the mask leaves the OR unchanged.
-        let mask = self.layout.decode(b) & bits::mask(self.layout.effective_lines() as u32);
-        Ok(self.bank.read_or_group(group, mask)?)
+        Ok(self.bank.read_or_group(group, self.layout.decode(b))?)
     }
 
     /// Convenience single-slot multiply (still one full activation — the

@@ -36,7 +36,7 @@
 //! // A 32 kB square bank at 45 nm: one multi-wordline activation with 5
 //! // active lines, all 512 columns sensed.
 //! let bank = SramMacro::new(512, 512, TechNode::N45);
-//! let pj = bank.read_energy_pj(5, 512);
+//! let pj = bank.read_energy_pj(5.0, 512);
 //! assert!(pj > 0.0);
 //! // Per-computation cost for 32 elements of 16 bits each:
 //! let per_comp = pj / 32.0;

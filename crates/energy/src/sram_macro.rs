@@ -26,10 +26,10 @@ use crate::tech::TechNode;
 /// let bank8k = SramMacro::new(256, 256, TechNode::N45);
 /// let bank32k = SramMacro::new(512, 512, TechNode::N45);
 /// // Reading a full row costs more on the wider bank...
-/// assert!(bank32k.read_energy_pj(5, 512) > bank8k.read_energy_pj(5, 256));
+/// assert!(bank32k.read_energy_pj(5.0, 512) > bank8k.read_energy_pj(5.0, 256));
 /// // ...but per sensed column the two are close (Fig. 5 finding #3).
-/// let per_col_8k = bank8k.read_energy_pj(5, 256) / 256.0;
-/// let per_col_32k = bank32k.read_energy_pj(5, 512) / 512.0;
+/// let per_col_8k = bank8k.read_energy_pj(5.0, 256) / 256.0;
+/// let per_col_32k = bank32k.read_energy_pj(5.0, 512) / 512.0;
 /// assert!((per_col_8k / per_col_32k - 1.0).abs() < 0.25);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,14 +77,19 @@ impl SramMacro {
     /// Energy of one read access activating `active_wordlines` lines and
     /// sensing `cols_sensed` columns, in pJ.
     ///
+    /// Wordline drive is linear in the line count, so a fractional count
+    /// prices the average read: pass the expected number of active lines
+    /// over the multipliers a workload drives (the multiplier layout's
+    /// `expected_active_lines`) without rounding it.
+    ///
     /// Bitline capacitance saturates at
     /// [`calib::SUBARRAY_MAX_ROWS`] — taller macros are tiled from
     /// subarrays, as CACTI does.
-    pub fn read_energy_pj(&self, active_wordlines: usize, cols_sensed: usize) -> f64 {
+    pub fn read_energy_pj(&self, active_wordlines: f64, cols_sensed: usize) -> f64 {
         let cols_sensed = cols_sensed.min(self.cols) as f64;
         let bitline_rows = self.rows.min(calib::SUBARRAY_MAX_ROWS) as f64;
         let e = calib::DECODE_PJ_PER_ACT
-            + active_wordlines as f64 * self.cols as f64 * calib::WORDLINE_PJ_PER_COL
+            + active_wordlines * self.cols as f64 * calib::WORDLINE_PJ_PER_COL
             + cols_sensed
                 * (calib::SENSE_PJ_PER_COL + bitline_rows * calib::BITLINE_PJ_PER_COL_PER_ROW);
         e * self.node.energy_scale()
@@ -124,8 +129,8 @@ mod tests {
         // Fig. 5 finding #3: per-computation read energy barely moves
         // between 8 kB and 32 kB banks (same element width).
         let w = 16.0;
-        let e8 = bank(8 * 1024).read_energy_pj(5, 256) / (256.0 / w);
-        let e32 = bank(32 * 1024).read_energy_pj(5, 512) / (512.0 / w);
+        let e8 = bank(8 * 1024).read_energy_pj(5.0, 256) / (256.0 / w);
+        let e32 = bank(32 * 1024).read_energy_pj(5.0, 512) / (512.0 / w);
         let ratio = e8 / e32;
         assert!((0.8..1.1).contains(&ratio), "ratio {ratio}");
     }
@@ -135,8 +140,8 @@ mod tests {
         // Fig. 5 finding #4: sensing half the columns (truncated layout
         // doubles elements per read) nearly halves read energy/comp.
         let m = bank(32 * 1024);
-        let full = m.read_energy_pj(5, 512) / 32.0; // 32 elems of 16 bits
-        let trunc = m.read_energy_pj(5, 512) / 64.0; // 64 elems of 8 bits
+        let full = m.read_energy_pj(5.0, 512) / 32.0; // 32 elems of 16 bits
+        let trunc = m.read_energy_pj(5.0, 512) / 64.0; // 64 elems of 8 bits
         let ratio = trunc / full;
         assert!((0.45..0.55).contains(&ratio), "ratio {ratio}");
     }
@@ -145,14 +150,14 @@ mod tests {
     fn decoder_share_below_half_percent() {
         // Fig. 5 finding #1 at the macro level.
         let m = bank(8 * 1024);
-        let read = m.read_energy_pj(9, 256);
+        let read = m.read_energy_pj(9.0, 256);
         assert!(crate::calib::DAISM_DECODER_PJ_PER_ACT / read < 0.005);
     }
 
     #[test]
     fn more_wordlines_cost_more() {
         let m = bank(8 * 1024);
-        assert!(m.read_energy_pj(9, 256) > m.read_energy_pj(1, 256));
+        assert!(m.read_energy_pj(9.0, 256) > m.read_energy_pj(1.0, 256));
     }
 
     #[test]
@@ -180,7 +185,7 @@ mod tests {
     #[test]
     fn cols_sensed_clamped_to_macro_width() {
         let m = bank(8 * 1024);
-        assert_eq!(m.read_energy_pj(1, 10_000), m.read_energy_pj(1, 256));
+        assert_eq!(m.read_energy_pj(1.0, 10_000), m.read_energy_pj(1.0, 256));
     }
 
     #[test]
