@@ -1,4 +1,4 @@
-use crate::session::{CompiledConv, CompiledDense, CompiledLayer};
+use crate::session::{checked_forward, CompiledConv, CompiledDense, CompiledLayer};
 use crate::tensor::Tensor;
 use daism_core::GemmBackend;
 use std::ops::Range;
@@ -37,7 +37,8 @@ pub trait Layer {
     /// Forward pass; caches whatever `backward` will need when
     /// `training`. The built-in layers compile themselves from their
     /// current weights ([`compile_layer`](Self::compile_layer)) and run
-    /// the compiled form (a training max-pool runs the same walk with
+    /// the compiled form (a `Conv2d` runs the same conv forward over its
+    /// own weights, uncopied; a training max-pool runs the same walk with
     /// its argmax recorded), so a forward computes the same bits as a
     /// [`CompiledModel`](crate::CompiledModel) built from the same
     /// weights.
@@ -190,20 +191,20 @@ impl Layer for Dense {
 // Conv2d
 // -------------------------------------------------------------------
 
-/// The geometry of a conv lowering — shared by the [`Conv2d`] layer's
-/// backward and its compiled form, so the bounds / padding / stride
-/// math exists exactly once.
+/// The geometry of a conv lowering — shared by the [`Conv2d`] layer and
+/// its compiled form, so the shape rule, the forward and the bounds /
+/// padding / stride math exist exactly once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ConvGeom {
-    pub(crate) in_ch: usize,
-    pub(crate) out_ch: usize,
-    pub(crate) kernel: usize,
-    pub(crate) stride: usize,
-    pub(crate) padding: usize,
+    in_ch: usize,
+    out_ch: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
 }
 
 impl ConvGeom {
-    pub(crate) fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
+    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
             (h + 2 * self.padding - self.kernel) / self.stride + 1,
             (w + 2 * self.padding - self.kernel) / self.stride + 1,
@@ -211,8 +212,53 @@ impl ConvGeom {
     }
 
     /// Rows of the lowered kernel matrix: `in_ch · k · k`.
-    pub(crate) fn kdim(&self) -> usize {
+    fn kdim(&self) -> usize {
         self.in_ch * self.kernel * self.kernel
+    }
+
+    /// The per-sample output shape for a per-sample input shape, or why
+    /// a conv of this geometry cannot take it (the input must hold the
+    /// kernel's reach inside its padding).
+    pub(crate) fn sample_shape(&self, sample: &[usize]) -> Result<Vec<usize>, String> {
+        let fits = |d: usize| d + 2 * self.padding >= self.kernel;
+        match sample {
+            &[ch, h, w] if ch == self.in_ch && fits(h) && fits(w) => {
+                let (oh, ow) = self.out_hw(h, w);
+                Ok(vec![self.out_ch, oh, ow])
+            }
+            _ => Err(format!(
+                "Conv2d expects [{}, h, w] per sample with h, w >= {}",
+                self.in_ch,
+                self.kernel.saturating_sub(2 * self.padding)
+            )),
+        }
+    }
+
+    /// The one conv forward, over borrowed weights: `y = W · cols + b`
+    /// for the `[out_ch, in_ch·k·k]` kernel matrix `weights` (the GEMM's
+    /// A operand, which has no stored form). `x` is
+    /// `[batch, in_ch, h, w]` and already passed
+    /// [`sample_shape`](Self::sample_shape). `cols_t`, when given,
+    /// receives the transposed lowering from the same walk.
+    pub(crate) fn forward(
+        &self,
+        bias: &[f32],
+        weights: &[f32],
+        x: &Tensor,
+        backend: &dyn GemmBackend,
+        cols_t: Option<&mut Vec<f32>>,
+    ) -> Tensor {
+        let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let bp = batch * oh * ow;
+
+        // The whole-batch lowering, into scratch owned by *this call* —
+        // a compiled conv shared across threads cannot corrupt it.
+        let mut cols = Vec::new();
+        self.lower_batch(x, &mut cols, cols_t);
+        let mut staged = vec![0.0f32; self.out_ch * bp];
+        backend.gemm(weights, &cols, &mut staged, self.out_ch, self.kdim(), bp);
+        self.unstage_with_bias(bias, &staged, batch, oh, ow)
     }
 
     /// The output positions `o` in `0..out` whose input position
@@ -234,12 +280,7 @@ impl ConvGeom {
     /// positions zero), and mirrors every element into the transposed
     /// `colst` when given one. Each (kernel row, output row) pair copies
     /// its valid output columns as one span.
-    pub(crate) fn lower_batch(
-        &self,
-        x: &Tensor,
-        cols: &mut Vec<f32>,
-        colst: Option<&mut Vec<f32>>,
-    ) {
+    fn lower_batch(&self, x: &Tensor, cols: &mut Vec<f32>, colst: Option<&mut Vec<f32>>) {
         let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
         let (oh, ow) = self.out_hw(h, w);
         let p = oh * ow;
@@ -289,7 +330,7 @@ impl ConvGeom {
 
     /// Un-stages a `[out_ch, batch·oh·ow]` GEMM result into a
     /// `[batch, out_ch, oh, ow]` tensor, adding the channel bias.
-    pub(crate) fn unstage_with_bias(
+    fn unstage_with_bias(
         &self,
         bias: &[f32],
         staged: &[f32],
@@ -338,8 +379,9 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cache_x: Option<Tensor>,
-    /// The transposed lowering of `cache_x`, `[batch·oh·ow, in_ch·k·k]`:
+    /// The `[batch, in_ch, h, w]` shape of the last training input.
+    in_shape: Option<[usize; 4]>,
+    /// The transposed lowering of that input, `[batch·oh·ow, in_ch·k·k]`:
     /// written only by a training forward, read by backward.
     cols_t: Vec<f32>,
 }
@@ -364,7 +406,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cache_x: None,
+            in_shape: None,
             cols_t: Vec::new(),
         }
     }
@@ -415,35 +457,28 @@ impl Conv2d {
             }
         }
     }
-
-    fn compiled(&self) -> CompiledLayer {
-        // Conv2d multiplies the kernel matrix from the *left*: it is the
-        // GEMM's A operand, which has no stored form, and the per-request
-        // B operand is the im2col lowering of the input. The snapshot
-        // holds a copy of the weights, so serving never re-reads the
-        // layer.
-        CompiledLayer::conv(CompiledConv {
-            geom: self.geom(),
-            bias: self.b.value.data().to_vec(),
-            weights: self.w.value.data().to_vec(),
-        })
-    }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let compiled = self.compiled();
-        let y = compiled.forward(x, backend, training.then_some(&mut self.cols_t));
+        let geom = self.geom();
+        let (bias, weights) = (self.b.value.data(), self.w.value.data());
+        let cols_t = training.then_some(&mut self.cols_t);
+        let y = checked_forward(
+            x,
+            |sample| geom.sample_shape(sample),
+            |_, _| geom.forward(bias, weights, x, backend, cols_t),
+        );
         if training {
-            self.cache_x = Some(x.clone());
+            self.in_shape = Some(x.shape().try_into().expect("checked: [batch, in_ch, h, w]"));
         }
         y
     }
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        let x = self.cache_x.as_ref().expect("Conv2d::backward before forward");
+        let in_shape = self.in_shape.expect("Conv2d::backward before forward");
         let geom = self.geom();
-        let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let [batch, _, h, w] = in_shape;
         let (oh, ow) = geom.out_hw(h, w);
         let kdim = geom.kdim();
         let p = oh * ow;
@@ -480,7 +515,7 @@ impl Layer for Conv2d {
         let mut grad_cols = vec![0.0f32; kdim * bp];
         backend.gemm(&wt, &g, &mut grad_cols, kdim, self.out_ch, bp);
 
-        let mut gx = Tensor::zeros(x.shape());
+        let mut gx = Tensor::zeros(&in_shape);
         self.col2im_batch(&grad_cols, &mut gx);
         gx
     }
@@ -494,7 +529,16 @@ impl Layer for Conv2d {
     }
 
     fn compile_layer(&self, _backend: &dyn GemmBackend) -> CompiledLayer {
-        self.compiled()
+        // Conv2d multiplies the kernel matrix from the *left*: it is the
+        // GEMM's A operand, which has no stored form, and the per-request
+        // B operand is the im2col lowering of the input. The snapshot
+        // holds a copy of the weights, so serving never re-reads the
+        // layer.
+        CompiledLayer::conv(CompiledConv {
+            geom: self.geom(),
+            bias: self.b.value.data().to_vec(),
+            weights: self.w.value.data().to_vec(),
+        })
     }
 
     fn name(&self) -> String {

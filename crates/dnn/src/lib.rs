@@ -23,8 +23,9 @@
 //! Each built-in layer has one forward: its compiled form
 //! ([`CompiledLayer`]), which holds a `Dense` layer's weights in the
 //! backend's stored-B form and a `Conv2d`'s as a copy. [`Layer::forward`]
-//! compiles the layer from its current weights and runs it; a training
-//! forward also keeps what backward needs. For serving, models **compile
+//! runs it on the layer's current weights (a `Dense` compiles itself per
+//! call, a `Conv2d` borrows its weights); a training forward also keeps
+//! what backward needs. For serving, models **compile
 //! once and serve many**: [`Sequential::compile`] snapshots every layer
 //! once (no per-request conversion of a stored B),
 //! [`CompiledModel::forward`] takes `&self` so one session is shared
@@ -47,8 +48,8 @@
 //!
 //! // …then evaluate the same weights on the approximate multiplier.
 //! let approx = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
-//! let exact_acc = train::accuracy(&mut model, &data.test_x, &data.test_y, &exact);
-//! let approx_acc = train::accuracy(&mut model, &data.test_x, &data.test_y, &approx);
+//! let exact_acc = train::accuracy(&model, &data.test_x, &data.test_y, &exact);
+//! let approx_acc = train::accuracy(&model, &data.test_x, &data.test_y, &approx);
 //! assert!(exact_acc > 0.6);
 //! assert!(approx_acc > exact_acc - 0.25);
 //! ```

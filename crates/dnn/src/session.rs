@@ -6,10 +6,10 @@
 //! weights — a `Dense` layer's in the backend's stored-B form (decoded
 //! tiles, microkernel packed panels, BlockFp weight tiles), a `Conv2d`'s
 //! as a plain copy of its kernel matrix — and runs the one
-//! forward that layer has: [`Layer::forward`] compiles the layer from
-//! its current weights and runs it (a training forward also keeps what
-//! backward needs), so a plain forward pays the weight conversion on
-//! every call. This module makes the weight-stationary reuse explicit:
+//! forward that layer has: [`Layer::forward`] runs it on the layer's
+//! current weights (a training forward also keeps what backward needs),
+//! so a plain `Dense` forward pays the weight conversion on every call;
+//! a `Conv2d` runs the same conv forward over its own weights, uncopied. This module makes the weight-stationary reuse explicit:
 //!
 //! * [`Sequential::compile`] walks a trained model once for one
 //!   [`GemmBackend`] and snapshots each layer into its immutable serving
@@ -73,38 +73,14 @@ impl CompiledDense {
 }
 
 /// A compiled `Conv2d`: a copy of the `[out_ch, in_ch·k·k]` kernel
-/// matrix, the GEMM's A operand, and **per-call** lowering scratch —
-/// serving through `&self` never touches a training layer's buffers.
+/// matrix, the GEMM's A operand, run by [`ConvGeom::forward`] with
+/// **per-call** lowering scratch — serving through `&self` never touches
+/// a training layer's buffers.
 #[derive(Debug)]
 pub(crate) struct CompiledConv {
     pub(crate) geom: ConvGeom,
     pub(crate) bias: Vec<f32>,
     pub(crate) weights: Vec<f32>,
-}
-
-impl CompiledConv {
-    /// `x` is `[batch, in_ch, h, w]` with the kernel's reach inside the
-    /// padded input (checked by [`CompiledLayer::forward`]). `cols_t`,
-    /// when given, receives the transposed lowering from the same walk.
-    fn forward(
-        &self,
-        x: &Tensor,
-        backend: &dyn GemmBackend,
-        cols_t: Option<&mut Vec<f32>>,
-    ) -> Tensor {
-        let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.geom.out_hw(h, w);
-        let bp = batch * oh * ow;
-
-        // The whole-batch lowering, into scratch owned by *this call* —
-        // `&self` sharing across threads cannot corrupt it.
-        let mut cols = Vec::new();
-        self.geom.lower_batch(x, &mut cols, cols_t);
-        let (out_ch, kdim) = (self.geom.out_ch, self.geom.kdim());
-        let mut staged = vec![0.0f32; out_ch * bp];
-        backend.gemm(&self.weights, &cols, &mut staged, out_ch, kdim, bp);
-        self.geom.unstage_with_bias(&self.bias, &staged, batch, oh, ow)
-    }
 }
 
 #[derive(Debug)]
@@ -180,21 +156,7 @@ impl CompiledLayer {
                 [k] if *k == d.weights.k() => Ok(vec![d.weights.n()]),
                 _ => Err(format!("Dense expects [{}] per sample", d.weights.k())),
             },
-            CompiledKind::Conv(c) => {
-                let g = &c.geom;
-                let fits = |d: usize| d + 2 * g.padding >= g.kernel;
-                match sample {
-                    &[ch, h, w] if ch == g.in_ch && fits(h) && fits(w) => {
-                        let (oh, ow) = g.out_hw(h, w);
-                        Ok(vec![g.out_ch, oh, ow])
-                    }
-                    _ => Err(format!(
-                        "Conv2d expects [{}, h, w] per sample with h, w >= {}",
-                        g.in_ch,
-                        g.kernel.saturating_sub(2 * g.padding)
-                    )),
-                }
-            }
+            CompiledKind::Conv(c) => c.geom.sample_shape(sample),
             CompiledKind::ReLU => Ok(sample.to_vec()),
             CompiledKind::MaxPool => match sample {
                 &[ch, h, w] if h % 2 == 0 && w % 2 == 0 => Ok(vec![ch, h / 2, w / 2]),
@@ -213,53 +175,67 @@ impl CompiledLayer {
         }
     }
 
-    /// Runs the layer on `x` after checking `x`'s per-sample shape with
-    /// [`sample_shape`](Self::sample_shape), and asserts that the output
-    /// has the shape it predicts. A training forward passes `tape`: a
-    /// conv fills it with its transposed lowering
+    /// Runs the layer on `x` through [`checked_forward`] with
+    /// [`sample_shape`](Self::sample_shape). A training forward passes
+    /// `tape`: a conv fills it with its transposed lowering
     /// `[batch·oh·ow, in_ch·k·k]`, which backward's weight-gradient GEMM
     /// reads; every other layer leaves it untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` has no batch dimension or the layer cannot take
-    /// its per-sample shape.
     pub(crate) fn forward(
         &self,
         x: &Tensor,
         backend: &dyn GemmBackend,
         tape: Option<&mut Vec<f32>>,
     ) -> Tensor {
-        let (&batch, sample) = x.shape().split_first().expect("inputs need a batch dimension");
-        let out = self.sample_shape(sample).unwrap_or_else(|why| panic!("{why}, got {sample:?}"));
-        let y = match &self.0 {
-            CompiledKind::Dense(d) => d.forward(x, backend),
-            CompiledKind::Conv(c) => c.forward(x, backend, tape),
-            CompiledKind::ReLU => x.map(|v| v.max(0.0)),
-            CompiledKind::MaxPool => maxpool2x2(x, None),
-            CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
-            CompiledKind::Residual(inner) => {
-                let mut y = x.clone();
-                for layer in inner {
-                    y = layer.forward(&y, backend, None);
+        checked_forward(
+            x,
+            |sample| self.sample_shape(sample),
+            |batch, out| match &self.0 {
+                CompiledKind::Dense(d) => d.forward(x, backend),
+                CompiledKind::Conv(c) => c.geom.forward(&c.bias, &c.weights, x, backend, tape),
+                CompiledKind::ReLU => x.map(|v| v.max(0.0)),
+                CompiledKind::MaxPool => maxpool2x2(x, None),
+                CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
+                CompiledKind::Residual(inner) => {
+                    let mut y = x.clone();
+                    for layer in inner {
+                        y = layer.forward(&y, backend, None);
+                    }
+                    y.add(x)
                 }
-                y.add(x)
-            }
-            CompiledKind::Seq(inner) => {
-                let mut y = x.clone();
-                for layer in inner {
-                    y = layer.forward(&y, backend, None);
+                CompiledKind::Seq(inner) => {
+                    let mut y = x.clone();
+                    for layer in inner {
+                        y = layer.forward(&y, backend, None);
+                    }
+                    y
                 }
-                y
-            }
-        };
-        assert!(
-            y.shape().split_first() == Some((&batch, &out[..])),
-            "{sample:?} served as {:?}, predicted {out:?}",
-            &y.shape()[1..]
-        );
-        y
+            },
+        )
     }
+}
+
+/// Runs `run(batch, out)` on `x` after checking `x`'s per-sample shape
+/// with `sample_shape`, which predicts the per-sample output shape
+/// `out`, and asserts that the output has that shape.
+///
+/// # Panics
+///
+/// Panics if `x` has no batch dimension or `sample_shape` rejects its
+/// per-sample shape.
+pub(crate) fn checked_forward(
+    x: &Tensor,
+    sample_shape: impl FnOnce(&[usize]) -> Result<Vec<usize>, String>,
+    run: impl FnOnce(usize, &[usize]) -> Tensor,
+) -> Tensor {
+    let (&batch, sample) = x.shape().split_first().expect("inputs need a batch dimension");
+    let out = sample_shape(sample).unwrap_or_else(|why| panic!("{why}, got {sample:?}"));
+    let y = run(batch, &out);
+    assert!(
+        y.shape().split_first() == Some((&batch, &out[..])),
+        "{sample:?} served as {:?}, predicted {out:?}",
+        &y.shape()[1..]
+    );
+    y
 }
 
 /// The per-sample output shape of a layer chain (see
