@@ -152,7 +152,7 @@ pub fn accuracy_compiled(model: &crate::CompiledModel<'_>, x: &Tensor, labels: &
 /// form) and every chunk is scored through the compiled model, whose
 /// outputs are byte-identical to the layers' own forwards.
 pub fn accuracy(
-    model: &mut Sequential,
+    model: &Sequential,
     x: &Tensor,
     labels: &[usize],
     backend: &dyn GemmBackend,
@@ -209,7 +209,7 @@ mod tests {
         );
         // Loss decreases and accuracy is well above chance (1/3).
         assert!(h.loss.last().unwrap() < h.loss.first().unwrap());
-        let acc = accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
+        let acc = accuracy(&model, &data.test_x, &data.test_y, &ExactMul);
         assert!(acc > 0.7, "test accuracy {acc}");
     }
 
@@ -218,15 +218,11 @@ mod tests {
         let data = datasets::gaussian_blobs(3, 8, 150, 60, 13);
         let mut model = models::mlp(8, 16, 3, 1);
         fit(&mut model, &data, &ExactMul, &TrainParams { epochs: 6, ..TrainParams::quick_test() });
-        let exact = accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
-        let bf16 = accuracy(
-            &mut model,
-            &data.test_x,
-            &data.test_y,
-            &QuantizedExactMul::new(FpFormat::BF16),
-        );
+        let exact = accuracy(&model, &data.test_x, &data.test_y, &ExactMul);
+        let bf16 =
+            accuracy(&model, &data.test_x, &data.test_y, &QuantizedExactMul::new(FpFormat::BF16));
         let pc3 = accuracy(
-            &mut model,
+            &model,
             &data.test_x,
             &data.test_y,
             &ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16),
@@ -245,13 +241,13 @@ mod tests {
         let data = datasets::gaussian_blobs(3, 8, 150, 60, 13);
         let mut model = models::mlp(8, 16, 3, 1);
         fit(&mut model, &data, &ExactMul, &TrainParams { epochs: 6, ..TrainParams::quick_test() });
-        let exact = accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
+        let exact = accuracy(&model, &data.test_x, &data.test_y, &ExactMul);
         let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 12);
-        let bfp = accuracy(&mut model, &data.test_x, &data.test_y, &engine);
+        let bfp = accuracy(&model, &data.test_x, &data.test_y, &engine);
         assert!(bfp > exact - 0.15, "blockfp {bfp} vs exact {exact}");
         // A coarser mantissa on the weakest multiplier still beats chance.
         let fla = BlockFpGemm::new(MultiplierConfig::FLA, 8);
-        let coarse = accuracy(&mut model, &data.test_x, &data.test_y, &fla);
+        let coarse = accuracy(&model, &data.test_x, &data.test_y, &fla);
         assert!(coarse > 0.4, "coarse blockfp accuracy {coarse}");
         // The compiled, chunked evaluation equals one forward of the
         // whole test set through the layers' own forwards (Dense layers
@@ -277,7 +273,7 @@ mod tests {
             &approx,
             &TrainParams { epochs: 5, ..TrainParams::quick_test() },
         );
-        let acc = accuracy(&mut model, &data.test_x, &data.test_y, &approx);
+        let acc = accuracy(&model, &data.test_x, &data.test_y, &approx);
         assert!(acc > 0.7, "approx-trained accuracy {acc}");
         assert!(h.loss.last().unwrap() < h.loss.first().unwrap());
     }
@@ -299,8 +295,8 @@ mod tests {
     #[test]
     fn accuracy_on_untrained_model_is_near_chance() {
         let data = datasets::gaussian_blobs(4, 6, 40, 200, 23);
-        let mut model = models::mlp(6, 8, 4, 1);
-        let acc = accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
+        let model = models::mlp(6, 8, 4, 1);
+        let acc = accuracy(&model, &data.test_x, &data.test_y, &ExactMul);
         assert!(acc < 0.6, "untrained accuracy suspiciously high: {acc}");
     }
 }

@@ -459,7 +459,7 @@ fn eval_loops_through_compiled_sessions_match_eager() {
         let pred = logits.argmax_rows();
         let reference_acc = pred.iter().zip(&data.test_y).filter(|(p, l)| p == l).count() as f32
             / data.test_y.len() as f32;
-        let acc = train::accuracy(&mut model, &data.test_x, &data.test_y, backend);
+        let acc = train::accuracy(&model, &data.test_x, &data.test_y, backend);
         assert_eq!(acc, reference_acc, "{}", backend.name());
     }
 }

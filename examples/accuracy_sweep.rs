@@ -33,7 +33,7 @@ fn main() {
 
     println!("{:<22} {:>10}", "inference backend", "accuracy");
     for backend in &backends {
-        let acc = train::accuracy(&mut model, &data.test_x, &data.test_y, backend.as_ref());
+        let acc = train::accuracy(&model, &data.test_x, &data.test_y, backend.as_ref());
         println!("{:<22} {:>9.1}%", backend.name(), 100.0 * acc);
     }
     println!("\nThe Fig. 4 claim: the PC3 rows should sit within a few points of float32/exact.");

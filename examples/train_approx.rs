@@ -46,7 +46,7 @@ fn main() {
         for (label, mul) in &runs {
             let mut model = models::mlp(in_dim, 24, data.classes, 2);
             let history = train::fit(&mut model, &data, mul.as_ref(), &params);
-            let test_acc = train::accuracy(&mut model, &data.test_x, &data.test_y, mul.as_ref());
+            let test_acc = train::accuracy(&model, &data.test_x, &data.test_y, mul.as_ref());
             println!(
                 "{:<30} {:>12.4} {:>11.1}% {:>11.1}%",
                 label,

@@ -109,8 +109,8 @@ fn train_in_float_compile_and_serve_on_approx_datapaths() {
 
     let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
     let engine = BlockFpGemm::new(MultiplierConfig::PC3_TR, 12);
-    let eager_float = train::accuracy(&mut model, &data.test_x, &data.test_y, &pc3);
-    let eager_bfp = train::accuracy(&mut model, &data.test_x, &data.test_y, &engine);
+    let eager_float = train::accuracy(&model, &data.test_x, &data.test_y, &pc3);
+    let eager_bfp = train::accuracy(&model, &data.test_x, &data.test_y, &engine);
     // `accuracy` scores through a compiled session; the eager BlockFp
     // forward scores the same (the 60-sample test set is one chunk of
     // the evaluator's 64).
@@ -142,7 +142,7 @@ fn train_in_float_compile_and_serve_on_approx_datapaths() {
 
     // Deployment sanity: the approximate datapaths stay close to the
     // float baseline on the trained model.
-    let exact = train::accuracy(&mut model, &data.test_x, &data.test_y, &ExactMul);
+    let exact = train::accuracy(&model, &data.test_x, &data.test_y, &ExactMul);
     assert!(eager_float > exact - 0.15, "pc3 serving {eager_float} vs exact {exact}");
     assert!(eager_bfp > exact - 0.15, "blockfp serving {eager_bfp} vs exact {exact}");
 }
