@@ -659,13 +659,9 @@ impl ApproxFpMul {
         let raw = tile.raw_row(r);
         let xs = FpScalar::from_f32(a, self.format);
         if xs.class() != FpClass::Normal {
-            // Zero / NaN / Inf multiplicand: rare, exact side logic.
-            for (cv, bv) in c.iter_mut().zip(raw) {
-                if *bv != 0.0 {
-                    *cv += self.mul_scalars(&xs, &FpScalar::from_f32(*bv, self.format)).to_f32();
-                }
-            }
-            return;
+            // Zero / NaN / Inf multiplicand: rare, `mul_rows`' exact side
+            // logic.
+            return self.mul_rows(a, raw, c);
         }
         let row = tile.row(r);
         if !row.words.is_empty() {
