@@ -328,6 +328,41 @@ impl ConvGeom {
         }
     }
 
+    /// Batched col2im: scatter-adds a `[in_ch·k·k, batch·oh·ow]`
+    /// gradient back to image space for every sample, one span of valid
+    /// output columns per (kernel row, output row) pair, in the lowering's
+    /// order.
+    fn col2im_batch(&self, cols: &[f32], gx: &mut Tensor) {
+        let (batch, h, w) = (gx.shape()[0], gx.shape()[2], gx.shape()[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let p = oh * ow;
+        let bp = batch * p;
+        let (kk, s) = (self.kernel, self.stride);
+        for n in 0..batch {
+            for c in 0..self.in_ch {
+                for ki in 0..kk {
+                    for kj in 0..kk {
+                        let row = (c * kk + ki) * kk + kj;
+                        let js = self.span(kj, w, ow);
+                        if js.is_empty() {
+                            continue;
+                        }
+                        for oi in self.span(ki, h, oh) {
+                            let src_i = oi * s + ki - self.padding;
+                            let off = gx.offset4(n, c, src_i, js.start * s + kj - self.padding);
+                            let q0 = row * bp + n * p + oi * ow + js.start;
+                            let src = &cols[q0..q0 + js.len()];
+                            let dst = gx.data_mut()[off..].iter_mut().step_by(s);
+                            for (g, &v) in dst.zip(src) {
+                                *g += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Un-stages a `[out_ch, batch·oh·ow]` GEMM result into a
     /// `[batch, out_ch, oh, ow]` tensor, adding the channel bias.
     fn unstage_with_bias(
@@ -374,11 +409,7 @@ impl ConvGeom {
 pub struct Conv2d {
     w: Param,
     b: Param,
-    in_ch: usize,
-    out_ch: usize,
-    kernel: usize,
-    stride: usize,
-    padding: usize,
+    geom: ConvGeom,
     /// The `[batch, in_ch, h, w]` shape of the last training input.
     in_shape: Option<[usize; 4]>,
     /// The transposed lowering of that input, `[batch·oh·ow, in_ch·k·k]`:
@@ -401,67 +432,16 @@ impl Conv2d {
         Conv2d {
             w: Param::new(Tensor::randn(&[out_ch, in_ch * kernel * kernel], std, seed)),
             b: Param::new(Tensor::zeros(&[out_ch])),
-            in_ch,
-            out_ch,
-            kernel,
-            stride,
-            padding,
+            geom: ConvGeom { in_ch, out_ch, kernel, stride, padding },
             in_shape: None,
             cols_t: Vec::new(),
-        }
-    }
-
-    /// This layer's lowering geometry (the compiled snapshot shares it).
-    fn geom(&self) -> ConvGeom {
-        ConvGeom {
-            in_ch: self.in_ch,
-            out_ch: self.out_ch,
-            kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-        }
-    }
-
-    /// Batched col2im: scatter-adds a `[in_ch·k·k, batch·oh·ow]`
-    /// gradient back to image space for every sample, one span of valid
-    /// output columns per (kernel row, output row) pair, in the lowering's
-    /// order.
-    fn col2im_batch(&self, cols: &[f32], gx: &mut Tensor) {
-        let (batch, h, w) = (gx.shape()[0], gx.shape()[2], gx.shape()[3]);
-        let geom = self.geom();
-        let (oh, ow) = geom.out_hw(h, w);
-        let p = oh * ow;
-        let bp = batch * p;
-        let (kk, s) = (self.kernel, self.stride);
-        for n in 0..batch {
-            for c in 0..self.in_ch {
-                for ki in 0..kk {
-                    for kj in 0..kk {
-                        let row = (c * kk + ki) * kk + kj;
-                        let js = geom.span(kj, w, ow);
-                        if js.is_empty() {
-                            continue;
-                        }
-                        for oi in geom.span(ki, h, oh) {
-                            let src_i = oi * s + ki - self.padding;
-                            let off = gx.offset4(n, c, src_i, js.start * s + kj - self.padding);
-                            let q0 = row * bp + n * p + oi * ow + js.start;
-                            let src = &cols[q0..q0 + js.len()];
-                            let dst = gx.data_mut()[off..].iter_mut().step_by(s);
-                            for (g, &v) in dst.zip(src) {
-                                *g += v;
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let geom = self.geom();
+        let geom = self.geom;
         let (bias, weights) = (self.b.value.data(), self.w.value.data());
         let cols_t = training.then_some(&mut self.cols_t);
         let y = checked_forward(
@@ -477,19 +457,19 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         let in_shape = self.in_shape.expect("Conv2d::backward before forward");
-        let geom = self.geom();
+        let geom = self.geom;
         let [batch, _, h, w] = in_shape;
         let (oh, ow) = geom.out_hw(h, w);
-        let kdim = geom.kdim();
+        let (out_ch, kdim) = (geom.out_ch, geom.kdim());
         let p = oh * ow;
         let bp = batch * p;
 
         // Gather the upstream gradient [batch, out_ch, p] into
         // sample-major rows g[out_ch × bp], matching the cols layout.
-        let mut g = vec![0.0f32; self.out_ch * bp];
+        let mut g = vec![0.0f32; out_ch * bp];
         for n in 0..batch {
-            for c in 0..self.out_ch {
-                let src = &grad.data()[(n * self.out_ch + c) * p..(n * self.out_ch + c + 1) * p];
+            for c in 0..out_ch {
+                let src = &grad.data()[(n * out_ch + c) * p..(n * out_ch + c + 1) * p];
                 g[c * bp + n * p..c * bp + (n + 1) * p].copy_from_slice(src);
             }
         }
@@ -499,24 +479,24 @@ impl Layer for Conv2d {
         // runs over (sample, position) in ascending order, exactly the
         // order the per-sample loop accumulated in.
         debug_assert_eq!(self.cols_t.len(), bp * kdim, "colsᵀ out of step with the cached input");
-        backend.gemm(&g, &self.cols_t, self.w.grad.data_mut(), self.out_ch, bp, kdim);
+        backend.gemm(&g, &self.cols_t, self.w.grad.data_mut(), out_ch, bp, kdim);
 
         // grad_b += row sums of g, sample by sample (same partial-sum
         // order as the per-sample loop, so bits match).
         for n in 0..batch {
-            for c in 0..self.out_ch {
+            for c in 0..out_ch {
                 let sum: f32 = g[c * bp + n * p..c * bp + (n + 1) * p].iter().sum();
                 self.b.grad.data_mut()[c] += sum;
             }
         }
 
         // grad_cols = Wᵀ · g — the second whole-batch GEMM.
-        let wt = transpose(self.w.value.data(), self.out_ch, kdim);
+        let wt = transpose(self.w.value.data(), out_ch, kdim);
         let mut grad_cols = vec![0.0f32; kdim * bp];
-        backend.gemm(&wt, &g, &mut grad_cols, kdim, self.out_ch, bp);
+        backend.gemm(&wt, &g, &mut grad_cols, kdim, out_ch, bp);
 
         let mut gx = Tensor::zeros(&in_shape);
-        self.col2im_batch(&grad_cols, &mut gx);
+        geom.col2im_batch(&grad_cols, &mut gx);
         gx
     }
 
@@ -535,16 +515,17 @@ impl Layer for Conv2d {
         // holds a copy of the weights, so serving never re-reads the
         // layer.
         CompiledLayer::conv(CompiledConv {
-            geom: self.geom(),
+            geom: self.geom,
             bias: self.b.value.data().to_vec(),
             weights: self.w.value.data().to_vec(),
         })
     }
 
     fn name(&self) -> String {
+        let g = &self.geom;
         format!(
             "Conv2d({}->{}, {}x{}, s{}, p{})",
-            self.in_ch, self.out_ch, self.kernel, self.kernel, self.stride, self.padding
+            g.in_ch, g.out_ch, g.kernel, g.kernel, g.stride, g.padding
         )
     }
 }
@@ -952,28 +933,30 @@ mod tests {
 
         fn out_hw(c: &Conv2d, h: usize, w: usize) -> (usize, usize) {
             (
-                (h + 2 * c.padding - c.kernel) / c.stride + 1,
-                (w + 2 * c.padding - c.kernel) / c.stride + 1,
+                (h + 2 * c.geom.padding - c.geom.kernel) / c.geom.stride + 1,
+                (w + 2 * c.geom.padding - c.geom.kernel) / c.geom.stride + 1,
             )
         }
 
         fn im2col(layer: &Conv2d, x: &Tensor, n: usize) -> Vec<f32> {
             let (h, w) = (x.shape()[2], x.shape()[3]);
             let (oh, ow) = out_hw(layer, h, w);
-            let kk = layer.kernel;
-            let rows = layer.in_ch * kk * kk;
+            let kk = layer.geom.kernel;
+            let rows = layer.geom.in_ch * kk * kk;
             let mut cols = vec![0.0f32; rows * oh * ow];
-            for c in 0..layer.in_ch {
+            for c in 0..layer.geom.in_ch {
                 for ki in 0..kk {
                     for kj in 0..kk {
                         let row = (c * kk + ki) * kk + kj;
                         for oi in 0..oh {
-                            let si = (oi * layer.stride + ki) as isize - layer.padding as isize;
+                            let si = (oi * layer.geom.stride + ki) as isize
+                                - layer.geom.padding as isize;
                             if si < 0 || si >= h as isize {
                                 continue;
                             }
                             for oj in 0..ow {
-                                let sj = (oj * layer.stride + kj) as isize - layer.padding as isize;
+                                let sj = (oj * layer.geom.stride + kj) as isize
+                                    - layer.geom.padding as isize;
                                 if sj < 0 || sj >= w as isize {
                                     continue;
                                 }
@@ -990,21 +973,21 @@ mod tests {
         pub fn forward(layer: &Conv2d, x: &Tensor, mul: &dyn ScalarMul) -> Tensor {
             let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
             let (oh, ow) = out_hw(layer, h, w);
-            let kdim = layer.in_ch * layer.kernel * layer.kernel;
-            let mut y = Tensor::zeros(&[batch, layer.out_ch, oh, ow]);
+            let kdim = layer.geom.in_ch * layer.geom.kernel * layer.geom.kernel;
+            let mut y = Tensor::zeros(&[batch, layer.geom.out_ch, oh, ow]);
             for n in 0..batch {
                 let cols = im2col(layer, x, n);
-                let off = n * layer.out_ch * oh * ow;
+                let off = n * layer.geom.out_ch * oh * ow;
                 gemm(
                     mul,
                     layer.w.value.data(),
                     &cols,
-                    &mut y.data_mut()[off..off + layer.out_ch * oh * ow],
-                    layer.out_ch,
+                    &mut y.data_mut()[off..off + layer.geom.out_ch * oh * ow],
+                    layer.geom.out_ch,
                     kdim,
                     oh * ow,
                 );
-                for c in 0..layer.out_ch {
+                for c in 0..layer.geom.out_ch {
                     let b = layer.b.value.data()[c];
                     for v in &mut y.data_mut()[off + c * oh * ow..off + (c + 1) * oh * ow] {
                         *v += b;
@@ -1023,46 +1006,47 @@ mod tests {
         ) -> (Vec<f32>, Vec<f32>, Tensor) {
             let (batch, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
             let (oh, ow) = out_hw(layer, h, w);
-            let kdim = layer.in_ch * layer.kernel * layer.kernel;
+            let kdim = layer.geom.in_ch * layer.geom.kernel * layer.geom.kernel;
             let p = oh * ow;
-            let mut gw = vec![0.0f32; layer.out_ch * kdim];
-            let mut gb = vec![0.0f32; layer.out_ch];
+            let mut gw = vec![0.0f32; layer.geom.out_ch * kdim];
+            let mut gb = vec![0.0f32; layer.geom.out_ch];
             let mut gx = Tensor::zeros(x.shape());
             for n in 0..batch {
                 let cols = im2col(layer, x, n);
-                let g = &grad.data()[n * layer.out_ch * p..(n + 1) * layer.out_ch * p];
+                let g = &grad.data()[n * layer.geom.out_ch * p..(n + 1) * layer.geom.out_ch * p];
                 let mut colst = vec![0.0f32; p * kdim];
                 for r in 0..kdim {
                     for q in 0..p {
                         colst[q * kdim + r] = cols[r * p + q];
                     }
                 }
-                gemm(mul, g, &colst, &mut gw, layer.out_ch, p, kdim);
-                for c in 0..layer.out_ch {
+                gemm(mul, g, &colst, &mut gw, layer.geom.out_ch, p, kdim);
+                for c in 0..layer.geom.out_ch {
                     gb[c] += g[c * p..(c + 1) * p].iter().sum::<f32>();
                 }
-                let mut wt = vec![0.0f32; kdim * layer.out_ch];
-                for c in 0..layer.out_ch {
+                let mut wt = vec![0.0f32; kdim * layer.geom.out_ch];
+                for c in 0..layer.geom.out_ch {
                     for r in 0..kdim {
-                        wt[r * layer.out_ch + c] = layer.w.value.data()[c * kdim + r];
+                        wt[r * layer.geom.out_ch + c] = layer.w.value.data()[c * kdim + r];
                     }
                 }
                 let mut gcols = vec![0.0f32; kdim * p];
-                gemm(mul, &wt, g, &mut gcols, kdim, layer.out_ch, p);
+                gemm(mul, &wt, g, &mut gcols, kdim, layer.geom.out_ch, p);
                 // col2im scatter-add.
-                let kk = layer.kernel;
-                for c in 0..layer.in_ch {
+                let kk = layer.geom.kernel;
+                for c in 0..layer.geom.in_ch {
                     for ki in 0..kk {
                         for kj in 0..kk {
                             let row = (c * kk + ki) * kk + kj;
                             for oi in 0..oh {
-                                let si = (oi * layer.stride + ki) as isize - layer.padding as isize;
+                                let si = (oi * layer.geom.stride + ki) as isize
+                                    - layer.geom.padding as isize;
                                 if si < 0 || si >= h as isize {
                                     continue;
                                 }
                                 for oj in 0..ow {
-                                    let sj =
-                                        (oj * layer.stride + kj) as isize - layer.padding as isize;
+                                    let sj = (oj * layer.geom.stride + kj) as isize
+                                        - layer.geom.padding as isize;
                                     if sj < 0 || sj >= w as isize {
                                         continue;
                                     }
@@ -1244,14 +1228,14 @@ mod tests {
         let y = c.forward(&x, &engine, false);
 
         let (batch, h, w) = (2usize, 5usize, 5usize);
-        let (oh, ow) = c.geom().out_hw(h, w);
+        let (oh, ow) = c.geom.out_hw(h, w);
         let kdim = 2 * 3 * 3;
         let bp = batch * oh * ow;
         let mut cols = Vec::new();
-        c.geom().lower_batch(&x, &mut cols, None);
+        c.geom.lower_batch(&x, &mut cols, None);
         let mut staged = vec![0.0f32; 3 * bp];
         engine.execute(c.w.value.data(), &cols, &mut staged, 3, kdim, bp);
-        let expect = c.geom().unstage_with_bias(c.b.value.data(), &staged, batch, oh, ow);
+        let expect = c.geom.unstage_with_bias(c.b.value.data(), &staged, batch, oh, ow);
         assert_eq!(y.shape(), expect.shape());
         for (a, b) in y.data().iter().zip(expect.data()) {
             assert_eq!(a.to_bits(), b.to_bits(), "BlockFp forward diverged from lowering");
