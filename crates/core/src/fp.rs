@@ -41,9 +41,11 @@ impl<'a> TileSource<'a> {
     }
 }
 
-/// One B tile decoded once for many [`ScalarMul::mul_tile_row`] calls —
+/// One B tile decoded once for many [`ScalarMul::mul_tile_rows`] calls —
 /// the operand conversion the GEMM engine hoists out of the MAC loop
-/// (one decode per tile *element*, reused by every C row).
+/// (one decode per tile *element*, reused by every C row). Each call
+/// runs one C row's A elements over the tile's depth against the tile's
+/// rows, one driver per row.
 ///
 /// Produced by [`ScalarMul::prepare_tile`]. A tile belongs to the format
 /// it was rounded into, not to the backend that asked for it: every
@@ -132,7 +134,7 @@ impl PreparedTile {
         DecodedRow::new(&self.slabs, self.width, r)
     }
 
-    /// Lanes of row `r` that [`ScalarMul::mul_tile_row`] visits.
+    /// Lanes of row `r` that [`ScalarMul::mul_tile_rows`] visits.
     #[cfg(test)]
     fn kept(&self, r: usize) -> usize {
         let row = self.row(r);
@@ -147,6 +149,15 @@ impl PreparedTile {
 /// called billions of times by the accuracy experiments. Every
 /// implementor is a [`GemmBackend`] (products through
 /// [`gemm`](crate::gemm)), named in reports by its `Display` form.
+///
+/// The GEMM engine calls a backend at three grains: [`mul`](Self::mul)
+/// per product, [`mul_rows`](Self::mul_rows) per (A element, raw B row)
+/// and, on a decoded tile, [`mul_tile_rows`](Self::mul_tile_rows) per
+/// (C row, tile): one run of A elements, each driving one tile row, as
+/// one input at a time drives the hardware's decoder against the stored
+/// multiplicands (paper §III-B). The run form lets a backend pay its
+/// per-call set-up once per run and keep a narrow C row in registers
+/// across the drivers.
 pub trait ScalarMul: GemmBackend {
     /// Multiplies two values, returning the result widened to `f32`.
     fn mul(&self, x: f32, y: f32) -> f32;
@@ -190,7 +201,7 @@ pub trait ScalarMul: GemmBackend {
     }
 
     /// Decodes one B tile once, ahead of many
-    /// [`mul_tile_row`](Self::mul_tile_row) calls against its rows.
+    /// [`mul_tile_rows`](Self::mul_tile_rows) calls against its rows.
     ///
     /// This is the second amortisation rung above
     /// [`mul_rows`](Self::mul_rows): `mul_rows` hoists the *A*-operand
@@ -207,23 +218,41 @@ pub trait ScalarMul: GemmBackend {
         None
     }
 
-    /// [`mul_rows`](Self::mul_rows) against row `r` of a tile prepared
-    /// by [`prepare_tile`](Self::prepare_tile): `c[j] += mul(a, b[j])`
-    /// for every `j` with `b[j] != 0.0`, with the same zero-bypass
-    /// contract — and the same **bit-identity requirement**: the result
-    /// must equal `mul_rows(a, tile.raw_row(r), c)` exactly (the
-    /// equivalence tests and the differential GEMM suite enforce this).
+    /// One run of drivers against a tile prepared by
+    /// [`prepare_tile`](Self::prepare_tile): `a_run[r]` drives tile row
+    /// `r`, and for every `r` with `a_run[r] != 0.0`, in ascending `r`,
+    /// `c[j] += mul(a_run[r], b[j])` for every `j` with `b[j] != 0.0`.
+    /// The GEMM engine issues one call per (C row, tile). It is the
+    /// hardware's read (paper §III-B): each input drives the decoder and
+    /// one group read returns its product with every stored
+    /// multiplicand. A zero driver bypasses the array (§III-C) and is
+    /// skipped here, not by the caller; zero B lanes follow the
+    /// [`mul_rows`](Self::mul_rows) contract.
+    ///
+    /// The same **bit-identity requirement** holds: the result must
+    /// equal `mul_rows(a_run[r], tile.raw_row(r), c)` over the nonzero
+    /// drivers in ascending `r` exactly (the run-form tests and the
+    /// differential GEMM suite enforce this).
     ///
     /// The default, also taken by a tile decoded into *another* format,
-    /// runs `mul_rows` on the raw row: still correct, just not
-    /// accelerated.
+    /// runs exactly that `mul_rows` loop on the raw rows: still correct,
+    /// just not accelerated.
     ///
     /// # Panics
     ///
-    /// May panic if `r` is out of range or `c.len() != tile.width()`.
-    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
-        self.mul_rows(a, tile.raw_row(r), c);
+    /// May panic if `a_run` is longer than the tile or `c.len() !=
+    /// tile.width()`.
+    fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
+        for (r, a) in drivers(a_run) {
+            self.mul_rows(a, tile.raw_row(r), c);
+        }
     }
+}
+
+/// The nonzero drivers of a run as `(tile row, value)`, in ascending
+/// row order: a zero input bypasses the array (paper §III-C).
+fn drivers(a_run: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
+    a_run.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(r, &a)| (r, a))
 }
 
 /// Exact native `f32` multiplication — the paper's float32 baseline.
@@ -315,24 +344,29 @@ impl ScalarMul for QuantizedExactMul {
         PreparedTile::decode(src, self.format, true)
     }
 
-    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
+    fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
         if tile.format != self.format {
-            return self.mul_rows(a, tile.raw_row(r), c);
+            for (r, a) in drivers(a_run) {
+                self.mul_rows(a, tile.raw_row(r), c);
+            }
+            return;
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
         // A kept word is the `f32` of the format-rounded lane: exactly the
         // `yq` that `mul_rows` re-derives per element. Only the result
         // quantization (which depends on `a`) remains in the loop, over
         // the kept lanes, then the exotic ones from their raw values.
-        let xq = self.quantize(a);
-        let row = tile.row(r);
-        for (word, col) in row.lanes() {
-            c[col] += self.product(xq, f32::from_bits(word) as f64);
-        }
-        let raw = tile.raw_row(r);
-        for &col in row.exotic {
-            let col = col as usize;
-            c[col] += self.product(xq, self.quantize(raw[col]));
+        for (r, a) in drivers(a_run) {
+            let xq = self.quantize(a);
+            let row = tile.row(r);
+            for (word, col) in row.lanes() {
+                c[col] += self.product(xq, f32::from_bits(word) as f64);
+            }
+            let raw = tile.raw_row(r);
+            for &col in row.exotic {
+                let col = col as usize;
+                c[col] += self.product(xq, self.quantize(raw[col]));
+            }
         }
     }
 }
@@ -639,33 +673,43 @@ impl ApproxFpMul {
         }
     }
 
-    /// Whether every product of a `Normal` multiplicand of exponent
-    /// `xexp` with a decoded row is a normal of the format: the least
-    /// product exponent `xexp + emin` and the greatest `xexp + emax + 1`
-    /// (the renormalise increment) are both in range. Then each product
-    /// is the two-add encode; otherwise some may saturate or flush.
-    fn row_in_range(&self, xexp: i32, row: &DecodedRow<'_>) -> bool {
-        let (emin, emax) = (row.emin as i32 - 127, row.emax as i32 - 127);
-        xexp + emin >= self.format.min_exp() && xexp + emax < self.format.max_exp()
-    }
-
-    /// [`mul_tile_row`](ScalarMul::mul_tile_row), with the AVX-512
-    /// product-table MAC when `simd` asks for it and the host has it.
-    fn mul_tile_row_with(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool) {
+    /// [`mul_tile_rows`](ScalarMul::mul_tile_rows), with the AVX-512
+    /// kernels when `simd` asks for them and the host has them.
+    ///
+    /// The format check, the kernel detection and the range constants
+    /// are paid once per run; the drivers then go one by one.
+    fn mul_tile_rows_with(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
         if tile.format != self.format {
-            return self.mul_rows(a, tile.raw_row(r), c);
+            for (r, a) in drivers(a_run) {
+                self.mul_rows(a, tile.raw_row(r), c);
+            }
+            return;
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
+        let run = RunConsts {
+            simd: simd && tile_kernel::simd_available(),
+            range: (self.format.min_exp(), self.format.max_exp()),
+        };
+        for (r, a) in drivers(a_run) {
+            self.mac_driver(run, a, tile, r, c);
+        }
+    }
+
+    /// One nonzero driver `a` of a run against tile row `r`. Inlined
+    /// into the driver loop: out of line, fp16's 9-lane `grad_w` rows ran
+    /// about 8% slower than the per-driver calls this loop replaces.
+    #[inline(always)]
+    fn mac_driver(&self, run: RunConsts, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
         let raw = tile.raw_row(r);
         let xs = FpScalar::from_f32(a, self.format);
         if xs.class() != FpClass::Normal {
-            // Zero / NaN / Inf multiplicand: rare, `mul_rows`' exact side
-            // logic.
+            // NaN / Inf / flushed multiplicand: rare, `mul_rows`' exact
+            // side logic.
             return self.mul_rows(a, raw, c);
         }
         let row = tile.row(r);
         if !row.words.is_empty() {
-            // Per-call work: one decode of `a`, the row's range check and
+            // Per-driver work: one decode of `a`, the row's range check and
             // binding `a`'s table row (or building its chunk tables).
             // Per-MAC work: one read from the pre-normalised product row
             // (or one lookup per chunk plus the same renormalise), the
@@ -673,10 +717,10 @@ impl ApproxFpMul {
             // a compressed row dropped its zero lanes at decode, a dense
             // row masks them off by their zero word — exactly the lanes
             // the scalar path's `bv == 0.0` test skips, so results stay
-            // bit-identical (the tile-vs-mul_rows equivalence tests and
-            // the differential GEMM suite enforce this).
+            // bit-identical (the run-form tests and the differential GEMM
+            // suite enforce this).
             let (xsign, xexp) = ((xs.sign() as u32) << 31, xs.exponent());
-            let encode = if self.row_in_range(xexp, &row) {
+            let encode = if run.in_range(xexp, &row) {
                 Encode::TwoAdd(xsign.wrapping_add((xexp as u32) << 23))
             } else {
                 Encode::Select { xsign, xexp }
@@ -692,12 +736,11 @@ impl ApproxFpMul {
             let man = xs.mantissa();
             let vectorized = match (encode, self.mult.chunk_plan()) {
                 (_, Some(plan)) => {
-                    let range = (self.format.min_exp(), self.format.max_exp());
-                    tile_kernel::mac_chunks(plan, man, encode, range, &row, c, simd)
+                    tile_kernel::mac_chunks(plan, man, encode, run.range, &row, c, run.simd)
                 }
                 (Encode::TwoAdd(aword), None) => {
                     let norm = self.mult.norm_row(man).expect("a product-table multiplier");
-                    tile_kernel::mac_table(norm, aword, &row, c, simd)
+                    tile_kernel::mac_table(norm, aword, &row, c, run.simd)
                 }
                 (Encode::Select { .. }, None) => false,
             };
@@ -712,6 +755,28 @@ impl ApproxFpMul {
             let ys = FpScalar::from_f32(raw[col], self.format);
             c[col] += self.mul_scalars(&xs, &ys).to_f32();
         }
+    }
+}
+
+/// What every driver of one [`ApproxFpMul`] run shares, derived once per
+/// [`mul_tile_rows`](ScalarMul::mul_tile_rows) call.
+#[derive(Debug, Clone, Copy)]
+struct RunConsts {
+    /// Run the AVX-512 kernels: asked for, and the host has them.
+    simd: bool,
+    /// The format's normal exponents, `(min_exp, max_exp)`.
+    range: (i32, i32),
+}
+
+impl RunConsts {
+    /// Whether every product of a `Normal` multiplicand of exponent
+    /// `xexp` with a decoded row is a normal of the format: the least
+    /// product exponent `xexp + emin` and the greatest `xexp + emax + 1`
+    /// (the renormalise increment) are both in range. Then each product
+    /// is the two-add encode; otherwise some may saturate or flush.
+    fn in_range(&self, xexp: i32, row: &DecodedRow<'_>) -> bool {
+        let (emin, emax) = (row.emin as i32 - 127, row.emax as i32 - 127);
+        xexp + emin >= self.range.0 && xexp + emax < self.range.1
     }
 }
 
@@ -765,8 +830,8 @@ impl ScalarMul for ApproxFpMul {
         PreparedTile::decode(src, self.format, true)
     }
 
-    fn mul_tile_row(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
-        self.mul_tile_row_with(a, tile, r, c, true)
+    fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
+        self.mul_tile_rows_with(a_run, tile, c, true)
     }
 }
 
@@ -1000,10 +1065,42 @@ mod tests {
         m.prepare_tile(&TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false))
     }
 
-    /// `prepare_tile` + `mul_tile_row` must be element-wise bit-identical
-    /// to `mul_rows` on the same row — the contract the tiled GEMM engine
-    /// is built on. Exercised over the full edge-value grid (zeros,
-    /// subnormals, infinities, NaN), a dense magnitude sweep, and
+    /// The run-form reference: `mul_rows` on the raw row of every
+    /// nonzero driver of `a_run`, in ascending row order.
+    fn per_driver(m: &dyn ScalarMul, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
+        for (r, a) in drivers(a_run) {
+            m.mul_rows(a, tile.raw_row(r), c);
+        }
+    }
+
+    /// The runs [`assert_tile_rows_match_mul_rows`] and
+    /// [`assert_kernels_match_mul_rows`] drive a `rows`-row tile with:
+    /// each A value alone on each row, then each rotation of `as_`
+    /// across the rows, so runs mix normal, zero and exotic drivers.
+    fn runs(rows: usize, as_: &[f32]) -> Vec<Vec<f32>> {
+        let mut runs = Vec::new();
+        for r in 0..rows {
+            for &a in as_ {
+                let mut run = vec![0.0f32; rows];
+                run[r] = a;
+                runs.push(run);
+            }
+        }
+        for s in 0..as_.len() {
+            runs.push((0..rows).map(|r| as_[(r + s) % as_.len()]).collect());
+        }
+        runs
+    }
+
+    /// Bit equality, with any NaN matching any NaN.
+    fn same_bits(p: f32, q: f32) -> bool {
+        p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan())
+    }
+
+    /// `prepare_tile` + `mul_tile_rows` must be element-wise bit-identical
+    /// to per-driver `mul_rows` on the same rows — the contract the tiled
+    /// GEMM engine is built on. Exercised over the full edge-value grid
+    /// (zeros, subnormals, infinities, NaN), a dense magnitude sweep, and
     /// **both** `+0.0`- and `-0.0`-initialised accumulators — a
     /// negative-zero accumulator is flipped to `+0.0` by the signed-zero
     /// product of a *flushed* (nonzero-f32, format-zero) element, which
@@ -1030,20 +1127,20 @@ mod tests {
                 }
                 // Zero lanes are gated away; every other lane is visited.
                 assert_eq!(tile.kept(r), row.iter().filter(|&&b| b != 0.0).count(), "{}", m.name());
-                for &a in as_ {
-                    for init in [0.0f32, -0.0] {
-                        let mut plain = vec![init; w];
-                        let mut tiled = vec![init; w];
-                        m.mul_rows(a, row, &mut plain);
-                        m.mul_tile_row(a, &tile, r, &mut tiled);
-                        for (j, (p, q)) in plain.iter().zip(&tiled).enumerate() {
-                            assert!(
-                                p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                                "{}: a={a}, b={}, c0={init}: mul_rows {p} vs mul_tile_row {q}",
-                                m.name(),
-                                row[j]
-                            );
-                        }
+            }
+            for a_run in runs(rows, as_) {
+                for init in [0.0f32, -0.0] {
+                    let mut plain = vec![init; w];
+                    let mut tiled = vec![init; w];
+                    per_driver(m, &a_run, &tile, &mut plain);
+                    m.mul_tile_rows(&a_run, &tile, &mut tiled);
+                    for (j, (&p, &q)) in plain.iter().zip(&tiled).enumerate() {
+                        assert!(
+                            same_bits(p, q),
+                            "{}: run {a_run:?}, column {j}, c0={init}: mul_rows {p} vs \
+                             mul_tile_rows {q}",
+                            m.name()
+                        );
                     }
                 }
             }
@@ -1142,11 +1239,11 @@ mod tests {
                 for &a in &[1.5f32, -0.37, 0.0] {
                     let mut plain = vec![0.0f32; bs.len()];
                     let mut tiled = vec![0.0f32; bs.len()];
-                    consumer.mul_rows(a, &bs, &mut plain);
-                    consumer.mul_tile_row(a, &tile, 0, &mut tiled);
-                    for (p, q) in plain.iter().zip(&tiled) {
+                    per_driver(consumer.as_ref(), &[a], &tile, &mut plain);
+                    consumer.mul_tile_rows(&[a], &tile, &mut tiled);
+                    for (&p, &q) in plain.iter().zip(&tiled) {
                         assert!(
-                            p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
+                            same_bits(p, q),
                             "tile from {} into {}: a={a}: {p} vs {q}",
                             preparer.name(),
                             consumer.name()
@@ -1383,8 +1480,9 @@ mod tests {
         /// The format its tiles are decoded into.
         fn tile_format(&self) -> FpFormat;
 
-        /// [`ScalarMul::mul_tile_row`] on the MAC kernel `simd` asks for.
-        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool);
+        /// [`ScalarMul::mul_tile_rows`] on the MAC kernels `simd` asks
+        /// for.
+        fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool);
     }
 
     impl TileBackend for ApproxFpMul {
@@ -1392,8 +1490,8 @@ mod tests {
             self.format
         }
 
-        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], simd: bool) {
-            self.mul_tile_row_with(a, tile, r, c, simd);
+        fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
+            self.mul_tile_rows_with(a_run, tile, c, simd);
         }
     }
 
@@ -1403,15 +1501,16 @@ mod tests {
         }
 
         /// One MAC kernel: `simd` picks only the decode.
-        fn mac(&self, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32], _simd: bool) {
-            self.mul_tile_row(a, tile, r, c);
+        fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], _simd: bool) {
+            self.mul_tile_rows(a_run, tile, c);
         }
     }
 
     /// Decode and MAC on each kernel — portable, and AVX-512 when the
-    /// host has it — against `mul_rows`, bit for bit, for every A value
-    /// and both accumulator signs. `bs` is laid out as `rows` tile rows;
-    /// the two decodes must also fill every slab alike.
+    /// host has it — against per-driver `mul_rows`, bit for bit, for
+    /// every run of [`runs`] and both accumulator signs. `bs` is laid out
+    /// as `rows` tile rows; the two decodes must also fill every slab
+    /// alike.
     fn assert_kernels_match_mul_rows(m: &dyn TileBackend, bs: &[f32], rows: usize, as_: &[f32]) {
         let n = bs.len() / rows;
         let format = m.tile_format();
@@ -1426,21 +1525,21 @@ mod tests {
                 let normal = |b: &&f32| FpScalar::from_f32(**b, format).class() == FpClass::Normal;
                 let kept = row.iter().filter(normal).count();
                 assert_eq!(tile.row(r).dense, tile_kernel::is_dense(kept, n), "{}", m.name());
-                for &a in as_ {
-                    for init in [0.0f32, -0.0] {
-                        let mut plain = vec![init; n];
-                        m.mul_rows(a, row, &mut plain);
-                        for simd in [false, true] {
-                            let mut tiled = vec![init; n];
-                            m.mac(a, tile, r, &mut tiled, simd);
-                            for (j, (p, q)) in plain.iter().zip(&tiled).enumerate() {
-                                assert!(
-                                    p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan()),
-                                    "{}: simd={simd}, a={a}, b={}, c0={init}: mul_rows {p} vs {q}",
-                                    m.name(),
-                                    row[j]
-                                );
-                            }
+            }
+            for a_run in runs(rows, as_) {
+                for init in [0.0f32, -0.0] {
+                    let mut plain = vec![init; n];
+                    per_driver(m, &a_run, tile, &mut plain);
+                    for simd in [false, true] {
+                        let mut tiled = vec![init; n];
+                        m.mac(&a_run, tile, &mut tiled, simd);
+                        for (j, (&p, &q)) in plain.iter().zip(&tiled).enumerate() {
+                            assert!(
+                                same_bits(p, q),
+                                "{}: simd={simd}, run {a_run:?}, column {j}, c0={init}: \
+                                 mul_rows {p} vs {q}",
+                                m.name()
+                            );
                         }
                     }
                 }
@@ -1532,6 +1631,66 @@ mod tests {
     }
 
     #[test]
+    fn run_form_matches_per_driver_mul_rows_at_narrow_widths() {
+        // Every width up to one lane past 16, as eight-row tiles: a
+        // dense row, a dense row with signed zeros, a compressed one, one
+        // with an exotic lane, rows two octave-ranges high and low (whose
+        // products saturate or flush for the large and small drivers, so
+        // they take the select encode, or turn exotic in fp16), an
+        // all-zero row and one of signed zeros between normals. The
+        // drivers include zeros, ±Inf, NaN, an f32 subnormal and a value
+        // that flushes in fp16; runs mix them across rows.
+        let exotic = [f32::INFINITY, f32::NAN, 1e-40, -1e-40, 1e6, -1e-7];
+        let as_ = [
+            1.5f32,
+            -0.37,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1e-40,
+            1e-6,
+            2f32.powi(40),
+            -(2f32.powi(-40)),
+            113.7,
+        ];
+        let mut backends: Vec<Box<dyn TileBackend>> = vec![
+            Box::new(QuantizedExactMul::new(FpFormat::BF16)),
+            Box::new(QuantizedExactMul::new(FpFormat::FP32)),
+        ];
+        for format in KERNEL_FORMATS {
+            for config in MultiplierConfig::ALL {
+                backends.push(Box::new(ApproxFpMul::new(config, format)));
+            }
+        }
+        for w in 1..=17 {
+            let normal = |j: usize| {
+                let v = (1.0 + (j * 37 % 64) as f32 / 64.0) * 2f32.powi((j % 13) as i32 - 6);
+                if j.is_multiple_of(2) {
+                    v
+                } else {
+                    -v
+                }
+            };
+            let mut bs = Vec::with_capacity(8 * w);
+            bs.extend((0..w).map(normal));
+            bs.extend((0..w).map(|j| if j % 3 == 0 { [0.0, -0.0][j % 2] } else { normal(j) }));
+            bs.extend((0..w).map(|j| if j + 1 == w { normal(j) } else { 0.0 }));
+            bs.extend(
+                (0..w).map(|j| if j == w / 2 { exotic[w % exotic.len()] } else { normal(j) }),
+            );
+            bs.extend((0..w).map(|j| normal(j) * 2f32.powi(100)));
+            bs.extend((0..w).map(|j| normal(j) * 2f32.powi(-100)));
+            bs.extend((0..w).map(|j| [0.0, -0.0][j % 2]));
+            bs.extend((0..w).map(|j| if j % 2 == 0 { -0.0 } else { normal(j) }));
+            for m in &backends {
+                assert_kernels_match_mul_rows(m.as_ref(), &bs, 8, &as_);
+            }
+        }
+    }
+
+    #[test]
     fn decode_picks_the_layout_from_the_kept_count() {
         // Every kept count of a few widths, on both decode kernels: a row
         // is dense from a quarter of its lanes kept. 9 lanes is a conv1
@@ -1601,7 +1760,8 @@ mod tests {
                 let decoded = tile.row(0);
                 assert_eq!((decoded.emin, decoded.emax), (127 - 3, 127 + 4), "{}", m.name());
                 for (xexp, in_range) in cases {
-                    assert_eq!(m.row_in_range(xexp, &decoded), in_range, "{}: {xexp}", m.name());
+                    let run = RunConsts { simd: false, range: (min_exp, max_exp) };
+                    assert_eq!(run.in_range(xexp, &decoded), in_range, "{}: {xexp}", m.name());
                     let as_ = [1.0f32, 1.5, top, -top].map(|v| v * 2f32.powi(xexp));
                     assert_kernels_match_mul_rows(&m, &row, 1, &as_);
                 }

@@ -23,13 +23,17 @@
 //!     decoded MAC beats the fused per-element loop from the first row):
 //!     one fixed-stride slab per tile row, followed by the row's count
 //!     of kept lanes. The form belongs to the format, not the backend:
-//!     every tile-decoding backend of one format reads the same tile. A
-//!     sparse row keeps only its nonzero lanes, packed with their column
-//!     index, and [`ScalarMul::mul_tile_row`] scatter-adds them into C,
-//!     so per-MAC cost follows the nonzeros; a row with at least a
-//!     quarter of its lanes kept is stored in place instead, and the
-//!     AVX-512 MACs add into a contiguous C masked by lane. Per-MAC
-//!     operand decode disappears either way;
+//!     every tile-decoding backend of one format reads the same tile.
+//!     The walk makes one [`ScalarMul::mul_tile_rows`] call per (C row,
+//!     tile), handing it the row's run of A elements over the tile's
+//!     depth: each nonzero one drives its tile row, in ascending `l`,
+//!     and the zero ones are bypassed inside the call. A sparse row keeps
+//!     only its nonzero lanes, packed with their column index, and the
+//!     MAC scatter-adds them into C, so per-MAC cost follows the
+//!     nonzeros; a row with at least a quarter of its lanes kept is
+//!     stored in place instead, and the AVX-512 MACs add into a
+//!     contiguous C masked by lane. Per-MAC operand decode disappears
+//!     either way;
 //!   * *packed* — native-`f32` backends pack each tile into `NR`-major
 //!     panels for the register-tile microkernel.
 //! * **Prepare once or per call.** [`gemm`] builds each decoded or
@@ -56,7 +60,8 @@
 //!
 //! Zero operands are skipped rather than multiplied — mirroring the
 //! hardware's zero gating (paper §III-C), where a zero operand never
-//! activates the SRAM array. Zero A elements are tested per row. Zero B
+//! activates the SRAM array. Zero A elements are tested per driver (by
+//! the walk on raw tiles, inside `mul_tile_rows` on decoded ones). Zero B
 //! lanes never reach C: a sparse decoded row drops them, so the MAC
 //! loop never visits them, and a dense one holds them as zero words
 //! that mask the C update off, leaving those accumulators untouched.
@@ -337,23 +342,29 @@ fn tile_rows(
     n: usize,
     tile: Tile,
 ) {
-    let (j0, j1) = (tile.j0, tile.j1);
     match b {
-        TileB::Raw(raw) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
-            mul.mul_rows(av, &raw[l * n + j0..l * n + j1], crow)
+        TileB::Raw(raw) => mac_rows(a, c, row0, k, n, tile, |a_run, crow| {
+            for (dl, &av) in a_run.iter().enumerate() {
+                if av != 0.0 {
+                    // zero A bypassed, as the hardware does
+                    let l = tile.l0 + dl;
+                    mul.mul_rows(av, &raw[l * n + tile.j0..l * n + tile.j1], crow);
+                }
+            }
         }),
-        TileB::Decoded(decoded) => mac_rows(a, c, row0, k, n, tile, |av, l, crow| {
-            mul.mul_tile_row(av, decoded, l - tile.l0, crow)
-        }),
+        TileB::Decoded(decoded) => {
+            mac_rows(a, c, row0, k, n, tile, |a_run, crow| mul.mul_tile_rows(a_run, decoded, crow))
+        }
         TileB::Packed(blk) => {
             microkernel::packed_rows(a, blk, c, row0, k, n, microkernel::avx2_available())
         }
     }
 }
 
-/// The scalar-backend row loop of one tile: `mac(a_il, l, c_row)` for
-/// every non-zero A element, ascending `l` — the bit-exactness
-/// invariant.
+/// The scalar-backend row loop of one tile: `mac(a_run, c_row)` once
+/// per C row, with `a_run` the row's A elements over the tile's depth
+/// (`a_run[r]` drives tile row `r`). Each call visits its drivers in
+/// ascending `l` — the bit-exactness invariant.
 fn mac_rows(
     a: &[f32],
     c: &mut [f32],
@@ -361,16 +372,11 @@ fn mac_rows(
     k: usize,
     n: usize,
     tile: Tile,
-    mac: impl Fn(f32, usize, &mut [f32]),
+    mac: impl Fn(&[f32], &mut [f32]),
 ) {
     for (r, crow) in c.chunks_exact_mut(n).enumerate() {
-        let arow = &a[(row0 + r) * k..(row0 + r + 1) * k];
-        let crow = &mut crow[tile.j0..tile.j1];
-        for (l, &av) in arow.iter().enumerate().take(tile.l1).skip(tile.l0) {
-            if av != 0.0 {
-                mac(av, l, crow); // zero A bypassed, as the hardware does
-            }
-        }
+        let arow = (row0 + r) * k;
+        mac(&a[arow + tile.l0..arow + tile.l1], &mut crow[tile.j0..tile.j1]);
     }
 }
 

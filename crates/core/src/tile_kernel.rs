@@ -114,6 +114,12 @@ pub fn tile_kernel() -> &'static str {
     }
 }
 
+/// Whether the AVX-512 kernels run here: compiled in and detected on
+/// the host (see [`tile_kernel`]).
+pub(crate) fn simd_available() -> bool {
+    avx512::available()
+}
+
 /// Whether every normal of `format` is encodable in `f32` bits: a
 /// mantissa of at most 24 bits and an exponent range within `f32`'s.
 /// Exactly these formats have a decoded tile form, and the lane MACs and

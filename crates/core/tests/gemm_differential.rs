@@ -451,3 +451,39 @@ fn tiles_mixing_dense_and_compressed_rows_match_reference() {
         }
     }
 }
+
+#[test]
+fn narrow_tiles_with_zero_heavy_a_match_reference() {
+    // The weight-gradient shapes: B rows 1 to 17 lanes wide, so a whole
+    // C row fits the narrow register MAC (or, at 17 lanes, one group
+    // past it), driven by an A that is 80% zeros. The depth spans two
+    // KC blocks. Each fourth A element and each fifth B row are scaled
+    // by 2^±60, so some drivers put a row's products past the format's
+    // range (the select encode) or flush them; C starts with `-0.0` in
+    // every third element. m = 37 clears the thread gate.
+    let k = 300usize;
+    for n in [1usize, 4, 9, 16, 17] {
+        for m in [1usize, 3, 37] {
+            let seed = 0x5EED_0022 + (n * 64 + m) as u64;
+            let (_, b, c0) = zero_heavy_case(m, k, n, 0.3, seed);
+            let a = zero_heavy_operand(m * k, 0.8, 0.05, seed ^ 0xA);
+            let a: Vec<f32> = a
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| if i % 4 == 1 { v * 2f32.powi(60) } else { v })
+                .collect();
+            let b: Vec<f32> = b
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| match i / n % 5 {
+                    2 => v * 2f32.powi(60),
+                    4 => v * 2f32.powi(-60),
+                    _ => v,
+                })
+                .collect();
+            if let Err(e) = assert_all_backends_bit_identical_into(&a, &b, &c0, m, k, n) {
+                panic!("{m}x{k}x{n}: {e:?}");
+            }
+        }
+    }
+}
