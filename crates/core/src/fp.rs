@@ -1,7 +1,9 @@
 use crate::config::{MultiplierConfig, OperandMode};
 use crate::gemm::{GemmBackend, Tile};
 use crate::mantissa::{MantissaMultiplier, PreparedMultiplicand};
-use crate::tile_kernel::{self, decoded_stride, f32_encodable, DecodedRow, Encode, LaneDecoder};
+use crate::tile_kernel::{
+    self, decoded_stride, f32_encodable, DecodedRow, Encode, LaneDecoder, Narrow, SIGN,
+};
 use daism_num::{bits, encode_normal_f32, FpClass, FpFormat, FpScalar};
 use rayon::prelude::*;
 use std::fmt;
@@ -677,7 +679,13 @@ impl ApproxFpMul {
     /// kernels when `simd` asks for them and the host has them.
     ///
     /// The format check, the kernel detection and the range constants
-    /// are paid once per run; the drivers then go one by one.
+    /// are paid once per run. A tile narrow enough for its C row to stay
+    /// in vector registers ([`tile_kernel::NARROW_LANES`]) on a
+    /// product-table multiplier takes the narrow register MAC: one gather
+    /// from each driver's pre-normalised product row, the two-add encode
+    /// and one masked add per register, with every row that kernel does
+    /// not take handed to the per-driver MAC in place. Every other run
+    /// goes driver by driver.
     fn mul_tile_rows_with(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
         if tile.format != self.format {
             for (r, a) in drivers(a_run) {
@@ -690,6 +698,34 @@ impl ApproxFpMul {
             simd: simd && tile_kernel::simd_available(),
             range: (self.format.min_exp(), self.format.max_exp()),
         };
+        if run.simd && self.mult.chunk_plan().is_none() && tile.width <= tile_kernel::NARROW_LANES {
+            let dec = LaneDecoder::new(self.format);
+            let shift = 24 - self.format.mantissa_width();
+            let step = |r: usize, a: f32| {
+                // The driver's word carries exactly what `FpScalar`
+                // would: its class, sign, exponent and mantissa.
+                let lane = dec.decode(a.to_bits());
+                let row = tile.row(r);
+                if row.words.is_empty() && row.exotic.is_empty() {
+                    return Narrow::Skip; // every lane gated
+                }
+                let xexp = ((lane.word >> 23) & 0xFF) as i32 - 127;
+                if !lane.normal || !row.dense || !row.exotic.is_empty() || !run.in_range(xexp, &row)
+                {
+                    return Narrow::Fallback;
+                }
+                let man = tile_kernel::word_mantissa(lane.word, shift) as u64;
+                Narrow::Mac {
+                    words: row.words,
+                    norm: self.mult.norm_row(man).expect("a product-table multiplier"),
+                    aword: (lane.word & SIGN).wrapping_add((xexp as u32) << 23),
+                }
+            };
+            let fallback = |r: usize, a: f32, c: &mut [f32]| self.mac_driver(run, a, tile, r, c);
+            if tile_kernel::mac_narrow(a_run, c, step, fallback, run.simd) {
+                return;
+            }
+        }
         for (r, a) in drivers(a_run) {
             self.mac_driver(run, a, tile, r, c);
         }
@@ -1632,7 +1668,8 @@ mod tests {
 
     #[test]
     fn run_form_matches_per_driver_mul_rows_at_narrow_widths() {
-        // Every width up to one lane past 16, as eight-row tiles: a
+        // Every width up to one lane past 16 and past the narrow register
+        // MAC's bound, as eight-row tiles: a
         // dense row, a dense row with signed zeros, a compressed one, one
         // with an exotic lane, rows two octave-ranges high and low (whose
         // products saturate or flush for the large and small drivers, so
@@ -1664,7 +1701,7 @@ mod tests {
                 backends.push(Box::new(ApproxFpMul::new(config, format)));
             }
         }
-        for w in 1..=17 {
+        for w in 1..=17.max(tile_kernel::NARROW_LANES + 1) {
             let normal = |j: usize| {
                 let v = (1.0 + (j * 37 % 64) as f32 / 64.0) * 2f32.powi((j % 13) as i32 - 6);
                 if j.is_multiple_of(2) {

@@ -32,8 +32,10 @@
 //!     MAC scatter-adds them into C, so per-MAC cost follows the
 //!     nonzeros; a row with at least a quarter of its lanes kept is
 //!     stored in place instead, and the AVX-512 MACs add into a
-//!     contiguous C masked by lane. Per-MAC operand decode disappears
-//!     either way;
+//!     contiguous C masked by lane. A tile at most 16 lanes wide (the
+//!     weight-gradient GEMMs) keeps its C row in a vector register for
+//!     the whole run on the product-table MAC. Per-MAC operand decode
+//!     disappears either way;
 //!   * *packed* — native-`f32` backends pack each tile into `NR`-major
 //!     panels for the register-tile microkernel.
 //! * **Prepare once or per call.** [`gemm`] builds each decoded or

@@ -40,10 +40,13 @@
 //!
 //! # Kernels
 //!
-//! The decode comes in a portable form and an AVX-512F form; the two
+//! The decode comes in a portable form and an AVX-512F form; the three
 //! product MACs have one AVX-512F kernel each here, and their one
 //! portable form is the lane MAC of `ApproxFpMul` (`mac_portable`),
-//! which serves every other host and every other row.
+//! which serves every other host and every other row. The table and
+//! chunk MACs take one driver and one tile row per call; the narrow MAC
+//! takes a whole run of drivers (one C row against every row of the
+//! tile) and calls back for the rows it does not take.
 //! The AVX-512F forms are compiled with the default `simd` feature on
 //! x86-64 and chosen by runtime detection. Callers pass `simd: bool` to
 //! ask for the detected kernel, so tests can drive both; the two write
@@ -86,6 +89,17 @@
 //!   ORed, and pre-normalises it in vector form. Both encodes run
 //!   there: the two-add for in-range rows, the select encode (saturate
 //!   and flush as mask blends) for the rest.
+//! * **Narrow MAC** ([`mac_narrow`]) serves a product-table multiplier's
+//!   runs on tiles at most [`NARROW_LANES`] (16) wide: the weight
+//!   gradients of a conv, whose B rows are as wide as its kernel
+//!   matrix's columns. Per call, a driver's set-up (binding its table,
+//!   loading and storing C) outweighs a 9-lane row's products, so the
+//!   C row stays in one zmm register across the run. Per driver whose
+//!   row is dense, exotic-free and in range: one masked `vpgatherdd`
+//!   from the driver's pre-normalised product row, the two-add encode
+//!   and one masked add. Any other row or driver stores the register,
+//!   runs the per-driver MAC and reloads it. The adds happen in the
+//!   same order as driver by driver, so the bits do not change.
 //!
 //! The only `unsafe` is in the AVX-512 module below: the intrinsic
 //! calls and the `target_feature` call contract.
@@ -94,7 +108,7 @@ use crate::mantissa::ChunkPlan;
 use daism_num::FpFormat;
 
 /// The `f32` sign bit.
-const SIGN: u32 = 0x8000_0000;
+pub(crate) const SIGN: u32 = 0x8000_0000;
 /// A word's sign and exponent fields.
 const SIGN_EXP: u32 = 0xFF80_0000;
 /// The implicit leading one at its `f32` position.
@@ -241,6 +255,58 @@ pub(crate) fn mac_table(
     simd: bool,
 ) -> bool {
     simd && avx512::mac_table(norm, aword, row, c)
+}
+
+/// The widest tile whose C row [`mac_narrow`] holds in a vector register
+/// for a whole run: one zmm register of 16 lanes. Wider rows keep the
+/// in-register product-table MAC, whose eight table loads per driver
+/// cost less than one 16-lane gather per C register: on the 72-lane
+/// `conv2_grad_w` rows, a five-register version of this kernel ran
+/// slower than the table MAC.
+pub(crate) const NARROW_LANES: usize = 16;
+
+/// What the narrow register MAC does with one nonzero driver of a run.
+// Only the AVX-512 kernel reads the row; the portable build has none.
+#[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
+pub(crate) enum Narrow<'a> {
+    /// The tile row keeps no lane and lists no exotic one: nothing
+    /// reaches C.
+    Skip,
+    /// A dense, exotic-free row whose products are all in range:
+    /// `c[j] += encode_product(words[j], aword, norm[mantissa(words[j])])`
+    /// for every `j` with a nonzero word. `norm` is the driver's
+    /// pre-normalised product row (`2^n` entries, `1 <= n <= 24`).
+    Mac { words: &'a [u32], norm: &'a [u32], aword: u32 },
+    /// Any other row or driver: the caller's per-driver MAC, on C in
+    /// memory.
+    Fallback,
+}
+
+/// Multiply-accumulates a run of drivers into a C row at most
+/// [`NARROW_LANES`] wide on AVX-512F, holding the row in registers from
+/// the first driver to the last. For each nonzero `a_run[r]`, in
+/// ascending `r`, `step(r, a)` says what the row takes: a
+/// [`Narrow::Mac`] is one masked gather from the product row per
+/// register, the two-add encode and one masked add; a
+/// [`Narrow::Fallback`] stores the accumulators, runs `fallback(r, a,
+/// c)` and reloads them. The adds and their order are those of the
+/// per-driver MACs, so C gets the same bits.
+/// Returns `false` and leaves `c` alone unless `simd` asks for the
+/// kernel and the host has it.
+///
+/// # Panics
+///
+/// Panics if `c` is wider than [`NARROW_LANES`], or a [`Narrow::Mac`]
+/// row is not as wide as `c` or its product row not `2^n` entries.
+pub(crate) fn mac_narrow<'a>(
+    a_run: &[f32],
+    c: &mut [f32],
+    step: impl FnMut(usize, f32) -> Narrow<'a>,
+    fallback: impl FnMut(usize, f32, &mut [f32]),
+    simd: bool,
+) -> bool {
+    assert!(c.len() <= NARROW_LANES, "a narrow run's C row fits its registers");
+    simd && avx512::mac_narrow(a_run, c, step, fallback)
 }
 
 /// How the products of one decoded tile row are encoded from their
@@ -426,7 +492,7 @@ mod avx512 {
     //! returns `false` (nothing done) on a host without AVX-512F.
     //! Every load, store, gather and scatter is masked to lanes whose
     //! addresses the surrounding slice bounds prove in range.
-    use super::{DecodedRow, Encode, LaneDecoder, LEAD, SIGN, SIGN_EXP};
+    use super::{DecodedRow, Encode, LaneDecoder, Narrow, LEAD, NARROW_LANES, SIGN, SIGN_EXP};
     use crate::mantissa::{ChunkPlan, CHUNK_BITS, MAX_CHUNKS};
     use core::arch::x86_64::*;
     use std::sync::OnceLock;
@@ -672,6 +738,86 @@ mod avx512 {
         }
     }
 
+    /// [`super::mac_narrow`] on AVX-512F; `false` without it.
+    pub(super) fn mac_narrow<'a>(
+        a_run: &[f32],
+        c: &mut [f32],
+        step: impl FnMut(usize, f32) -> Narrow<'a>,
+        fallback: impl FnMut(usize, f32, &mut [f32]),
+    ) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: AVX-512F support was detected at runtime just above.
+        unsafe { mac_narrow_avx512(a_run, c, step, fallback) };
+        true
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn mac_narrow_avx512<'a>(
+        a_run: &[f32],
+        c: &mut [f32],
+        mut step: impl FnMut(usize, f32) -> Narrow<'a>,
+        mut fallback: impl FnMut(usize, f32, &mut [f32]),
+    ) {
+        let w = c.len();
+        assert!(w <= NARROW_LANES, "narrow C row wider than its register");
+        // The lanes of C; the ones past `w` are masked off everywhere and
+        // stay zero.
+        let k = lanes(w);
+        // SAFETY: `k` selects lanes `0..w`, inside `c`; masked-off lanes
+        // are neither read nor written.
+        let load = |c: &[f32]| unsafe { _mm512_maskz_loadu_ps(k, c.as_ptr()) };
+        let store = |c: &mut [f32], acc| unsafe { _mm512_mask_storeu_ps(c.as_mut_ptr(), k, acc) };
+        let fraction_bits = _mm512_set1_epi32(0x7F_FFFF);
+        let lead = _mm512_set1_epi32(LEAD as i32);
+        let mut acc = load(c);
+        for (r, &a) in a_run.iter().enumerate() {
+            if a == 0.0 {
+                continue; // zero bypass
+            }
+            match step(r, a) {
+                Narrow::Skip => {}
+                Narrow::Fallback => {
+                    store(c, acc);
+                    fallback(r, a, c);
+                    acc = load(c);
+                }
+                Narrow::Mac { words, norm, aword } => {
+                    assert_eq!(words.len(), w, "a dense row is as wide as C");
+                    let bits = norm.len().trailing_zeros();
+                    assert!(
+                        norm.len().is_power_of_two() && (1..=24).contains(&bits),
+                        "a product row has 2^n entries, 1 <= n <= 24"
+                    );
+                    // SAFETY: `k` selects lanes `0..w`, inside `words`
+                    // (asserted); masked-off lanes read as zero.
+                    let wv = unsafe { _mm512_maskz_loadu_epi32(k, words.as_ptr().cast()) };
+                    let kept = _mm512_test_epi32_mask(wv, wv);
+                    // The index of a word's mantissa with its leading one:
+                    // `n` bits, below `2^n = norm.len()`.
+                    let idx = _mm512_srlv_epi32(
+                        _mm512_or_si512(_mm512_and_si512(wv, fraction_bits), lead),
+                        _mm512_set1_epi32(24 - bits as i32),
+                    );
+                    // SAFETY: every index is below `norm.len()`, and only
+                    // the `kept` lanes are read.
+                    let e = unsafe {
+                        _mm512_mask_i32gather_epi32::<4>(
+                            _mm512_setzero_si512(),
+                            kept,
+                            idx,
+                            norm.as_ptr().cast(),
+                        )
+                    };
+                    let p = two_add(wv, _mm512_set1_epi32(aword as i32), e);
+                    acc = _mm512_mask_add_ps(acc, kept, acc, _mm512_castsi512_ps(p));
+                }
+            }
+        }
+        store(c, acc);
+    }
+
     /// [`encode_product`](super::encode_product) on 16 lanes.
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -844,10 +990,19 @@ mod avx512 {
     //! Without the `simd` feature (or off x86-64) no AVX-512 kernel is
     //! compiled: every entry point reports "not done" and callers run
     //! the portable kernels.
-    use super::{DecodedRow, Encode, LaneDecoder};
+    use super::{DecodedRow, Encode, LaneDecoder, Narrow};
     use crate::mantissa::ChunkPlan;
 
     pub(super) fn available() -> bool {
+        false
+    }
+
+    pub(super) fn mac_narrow<'a>(
+        _a_run: &[f32],
+        _c: &mut [f32],
+        _step: impl FnMut(usize, f32) -> Narrow<'a>,
+        _fallback: impl FnMut(usize, f32, &mut [f32]),
+    ) -> bool {
         false
     }
 
