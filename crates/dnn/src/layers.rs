@@ -782,11 +782,15 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let mut out = x.clone();
-        for layer in &mut self.layers {
-            out = layer.forward(&out, backend, training);
+        // The first layer reads `x` itself; only an empty chain copies it.
+        match self.layers.split_first_mut() {
+            None => x.clone(),
+            Some((first, rest)) => {
+                rest.iter_mut().fold(first.forward(x, backend, training), |out, layer| {
+                    layer.forward(&out, backend, training)
+                })
+            }
         }
-        out
     }
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {

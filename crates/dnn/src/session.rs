@@ -195,22 +195,21 @@ impl CompiledLayer {
                 CompiledKind::ReLU => x.map(|v| v.max(0.0)),
                 CompiledKind::MaxPool => maxpool2x2(x, None),
                 CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
-                CompiledKind::Residual(inner) => {
-                    let mut y = x.clone();
-                    for layer in inner {
-                        y = layer.forward(&y, backend, None);
-                    }
-                    y.add(x)
-                }
-                CompiledKind::Seq(inner) => {
-                    let mut y = x.clone();
-                    for layer in inner {
-                        y = layer.forward(&y, backend, None);
-                    }
-                    y
-                }
+                CompiledKind::Residual(inner) => chain_forward(inner, x, backend).add(x),
+                CompiledKind::Seq(inner) => chain_forward(inner, x, backend),
             },
         )
+    }
+}
+
+/// The inference forward of a chain of compiled layers: the first layer
+/// reads `x` itself, and only an empty chain copies it.
+fn chain_forward(layers: &[CompiledLayer], x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
+    match layers.split_first() {
+        None => x.clone(),
+        Some((first, rest)) => rest
+            .iter()
+            .fold(first.forward(x, backend, None), |y, layer| layer.forward(&y, backend, None)),
     }
 }
 
@@ -340,11 +339,7 @@ impl<'b> CompiledModel<'b> {
     /// to the source model's inference forward on the same backend;
     /// `&self`, so one compiled model serves many threads.
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut y = x.clone();
-        for layer in &self.layers {
-            y = layer.forward(&y, self.backend, None);
-        }
-        y
+        chain_forward(&self.layers, x, self.backend)
     }
 
     /// The per-sample output shape this model serves for a request of
