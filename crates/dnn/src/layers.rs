@@ -794,11 +794,14 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad: &Tensor, backend: &dyn GemmBackend) -> Tensor {
-        let mut g = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g, backend);
+        // The last layer reads `grad` itself; only an empty chain copies it.
+        match self.layers.split_last_mut() {
+            None => grad.clone(),
+            Some((last, rest)) => rest
+                .iter_mut()
+                .rev()
+                .fold(last.backward(grad, backend), |g, layer| layer.backward(&g, backend)),
         }
-        g
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
