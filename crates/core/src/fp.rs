@@ -245,9 +245,7 @@ pub trait ScalarMul: GemmBackend {
     /// May panic if `a_run` is longer than the tile or `c.len() !=
     /// tile.width()`.
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
-        for (r, a) in drivers(a_run) {
-            self.mul_rows(a, tile.raw_row(r), c);
-        }
+        mul_raw_rows(self, a_run, tile, c);
     }
 }
 
@@ -255,6 +253,15 @@ pub trait ScalarMul: GemmBackend {
 /// row order: a zero input bypasses the array (paper §III-C).
 fn drivers(a_run: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
     a_run.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(r, &a)| (r, a))
+}
+
+/// [`ScalarMul::mul_tile_rows`] through `mul_rows` on the tile's raw
+/// rows: the trait default, every backend's path for a tile of another
+/// format, and the reference the run-form tests compare against.
+fn mul_raw_rows<M: ScalarMul + ?Sized>(m: &M, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
+    for (r, a) in drivers(a_run) {
+        m.mul_rows(a, tile.raw_row(r), c);
+    }
 }
 
 /// Exact native `f32` multiplication — the paper's float32 baseline.
@@ -348,10 +355,7 @@ impl ScalarMul for QuantizedExactMul {
 
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
         if tile.format != self.format {
-            for (r, a) in drivers(a_run) {
-                self.mul_rows(a, tile.raw_row(r), c);
-            }
-            return;
+            return mul_raw_rows(self, a_run, tile, c);
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
         // A kept word is the `f32` of the format-rounded lane: exactly the
@@ -688,10 +692,7 @@ impl ApproxFpMul {
     /// goes driver by driver.
     fn mul_tile_rows_with(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
         if tile.format != self.format {
-            for (r, a) in drivers(a_run) {
-                self.mul_rows(a, tile.raw_row(r), c);
-            }
-            return;
+            return mul_raw_rows(self, a_run, tile, c);
         }
         debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
         let run = RunConsts {
@@ -1101,14 +1102,6 @@ mod tests {
         m.prepare_tile(&TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false))
     }
 
-    /// The run-form reference: `mul_rows` on the raw row of every
-    /// nonzero driver of `a_run`, in ascending row order.
-    fn per_driver(m: &dyn ScalarMul, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
-        for (r, a) in drivers(a_run) {
-            m.mul_rows(a, tile.raw_row(r), c);
-        }
-    }
-
     /// The runs [`assert_tile_rows_match_mul_rows`] and
     /// [`assert_kernels_match_mul_rows`] drive a `rows`-row tile with:
     /// each A value alone on each row, then each rotation of `as_`
@@ -1168,7 +1161,7 @@ mod tests {
                 for init in [0.0f32, -0.0] {
                     let mut plain = vec![init; w];
                     let mut tiled = vec![init; w];
-                    per_driver(m, &a_run, &tile, &mut plain);
+                    mul_raw_rows(m, &a_run, &tile, &mut plain);
                     m.mul_tile_rows(&a_run, &tile, &mut tiled);
                     for (j, (&p, &q)) in plain.iter().zip(&tiled).enumerate() {
                         assert!(
@@ -1275,7 +1268,7 @@ mod tests {
                 for &a in &[1.5f32, -0.37, 0.0] {
                     let mut plain = vec![0.0f32; bs.len()];
                     let mut tiled = vec![0.0f32; bs.len()];
-                    per_driver(consumer.as_ref(), &[a], &tile, &mut plain);
+                    mul_raw_rows(consumer.as_ref(), &[a], &tile, &mut plain);
                     consumer.mul_tile_rows(&[a], &tile, &mut tiled);
                     for (&p, &q) in plain.iter().zip(&tiled) {
                         assert!(
@@ -1565,7 +1558,7 @@ mod tests {
             for a_run in runs(rows, as_) {
                 for init in [0.0f32, -0.0] {
                     let mut plain = vec![init; n];
-                    per_driver(m, &a_run, tile, &mut plain);
+                    mul_raw_rows(m, &a_run, tile, &mut plain);
                     for simd in [false, true] {
                         let mut tiled = vec![init; n];
                         m.mac(&a_run, tile, &mut tiled, simd);
