@@ -283,14 +283,14 @@ pub(crate) enum Narrow<'a> {
 }
 
 /// Multiply-accumulates a run of drivers into a C row at most
-/// [`NARROW_LANES`] wide on AVX-512F, holding the row in registers from
-/// the first driver to the last. For each nonzero `a_run[r]`, in
+/// [`NARROW_LANES`] wide on AVX-512F, holding the row in one register
+/// from the first driver to the last. For each nonzero `a_run[r]`, in
 /// ascending `r`, `step(r, a)` says what the row takes: a
-/// [`Narrow::Mac`] is one masked gather from the product row per
-/// register, the two-add encode and one masked add; a
-/// [`Narrow::Fallback`] stores the accumulators, runs `fallback(r, a,
-/// c)` and reloads them. The adds and their order are those of the
-/// per-driver MACs, so C gets the same bits.
+/// [`Narrow::Mac`] is one masked gather from the product row, the
+/// two-add encode and one masked add; a [`Narrow::Fallback`] stores the
+/// register, runs `fallback(r, a, c)` and reloads it. The adds and
+/// their order are those of the per-driver MACs, so C gets the same
+/// bits.
 /// Returns `false` and leaves `c` alone unless `simd` asks for the
 /// kernel and the host has it.
 ///
@@ -305,7 +305,7 @@ pub(crate) fn mac_narrow<'a>(
     fallback: impl FnMut(usize, f32, &mut [f32]),
     simd: bool,
 ) -> bool {
-    assert!(c.len() <= NARROW_LANES, "a narrow run's C row fits its registers");
+    assert!(c.len() <= NARROW_LANES, "a narrow run's C row fits its register");
     simd && avx512::mac_narrow(a_run, c, step, fallback)
 }
 
