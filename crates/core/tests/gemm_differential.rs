@@ -487,3 +487,49 @@ fn narrow_tiles_with_zero_heavy_a_match_reference() {
         }
     }
 }
+
+#[test]
+fn eager_gemms_of_growing_and_shrinking_shapes_match_reference_on_one_thread() {
+    // One thread runs eager GEMMs one after another, each B tile decoded
+    // as the walk reaches it. The shapes grow and shrink — tiles wider,
+    // narrower, deeper and shallower than the last, across the KC and NC
+    // block edges — and the backend switches between bf16, fp16 and the
+    // exact bf16 multiplier. B ranges from dense to mostly zero with
+    // exotic lanes, so rows of both layouts follow rows of the other.
+    // Each GEMM must match the reference whatever ran before it.
+    let same = |x: f32, y: f32| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    let backends: [Box<dyn ScalarMul>; 3] = [
+        Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16)),
+        Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16)),
+        Box::new(QuantizedExactMul::new(FpFormat::BF16)),
+    ];
+    let shapes = [
+        (3usize, 300usize, 1100usize),
+        (2, 9, 16),
+        (5, 72, 512),
+        (1, 3, 5),
+        (4, 260, 40),
+        (2, 40, 1030),
+        (1, 1, 1),
+        (6, 72, 300),
+        (3, 9, 2048),
+        (2, 17, 17),
+    ];
+    for (i, &(m, k, n)) in shapes.iter().cycle().take(3 * shapes.len()).enumerate() {
+        let mul = backends[i % backends.len()].as_ref();
+        let zero_b = ZERO_FRACTIONS[i % ZERO_FRACTIONS.len()];
+        let (a, b, c0) = zero_heavy_case(m, k, n, zero_b, 0x5EED_0023 + i as u64);
+        let mut reference = c0.clone();
+        let mut engine = c0;
+        gemm_reference(mul, &a, &b, &mut reference, m, k, n);
+        gemm(mul, &a, &b, &mut engine, m, k, n);
+        for (e, (&r, &t)) in reference.iter().zip(&engine).enumerate() {
+            assert!(
+                same(r, t),
+                "GEMM {i}, {} {m}x{k}x{n}, B zero fraction {zero_b}, element {e}: \
+                 reference {r} vs engine {t}",
+                mul.name()
+            );
+        }
+    }
+}
