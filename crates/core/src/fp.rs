@@ -13,10 +13,10 @@ use std::fmt;
 const LANES: usize = 8;
 
 /// One `KC × NC` tile of the streamed B operand, as the GEMM engine
-/// hands it to [`ScalarMul::prepare_tile`]: rows `l0..l1` and columns
+/// decodes it into a [`PreparedTile`]: rows `l0..l1` and columns
 /// `j0..j1` of a row-major matrix `n` columns wide.
 #[derive(Debug, Clone, Copy)]
-pub struct TileSource<'a> {
+pub(crate) struct TileSource<'a> {
     b: &'a [f32],
     n: usize,
     tile: Tile,
@@ -43,13 +43,22 @@ impl<'a> TileSource<'a> {
     }
 }
 
+/// The format the GEMM engine decodes `m`'s B tiles into: its
+/// [`ScalarMul::tile_format`], when that format is `f32`-encodable.
+/// `None` means `m` consumes raw B rows through the fused
+/// [`mul_rows`](ScalarMul::mul_rows) loop.
+pub(crate) fn decoded_format(m: &dyn ScalarMul) -> Option<FpFormat> {
+    m.tile_format().filter(|&format| f32_encodable(format))
+}
+
 /// One B tile decoded once for many [`ScalarMul::mul_tile_rows`] calls —
 /// the operand conversion the GEMM engine hoists out of the MAC loop
 /// (one decode per tile *element*, reused by every C row). Each call
 /// runs one C row's A elements over the tile's depth against the tile's
 /// rows, one driver per row.
 ///
-/// Produced by [`ScalarMul::prepare_tile`]. A tile belongs to the format
+/// Decoded by the GEMM engine into the format a backend's
+/// [`ScalarMul::tile_format`] names. A tile belongs to the format
 /// it was rounded into, not to the backend that asked for it: every
 /// lane is decoded into its format straight from the `f32` bits
 /// (round-to-nearest-even, carry, range checks; exactly
@@ -74,6 +83,12 @@ impl<'a> TileSource<'a> {
 /// its raw values for that, and so that a backend of *another* format
 /// can consume the tile through its [`mul_rows`](ScalarMul::mul_rows)
 /// semantics — correct, just unaccelerated.
+///
+/// A stored B ([`GemmBackend::prepare_b`]) owns one tile per `KC × NC`
+/// block. An eager [`gemm`](crate::gemm) decodes every block into one
+/// tile owned by the calling thread, reused across calls: its buffers
+/// stay at the largest tile the thread has decoded, one `KC × NC` tile
+/// at most.
 #[derive(Debug, Clone)]
 pub struct PreparedTile {
     width: usize,
@@ -86,39 +101,52 @@ pub struct PreparedTile {
 }
 
 impl PreparedTile {
-    /// Decodes `src` into `format`, with the AVX-512 row decode when
-    /// `simd` asks for it and the host has it — across the pool, in
-    /// 8-row blocks, when the source asks for it. Every slab has a fixed
-    /// place, so blocks write disjoint memory and scheduling cannot
-    /// change the tile. `None` when `format` is not `f32`-encodable:
-    /// there is nothing cheap to cache, so the engine keeps the raw
-    /// fused loop.
-    fn decode(src: &TileSource<'_>, format: FpFormat, simd: bool) -> Option<Self> {
-        if !f32_encodable(format) {
-            return None;
-        }
+    /// Decodes `src` into `format` (see [`decode_into`](Self::decode_into)).
+    pub(crate) fn decode(src: &TileSource<'_>, format: FpFormat, simd: bool) -> Self {
+        let mut tile = PreparedTile { width: 0, raw: Vec::new(), slabs: Vec::new(), format };
+        tile.decode_into(src, format, simd);
+        tile
+    }
+
+    /// Decodes `src` into `format` in place of this tile's contents, with
+    /// the AVX-512 row decode when `simd` asks for it and the host has
+    /// it — across the pool, in 8-row blocks, when the source asks for
+    /// it. Every slab has a fixed place, so blocks write disjoint memory
+    /// and scheduling cannot change the tile. The buffers are cleared
+    /// and resized, not reallocated unless they must grow: the tile's
+    /// bytes are those of a fresh [`decode`](Self::decode), and its
+    /// capacity stays at the largest tile decoded into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `format` is `f32`-encodable ([`decoded_format`]
+    /// names only those).
+    pub(crate) fn decode_into(&mut self, src: &TileSource<'_>, format: FpFormat, simd: bool) {
         let dec = LaneDecoder::new(format);
         let (rows, width) = (src.rows(), src.width());
         let stride = decoded_stride(width);
-        let mut raw = Vec::with_capacity(rows * width);
+        self.raw.clear();
+        self.raw.reserve(rows * width);
         for r in 0..rows {
-            raw.extend_from_slice(src.row(r));
+            self.raw.extend_from_slice(src.row(r));
         }
-        let mut slabs = vec![0u32; rows * stride];
+        self.slabs.clear();
+        self.slabs.resize(rows * stride, 0);
         let fill = |r0: usize, block: &mut [u32]| {
             for (r, slab) in block.chunks_exact_mut(stride).enumerate() {
                 dec.decode_row(src.row(r0 + r), slab, simd);
             }
         };
         if src.parallel {
-            slabs
+            self.slabs
                 .par_chunks_mut(8 * stride)
                 .enumerate()
                 .for_each(|(bi, block)| fill(bi * 8, block));
         } else {
-            fill(0, &mut slabs);
+            fill(0, &mut self.slabs);
         }
-        Some(PreparedTile { width, raw, slabs, format })
+        self.width = width;
+        self.format = format;
     }
 
     /// Columns in the tile.
@@ -202,26 +230,29 @@ pub trait ScalarMul: GemmBackend {
         }
     }
 
-    /// Decodes one B tile once, ahead of many
-    /// [`mul_tile_rows`](Self::mul_tile_rows) calls against its rows.
+    /// The format this backend's B tiles are decoded into, ahead of
+    /// many [`mul_tile_rows`](Self::mul_tile_rows) calls against their
+    /// rows.
     ///
     /// This is the second amortisation rung above
     /// [`mul_rows`](Self::mul_rows): `mul_rows` hoists the *A*-operand
-    /// work out of the row loop, `prepare_tile` hoists the *B*-operand
-    /// decode out of the MAC loop entirely — the GEMM engine prepares
-    /// each `KC×NC` B tile once and reuses it for every C row, so the
-    /// per-MAC `FpScalar::from_f32` disappears, and the zero lanes the
-    /// hardware gates never reach C: a sparse row drops them, a dense
-    /// one marks them for the MAC to mask.
+    /// work out of the row loop, a decoded tile hoists the *B*-operand
+    /// decode out of the MAC loop entirely — the GEMM engine decodes
+    /// each `KC×NC` B tile once into a [`PreparedTile`] and reuses it
+    /// for every C row, so the per-MAC `FpScalar::from_f32` disappears,
+    /// and the zero lanes the hardware gates never reach C: a sparse row
+    /// drops them, a dense one marks them for the MAC to mask. The
+    /// engine owns the decode; a backend only names the format.
     ///
-    /// `None` (the default) means the backend has no cheaper form: the
-    /// engine keeps the raw fused [`mul_rows`](Self::mul_rows) loop.
-    fn prepare_tile(&self, _src: &TileSource<'_>) -> Option<PreparedTile> {
+    /// `None` (the default), or a format that is not `f32`-encodable,
+    /// means the backend has no cheaper form: the engine keeps the raw
+    /// fused [`mul_rows`](Self::mul_rows) loop.
+    fn tile_format(&self) -> Option<FpFormat> {
         None
     }
 
-    /// One run of drivers against a tile prepared by
-    /// [`prepare_tile`](Self::prepare_tile): `a_run[r]` drives tile row
+    /// One run of drivers against a tile decoded into
+    /// [`tile_format`](Self::tile_format): `a_run[r]` drives tile row
     /// `r`, and for every `r` with `a_run[r] != 0.0`, in ascending `r`,
     /// `c[j] += mul(a_run[r], b[j])` for every `j` with `b[j] != 0.0`.
     /// The GEMM engine issues one call per (C row, tile). It is the
@@ -349,8 +380,8 @@ impl ScalarMul for QuantizedExactMul {
         }
     }
 
-    fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
-        PreparedTile::decode(src, self.format, true)
+    fn tile_format(&self) -> Option<FpFormat> {
+        Some(self.format)
     }
 
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
@@ -863,8 +894,8 @@ impl ScalarMul for ApproxFpMul {
         }
     }
 
-    fn prepare_tile(&self, src: &TileSource<'_>) -> Option<PreparedTile> {
-        PreparedTile::decode(src, self.format, true)
+    fn tile_format(&self) -> Option<FpFormat> {
+        Some(self.format)
     }
 
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
@@ -1096,10 +1127,16 @@ mod tests {
         }
     }
 
-    /// `bs` as a one-tile matrix of `rows` rows, decoded by `m`.
-    fn tile_of(m: &dyn ScalarMul, bs: &[f32], rows: usize) -> Option<PreparedTile> {
+    /// `bs` as a one-tile matrix of `rows` rows, `n` wide.
+    fn source(bs: &[f32], rows: usize) -> TileSource<'_> {
         let n = bs.len() / rows;
-        m.prepare_tile(&TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false))
+        TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false)
+    }
+
+    /// `bs` as a one-tile matrix of `rows` rows, decoded as the engine
+    /// decodes it for `m`.
+    fn tile_of(m: &dyn ScalarMul, bs: &[f32], rows: usize) -> Option<PreparedTile> {
+        decoded_format(m).map(|format| PreparedTile::decode(&source(bs, rows), format, true))
     }
 
     /// The runs [`assert_tile_rows_match_mul_rows`] and
@@ -1126,7 +1163,7 @@ mod tests {
         p.to_bits() == q.to_bits() || (p.is_nan() && q.is_nan())
     }
 
-    /// `prepare_tile` + `mul_tile_rows` must be element-wise bit-identical
+    /// A decoded tile + `mul_tile_rows` must be element-wise bit-identical
     /// to per-driver `mul_rows` on the same rows — the contract the tiled
     /// GEMM engine is built on. Exercised over the full edge-value grid
     /// (zeros, subnormals, infinities, NaN), a dense magnitude sweep, and
@@ -1222,12 +1259,64 @@ mod tests {
         }
         let src =
             |parallel| TileSource::new(&bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, parallel);
-        let serial = m.prepare_tile(&src(false)).expect("fast format");
-        let parallel = m.prepare_tile(&src(true)).expect("fast format");
+        let serial = PreparedTile::decode(&src(false), m.format, true);
+        let parallel = PreparedTile::decode(&src(true), m.format, true);
         assert_eq!(serial.format, parallel.format);
         assert_eq!(serial.slabs, parallel.slabs);
         let bits = |t: &PreparedTile| t.raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&serial), bits(&parallel));
+    }
+
+    #[test]
+    fn decode_into_a_used_tile_equals_a_fresh_decode() {
+        // One tile first takes a wide, dense source with exotic lanes,
+        // then narrower and shorter ones, dense and compressed, in two
+        // formats, on both decode kernels, then the wide one again. Each
+        // decode must leave exactly the bytes of a fresh decode of the
+        // same source — raw values, width, format and every slab word,
+        // the slots past a row's counts included — and reuse the
+        // buffers the wide source grew.
+        let exotic = [f32::INFINITY, f32::NAN, 1e-40, -1e-40, 1e6, -1e-7];
+        let value = |i: usize, zero_every: usize| match i {
+            _ if i % 11 == 5 => exotic[i / 11 % exotic.len()],
+            _ if i.is_multiple_of(zero_every) => [0.0, -0.0][i / zero_every % 2],
+            _ => (1.0 + (i * 37 % 64) as f32 / 64.0) * 2f32.powi((i % 13) as i32 - 6),
+        };
+        // `(values, rows)`: a zero every 7th or 3rd lane leaves the rows
+        // dense, a zero in every lane but the exotic ones compressed.
+        let matrix = |rows: usize, n: usize, zero_every: usize| {
+            ((0..rows * n).map(|i| value(i, zero_every)).collect::<Vec<f32>>(), rows)
+        };
+        let wide = matrix(40, 300, 7);
+        let sparse: Vec<f32> =
+            (0..5 * 64).map(|i| if i % 10 == 0 { value(i, 7) } else { 0.0 }).collect();
+        let sources = [
+            matrix(12, 17, 7),
+            matrix(3, 100, 1),
+            matrix(72, 9, 7),
+            (sparse, 5),
+            matrix(1, 1, 7),
+            matrix(2, 299, 3),
+        ];
+        let bits = |t: &PreparedTile| t.raw.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for simd in [false, true] {
+            let mut tile = PreparedTile::decode(&source(&wide.0, wide.1), FpFormat::BF16, simd);
+            let capacity = (tile.raw.capacity(), tile.slabs.capacity());
+            let followers = sources.iter().zip([FpFormat::BF16, FpFormat::FP16].iter().cycle());
+            for (i, ((bs, rows), &format)) in
+                followers.chain([(&wide, &FpFormat::FP16)]).enumerate()
+            {
+                let src = source(bs, *rows);
+                tile.decode_into(&src, format, simd);
+                let fresh = PreparedTile::decode(&src, format, simd);
+                let what = format!("source {i} ({rows} rows, {format}), simd={simd}");
+                assert_eq!((tile.width, tile.format), (fresh.width, fresh.format), "{what}");
+                assert_eq!(bits(&tile), bits(&fresh), "{what}: raw values");
+                assert_eq!(decoded_contents(&tile), decoded_contents(&fresh), "{what}");
+                assert_eq!(tile.slabs, fresh.slabs, "{what}: slab words");
+                assert_eq!((tile.raw.capacity(), tile.slabs.capacity()), capacity, "{what}");
+            }
+        }
     }
 
     #[test]
@@ -1506,29 +1595,18 @@ mod tests {
 
     /// A tile-decoding backend as the kernel tests drive it.
     trait TileBackend: ScalarMul {
-        /// The format its tiles are decoded into.
-        fn tile_format(&self) -> FpFormat;
-
         /// [`ScalarMul::mul_tile_rows`] on the MAC kernels `simd` asks
         /// for.
         fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool);
     }
 
     impl TileBackend for ApproxFpMul {
-        fn tile_format(&self) -> FpFormat {
-            self.format
-        }
-
         fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
             self.mul_tile_rows_with(a_run, tile, c, simd);
         }
     }
 
     impl TileBackend for QuantizedExactMul {
-        fn tile_format(&self) -> FpFormat {
-            self.format
-        }
-
         /// One MAC kernel: `simd` picks only the decode.
         fn mac(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], _simd: bool) {
             self.mul_tile_rows(a_run, tile, c);
@@ -1542,10 +1620,8 @@ mod tests {
     /// alike.
     fn assert_kernels_match_mul_rows(m: &dyn TileBackend, bs: &[f32], rows: usize, as_: &[f32]) {
         let n = bs.len() / rows;
-        let format = m.tile_format();
-        let src = TileSource::new(bs, n, Tile { l0: 0, l1: rows, j0: 0, j1: n }, false);
-        let tiles = [false, true]
-            .map(|simd| PreparedTile::decode(&src, format, simd).expect("f32-encodable format"));
+        let format = decoded_format(m).expect("f32-encodable format");
+        let tiles = [false, true].map(|simd| PreparedTile::decode(&source(bs, rows), format, simd));
         assert_eq!(decoded_contents(&tiles[0]), decoded_contents(&tiles[1]), "{}", m.name());
         for tile in &tiles {
             assert_eq!(tile.slabs.len(), rows * decoded_stride(n), "{}: row-slab stride", m.name());

@@ -18,8 +18,9 @@
 //!     (A-element, B-row-segment) pair. Used for backends without a
 //!     decoded form, and for tiny native-`f32` problems, where packing B
 //!     has no cross-row reuse to amortise;
-//!   * *decoded* — [`ScalarMul::prepare_tile`] decodes the whole tile
-//!     once into one [`PreparedTile`], even for a single C row (the
+//!   * *decoded* — the engine decodes the whole tile once into one
+//!     [`PreparedTile`] of the format [`ScalarMul::tile_format`] names,
+//!     even for a single C row (the
 //!     decoded MAC beats the fused per-element loop from the first row):
 //!     one fixed-stride slab per tile row, followed by the row's count
 //!     of kept lanes. The form belongs to the format, not the backend:
@@ -43,6 +44,19 @@
 //!   [`GemmBackend::prepare_b`] builds all of them up front, and
 //!   [`GemmBackend::gemm_prepared_b`] replays them. Both end in the same
 //!   walk.
+//! * **Per-thread tile buffers.** An eager walk decodes every tile into
+//!   one [`PreparedTile`] that belongs to the calling thread, as DAISM
+//!   rewrites one fixed set of banks rather than adding banks per
+//!   matrix: its buffers are cleared and resized, never freed, so they
+//!   stay at the largest tile the thread has decoded — one `KC × NC`
+//!   tile at most (1 MiB of raw values and 2 MiB of slabs), and a
+//!   steady stream of same-shaped GEMMs allocates none. The call takes
+//!   the tile out of a thread-local cell and puts it back when it ends.
+//!   A GEMM that starts on the thread while another is running there (a
+//!   backend whose MAC calls [`gemm`], or a pool that runs another job
+//!   on a waiting thread) finds the cell empty and decodes into a fresh
+//!   tile of its own: it never sees the outer call's tile, and no borrow
+//!   can fail. Packed tiles are built fresh per tile.
 //! * **One backend handle.** [`GemmBackend`] is what every caller above
 //!   the engine takes: every [`ScalarMul`] implements it through this
 //!   walk, and [`BlockFpGemm`] through its integer tile walk.
@@ -74,12 +88,13 @@
 //! scalar path accumulates it.)
 
 use crate::config::{MultiplierConfig, OperandMode};
-use crate::fp::{PreparedTile, TileSource};
+use crate::fp::{decoded_format, PreparedTile, TileSource};
 use crate::mantissa::MantissaMultiplier;
 use crate::microkernel::{self, PackedBBlock};
 use crate::ScalarMul;
-use daism_num::BlockFp;
+use daism_num::{BlockFp, FpFormat};
 use rayon::prelude::*;
+use std::cell::Cell;
 use std::fmt;
 
 /// Rows of C per parallel panel (upper bound; small problems split
@@ -167,9 +182,10 @@ pub fn gemm_reference(
 ///
 /// Picks a form for B, then runs the same tile walk as
 /// [`GemmBackend::gemm_prepared_b`], converting each tile as it gets there:
-/// backends with a decoded form ([`ScalarMul::prepare_tile`]) decode
-/// each `KC×NC` B tile once, gating its zero lanes, and share it
-/// across rows and threads; native-`f32` backends pack it for the
+/// backends with a decoded form ([`ScalarMul::tile_format`]) decode
+/// each `KC×NC` B tile once, gating its zero lanes, into the calling
+/// thread's tile buffer and share it across rows and threads;
+/// native-`f32` backends pack it for the
 /// register-tile microkernel. Decoding pays off even for `m == 1`.
 /// Backends without a decoded form and tiny native-`f32` problems,
 /// where packing has no cross-row reuse to amortise, keep the fused
@@ -218,9 +234,12 @@ pub fn gemm(
             BForm::Raw(b)
         }
     } else {
-        // Decode each tile per call, even for m == 1; a tile the backend
-        // has no decoded form for runs raw.
-        BForm::Tiles(BTiles::Raw(b))
+        // Decode each tile per call, even for m == 1, unless the backend
+        // has no decoded form.
+        match decoded_format(mul) {
+            Some(format) => BForm::Decode(b, format),
+            None => BForm::Raw(b),
+        }
     };
     run(mul, a, form, c, k, n, par_chunk_rows(m, k, n));
 }
@@ -276,9 +295,11 @@ impl<T> Copy for BTiles<'_, T> {}
 enum BForm<'a> {
     /// The raw values through the fused `mul_rows` loop.
     Raw(&'a [f32]),
-    /// One [`PreparedTile`] per tile; eagerly, a tile the backend has no
-    /// form for ([`ScalarMul::prepare_tile`] returns `None`) runs raw.
-    Tiles(BTiles<'a, PreparedTile>),
+    /// Each tile decoded into the format as the walk reaches it, into
+    /// the calling thread's tile ([`THREAD_TILE`]).
+    Decode(&'a [f32], FpFormat),
+    /// One [`PreparedTile`] per tile, decoded up front.
+    Tiles(&'a [PreparedTile]),
     /// `NR`-major packed tiles for the native-`f32` microkernel.
     Packed(BTiles<'a, PackedBBlock>),
 }
@@ -289,6 +310,14 @@ enum TileB<'a> {
     Raw(&'a [f32]),
     Decoded(&'a PreparedTile),
     Packed(&'a PackedBBlock),
+}
+
+thread_local! {
+    /// The calling thread's tile for eager decoded walks: [`run`] takes
+    /// it for the call and puts it back at the end, so a GEMM nested on
+    /// the same thread finds `None` and decodes into a fresh tile (see
+    /// the module docs).
+    static THREAD_TILE: Cell<Option<PreparedTile>> = const { Cell::new(None) };
 }
 
 /// The one float tile walk behind [`gemm`] and a scalar backend's
@@ -307,15 +336,23 @@ fn run(
     n: usize,
     chunk_rows: Option<usize>,
 ) {
+    let mut own = match b {
+        BForm::Decode(..) => THREAD_TILE.take(),
+        _ => None,
+    };
     for (ti, tile) in tiles(k, n, KC, NC).enumerate() {
-        let (decoded, block);
+        let block;
         let tb = match b {
             BForm::Raw(raw) => TileB::Raw(raw),
-            BForm::Tiles(BTiles::Raw(raw)) => {
-                decoded = mul.prepare_tile(&TileSource::new(raw, n, tile, chunk_rows.is_some()));
-                decoded.as_ref().map_or(TileB::Raw(raw), TileB::Decoded)
+            BForm::Decode(raw, format) => {
+                let src = TileSource::new(raw, n, tile, chunk_rows.is_some());
+                match own.as_mut() {
+                    Some(decoded) => decoded.decode_into(&src, format, true),
+                    None => own = Some(PreparedTile::decode(&src, format, true)),
+                }
+                TileB::Decoded(own.as_ref().expect("decoded just above"))
             }
-            BForm::Tiles(BTiles::Prepared(tiles)) => TileB::Decoded(&tiles[ti]),
+            BForm::Tiles(tiles) => TileB::Decoded(&tiles[ti]),
             BForm::Packed(BTiles::Raw(raw)) => {
                 block = microkernel::pack_b(raw, n, tile);
                 TileB::Packed(&block)
@@ -328,6 +365,9 @@ fn run(
                 tile_rows(mul, a, tb, cpanel, ci * cr, k, n, tile);
             }),
         }
+    }
+    if own.is_some() {
+        THREAD_TILE.set(own);
     }
 }
 
@@ -552,11 +592,11 @@ fn scalar_prepare_b(mul: &dyn ScalarMul, b: &[f32], k: usize, n: usize) -> Prepa
     let walk = tiles(k, n, KC, NC);
     let stored = if mul.is_native_f32() {
         StoredB::Packed(walk.map(|t| microkernel::pack_b(b, n, t)).collect())
+    } else if let Some(format) = decoded_format(mul) {
+        let decode = |t| PreparedTile::decode(&TileSource::new(b, n, t, false), format, true);
+        StoredB::Tiles(walk.map(decode).collect())
     } else {
-        match walk.map(|t| mul.prepare_tile(&TileSource::new(b, n, t, false))).collect() {
-            Some(tiles) => StoredB::Tiles(tiles),
-            None => StoredB::Fused(b.to_vec()),
-        }
+        StoredB::Fused(b.to_vec())
     };
     PreparedB { k, n, stored }
 }
@@ -579,7 +619,7 @@ fn scalar_gemm_prepared_b(mul: &dyn ScalarMul, a: &[f32], b: &PreparedB, c: &mut
             );
             BForm::Packed(BTiles::Prepared(blocks))
         }
-        StoredB::Tiles(tiles) => BForm::Tiles(BTiles::Prepared(tiles)),
+        StoredB::Tiles(tiles) => BForm::Tiles(tiles),
         StoredB::Fused(raw) => BForm::Raw(raw),
         StoredB::BlockFp { .. } => {
             panic!("prepared B was quantized by a BlockFp engine; {mul} cannot consume it")
@@ -1113,6 +1153,44 @@ mod tests {
     }
 
     #[test]
+    fn a_gemm_nested_in_a_tile_mac_decodes_into_its_own_tile() {
+        // A backend whose run MAC issues an eager GEMM of another shape on
+        // the same thread, in the middle of the outer walk: the inner call
+        // must find the thread's tile taken and decode into a fresh one,
+        // leaving the tile the outer walk is reading intact. Inner and
+        // outer GEMMs must both match the reference.
+        #[derive(Debug)]
+        struct Nesting(ApproxFpMul);
+        impl fmt::Display for Nesting {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "nesting({})", self.0)
+            }
+        }
+        impl ScalarMul for Nesting {
+            fn mul(&self, x: f32, y: f32) -> f32 {
+                self.0.mul(x, y)
+            }
+            fn mul_rows(&self, a: f32, b: &[f32], c: &mut [f32]) {
+                self.0.mul_rows(a, b, c);
+            }
+            fn tile_format(&self) -> Option<FpFormat> {
+                self.0.tile_format()
+            }
+            fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
+                assert_bit_identical(&self.0, 2, 5, 33);
+                self.0.mul_tile_rows(a_run, tile, c);
+            }
+        }
+        let nesting = Nesting(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16));
+        // Two depth blocks, so the outer walk decodes into its tile again
+        // after inner GEMMs have run; one C row keeps the walk serial, on
+        // this thread.
+        assert_bit_identical(&nesting, 1, KC + 3, 40);
+        let kept = THREAD_TILE.take().expect("the thread keeps a tile");
+        assert_eq!(kept.width(), 40, "the outer call's tile is the one kept");
+    }
+
+    #[test]
     fn exact_gemm_matches_manual() {
         let a = [1.0, 0.0, 2.0, -1.0, 3.0, 1.0]; // 2x3
         let b = [2.0, 1.0, 0.0, -1.0, 1.0, 2.0]; // 3x2
@@ -1228,8 +1306,8 @@ mod tests {
                         ("prepared packed", BForm::Packed(BTiles::Prepared(blocks))),
                     ],
                     StoredB::Tiles(tiles) => [
-                        ("tiles", BForm::Tiles(BTiles::Raw(&b))),
-                        ("prepared tiles", BForm::Tiles(BTiles::Prepared(tiles))),
+                        ("tiles", BForm::Decode(&b, FpFormat::BF16)),
+                        ("prepared tiles", BForm::Tiles(tiles)),
                     ],
                     _ => panic!("{} has a tile form", mul.name()),
                 };

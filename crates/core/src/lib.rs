@@ -86,7 +86,7 @@ mod tile_kernel;
 
 pub use config::{MultiplierConfig, MultiplierKind, OperandMode};
 pub use error::CoreError;
-pub use fp::{ApproxFpMul, ExactMul, PreparedTile, QuantizedExactMul, ScalarMul, TileSource};
+pub use fp::{ApproxFpMul, ExactMul, PreparedTile, QuantizedExactMul, ScalarMul};
 pub use gemm::{gemm, gemm_reference, BlockFpGemm, GemmBackend, PreparedB};
 pub use lines::{LineLayout, LineSpec};
 pub use mantissa::{exact_mul, MantissaMultiplier, PreparedMultiplicand};
