@@ -1,6 +1,7 @@
 use crate::session::{checked_forward, CompiledConv, CompiledDense, CompiledLayer};
 use crate::tensor::Tensor;
 use daism_core::GemmBackend;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// A trainable parameter: value, gradient accumulator and SGD momentum
@@ -203,6 +204,15 @@ pub(crate) struct ConvGeom {
     padding: usize,
 }
 
+thread_local! {
+    /// The calling thread's conv lowering buffers, `(cols, staged)`:
+    /// [`ConvGeom::forward`] takes them for the call and puts them back at
+    /// the end, so they stay at the largest conv the thread has run. A
+    /// forward nested on the same thread finds them taken (empty) and
+    /// grows buffers of its own.
+    static LOWERING: Cell<(Vec<f32>, Vec<f32>)> = const { Cell::new((Vec::new(), Vec::new())) };
+}
+
 impl ConvGeom {
     fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
@@ -252,13 +262,17 @@ impl ConvGeom {
         let (oh, ow) = self.out_hw(h, w);
         let bp = batch * oh * ow;
 
-        // The whole-batch lowering, into scratch owned by *this call* —
-        // a compiled conv shared across threads cannot corrupt it.
-        let mut cols = Vec::new();
+        // The whole-batch lowering, into the calling thread's buffers —
+        // taken for this call, so a compiled conv served from many
+        // threads, or a forward nested on this one, never shares them.
+        let (mut cols, mut staged) = LOWERING.take();
         self.lower_batch(x, &mut cols, cols_t);
-        let mut staged = vec![0.0f32; self.out_ch * bp];
+        staged.clear();
+        staged.resize(self.out_ch * bp, 0.0);
         backend.gemm(weights, &cols, &mut staged, self.out_ch, self.kdim(), bp);
-        self.unstage_with_bias(bias, &staged, batch, oh, ow)
+        let y = self.unstage_with_bias(bias, &staged, batch, oh, ow);
+        LOWERING.set((cols, staged));
+        y
     }
 
     /// The output positions `o` in `0..out` whose input position

@@ -17,9 +17,11 @@
 //!   `Conv2d` copies its kernel matrix (the GEMM's A, which has no
 //!   stored form: the engine converts it on every call),
 //!   activations/pooling/reshapes compile to pure functions;
-//! * [`CompiledModel::forward`] takes `&self`, owns per-call scratch,
-//!   and is `Send + Sync` — one compiled session is safely shared
-//!   across serving threads;
+//! * [`CompiledModel::forward`] takes `&self` and is `Send + Sync` —
+//!   one compiled session is safely shared across serving threads. Its
+//!   large scratch (a conv's lowering and GEMM output, the engine's
+//!   decoded B tile) belongs to the calling thread, kept at its
+//!   high-water mark and taken for the call, so no two calls share it;
 //! * [`InferenceSession`] micro-batches queued requests: same-shape
 //!   requests are concatenated into one batched GEMM per layer (riding
 //!   the whole-batch im2col lowering) and the per-request outputs
@@ -73,9 +75,10 @@ impl CompiledDense {
 }
 
 /// A compiled `Conv2d`: a copy of the `[out_ch, in_ch·k·k]` kernel
-/// matrix, the GEMM's A operand, run by [`ConvGeom::forward`] with
-/// **per-call** lowering scratch — serving through `&self` never touches
-/// a training layer's buffers.
+/// matrix, the GEMM's A operand, run by [`ConvGeom::forward`] with the
+/// calling thread's lowering buffers, taken for the call — serving
+/// through `&self` never touches a training layer's buffers or another
+/// call's.
 #[derive(Debug)]
 pub(crate) struct CompiledConv {
     pub(crate) geom: ConvGeom,
