@@ -101,10 +101,17 @@ pub struct PreparedTile {
 }
 
 impl PreparedTile {
-    /// Decodes `src` into `format` (see [`decode_into`](Self::decode_into)).
+    /// Decodes `src` into `format` as a new tile, its buffers allocated
+    /// to size (see [`decode_into`](Self::decode_into)).
     pub(crate) fn decode(src: &TileSource<'_>, format: FpFormat, simd: bool) -> Self {
-        let mut tile = PreparedTile { width: 0, raw: Vec::new(), slabs: Vec::new(), format };
-        tile.decode_into(src, format, simd);
+        let (rows, width) = (src.rows(), src.width());
+        let mut tile = PreparedTile {
+            width,
+            raw: Vec::with_capacity(rows * width),
+            slabs: vec![0; rows * decoded_stride(width)],
+            format,
+        };
+        tile.fill(src, simd);
         tile
     }
 
@@ -122,17 +129,24 @@ impl PreparedTile {
     /// Panics unless `format` is `f32`-encodable ([`decoded_format`]
     /// names only those).
     pub(crate) fn decode_into(&mut self, src: &TileSource<'_>, format: FpFormat, simd: bool) {
-        let dec = LaneDecoder::new(format);
         let (rows, width) = (src.rows(), src.width());
-        let stride = decoded_stride(width);
         self.raw.clear();
         self.raw.reserve(rows * width);
-        for r in 0..rows {
+        self.slabs.clear();
+        self.slabs.resize(rows * decoded_stride(width), 0);
+        (self.width, self.format) = (width, format);
+        self.fill(src, simd);
+    }
+
+    /// Copies `src` into the empty `raw` and decodes its rows into the
+    /// zeroed slabs, both sized for it.
+    fn fill(&mut self, src: &TileSource<'_>, simd: bool) {
+        let dec = LaneDecoder::new(self.format);
+        let stride = decoded_stride(self.width);
+        for r in 0..src.rows() {
             self.raw.extend_from_slice(src.row(r));
         }
-        self.slabs.clear();
-        self.slabs.resize(rows * stride, 0);
-        let fill = |r0: usize, block: &mut [u32]| {
+        let decode_block = |r0: usize, block: &mut [u32]| {
             for (r, slab) in block.chunks_exact_mut(stride).enumerate() {
                 dec.decode_row(src.row(r0 + r), slab, simd);
             }
@@ -141,12 +155,10 @@ impl PreparedTile {
             self.slabs
                 .par_chunks_mut(8 * stride)
                 .enumerate()
-                .for_each(|(bi, block)| fill(bi * 8, block));
+                .for_each(|(bi, block)| decode_block(bi * 8, block));
         } else {
-            fill(0, &mut self.slabs);
+            decode_block(0, &mut self.slabs);
         }
-        self.width = width;
-        self.format = format;
     }
 
     /// Columns in the tile.
