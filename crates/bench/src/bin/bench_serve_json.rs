@@ -7,7 +7,9 @@
 //! Every row reports per request (`ns_per_request`, `requests_per_sec`)
 //! and per sample (`ns_per_sample`, `samples_per_sec`; `null` on the
 //! one-time `compile` rows). A request carries `batch` samples, so only
-//! the per-sample columns compare across batch sizes.
+//! the per-sample columns compare across batch sizes. The `compile`
+//! rows also report `prepared_bytes`, the heap bytes the compiled model
+//! holds.
 //!
 //! Usage:
 //!
@@ -103,7 +105,7 @@ fn main() {
         json.push_str(&format!(
             "    {{\"backend\": \"{}\", \"mode\": \"{}\", \"batch\": {}, \"requests\": {}, \
              \"best_ns\": {}, \"median_ns\": {}, \"ns_per_request\": {}, \
-             \"requests_per_sec\": {:.1}, \"ns_per_sample\": {}, \"samples_per_sec\": {}{}}}{}\n",
+             \"requests_per_sec\": {:.1}, \"ns_per_sample\": {}, \"samples_per_sec\": {}{}{}}}{}\n",
             json_escape(&row.backend),
             row.mode,
             row.batch,
@@ -114,6 +116,7 @@ fn main() {
             row.requests_per_sec(),
             or_null(row.ns_per_sample().map(|v| v.to_string())),
             or_null(row.samples_per_sec().map(|v| format!("{v:.1}"))),
+            row.prepared_bytes.map(|b| format!(", \"prepared_bytes\": {b}")).unwrap_or_default(),
             speedup.map(|s| format!(", \"speedup_vs_eager\": {s:.3}")).unwrap_or_default(),
             if i + 1 == result.rows.len() { "" } else { "," }
         ));

@@ -64,6 +64,10 @@ pub struct ServeRow {
     pub best_ns: u128,
     /// Median-of-reps wall time.
     pub median_ns: u128,
+    /// Heap bytes of the compiled model's prepared state
+    /// ([`CompiledModel::prepared_bytes`](daism_dnn::CompiledModel::prepared_bytes));
+    /// `compile` rows only.
+    pub prepared_bytes: Option<usize>,
 }
 
 impl ServeRow {
@@ -228,6 +232,7 @@ fn run_backend(
         requests: 1,
         best_ns: compile_best,
         median_ns: compile_median,
+        prepared_bytes: Some(compiled.prepared_bytes()),
     });
 
     let batches: &[usize] = if quick { &[1, 4] } else { &[1, 8, 32] };
@@ -246,6 +251,7 @@ fn run_backend(
             requests: count,
             best_ns: best,
             median_ns: median,
+            prepared_bytes: None,
         });
         let (best, median) = time_reps(reps, || {
             for x in &stream {
@@ -259,6 +265,7 @@ fn run_backend(
             requests: count,
             best_ns: best,
             median_ns: median,
+            prepared_bytes: None,
         });
     }
 }
@@ -306,6 +313,7 @@ mod tests {
             if row.mode == "compiled" {
                 assert!(result.eager_of(row).is_some(), "compiled row without eager twin");
             }
+            assert_eq!(row.prepared_bytes.is_some(), row.mode == "compile", "{}", row.backend);
         }
         let shown = result.to_string();
         assert!(shown.contains("bf16_pc3_tr"));

@@ -66,7 +66,9 @@ pub(crate) fn decoded_format(m: &dyn ScalarMul) -> Option<FpFormat> {
 /// the format-rounded value. So only the `f32`-encodable formats have
 /// this form, and every tile-decoding backend of the format reads the
 /// same tile: [`ApproxFpMul`]'s lane MACs and [`QuantizedExactMul`]'s
-/// exact products alike.
+/// exact products alike. The tile is its format's bank image and
+/// nothing else: it keeps no copy of the values it was decoded from,
+/// so a backend of another format cannot read it.
 ///
 /// Each tile row is a slab of fixed stride (a function of the tile
 /// width) that records which lanes reach the multiplier, followed by the
@@ -78,11 +80,9 @@ pub(crate) fn decoded_format(m: &dyn ScalarMul) -> Option<FpFormat> {
 /// the MACs mask its zero lanes off. Exotic lanes — Inf/NaN, a value that
 /// saturates, or a nonzero `f32` that flushes to format zero, whose
 /// signed-zero product the scalar path *accumulates* rather than skips —
-/// are listed per row and take the exact side logic on their raw values
-/// (the module docs of `tile_kernel` give the layout). The tile keeps
-/// its raw values for that, and so that a backend of *another* format
-/// can consume the tile through its [`mul_rows`](ScalarMul::mul_rows)
-/// semantics — correct, just unaccelerated.
+/// are listed per row with their format-rounded value (±0, ±Inf or NaN,
+/// all a product reads of them), and take the exact side logic (the
+/// module docs of `tile_kernel` give the layout).
 ///
 /// A stored B ([`GemmBackend::prepare_b`]) owns one tile per `KC × NC`
 /// block. An eager [`gemm`](crate::gemm) decodes every block into one
@@ -92,26 +92,18 @@ pub(crate) fn decoded_format(m: &dyn ScalarMul) -> Option<FpFormat> {
 #[derive(Debug, Clone)]
 pub struct PreparedTile {
     width: usize,
-    /// The tile's values, row-major.
-    raw: Vec<f32>,
     /// One `decoded_stride(width)`-word slab per row.
-    slabs: Vec<u32>,
+    pub(crate) slabs: Vec<u32>,
     /// The format the lanes were rounded into.
-    format: FpFormat,
+    pub(crate) format: FpFormat,
 }
 
 impl PreparedTile {
     /// Decodes `src` into `format` as a new tile, its buffers allocated
     /// to size (see [`decode_into`](Self::decode_into)).
     pub(crate) fn decode(src: &TileSource<'_>, format: FpFormat, simd: bool) -> Self {
-        let (rows, width) = (src.rows(), src.width());
-        let mut tile = PreparedTile {
-            width,
-            raw: Vec::with_capacity(rows * width),
-            slabs: vec![0; rows * decoded_stride(width)],
-            format,
-        };
-        tile.fill(src, simd);
+        let mut tile = PreparedTile { width: 0, slabs: Vec::new(), format };
+        tile.decode_into(src, format, simd);
         tile
     }
 
@@ -129,23 +121,10 @@ impl PreparedTile {
     /// Panics unless `format` is `f32`-encodable ([`decoded_format`]
     /// names only those).
     pub(crate) fn decode_into(&mut self, src: &TileSource<'_>, format: FpFormat, simd: bool) {
-        let (rows, width) = (src.rows(), src.width());
-        self.raw.clear();
-        self.raw.reserve(rows * width);
+        let (dec, stride) = (LaneDecoder::new(format), decoded_stride(src.width()));
         self.slabs.clear();
-        self.slabs.resize(rows * decoded_stride(width), 0);
-        (self.width, self.format) = (width, format);
-        self.fill(src, simd);
-    }
-
-    /// Copies `src` into the empty `raw` and decodes its rows into the
-    /// zeroed slabs, both sized for it.
-    fn fill(&mut self, src: &TileSource<'_>, simd: bool) {
-        let dec = LaneDecoder::new(self.format);
-        let stride = decoded_stride(self.width);
-        for r in 0..src.rows() {
-            self.raw.extend_from_slice(src.row(r));
-        }
+        self.slabs.resize(src.rows() * stride, 0);
+        (self.width, self.format) = (src.width(), format);
         let decode_block = |r0: usize, block: &mut [u32]| {
             for (r, slab) in block.chunks_exact_mut(stride).enumerate() {
                 dec.decode_row(src.row(r0 + r), slab, simd);
@@ -166,21 +145,19 @@ impl PreparedTile {
         self.width
     }
 
-    /// The raw (undecoded) values of row `r`.
-    pub fn raw_row(&self, r: usize) -> &[f32] {
-        &self.raw[r * self.width..(r + 1) * self.width]
+    /// The nonzero lanes of row `r` as `(column, value)`, each value the
+    /// lane's format-rounded `f32`: the kept lanes in column order, then
+    /// the exotic ones. Every column appears at most once; the zero
+    /// lanes, which never reach C, are absent.
+    pub fn lanes(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let row = self.row(r);
+        let exotic = row.exotic_lanes();
+        row.lanes().map(|(word, col)| (col, f32::from_bits(word))).chain(exotic)
     }
 
     /// The decoded slab of row `r`.
     fn row(&self, r: usize) -> DecodedRow<'_> {
         DecodedRow::new(&self.slabs, self.width, r)
-    }
-
-    /// Lanes of row `r` that [`ScalarMul::mul_tile_rows`] visits.
-    #[cfg(test)]
-    fn kept(&self, r: usize) -> usize {
-        let row = self.row(r);
-        row.lanes().count() + row.exotic.len()
     }
 }
 
@@ -275,20 +252,27 @@ pub trait ScalarMul: GemmBackend {
     /// [`mul_rows`](Self::mul_rows) contract.
     ///
     /// The same **bit-identity requirement** holds: the result must
-    /// equal `mul_rows(a_run[r], tile.raw_row(r), c)` over the nonzero
-    /// drivers in ascending `r` exactly (the run-form tests and the
-    /// differential GEMM suite enforce this).
+    /// equal `mul_rows(a_run[r], b_r, c)` over the nonzero drivers in
+    /// ascending `r` exactly, with `b_r` the row tile row `r` was decoded
+    /// from (the run-form tests and the differential GEMM suite enforce
+    /// this). The engine hands a backend only tiles of its own
+    /// `tile_format`.
     ///
-    /// The default, also taken by a tile decoded into *another* format,
-    /// runs exactly that `mul_rows` loop on the raw rows: still correct,
-    /// just not accelerated.
+    /// The default runs [`mul`](Self::mul) over each driven row's
+    /// [`lanes`](PreparedTile::lanes): equal to `mul_rows` on the row for
+    /// a backend whose `mul` rounds its operands into the format it
+    /// names, since rounding into a format is idempotent.
     ///
     /// # Panics
     ///
     /// May panic if `a_run` is longer than the tile or `c.len() !=
     /// tile.width()`.
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
-        mul_raw_rows(self, a_run, tile, c);
+        for (r, a) in drivers(a_run) {
+            for (col, v) in tile.lanes(r) {
+                c[col] += self.mul(a, v);
+            }
+        }
     }
 }
 
@@ -296,15 +280,6 @@ pub trait ScalarMul: GemmBackend {
 /// row order: a zero input bypasses the array (paper §III-C).
 fn drivers(a_run: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
     a_run.iter().enumerate().filter(|(_, &a)| a != 0.0).map(|(r, &a)| (r, a))
-}
-
-/// [`ScalarMul::mul_tile_rows`] through `mul_rows` on the tile's raw
-/// rows: the trait default, every backend's path for a tile of another
-/// format, and the reference the run-form tests compare against.
-fn mul_raw_rows<M: ScalarMul + ?Sized>(m: &M, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
-    for (r, a) in drivers(a_run) {
-        m.mul_rows(a, tile.raw_row(r), c);
-    }
 }
 
 /// Exact native `f32` multiplication — the paper's float32 baseline.
@@ -397,24 +372,15 @@ impl ScalarMul for QuantizedExactMul {
     }
 
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
-        if tile.format != self.format {
-            return mul_raw_rows(self, a_run, tile, c);
-        }
-        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
-        // A kept word is the `f32` of the format-rounded lane: exactly the
-        // `yq` that `mul_rows` re-derives per element. Only the result
-        // quantization (which depends on `a`) remains in the loop, over
-        // the kept lanes, then the exotic ones from their raw values.
+        debug_assert_eq!((tile.format, tile.width), (self.format, c.len()), "tile mismatch");
+        // Every lane's value is the format-rounded `f32`: exactly the `yq`
+        // that `mul_rows` re-derives per element (a NaN's payload aside,
+        // which the product drops). Only the result quantization (which
+        // depends on `a`) remains in the loop.
         for (r, a) in drivers(a_run) {
             let xq = self.quantize(a);
-            let row = tile.row(r);
-            for (word, col) in row.lanes() {
-                c[col] += self.product(xq, f32::from_bits(word) as f64);
-            }
-            let raw = tile.raw_row(r);
-            for &col in row.exotic {
-                let col = col as usize;
-                c[col] += self.product(xq, self.quantize(raw[col]));
+            for (col, v) in tile.lanes(r) {
+                c[col] += self.product(xq, v as f64);
             }
         }
     }
@@ -725,19 +691,16 @@ impl ApproxFpMul {
     /// [`mul_tile_rows`](ScalarMul::mul_tile_rows), with the AVX-512
     /// kernels when `simd` asks for them and the host has them.
     ///
-    /// The format check, the kernel detection and the range constants
-    /// are paid once per run. A tile narrow enough for its C row to stay
-    /// in vector registers ([`tile_kernel::NARROW_LANES`]) on a
+    /// The kernel detection and the range constants are paid once per
+    /// run. A tile narrow enough for its C row to stay in vector
+    /// registers ([`tile_kernel::NARROW_LANES`]) on a
     /// product-table multiplier takes the narrow register MAC: one gather
     /// from each driver's pre-normalised product row, the two-add encode
     /// and one masked add per register, with every row that kernel does
     /// not take handed to the per-driver MAC in place. Every other run
     /// goes driver by driver.
     fn mul_tile_rows_with(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32], simd: bool) {
-        if tile.format != self.format {
-            return mul_raw_rows(self, a_run, tile, c);
-        }
-        debug_assert_eq!(tile.width, c.len(), "tile width mismatch");
+        debug_assert_eq!((tile.format, tile.width), (self.format, c.len()), "tile mismatch");
         let run = RunConsts {
             simd: simd && tile_kernel::simd_available(),
             range: (self.format.min_exp(), self.format.max_exp()),
@@ -780,12 +743,15 @@ impl ApproxFpMul {
     /// about 8% slower than the per-driver calls this loop replaces.
     #[inline(always)]
     fn mac_driver(&self, run: RunConsts, a: f32, tile: &PreparedTile, r: usize, c: &mut [f32]) {
-        let raw = tile.raw_row(r);
         let xs = FpScalar::from_f32(a, self.format);
         if xs.class() != FpClass::Normal {
-            // NaN / Inf / flushed multiplicand: rare, `mul_rows`' exact
-            // side logic.
-            return self.mul_rows(a, raw, c);
+            // NaN / Inf / flushed multiplicand: rare, the exact side logic
+            // on every nonzero lane. A non-`Normal` operand is fully
+            // described by its class and sign, all `mul_scalars` reads.
+            for (col, v) in tile.lanes(r) {
+                c[col] += self.mul_scalars(&xs, &FpScalar::from_f32(v, self.format)).to_f32();
+            }
+            return;
         }
         let row = tile.row(r);
         if !row.words.is_empty() {
@@ -828,12 +794,9 @@ impl ApproxFpMul {
                 self.mac_portable(man, &row, c, encode);
             }
         }
-        for &col in row.exotic {
-            // Inf/NaN or flushed-nonzero: exact side logic on the raw
-            // value.
-            let col = col as usize;
-            let ys = FpScalar::from_f32(raw[col], self.format);
-            c[col] += self.mul_scalars(&xs, &ys).to_f32();
+        for (col, v) in row.exotic_lanes() {
+            // Inf/NaN, saturated or flushed-nonzero: exact side logic.
+            c[col] += self.mul_scalars(&xs, &FpScalar::from_f32(v, self.format)).to_f32();
         }
     }
 }
@@ -1212,7 +1175,12 @@ mod tests {
             for r in 0..rows {
                 let row = &bs[r * w..(r + 1) * w];
                 // Zero lanes are gated away; every other lane is visited.
-                assert_eq!(tile.kept(r), row.iter().filter(|&&b| b != 0.0).count(), "{}", m.name());
+                assert_eq!(
+                    tile.lanes(r).count(),
+                    row.iter().filter(|&&b| b != 0.0).count(),
+                    "{}",
+                    m.name()
+                );
             }
             for a_run in runs(rows, as_) {
                 for init in [0.0f32, -0.0] {
@@ -1336,44 +1304,31 @@ mod tests {
     }
 
     #[test]
-    fn foreign_tiles_fall_back_correctly() {
-        // A tile prepared by one backend fed to another must still match
-        // the consumer's own `mul_rows` semantics. A consumer of the
-        // tile's format reads it natively, whichever backend decoded it
-        // (a shared read); one of another format, or without a tile form,
-        // falls back to the raw row. Both kinds of pair run here.
+    fn tiles_are_shared_by_every_backend_of_their_format() {
+        // A tile decoded for one backend and fed to another of its format
+        // must match the consumer's own `mul_rows` on the source row:
+        // the tile belongs to the format, whichever backend asked for it.
         let bs = edge_values();
         let preparers: Vec<Box<dyn ScalarMul>> = vec![
             Box::new(QuantizedExactMul::new(FpFormat::BF16)),
             Box::new(pc3tr_bf16()),
             Box::new(ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16)),
         ];
-        let consumers: Vec<(Box<dyn ScalarMul>, Option<FpFormat>)> = vec![
-            (Box::new(ExactMul), None),
-            (Box::new(QuantizedExactMul::new(FpFormat::FP32)), Some(FpFormat::FP32)),
-            (Box::new(QuantizedExactMul::new(FpFormat::BF16)), Some(FpFormat::BF16)),
-            (Box::new(pc3tr_bf16()), Some(FpFormat::BF16)),
-            (
-                Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
-                Some(FpFormat::BF16),
-            ),
-            (
-                Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16)),
-                Some(FpFormat::FP16),
-            ),
+        let consumers: Vec<Box<dyn ScalarMul>> = vec![
+            Box::new(QuantizedExactMul::new(FpFormat::BF16)),
+            Box::new(pc3tr_bf16()),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC2, FpFormat::BF16)),
+            Box::new(ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::FP16)),
         ];
-        let (mut shared, mut fallback) = (0, 0);
+        let mut shared = 0;
         for preparer in &preparers {
             let tile = tile_of(preparer.as_ref(), &bs, 1).expect("caching backend");
-            for (consumer, format) in &consumers {
-                match *format == Some(tile.format) {
-                    true => shared += 1,
-                    false => fallback += 1,
-                }
+            for consumer in consumers.iter().filter(|c| c.tile_format() == Some(tile.format)) {
+                shared += 1;
                 for &a in &[1.5f32, -0.37, 0.0] {
                     let mut plain = vec![0.0f32; bs.len()];
                     let mut tiled = vec![0.0f32; bs.len()];
-                    mul_raw_rows(consumer.as_ref(), &[a], &tile, &mut plain);
+                    mul_source_rows(consumer.as_ref(), &[a], &bs, 1, &mut plain);
                     consumer.mul_tile_rows(&[a], &tile, &mut tiled);
                     for (&p, &q) in plain.iter().zip(&tiled) {
                         assert!(
@@ -1386,7 +1341,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!((shared, fallback), (7, 11), "pairs of both kinds");
+        assert_eq!(shared, 7, "every same-format pair");
     }
 
     #[test]
@@ -1445,6 +1400,39 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn default_mul_tile_rows_matches_mul_rows() {
+        // The trait default — `mul` over each driven row's lanes — on
+        // backends whose `mul` rounds its operands into the tile format.
+        #[derive(Debug)]
+        struct DefaultTiles<'a>(&'a dyn ScalarMul);
+        impl fmt::Display for DefaultTiles<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "default tiles({})", self.0)
+            }
+        }
+        impl ScalarMul for DefaultTiles<'_> {
+            fn mul(&self, x: f32, y: f32) -> f32 {
+                self.0.mul(x, y)
+            }
+            fn tile_format(&self) -> Option<FpFormat> {
+                self.0.tile_format()
+            }
+        }
+        let backends: Vec<Box<dyn ScalarMul>> = vec![
+            Box::new(QuantizedExactMul::new(FpFormat::BF16)),
+            Box::new(pc3tr_bf16()),
+            Box::new(ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16)),
+        ];
+        for m in &backends {
+            assert_tile_rows_match_mul_rows(
+                &DefaultTiles(m.as_ref()),
+                &edge_values(),
+                &edge_values(),
+            );
         }
     }
 
@@ -1521,14 +1509,14 @@ mod tests {
     }
 
     /// The meaningful contents of every row slab of a decoded tile —
-    /// layout, words, kept columns, exotic columns, exponent range —
-    /// which both decode kernels must fill alike (slots past the counts
-    /// may differ).
-    type RowContents = (bool, Vec<u32>, Vec<u32>, Vec<u32>, u32, u32);
+    /// layout, words, kept columns, exotic columns with their values'
+    /// bits, exponent range — which both decode kernels must fill alike
+    /// (slots past the counts may differ).
+    type RowContents = (bool, Vec<u32>, Vec<u32>, Vec<(usize, u32)>, u32, u32);
 
     fn row_contents(row: &DecodedRow<'_>) -> RowContents {
-        let (words, cols, exotic) = (row.words.to_vec(), row.cols.to_vec(), row.exotic.to_vec());
-        (row.dense, words, cols, exotic, row.emin, row.emax)
+        let exotic = row.exotic_lanes().map(|(col, v)| (col, v.to_bits())).collect();
+        (row.dense, row.words.to_vec(), row.cols.to_vec(), exotic, row.emin, row.emax)
     }
 
     fn decoded_contents(tile: &PreparedTile) -> Vec<RowContents> {
@@ -1588,13 +1576,13 @@ mod tests {
                     words,
                     kept().map(|(j, _)| j as u32).collect(),
                     // Exotic columns fill the back from its end, in lane
-                    // order.
+                    // order, each with its format-rounded value.
                     lanes
                         .iter()
                         .enumerate()
                         .rev()
                         .filter(|(_, l)| l.exotic)
-                        .map(|(j, _)| j as u32)
+                        .map(|(j, _)| (j, FpScalar::from_f32(row[j], format).to_f32().to_bits()))
                         .collect(),
                     fields.iter().copied().min().unwrap_or(0xFF),
                     fields.iter().copied().max().unwrap_or(0),

@@ -49,7 +49,7 @@
 //!   rewrites one fixed set of banks rather than adding banks per
 //!   matrix: its buffers are cleared and resized, never freed, so they
 //!   stay at the largest tile the thread has decoded — one `KC × NC`
-//!   tile at most (1 MiB of raw values and 2 MiB of slabs), and a
+//!   tile at most (2 MiB of slabs), and a
 //!   steady stream of same-shaped GEMMs allocates none. The call takes
 //!   the tile out of a thread-local cell and puts it back when it ends.
 //!   A GEMM that starts on the thread while another is running there (a
@@ -443,8 +443,8 @@ fn mac_rows(
 /// form served through a scalar multiplier (or the reverse) panics, and
 /// so does a panel packed for native `f32` served through a non-native
 /// multiplier. Decoded tiles are keyed by format: any tile-decoding
-/// multiplier of the same format reads them natively, and one of
-/// another format falls back to their raw rows.
+/// multiplier of the same format reads them, and any other multiplier
+/// panics — the tiles hold their format's image of B and nothing else.
 ///
 /// # Examples
 ///
@@ -495,8 +495,9 @@ pub trait GemmBackend: fmt::Debug + fmt::Display + Send + Sync {
     /// # Panics
     ///
     /// Panics if slice lengths do not match the shape, or if `b` was
-    /// prepared by another backend class, another BlockFp geometry, or
-    /// (packed panels) a native-`f32` multiplier for a non-native one.
+    /// prepared by another backend class, another BlockFp geometry,
+    /// (packed panels) a native-`f32` multiplier for a non-native one, or
+    /// (decoded tiles) a multiplier of another tile format.
     fn gemm_prepared_b(&self, a: &[f32], b: &PreparedB, c: &mut [f32], m: usize);
 
     /// `true` when C's columns are not computed independently of each
@@ -565,6 +566,18 @@ impl PreparedB {
     pub fn n(&self) -> usize {
         self.n
     }
+
+    /// Heap bytes of the stored values, slabs, panels or mantissas.
+    pub fn bytes(&self) -> usize {
+        match &self.stored {
+            StoredB::Fused(raw) => size_of_val(&raw[..]),
+            StoredB::Tiles(tiles) => tiles.iter().map(|t| size_of_val(&t.slabs[..])).sum(),
+            StoredB::Packed(blocks) => blocks.iter().map(|b| size_of_val(&b.data[..])).sum(),
+            StoredB::BlockFp { tiles, .. } => {
+                tiles.iter().map(|t| size_of_val(t.mantissas())).sum()
+            }
+        }
+    }
 }
 
 impl<T: ScalarMul> GemmBackend for T {
@@ -619,7 +632,10 @@ fn scalar_gemm_prepared_b(mul: &dyn ScalarMul, a: &[f32], b: &PreparedB, c: &mut
             );
             BForm::Packed(BTiles::Prepared(blocks))
         }
-        StoredB::Tiles(tiles) => BForm::Tiles(tiles),
+        StoredB::Tiles(tiles) => match tiles[0].format {
+            format if decoded_format(mul) == Some(format) => BForm::Tiles(tiles),
+            format => panic!("prepared B holds {format} tiles; {mul} cannot consume it"),
+        },
         StoredB::Fused(raw) => BForm::Raw(raw),
         StoredB::BlockFp { .. } => {
             panic!("prepared B was quantized by a BlockFp engine; {mul} cannot consume it")
@@ -1359,12 +1375,13 @@ mod tests {
     #[test]
     fn prepared_b_bit_matches_gemm_for_every_backend_class() {
         // One backend per scalar stored-B form: packed (native f32),
-        // decoded tiles, fused (raw fallback — an exotic format keeps the
-        // FpScalar path).
+        // decoded tiles, fused (an exotic format keeps the FpScalar
+        // path).
         let pc3 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         // e11m9: exponent range beyond f32's, so the format has no
-        // decoded tile and the stored B keeps the raw fused fallback.
+        // decoded tile and the stored B keeps the raw values for the
+        // fused loop.
         let e11m9 = FpFormat::new(11, 9).unwrap();
         let exotic = ApproxFpMul::new(MultiplierConfig::FLA, e11m9);
         let exotic_quant = QuantizedExactMul::new(e11m9);
@@ -1428,19 +1445,15 @@ mod tests {
     }
 
     #[test]
-    fn foreign_panel_prepared_b_falls_back_correctly() {
+    fn same_format_prepared_b_is_shared_across_backends() {
         // Tiles prepared by one tile-decoding backend served through
-        // another must match the consumer's own eager semantics. Tiles
-        // are keyed by format: the first two pairs share a format, so the
-        // consumer reads the other backend's tiles natively; the last two
-        // do not, so the consumer falls back to the tiles' raw rows.
-        // Sizes straddle the lane group width, and zero-heavy B rows keep
-        // few lanes.
+        // another of the same format must match the consumer's own eager
+        // GEMM: tiles are keyed by format, so the consumer reads the other
+        // backend's tiles natively. Sizes straddle the lane group width,
+        // and zero-heavy B rows keep few lanes.
         let quant = QuantizedExactMul::new(FpFormat::BF16);
         let bf16 = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
-        let fp16 = ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16);
-        let pairs: [(&dyn ScalarMul, &dyn ScalarMul); 4] =
-            [(&quant, &bf16), (&bf16, &quant), (&fp16, &bf16), (&bf16, &fp16)];
+        let pairs: [(&dyn ScalarMul, &dyn ScalarMul); 2] = [(&quant, &bf16), (&bf16, &quant)];
         for (preparer, consumer) in pairs {
             for &(m, k, n) in &[(3usize, 5, 7), (4, 9, 21)] {
                 let a = test_matrix(m * k, 1);
@@ -1466,6 +1479,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Serves a bf16 stored B through `consumer`.
+    fn serve_bf16_tiles(consumer: &dyn ScalarMul) {
+        let b = test_matrix(6, 2);
+        let prepared =
+            ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16).prepare_b(&b, 2, 3);
+        let mut c = [0.0f32; 3];
+        consumer.gemm_prepared_b(&[1.0, 2.0], &prepared, &mut c, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared B holds bfloat16 tiles; float16/FLA cannot consume it")]
+    fn tile_prepared_b_rejects_another_format() {
+        serve_bf16_tiles(&ApproxFpMul::new(MultiplierConfig::FLA, FpFormat::FP16));
+    }
+
+    #[test]
+    #[should_panic(expected = "prepared B holds bfloat16 tiles; float32/exact cannot consume it")]
+    fn tile_prepared_b_rejects_a_backend_without_tiles() {
+        serve_bf16_tiles(&ExactMul);
     }
 
     #[test]

@@ -173,7 +173,7 @@ fn kernel_fringe(
 #[derive(Debug, Clone)]
 pub(crate) struct PackedBBlock {
     tile: Tile,
-    data: Vec<f32>,
+    pub(crate) data: Vec<f32>,
 }
 
 /// Packs the `tile` block of the row-major `k × n` matrix `b`.

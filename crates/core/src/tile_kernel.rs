@@ -27,9 +27,11 @@
 //! * the kept lanes' columns sit at the front of the column array, in
 //!   lane order. A compressed row's MACs need them, and so does the
 //!   portable MAC on a dense row, to skip its gated lanes;
-//! * the columns of the `exotic` lanes — Inf/NaN, or a nonzero `f32`
-//!   that flushes to format zero — sit at the back of the column array.
-//!   They take the exact side logic on the tile's raw values;
+//! * the `exotic` lanes — Inf/NaN, a value that saturates, or a nonzero
+//!   `f32` that flushes to format zero — sit at the back of the column
+//!   array, for the exact side logic. An entry is the column ORed with
+//!   the format-rounded value ([`EXOTIC_VALUE`]: ±0, ±Inf or NaN, all
+//!   zero below bit 22, where every tile column fits);
 //! * `emin` / `emax` are the least and greatest biased exponent field
 //!   of the kept words (`255` / `0` when nothing is kept). They bound
 //!   the exponent of every product of the row, which decides the encode
@@ -105,10 +107,13 @@
 //! calls and the `target_feature` call contract.
 
 use crate::mantissa::ChunkPlan;
-use daism_num::FpFormat;
+use daism_num::{FpFormat, FpScalar};
 
 /// The `f32` sign bit.
 pub(crate) const SIGN: u32 = 0x8000_0000;
+/// The value bits of an exotic lane's entry, above its column.
+const EXOTIC_VALUE: u32 = 0xFFC0_0000;
+const _: () = assert!(crate::gemm::NC as u32 & EXOTIC_VALUE == 0, "tile columns fit below");
 /// A word's sign and exponent fields.
 const SIGN_EXP: u32 = 0xFF80_0000;
 /// The implicit leading one at its `f32` position.
@@ -174,7 +179,7 @@ pub(crate) struct DecodedRow<'a> {
     /// them only where a gated lane would cost a full chunk-table
     /// product.
     pub(crate) cols: &'a [u32],
-    /// The exotic lanes' columns.
+    /// The exotic lanes' entries (see [`exotic_lanes`](Self::exotic_lanes)).
     pub(crate) exotic: &'a [u32],
     /// Least biased exponent field of the kept words.
     pub(crate) emin: u32,
@@ -203,11 +208,19 @@ impl<'a> DecodedRow<'a> {
 
     /// The kept lanes as `(word, column)` pairs, in lane order, in
     /// either layout.
-    pub(crate) fn lanes(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.cols.iter().enumerate().map(|(i, &col)| {
+    pub(crate) fn lanes(self) -> impl Iterator<Item = (u32, usize)> + 'a {
+        self.cols.iter().enumerate().map(move |(i, &col)| {
             let col = col as usize;
             (self.words[if self.dense { col } else { i }], col)
         })
+    }
+
+    /// The exotic lanes as `(column, value)` pairs: each value is the
+    /// lane's format-rounded `f32`, ±0, ±Inf or NaN.
+    pub(crate) fn exotic_lanes(&self) -> impl Iterator<Item = (usize, f32)> + 'a {
+        self.exotic
+            .iter()
+            .map(|&e| ((e & !EXOTIC_VALUE) as usize, f32::from_bits(e & EXOTIC_VALUE)))
     }
 }
 
@@ -355,6 +368,7 @@ pub(crate) fn mac_chunks(
 /// the tile decode. The per-format constants are derived once per tile.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LaneDecoder {
+    format: FpFormat,
     /// Low bits of the 24-bit `f32` significand the format drops.
     shift: u32,
     /// `2^(shift-1) - 1`: the round-half-down bias (0 when nothing is
@@ -390,6 +404,7 @@ impl LaneDecoder {
         assert!(f32_encodable(format), "lane decode needs an f32-encodable format");
         let shift = 24 - format.mantissa_width();
         LaneDecoder {
+            format,
             shift,
             half_minus_one: if shift == 0 { 0 } else { (1 << (shift - 1)) - 1 },
             odd: (shift != 0) as u32,
@@ -422,7 +437,8 @@ impl LaneDecoder {
 
     /// Decodes one tile row into its slab (see the module docs). `simd`
     /// asks for the AVX-512 kernel when the host has it; both fill the
-    /// same words, columns, counts and exponent range.
+    /// same words, columns, counts and exponent range; one pass then
+    /// tags the exotic columns with their values.
     ///
     /// # Panics
     ///
@@ -435,6 +451,10 @@ impl LaneDecoder {
         let done = simd && avx512::decode_row(self, row, words, cols, meta);
         if !done {
             self.decode_row_portable(row, words, cols, meta);
+        }
+        for e in &mut cols[w - meta[1] as usize..] {
+            let value = FpScalar::from_f32(row[*e as usize], self.format).to_f32();
+            *e |= value.to_bits() & EXOTIC_VALUE;
         }
     }
 

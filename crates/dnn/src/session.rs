@@ -9,7 +9,8 @@
 //! forward that layer has: [`Layer::forward`] runs it on the layer's
 //! current weights (a training forward also keeps what backward needs),
 //! so a plain `Dense` forward pays the weight conversion on every call;
-//! a `Conv2d` runs the same conv forward over its own weights, uncopied. This module makes the weight-stationary reuse explicit:
+//! a `Conv2d` runs the same conv forward over its own weights, uncopied.
+//! This module makes the weight-stationary reuse explicit:
 //!
 //! * [`Sequential::compile`] walks a trained model once for one
 //!   [`GemmBackend`] and snapshots each layer into its immutable serving
@@ -132,6 +133,20 @@ impl CompiledLayer {
 
     pub(crate) fn seq(inner: Vec<CompiledLayer>) -> Self {
         CompiledLayer(CompiledKind::Seq(inner))
+    }
+
+    /// Heap bytes of the layer's prepared state (see
+    /// [`CompiledModel::prepared_bytes`]).
+    fn prepared_bytes(&self) -> usize {
+        let floats = |v: &[f32]| std::mem::size_of_val(v);
+        match &self.0 {
+            CompiledKind::Dense(d) => d.weights.bytes() + floats(&d.bias),
+            CompiledKind::Conv(c) => floats(&c.weights) + floats(&c.bias),
+            CompiledKind::Residual(inner) | CompiledKind::Seq(inner) => {
+                inner.iter().map(CompiledLayer::prepared_bytes).sum()
+            }
+            CompiledKind::ReLU | CompiledKind::MaxPool | CompiledKind::Flatten => 0,
+        }
     }
 
     /// Does this layer (or any nested layer) stream a conv lowering as
@@ -336,6 +351,14 @@ impl<'b> CompiledModel<'b> {
     /// [`InferenceSession::flush`] consults this before concatenating.
     pub fn batch_invariant(&self) -> bool {
         self.batch_invariant
+    }
+
+    /// Heap bytes of the prepared state this model holds: every Dense
+    /// layer's stored B ([`PreparedB::bytes`]), every conv's kernel
+    /// matrix copy and every bias. The per-thread scratch a forward
+    /// uses is not counted.
+    pub fn prepared_bytes(&self) -> usize {
+        self.layers.iter().map(CompiledLayer::prepared_bytes).sum()
     }
 
     /// One inference forward through the compiled layers. Byte-identical
@@ -658,6 +681,17 @@ mod tests {
         let model = models::mlp(5, 8, 3, 1);
         let compiled = model.compile(&ExactMul);
         InferenceSession::new(&compiled).submit(Tensor::randn(&[2, 4], 1.0, 1));
+    }
+
+    #[test]
+    fn prepared_bytes_of_a_compiled_cnn() {
+        // mini_vgg(16, 4) at bf16: the conv kernel copies (72 and 1152
+        // floats) and their biases, 4,992 B; the decoded Dense weights,
+        // `[256, 32]` and `[32, 4]` tiles whose `w`-lane rows take
+        // `8w + 16` bytes, and their biases, 71,312 B.
+        let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
+        let compiled = models::mini_vgg(16, 4).compile(&mul);
+        assert_eq!(compiled.prepared_bytes(), 76_304);
     }
 
     #[test]

@@ -78,8 +78,8 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, (usize, usize, usize)) {
 #[test]
 fn a_second_compiled_forward_allocates_no_large_buffer() {
     // perfbench's serving CNN at its bf16 burst: conv2's eager GEMM
-    // decodes a 72 × 512 B tile (a 296 KiB slab and a 147 KiB raw copy)
-    // and lowers 147 KiB of `cols`.
+    // decodes a 72 × 512 B tile (a 296 KiB slab) and lowers 147 KiB of
+    // `cols`.
     let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, FpFormat::BF16);
     let model = models::mini_vgg(16, 4);
     let compiled = model.compile(&mul);
