@@ -150,9 +150,7 @@ impl PreparedTile {
     /// the exotic ones. Every column appears at most once; the zero
     /// lanes, which never reach C, are absent.
     pub fn lanes(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        let row = self.row(r);
-        let exotic = row.exotic_lanes();
-        row.lanes().map(|(word, col)| (col, f32::from_bits(word))).chain(exotic)
+        self.row(r).lanes()
     }
 
     /// The decoded slab of row `r`.

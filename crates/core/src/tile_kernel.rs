@@ -206,13 +206,14 @@ impl<'a> DecodedRow<'a> {
         }
     }
 
-    /// The kept lanes as `(word, column)` pairs, in lane order, in
-    /// either layout.
-    pub(crate) fn lanes(self) -> impl Iterator<Item = (u32, usize)> + 'a {
-        self.cols.iter().enumerate().map(move |(i, &col)| {
+    /// The nonzero lanes as `(column, value)` pairs, in either layout:
+    /// the kept ones in lane order (each its word), then the exotic ones.
+    pub(crate) fn lanes(self) -> impl Iterator<Item = (usize, f32)> + 'a {
+        let kept = self.cols.iter().enumerate().map(move |(i, &col)| {
             let col = col as usize;
-            (self.words[if self.dense { col } else { i }], col)
-        })
+            (col, f32::from_bits(self.words[if self.dense { col } else { i }]))
+        });
+        kept.chain(self.exotic_lanes())
     }
 
     /// The exotic lanes as `(column, value)` pairs: each value is the
