@@ -196,7 +196,7 @@ impl FunctionalDaism {
 mod tests {
     use super::*;
     use crate::config::DaismConfig;
-    use daism_core::MultiplierConfig;
+    use daism_core::{LineLayout, MultiplierConfig};
     use daism_num::FpFormat;
 
     fn small_config(mult: MultiplierConfig) -> DaismConfig {
@@ -258,6 +258,41 @@ mod tests {
         assert_eq!(hw.bypassed(), 0);
         // SRAM OR reads == activations.
         assert_eq!(hw.sram_stats().or_reads, hw.activations());
+    }
+
+    #[test]
+    fn sram_stats_count_every_event_exactly() {
+        // Zero weights and zero inputs both present: the counters must
+        // follow the datapath's events, not the analytical mapping.
+        let (m, k, n) = (10, 6, 9);
+        let gemm = GemmShape::new(m, k, n).unwrap();
+        let weights = test_weights(m, k);
+        let inputs = test_inputs(k, n);
+        assert!(weights.contains(&0.0) && inputs.contains(&0.0));
+        for mult in [MultiplierConfig::PC3_TR, MultiplierConfig::PC2, MultiplierConfig::FLA] {
+            let config = small_config(mult);
+            let layout = LineLayout::new(mult, OperandMode::Fp, config.format.mantissa_width());
+            let cols = BankGeometry::square_from_bytes(config.bank_bytes).unwrap().cols() as u64;
+            let mut hw = FunctionalDaism::new(config.clone(), gemm, &weights).unwrap();
+            let _ = hw.execute(&inputs).unwrap();
+            // Every non-bypassed (input, segment) pair fires the lines
+            // its input mantissa decodes to.
+            let segments_per_column = (hw.mapping().segments / k) as u64;
+            let wordlines: u64 = inputs
+                .iter()
+                .map(|&x| FpScalar::from_f32(x, config.format))
+                .filter(|xs| xs.class() == FpClass::Normal)
+                .map(|xs| u64::from(layout.decode(xs.mantissa()).count_ones()))
+                .sum::<u64>()
+                * segments_per_column;
+            let st = hw.sram_stats();
+            assert_eq!(st.or_reads, hw.activations(), "{mult}");
+            assert_eq!(st.wordline_activations, wordlines, "{mult}");
+            assert_eq!(st.bitlines_sensed, st.or_reads * cols, "{mult}");
+            // Every weight, zero or not, is programmed once, line by line.
+            assert_eq!(st.writes, (m * k * layout.len()) as u64, "{mult}");
+            assert_eq!(st.bits_written, st.writes * u64::from(layout.stored_width()), "{mult}");
+        }
     }
 
     #[test]

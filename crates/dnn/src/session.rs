@@ -325,17 +325,6 @@ pub struct CompiledModel<'b> {
     backend: &'b dyn GemmBackend,
     layers: Vec<CompiledLayer>,
     fingerprint: u64,
-    batch_invariant: bool,
-}
-
-/// Is a concatenated micro-batch byte-identical to per-request serving
-/// for these layers on this backend? Shared by `Sequential::compile` and
-/// `refresh` so a structural change can never leave the flag stale.
-/// Dense layers stream samples as A rows, which every backend keeps
-/// independent; a conv streams them as B columns, which a backend that
-/// quantizes B per tile couples.
-fn batch_invariant_of(backend: &dyn GemmBackend, layers: &[CompiledLayer]) -> bool {
-    !backend.couples_b_columns() || !layers.iter().any(CompiledLayer::has_conv)
 }
 
 impl<'b> CompiledModel<'b> {
@@ -349,8 +338,11 @@ impl<'b> CompiledModel<'b> {
     /// backend that couples B columns (BlockFp: per-tile exponents
     /// couple batch neighbours).
     /// [`InferenceSession::flush`] consults this before concatenating.
+    /// Dense layers stream samples as A rows, which every backend keeps
+    /// independent; a conv streams them as B columns, which a backend
+    /// that quantizes B per tile couples.
     pub fn batch_invariant(&self) -> bool {
-        self.batch_invariant
+        !self.backend.couples_b_columns() || !self.layers.iter().any(CompiledLayer::has_conv)
     }
 
     /// Heap bytes of the prepared state this model holds: every Dense
@@ -394,9 +386,6 @@ impl<'b> CompiledModel<'b> {
     pub fn refresh(&mut self, model: &Sequential) {
         self.layers = model.compile_chain(self.backend);
         self.fingerprint = params_fingerprint(model);
-        // The structure may have changed too (e.g. a conv pushed onto a
-        // Dense-only BlockFp model) — recompute, don't carry over.
-        self.batch_invariant = batch_invariant_of(self.backend, &self.layers);
     }
 }
 
@@ -407,9 +396,11 @@ impl Sequential {
     /// requests against them — byte-identical to
     /// `forward(x, backend, false)`.
     pub fn compile<'b>(&self, backend: &'b dyn GemmBackend) -> CompiledModel<'b> {
-        let layers = self.compile_chain(backend);
-        let batch_invariant = batch_invariant_of(backend, &layers);
-        CompiledModel { backend, layers, fingerprint: params_fingerprint(self), batch_invariant }
+        CompiledModel {
+            backend,
+            layers: self.compile_chain(backend),
+            fingerprint: params_fingerprint(self),
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-use crate::array::SramArray;
+use crate::bitmat::{read_span, BitMatrix};
 use crate::error::SramError;
 use crate::geometry::BankGeometry;
 use crate::stats::AccessStats;
@@ -105,22 +105,40 @@ impl GroupLayout {
     }
 }
 
-/// An SRAM bank programmed with the DAISM group/slot discipline.
+/// An SRAM bank programmed with the DAISM group/slot discipline: the
+/// bit cells, their stuck-at faults and the access counters of one
+/// modified 4+2T array.
 ///
-/// `SramBank` adds group/line/slot addressing on top of [`SramArray`] and
-/// exposes the two operations the accelerator performs:
+/// `SramBank` performs the two operations the accelerator performs, and
+/// counts each in its [`AccessStats`]:
 ///
 /// * [`SramBank::write_line`] — program one line of one slot (kernel
 ///   pre-loading);
 /// * [`SramBank::read_or_group`] — activate a set of lines in a group (via
 ///   a bitmask produced by the address decoder in `daism-core`) and read
-///   **every slot** of the group in one cycle.
+///   **every slot** of the group in one cycle: each bitline senses the
+///   wired-OR of the selected cells.
+///
+/// Stuck-at faults ([`SramBank::inject_stuck_at`]) apply per cell before
+/// the OR, as physical defects would.
 #[derive(Debug, Clone)]
 pub struct SramBank {
-    array: SramArray,
+    cells: BitMatrix,
+    /// Lazily allocated: most banks never see a fault.
+    faults: Option<Box<FaultOverlay>>,
+    stats: AccessStats,
+    geometry: BankGeometry,
     layout: GroupLayout,
     groups: usize,
     slots: usize,
+}
+
+/// A set bit in `stuck0` forces its cell to read 0, in `stuck1` to read 1.
+#[derive(Debug, Clone)]
+struct FaultOverlay {
+    stuck0: BitMatrix,
+    stuck1: BitMatrix,
+    count: usize,
 }
 
 impl SramBank {
@@ -132,9 +150,15 @@ impl SramBank {
     /// geometry.
     pub fn new(geometry: BankGeometry, layout: GroupLayout) -> Result<Self, SramError> {
         layout.validate(geometry)?;
-        let groups = layout.groups(geometry);
-        let slots = layout.elements_per_group(geometry);
-        Ok(SramBank { array: SramArray::new(geometry), layout, groups, slots })
+        Ok(SramBank {
+            cells: BitMatrix::new(geometry.rows(), geometry.cols()),
+            faults: None,
+            stats: AccessStats::new(),
+            geometry,
+            layout,
+            groups: layout.groups(geometry),
+            slots: layout.elements_per_group(geometry),
+        })
     }
 
     /// The bank's layout.
@@ -146,7 +170,7 @@ impl SramBank {
     /// The bank's geometry.
     #[inline]
     pub fn geometry(&self) -> BankGeometry {
-        self.array.geometry()
+        self.geometry
     }
 
     /// Number of wordline groups.
@@ -170,26 +194,33 @@ impl SramBank {
     /// Accumulated access statistics.
     #[inline]
     pub fn stats(&self) -> AccessStats {
-        self.array.stats()
+        self.stats
     }
 
-    /// Resets access statistics.
+    /// Resets the access statistics (contents and faults are unaffected).
     pub fn reset_stats(&mut self) {
-        self.array.reset_stats();
+        self.stats.reset();
     }
 
-    fn check(&self, group: usize, slot: usize) -> Result<(), SramError> {
+    fn check_group(&self, group: usize) -> Result<(), SramError> {
         if group >= self.groups {
             return Err(SramError::GroupOutOfRange { group, groups: self.groups });
-        }
-        if slot >= self.slots {
-            return Err(SramError::SlotOutOfRange { slot, slots: self.slots });
         }
         Ok(())
     }
 
-    fn row_of(&self, group: usize, line: usize) -> usize {
-        group * self.layout.lines_per_group() + line
+    /// The physical row of `line` in `group`, after range-checking
+    /// `group`, `line` and `slot`.
+    fn row_of(&self, group: usize, line: usize, slot: usize) -> Result<usize, SramError> {
+        self.check_group(group)?;
+        if slot >= self.slots {
+            return Err(SramError::SlotOutOfRange { slot, slots: self.slots });
+        }
+        let lines = self.layout.lines_per_group();
+        if line >= lines {
+            return Err(SramError::LineOutOfRange { line, lines });
+        }
+        Ok(group * lines + line)
     }
 
     fn col_of(&self, slot: usize) -> usize {
@@ -210,89 +241,59 @@ impl SramBank {
         slot: usize,
         pattern: u64,
     ) -> Result<(), SramError> {
-        self.check(group, slot)?;
-        if line >= self.layout.lines_per_group() {
-            return Err(SramError::LineOutOfRange { line, lines: self.layout.lines_per_group() });
-        }
-        self.array.write_word(
-            self.row_of(group, line),
-            self.col_of(slot),
-            self.layout.element_width(),
-            pattern,
-        )
+        let row = self.row_of(group, line, slot)?;
+        let width = self.layout.element_width();
+        self.cells.write_bits(row, self.col_of(slot), width, pattern)?;
+        self.stats.writes += 1;
+        self.stats.bits_written += u64::from(width);
+        Ok(())
     }
 
     /// Activates the lines of `group` selected by `line_mask` (bit *i* set
-    /// activates line *i*) and reads the wired-OR in `slot`'s window.
-    ///
-    /// This charges one OR-read to the statistics; use
-    /// [`SramBank::read_or_group`] for the physical one-cycle
-    /// all-slots read.
+    /// activates line *i*) and reads **all slots** in one cycle — the
+    /// DAISM "one input × all kernel elements" operation. Slot `i` of the
+    /// result is the wired-OR of the selected lines in slot `i`'s column
+    /// window. Charges one OR read, `line_mask.count_ones()` wordlines and
+    /// every column of the bank to the statistics.
     ///
     /// # Errors
     ///
-    /// Returns range errors for bad `group`/`slot`, or
+    /// Returns [`SramError::GroupOutOfRange`] for a bad `group`, or
     /// [`SramError::LineOutOfRange`] if the mask selects a non-existent
     /// line.
-    pub fn read_or_slot(
-        &mut self,
-        group: usize,
-        line_mask: u64,
-        slot: usize,
-    ) -> Result<u64, SramError> {
-        self.check(group, slot)?;
-        let rows = self.rows_from_mask(group, line_mask)?;
-        self.array.read_or(&rows, self.col_of(slot), self.layout.element_width())
-    }
-
-    /// Activates the lines of `group` selected by `line_mask` and reads
-    /// **all slots** in one cycle — the DAISM "one input × all kernel
-    /// elements" operation. Slot `i` of the result is the OR read in slot
-    /// `i`'s column window.
-    ///
-    /// # Errors
-    ///
-    /// Returns range errors for a bad `group` or mask.
     pub fn read_or_group(&mut self, group: usize, line_mask: u64) -> Result<Vec<u64>, SramError> {
-        if group >= self.groups {
-            return Err(SramError::GroupOutOfRange { group, groups: self.groups });
-        }
-        let rows = self.rows_from_mask(group, line_mask)?;
-        let words = self.array.read_or_full(&rows)?;
-        let w = self.layout.element_width();
-        let mut out = Vec::with_capacity(self.slots);
-        for slot in 0..self.slots {
-            let col = self.col_of(slot);
-            let w0 = col / 64;
-            let off = (col % 64) as u32;
-            let lo_bits = (64 - off).min(w);
-            let mut v = (words[w0] >> off) & mask64(lo_bits);
-            if w > lo_bits {
-                v |= (words[w0 + 1] & mask64(w - lo_bits)) << lo_bits;
-            }
-            out.push(v);
-        }
-        Ok(out)
-    }
-
-    fn rows_from_mask(&self, group: usize, line_mask: u64) -> Result<Vec<usize>, SramError> {
+        self.check_group(group)?;
         let lines = self.layout.lines_per_group();
         if lines < 64 && line_mask >> lines != 0 {
-            let bad = (line_mask >> lines).trailing_zeros() as usize + lines;
-            return Err(SramError::LineOutOfRange { line: bad, lines });
+            let line = (line_mask >> lines).trailing_zeros() as usize + lines;
+            return Err(SramError::LineOutOfRange { line, lines });
         }
-        let mut rows = Vec::with_capacity(line_mask.count_ones() as usize);
-        for line in 0..lines.min(64) {
-            if (line_mask >> line) & 1 == 1 {
-                rows.push(self.row_of(group, line));
+        let mut sensed = vec![0u64; self.geometry.cols().div_ceil(64)];
+        let mut selected = line_mask;
+        while selected != 0 {
+            let row = group * lines + selected.trailing_zeros() as usize;
+            selected &= selected - 1;
+            let cells = self.cells.row_words(row).iter();
+            match &self.faults {
+                None => sensed.iter_mut().zip(cells).for_each(|(s, &c)| *s |= c),
+                Some(f) => {
+                    let stuck = f.stuck0.row_words(row).iter().zip(f.stuck1.row_words(row));
+                    for ((s, &c), (&s0, &s1)) in sensed.iter_mut().zip(cells).zip(stuck) {
+                        *s |= (c & !s0) | s1;
+                    }
+                }
             }
         }
-        Ok(rows)
+        self.stats.or_reads += 1;
+        self.stats.wordline_activations += u64::from(line_mask.count_ones());
+        self.stats.bitlines_sensed += self.geometry.cols() as u64;
+        let width = self.layout.element_width();
+        Ok((0..self.slots).map(|slot| read_span(&sensed, self.col_of(slot), width)).collect())
     }
 
-    /// Injects a stuck-at fault into the cell at bit `bit` of `slot`'s
-    /// window on `line` of `group` (see
-    /// [`SramArray::inject_stuck_at`](crate::SramArray::inject_stuck_at)).
+    /// Injects a stuck-at fault: the cell at bit `bit` of `slot`'s window
+    /// on `line` of `group` permanently reads `value`, whatever is
+    /// written. Injecting both polarities on one cell leaves the last one.
     ///
     /// # Errors
     ///
@@ -305,56 +306,35 @@ impl SramBank {
         bit: u32,
         value: bool,
     ) -> Result<(), SramError> {
-        self.check(group, slot)?;
-        if line >= self.layout.lines_per_group() {
-            return Err(SramError::LineOutOfRange { line, lines: self.layout.lines_per_group() });
-        }
+        let row = self.row_of(group, line, slot)?;
+        let col = self.col_of(slot) + bit as usize;
         if bit >= self.layout.element_width() {
-            return Err(SramError::ColOutOfRange {
-                col: self.col_of(slot) + bit as usize,
-                width: 1,
-                cols: self.geometry().cols(),
-            });
+            return Err(SramError::ColOutOfRange { col, width: 1, cols: self.geometry.cols() });
         }
-        self.array.inject_stuck_at(
-            self.row_of(group, line),
-            self.col_of(slot) + bit as usize,
-            value,
-        )
+        let (rows, cols) = (self.geometry.rows(), self.geometry.cols());
+        let overlay = self.faults.get_or_insert_with(|| {
+            Box::new(FaultOverlay {
+                stuck0: BitMatrix::new(rows, cols),
+                stuck1: BitMatrix::new(rows, cols),
+                count: 0,
+            })
+        });
+        if !overlay.stuck0.get(row, col) && !overlay.stuck1.get(row, col) {
+            overlay.count += 1;
+        }
+        overlay.stuck0.set(row, col, !value);
+        overlay.stuck1.set(row, col, value);
+        Ok(())
     }
 
     /// Number of faulty cells in this bank.
     pub fn fault_count(&self) -> usize {
-        self.array.fault_count()
+        self.faults.as_ref().map_or(0, |f| f.count)
     }
 
     /// Removes all injected faults.
     pub fn clear_faults(&mut self) {
-        self.array.clear_faults();
-    }
-
-    /// Debug read of one programmed line (not counted in stats; fault
-    /// overlays not applied).
-    pub fn peek_line(&self, group: usize, line: usize, slot: usize) -> Result<u64, SramError> {
-        self.check(group, slot)?;
-        if line >= self.layout.lines_per_group() {
-            return Err(SramError::LineOutOfRange { line, lines: self.layout.lines_per_group() });
-        }
-        self.array.peek(self.row_of(group, line), self.col_of(slot), self.layout.element_width())
-    }
-
-    /// Clears all cells (stats unaffected).
-    pub fn clear(&mut self) {
-        self.array.clear();
-    }
-}
-
-#[inline]
-fn mask64(width: u32) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
+        self.faults = None;
     }
 }
 
@@ -399,7 +379,7 @@ mod tests {
         b.write_line(3, 4, 7, 0x0810).unwrap();
         b.write_line(3, 7, 7, 0x0002).unwrap();
         // Activate lines 0, 4, 7.
-        let v = b.read_or_slot(3, 0b1001_0001, 7).unwrap();
+        let v = b.read_or_group(3, 0b1001_0001).unwrap()[7];
         assert_eq!(v, 0x8813);
     }
 
@@ -424,17 +404,20 @@ mod tests {
 
     #[test]
     fn group_read_matches_slot_reads() {
+        // Every slot of one group read is the OR of that slot's selected
+        // lines alone.
         let mut b = bank_8k();
+        let pattern =
+            |slot: usize, line: usize| ((slot * 31 + line * 7) as u64 * 2654435761) & 0xFFFF;
         for slot in 0..b.slots() {
             for line in 0..8 {
-                let pat = ((slot * 31 + line * 7) as u64 * 2654435761) & 0xFFFF;
-                b.write_line(5, line, slot, pat).unwrap();
+                b.write_line(5, line, slot, pattern(slot, line)).unwrap();
             }
         }
         let mask = 0b1011_0101u64;
         let grouped = b.read_or_group(5, mask).unwrap();
         for (slot, &g) in grouped.iter().enumerate() {
-            let single = b.read_or_slot(5, mask, slot).unwrap();
+            let single = (0..8).filter(|l| mask >> l & 1 == 1).fold(0, |v, l| v | pattern(slot, l));
             assert_eq!(g, single, "slot {slot}");
         }
     }
@@ -460,8 +443,10 @@ mod tests {
     #[test]
     fn mask_selecting_missing_line_errors() {
         let mut b = bank_8k();
-        let err = b.read_or_slot(0, 1 << 8, 0).unwrap_err();
+        let err = b.read_or_group(0, 0b1 | 1 << 8).unwrap_err();
         assert_eq!(err, SramError::LineOutOfRange { line: 8, lines: 8 });
+        // A rejected read is not charged.
+        assert_eq!(b.stats(), AccessStats::default());
     }
 
     #[test]
@@ -472,6 +457,8 @@ mod tests {
         assert!(matches!(b.write_line(0, 0, 16, 0), Err(SramError::SlotOutOfRange { .. })));
         assert!(matches!(b.write_line(0, 0, 0, 1 << 16), Err(SramError::ValueTooWide { .. })));
         assert!(matches!(b.read_or_group(99, 1), Err(SramError::GroupOutOfRange { .. })));
+        // Failed writes are not charged.
+        assert_eq!(b.stats(), AccessStats::default());
     }
 
     #[test]
@@ -491,5 +478,135 @@ mod tests {
         let full = GroupLayout::new(8, 16).unwrap();
         let truncated = GroupLayout::new(8, 8).unwrap();
         assert_eq!(truncated.elements_per_group(geom), 2 * full.elements_per_group(geom));
+    }
+
+    /// A 16×64-bit bank of 2-line groups and 12-bit slots: five slots per
+    /// group, the fifth (columns 48..60) below the row's end.
+    fn small() -> SramBank {
+        SramBank::new(BankGeometry::new(16, 64).unwrap(), GroupLayout::new(2, 12).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn write_and_or_read_count_stats() {
+        let mut b = small();
+        b.write_line(1, 1, 4, 0xABC).unwrap();
+        b.write_line(1, 0, 4, 0x003).unwrap();
+        assert_eq!(b.read_or_group(1, 0b11).unwrap()[4], 0xABF);
+        let st = b.stats();
+        assert_eq!((st.writes, st.bits_written), (2, 24));
+        assert_eq!((st.or_reads, st.wordline_activations), (1, 2));
+        // Every column of the row senses, whatever the slots cover.
+        assert_eq!(st.bitlines_sensed, 64);
+    }
+
+    #[test]
+    fn or_read_is_wired_or() {
+        let mut b = small();
+        b.write_line(3, 0, 0, 0b1000_0001).unwrap();
+        b.write_line(3, 1, 0, 0b0100_0001).unwrap();
+        b.write_line(3, 1, 1, 0b0010_0000).unwrap();
+        let v = b.read_or_group(3, 0b11).unwrap();
+        assert_eq!(v, [0b1100_0001, 0b0010_0000, 0, 0, 0]);
+        assert_eq!(b.read_or_group(3, 0b01).unwrap()[0], 0b1000_0001);
+    }
+
+    #[test]
+    fn or_read_empty_mask_is_zero() {
+        let mut b = small();
+        b.write_line(0, 0, 0, 0xFFF).unwrap();
+        assert_eq!(b.read_or_group(0, 0).unwrap(), [0; 5]);
+        let st = b.stats();
+        assert_eq!((st.or_reads, st.wordline_activations, st.bitlines_sensed), (1, 0, 64));
+    }
+
+    #[test]
+    fn reset_stats_keeps_contents() {
+        let mut b = small();
+        b.write_line(0, 0, 2, 0x77).unwrap();
+        b.reset_stats();
+        assert_eq!(b.stats(), AccessStats::default());
+        assert_eq!(b.read_or_group(0, 1).unwrap()[2], 0x77);
+    }
+
+    #[test]
+    fn stuck_at_one_forces_bit_high() {
+        let mut b = small();
+        b.inject_stuck_at(2, 1, 0, 3, true).unwrap();
+        assert_eq!(b.read_or_group(2, 0b10).unwrap()[0], 0b1000);
+        // Writing 0 cannot clear it.
+        b.write_line(2, 1, 0, 0).unwrap();
+        assert_eq!(b.read_or_group(2, 0b10).unwrap()[0], 0b1000);
+    }
+
+    #[test]
+    fn stuck_at_zero_masks_bit() {
+        let mut b = small();
+        b.write_line(1, 0, 0, 0xFF).unwrap();
+        b.inject_stuck_at(1, 0, 0, 4, false).unwrap();
+        assert_eq!(b.read_or_group(1, 1).unwrap()[0], 0b1110_1111);
+    }
+
+    #[test]
+    fn faults_apply_before_wired_or() {
+        let mut b = small();
+        b.write_line(0, 0, 0, 0b0000_0001).unwrap();
+        b.write_line(0, 1, 0, 0b0000_0010).unwrap();
+        // Stuck-0 on line 0 bit 0 removes its contribution; a healthy
+        // line can still drive other columns.
+        b.inject_stuck_at(0, 0, 0, 0, false).unwrap();
+        assert_eq!(b.read_or_group(0, 0b11).unwrap()[0], 0b0000_0010);
+        // Stuck-1 on an *activated* line always contributes.
+        b.inject_stuck_at(0, 1, 0, 7, true).unwrap();
+        assert_eq!(b.read_or_group(0, 0b11).unwrap()[0], 0b1000_0010);
+        // A stuck-1 line that is not activated contributes nothing.
+        assert_eq!(b.read_or_group(0, 0b01).unwrap()[0], 0);
+    }
+
+    #[test]
+    fn faults_apply_in_every_slot_window() {
+        // 24-bit slots straddle the 64-bit words of a 128-column row.
+        let geom = BankGeometry::new(4, 128).unwrap();
+        let mut b = SramBank::new(geom, GroupLayout::new(2, 24).unwrap()).unwrap();
+        b.write_line(1, 0, 2, 0xFF_FFFF).unwrap(); // columns 48..72
+        b.inject_stuck_at(1, 0, 2, 17, false).unwrap(); // column 65
+        b.inject_stuck_at(1, 1, 4, 23, true).unwrap(); // column 119
+        assert_eq!(b.read_or_group(1, 0b11).unwrap(), [0, 0, 0xFD_FFFF, 0, 1 << 23]);
+    }
+
+    #[test]
+    fn fault_bookkeeping() {
+        let mut b = small();
+        assert_eq!(b.fault_count(), 0);
+        b.inject_stuck_at(0, 0, 0, 0, true).unwrap();
+        b.inject_stuck_at(0, 0, 0, 1, false).unwrap();
+        // Re-injecting the same cell does not double-count.
+        b.inject_stuck_at(0, 0, 0, 0, false).unwrap();
+        assert_eq!(b.fault_count(), 2);
+        b.clear_faults();
+        assert_eq!(b.fault_count(), 0);
+        b.write_line(0, 0, 0, 0b0011).unwrap();
+        assert_eq!(b.read_or_group(0, 1).unwrap()[0], 0b0011);
+    }
+
+    #[test]
+    fn inject_out_of_range_errors() {
+        let mut b = small();
+        assert!(matches!(
+            b.inject_stuck_at(8, 0, 0, 0, true),
+            Err(SramError::GroupOutOfRange { .. })
+        ));
+        assert!(matches!(
+            b.inject_stuck_at(0, 2, 0, 0, true),
+            Err(SramError::LineOutOfRange { .. })
+        ));
+        assert!(matches!(
+            b.inject_stuck_at(0, 0, 5, 0, true),
+            Err(SramError::SlotOutOfRange { .. })
+        ));
+        assert_eq!(
+            b.inject_stuck_at(0, 0, 4, 12, true),
+            Err(SramError::ColOutOfRange { col: 60, width: 1, cols: 64 })
+        );
+        assert_eq!(b.fault_count(), 0);
     }
 }

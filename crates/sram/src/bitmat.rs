@@ -5,8 +5,8 @@ const WORD_BITS: usize = 64;
 /// A dense, bit-packed `rows × cols` bit matrix.
 ///
 /// Rows are stored contiguously in `u64` words (`ceil(cols / 64)` words per
-/// row). This is the raw cell array under [`SramArray`](crate::SramArray);
-/// it performs bounds checking but keeps no statistics.
+/// row). This is the raw cell array of an [`SramBank`](crate::SramBank); it
+/// performs bounds checking but keeps no statistics.
 ///
 /// # Examples
 ///
@@ -143,62 +143,34 @@ impl BitMatrix {
     pub fn read_bits(&self, row: usize, col: usize, width: u32) -> Result<u64, SramError> {
         self.check_row(row)?;
         self.check_span(col, width)?;
-        if width == 0 {
-            return Ok(0);
-        }
+        Ok(read_span(self.row_words(row), col, width))
+    }
+
+    /// The packed words of `row` (`ceil(cols / 64)` of them; unused top
+    /// bits are zero). The caller has range-checked `row`.
+    #[inline]
+    pub(crate) fn row_words(&self, row: usize) -> &[u64] {
         let base = row * self.words_per_row;
-        let w0 = col / WORD_BITS;
-        let off = col % WORD_BITS;
-        let lo_bits = (WORD_BITS - off).min(width as usize) as u32;
-        let mut out = (self.data[base + w0] >> off) & mask64(lo_bits);
-        if (width as usize) > lo_bits as usize {
-            let hi_bits = width - lo_bits;
-            out |= (self.data[base + w0 + 1] & mask64(hi_bits)) << lo_bits;
-        }
-        Ok(out)
+        &self.data[base..base + self.words_per_row]
     }
+}
 
-    /// Reads `width` bits as the bitwise OR over several rows — the
-    /// multi-wordline activation primitive.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any row or the column span is out of range.
-    pub fn read_bits_or(&self, rows: &[usize], col: usize, width: u32) -> Result<u64, SramError> {
-        let mut out = 0u64;
-        for &row in rows {
-            out |= self.read_bits(row, col, width)?;
-        }
-        Ok(out)
+/// Cuts `width ≤ 64` bits starting at column `col` out of a row's packed
+/// words (bit 0 of the result is column `col`); the span may straddle two
+/// words. The caller has range-checked the span.
+#[inline]
+pub(crate) fn read_span(words: &[u64], col: usize, width: u32) -> u64 {
+    if width == 0 {
+        return 0;
     }
-
-    /// Returns the full OR of several rows as packed words
-    /// (`ceil(cols/64)` of them; unused top bits are zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any row is out of range.
-    pub fn or_rows(&self, rows: &[usize]) -> Result<Vec<u64>, SramError> {
-        let mut out = vec![0u64; self.words_per_row];
-        for &row in rows {
-            self.check_row(row)?;
-            let base = row * self.words_per_row;
-            for (o, w) in out.iter_mut().zip(&self.data[base..base + self.words_per_row]) {
-                *o |= w;
-            }
-        }
-        Ok(out)
+    let w0 = col / WORD_BITS;
+    let off = col % WORD_BITS;
+    let lo_bits = (WORD_BITS - off).min(width as usize) as u32;
+    let mut out = (words[w0] >> off) & mask64(lo_bits);
+    if width > lo_bits {
+        out |= (words[w0 + 1] & mask64(width - lo_bits)) << lo_bits;
     }
-
-    /// Clears every bit.
-    pub fn clear(&mut self) {
-        self.data.fill(0);
-    }
-
-    /// Number of set bits in the whole matrix.
-    pub fn count_ones(&self) -> u64 {
-        self.data.iter().map(|w| w.count_ones() as u64).sum()
-    }
+    out
 }
 
 #[inline]
@@ -217,7 +189,7 @@ mod tests {
     #[test]
     fn new_is_all_zero() {
         let m = BitMatrix::new(8, 130);
-        assert_eq!(m.count_ones(), 0);
+        assert!(m.data.iter().all(|&w| w == 0));
         assert_eq!(m.rows(), 8);
         assert_eq!(m.cols(), 130);
     }
@@ -272,27 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn or_of_rows() {
-        let mut m = BitMatrix::new(4, 96);
-        m.write_bits(0, 0, 8, 0b0001).unwrap();
-        m.write_bits(1, 0, 8, 0b0110).unwrap();
-        m.write_bits(3, 0, 8, 0b1000).unwrap();
-        assert_eq!(m.read_bits_or(&[0, 1, 3], 0, 8).unwrap(), 0b1111);
-        assert_eq!(m.read_bits_or(&[0, 1], 0, 8).unwrap(), 0b0111);
-        assert_eq!(m.read_bits_or(&[], 0, 8).unwrap(), 0);
-    }
-
-    #[test]
-    fn or_rows_full_width() {
-        let mut m = BitMatrix::new(2, 130);
-        m.set(0, 129, true);
-        m.set(1, 0, true);
-        let or = m.or_rows(&[0, 1]).unwrap();
-        assert_eq!(or[0], 1);
-        assert_eq!(or[2], 0b10); // bit 129 = word 2, bit 1
-    }
-
-    #[test]
     fn errors_on_out_of_range() {
         let mut m = BitMatrix::new(2, 64);
         assert_eq!(m.read_bits(2, 0, 8), Err(SramError::RowOutOfRange { row: 2, rows: 2 }));
@@ -312,16 +263,7 @@ mod tests {
         let mut m = BitMatrix::new(1, 8);
         m.write_bits(0, 3, 0, 0).unwrap();
         assert_eq!(m.read_bits(0, 3, 0).unwrap(), 0);
-        assert_eq!(m.count_ones(), 0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut m = BitMatrix::new(2, 64);
-        m.write_bits(1, 0, 64, u64::MAX).unwrap();
-        assert_eq!(m.count_ones(), 64);
-        m.clear();
-        assert_eq!(m.count_ones(), 0);
+        assert_eq!(m.read_bits(0, 0, 8).unwrap(), 0);
     }
 
     #[test]

@@ -1,28 +1,24 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-/// Access counters accumulated by [`SramArray`](crate::SramArray) and
-/// [`SramBank`](crate::SramBank).
+/// Access counters accumulated by [`SramBank`](crate::SramBank).
 ///
 /// These are the raw events the `daism-energy` models price: a *group
 /// activation* is one multi-wordline read (one precharge + sense cycle);
 /// `wordline_activations` counts how many wordlines fired across all
-/// activations (the decoder energy term); `bitlines_sensed` counts sensed
-/// columns (the dominant read-energy term — truncated configurations sense
-/// half the columns).
+/// activations (the decoder energy term); `bitlines_sensed` counts the
+/// columns sensed by those OR reads (the dominant read-energy term).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessStats {
     /// Single-wordline word writes.
     pub writes: u64,
     /// Bits written by those writes.
     pub bits_written: u64,
-    /// Single-wordline word reads.
-    pub single_reads: u64,
     /// Multi-wordline (wired-OR) read operations.
     pub or_reads: u64,
     /// Total wordlines activated across all OR reads.
     pub wordline_activations: u64,
-    /// Total bitline columns sensed across all reads (single and OR).
+    /// Total bitline columns sensed across all OR reads.
     pub bitlines_sensed: u64,
 }
 
@@ -54,7 +50,6 @@ impl Add for AccessStats {
         AccessStats {
             writes: self.writes + rhs.writes,
             bits_written: self.bits_written + rhs.bits_written,
-            single_reads: self.single_reads + rhs.single_reads,
             or_reads: self.or_reads + rhs.or_reads,
             wordline_activations: self.wordline_activations + rhs.wordline_activations,
             bitlines_sensed: self.bitlines_sensed + rhs.bitlines_sensed,
@@ -72,10 +67,9 @@ impl fmt::Display for AccessStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "writes={} ({} bits), single reads={}, OR reads={} ({} wordlines, {} bitlines)",
+            "writes={} ({} bits), OR reads={} ({} wordlines, {} bitlines)",
             self.writes,
             self.bits_written,
-            self.single_reads,
             self.or_reads,
             self.wordline_activations,
             self.bitlines_sensed
@@ -99,7 +93,6 @@ mod tests {
         let a = AccessStats {
             writes: 1,
             bits_written: 8,
-            single_reads: 2,
             or_reads: 3,
             wordline_activations: 9,
             bitlines_sensed: 48,

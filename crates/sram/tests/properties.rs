@@ -23,22 +23,6 @@ proptest! {
     }
 
     #[test]
-    fn bitmatrix_or_equals_software_or(
-        patterns in prop::collection::vec(any::<u64>(), 1..8),
-        width in 1u32..=48,
-    ) {
-        let mut m = BitMatrix::new(patterns.len(), 64);
-        let mut expect = 0u64;
-        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-        for (row, &p) in patterns.iter().enumerate() {
-            m.write_bits(row, 0, width, p & mask).unwrap();
-            expect |= p & mask;
-        }
-        let rows: Vec<usize> = (0..patterns.len()).collect();
-        prop_assert_eq!(m.read_bits_or(&rows, 0, width).unwrap(), expect);
-    }
-
-    #[test]
     fn adjacent_writes_do_not_interfere(
         a in any::<u64>(),
         b in any::<u64>(),
@@ -54,52 +38,66 @@ proptest! {
     }
 
     #[test]
-    fn bank_group_read_equals_per_slot_reads(
+    fn bank_group_read_equals_software_or(
         seed in any::<u64>(),
-        mask in 1u64..256,
+        width in prop::sample::select(vec![8u32, 12, 16, 24]),
+        cols in prop::sample::select(vec![128usize, 200]),
+        mask in 0u64..256,
+        faults in prop::collection::vec((any::<u64>(), any::<bool>()), 0..24),
     ) {
-        let geom = BankGeometry::square_from_bytes(2 * 1024).unwrap(); // 128x128
-        let layout = GroupLayout::new(8, 16).unwrap();
-        let mut bank = SramBank::new(geom, layout).unwrap();
+        // Two 8-line groups; 12- and 24-bit slots straddle 64-bit words,
+        // and 200 columns leave a partial last word.
+        const LINES: usize = 8;
+        const GROUPS: usize = 2;
+        let geom = BankGeometry::new(GROUPS * LINES, cols).unwrap();
+        let mut bank = SramBank::new(geom, GroupLayout::new(LINES, width).unwrap()).unwrap();
+        let slots = bank.slots();
+        let full = (1u64 << width) - 1;
+        let cell = |group: usize, line: usize, slot: usize| (group * LINES + line) * slots + slot;
         let mut state = seed | 1;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 48
+            state >> 16
         };
-        for group in 0..bank.groups() {
-            for line in 0..8 {
-                for slot in 0..bank.slots() {
-                    bank.write_line(group, line, slot, next()).unwrap();
+        // The software model: every programmed pattern as a plain u64,
+        // and per stored pattern the bits pinned to 0 and to 1.
+        let mut stored = vec![0u64; GROUPS * LINES * slots];
+        for group in 0..GROUPS {
+            for line in 0..LINES {
+                for slot in 0..slots {
+                    let pattern = next() & full;
+                    bank.write_line(group, line, slot, pattern).unwrap();
+                    stored[cell(group, line, slot)] = pattern;
                 }
             }
         }
-        for group in 0..bank.groups() {
-            let grouped = bank.read_or_group(group, mask).unwrap();
-            for (slot, &g) in grouped.iter().enumerate() {
-                prop_assert_eq!(g, bank.read_or_slot(group, mask, slot).unwrap());
+        let mut stuck0 = vec![0u64; stored.len()];
+        let mut stuck1 = vec![0u64; stored.len()];
+        for &(r, value) in &faults {
+            let (group, line) = (r as usize % GROUPS, (r >> 8) as usize % LINES);
+            let (slot, bit) = ((r >> 16) as usize % slots, ((r >> 32) % u64::from(width)) as u32);
+            bank.inject_stuck_at(group, line, slot, bit, value).unwrap();
+            let i = cell(group, line, slot);
+            let (set, unset) = if value { (&mut stuck1, &mut stuck0) } else { (&mut stuck0, &mut stuck1) };
+            set[i] |= 1 << bit;
+            unset[i] &= !(1 << bit);
+        }
+        for group in 0..GROUPS {
+            let read = bank.read_or_group(group, mask).unwrap();
+            prop_assert_eq!(read.len(), slots);
+            for (slot, &got) in read.iter().enumerate() {
+                let expect = (0..LINES)
+                    .filter(|line| mask >> line & 1 == 1)
+                    .map(|line| cell(group, line, slot))
+                    .fold(0, |or, i| or | (stored[i] & !stuck0[i]) | stuck1[i]);
+                prop_assert_eq!(got, expect, "group {} slot {}", group, slot);
             }
         }
-    }
-
-    #[test]
-    fn or_read_dominates_each_line(
-        lines in prop::collection::vec(0u64..0xFFFF, 2..8),
-        mask_bits in 1u8..=255,
-    ) {
-        let geom = BankGeometry::square_from_bytes(2 * 1024).unwrap();
-        let layout = GroupLayout::new(8, 16).unwrap();
-        let mut bank = SramBank::new(geom, layout).unwrap();
-        for (i, &p) in lines.iter().enumerate() {
-            bank.write_line(0, i, 3, p).unwrap();
-        }
-        let mask = (mask_bits as u64) & ((1 << lines.len()) - 1);
-        prop_assume!(mask != 0);
-        let v = bank.read_or_slot(0, mask, 3).unwrap();
-        for (i, &p) in lines.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                // OR result contains every activated line's bits.
-                prop_assert_eq!(v & p, p);
-            }
-        }
+        let st = bank.stats();
+        prop_assert_eq!(st.writes, stored.len() as u64);
+        prop_assert_eq!(st.bits_written, stored.len() as u64 * u64::from(width));
+        prop_assert_eq!(st.or_reads, GROUPS as u64);
+        prop_assert_eq!(st.wordline_activations, GROUPS as u64 * u64::from(mask.count_ones()));
+        prop_assert_eq!(st.bitlines_sensed, (GROUPS * cols) as u64);
     }
 }
