@@ -500,6 +500,37 @@ mod tests {
     }
 
     #[test]
+    fn or_read_senses_all_columns() {
+        // The last slot ends at column 60; the read still senses all 64
+        // bitlines, once per OR read.
+        let mut b = small();
+        b.write_line(2, 1, 4, 0xFFF).unwrap();
+        assert_eq!(b.read_or_group(2, 0b11).unwrap(), [0, 0, 0, 0, 0xFFF]);
+        assert_eq!(b.read_or_group(3, 0b01).unwrap(), [0; 5]);
+        assert_eq!(b.stats().bitlines_sensed, 128);
+    }
+
+    #[test]
+    fn errors_propagate() {
+        // A rejected write or read returns its error and leaves the cells
+        // and the counters as they were.
+        let mut b = small();
+        b.write_line(0, 1, 4, 0x5A5).unwrap();
+        let before = b.stats();
+        assert_eq!(
+            b.write_line(0, 1, 4, 1 << 12),
+            Err(SramError::ValueTooWide { value: 1 << 12, width: 12 })
+        );
+        assert_eq!(
+            b.write_line(8, 1, 4, 0),
+            Err(SramError::GroupOutOfRange { group: 8, groups: 8 })
+        );
+        assert_eq!(b.read_or_group(0, 0b110), Err(SramError::LineOutOfRange { line: 2, lines: 2 }));
+        assert_eq!(b.stats(), before);
+        assert_eq!(b.read_or_group(0, 0b10).unwrap()[4], 0x5A5);
+    }
+
+    #[test]
     fn or_read_is_wired_or() {
         let mut b = small();
         b.write_line(3, 0, 0, 0b1000_0001).unwrap();

@@ -100,4 +100,26 @@ proptest! {
         prop_assert_eq!(st.wordline_activations, GROUPS as u64 * u64::from(mask.count_ones()));
         prop_assert_eq!(st.bitlines_sensed, (GROUPS * cols) as u64);
     }
+
+    #[test]
+    fn or_read_dominates_each_line(
+        lines in prop::collection::vec(0u64..0xFFFF, 2..8),
+        mask_bits in 1u8..=255,
+    ) {
+        let geom = BankGeometry::square_from_bytes(2 * 1024).unwrap();
+        let layout = GroupLayout::new(8, 16).unwrap();
+        let mut bank = SramBank::new(geom, layout).unwrap();
+        for (i, &p) in lines.iter().enumerate() {
+            bank.write_line(0, i, 3, p).unwrap();
+        }
+        let mask = (mask_bits as u64) & ((1 << lines.len()) - 1);
+        prop_assume!(mask != 0);
+        let v = bank.read_or_group(0, mask).unwrap()[3];
+        for (i, &p) in lines.iter().enumerate() {
+            if (mask >> i) & 1 == 1 {
+                // OR result contains every activated line's bits.
+                prop_assert_eq!(v & p, p);
+            }
+        }
+    }
 }
