@@ -33,7 +33,10 @@ pub struct FunctionalDaism {
     mapping: Mapping,
     gemm: GemmShape,
     weights_f32: Vec<f32>,
-    activations: u64,
+    /// Each weight as programmed, `M×K` row-major: its scalar in the
+    /// format, `None` where the banks hold 0 (zero, NaN, Inf or a
+    /// flushed subnormal weight).
+    programmed: Vec<Option<FpScalar>>,
     bypassed: u64,
 }
 
@@ -68,6 +71,11 @@ impl FunctionalDaism {
         let segments_per_column = gemm.m.div_ceil(slots);
         let mut next_group = vec![0usize; config.banks];
         let mut segment_homes = Vec::with_capacity(mapping.segments);
+        let programmed: Vec<Option<FpScalar>> = weights
+            .iter()
+            .map(|&w| FpScalar::from_f32(w, config.format))
+            .map(|ws| (ws.class() == FpClass::Normal).then_some(ws))
+            .collect();
         for s in 0..mapping.segments {
             let bank = s % config.banks;
             let group = next_group[bank];
@@ -77,11 +85,8 @@ impl FunctionalDaism {
             let m_base = chunk * slots;
             // Program this segment's weights: rows m_base.. of column k.
             for slot in 0..slots.min(gemm.m - m_base) {
-                let w = weights[(m_base + slot) * gemm.k + k];
-                let scalar = FpScalar::from_f32(w, config.format);
-                let mantissa =
-                    if scalar.class() == FpClass::Normal { scalar.mantissa() } else { 0 };
-                banks[bank].program(group, slot, mantissa)?;
+                let ws = programmed[(m_base + slot) * gemm.k + k];
+                banks[bank].program(group, slot, ws.map_or(0, |ws| ws.mantissa()))?;
             }
             segment_homes.push((bank, group, m_base));
         }
@@ -94,7 +99,7 @@ impl FunctionalDaism {
             mapping,
             gemm,
             weights_f32: weights.to_vec(),
-            activations: 0,
+            programmed,
             bypassed: 0,
         })
     }
@@ -104,9 +109,9 @@ impl FunctionalDaism {
         &self.mapping
     }
 
-    /// Group activations performed so far.
+    /// Group activations performed so far: the banks' OR reads.
     pub fn activations(&self) -> u64 {
-        self.activations
+        self.sram_stats().or_reads
     }
 
     /// Activations skipped by the zero-input bypass.
@@ -152,27 +157,17 @@ impl FunctionalDaism {
                     continue;
                 }
                 let raws = self.banks[bank].multiply_group(group, xs.mantissa())?;
-                self.activations += 1;
                 for slot in 0..slots.min(m - m_base) {
-                    let w = self.banks[bank].programmed_at(group, slot);
-                    let Some(w_man) = w else { continue };
-                    if w_man == 0 {
-                        continue; // zero weight: contributes nothing
-                    }
-                    // Rebuild the weight scalar from its programmed
-                    // mantissa + the original weight's exponent/sign.
-                    let ws = self.weight_scalar(m_base + slot, col_k);
-                    let product = self.mul.combine_raw(&ws, &xs, raws[slot]);
+                    // A weight programmed as 0 contributes nothing.
+                    let Some(ws) = &self.programmed[(m_base + slot) * k + col_k] else {
+                        continue;
+                    };
+                    let product = self.mul.combine_raw(ws, &xs, raws[slot]);
                     out[(m_base + slot) * n + p] += product.to_f32();
                 }
             }
         }
         Ok(out)
-    }
-
-    fn weight_scalar(&self, row: usize, col: usize) -> FpScalar {
-        let w = self.weights_f32[row * self.gemm.k + col];
-        FpScalar::from_f32(w, self.config.format)
     }
 
     /// Reference output computed with the software pipeline: the same

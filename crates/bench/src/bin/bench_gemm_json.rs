@@ -191,26 +191,17 @@ fn sparsity(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Sparsity {
     Sparsity { zero_a: zeros(a), zero_b: zeros(b), nonzero_macs }
 }
 
-/// Times one `(backend, variant, shape)` cell: `reps` timed runs after
-/// one warm-up, returning `(best_ns, median_ns)`.
-#[allow(clippy::too_many_arguments)] // the GEMM's own signature plus reps
-fn time_cell(
-    f: GemmFn,
-    mul: &dyn ScalarMul,
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    reps: usize,
-) -> (u128, u128) {
-    let mut out = vec![0.0f32; m * n];
-    f(mul, a, b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
+/// Times one GEMM cell: one warm-up, then `reps` timed runs of `gemm`
+/// into a C of `len` elements, zeroed outside the timed region,
+/// returning `(best_ns, median_ns)`.
+fn time_gemm(len: usize, reps: usize, mut gemm: impl FnMut(&mut [f32])) -> (u128, u128) {
+    let mut out = vec![0.0f32; len];
+    gemm(&mut out); // warm-up (LUT build, pool spawn)
     let mut samples: Vec<u128> = (0..reps)
         .map(|_| {
             out.fill(0.0);
             let t0 = Instant::now();
-            f(mul, a, b, &mut out, m, k, n);
+            gemm(&mut out);
             t0.elapsed().as_nanos()
         })
         .collect();
@@ -320,25 +311,6 @@ fn time_products(ops: usize, reps: usize) -> Vec<ProductRow> {
         }),
     );
     rows
-}
-
-/// Times one blockfp `(variant, size)` cell, same protocol as
-/// [`time_cell`].
-fn time_blockfp_cell(f: BlockFpFn, engine: &BlockFpGemm, size: usize, reps: usize) -> (u128, u128) {
-    let (m, k, n) = (size, size, size);
-    let (a, b) = test_operands(m, k, n);
-    let mut out = vec![0.0f32; m * n];
-    f(engine, &a, &b, &mut out, m, k, n); // warm-up (LUT build, pool spawn)
-    let mut samples: Vec<u128> = (0..reps)
-        .map(|_| {
-            out.fill(0.0);
-            let t0 = Instant::now();
-            f(engine, &a, &b, &mut out, m, k, n);
-            t0.elapsed().as_nanos()
-        })
-        .collect();
-    samples.sort_unstable();
-    (samples[0], samples[samples.len() / 2])
 }
 
 /// CI guard for the blockfp rows: no NaN/Inf, no scale blowup against
@@ -469,8 +441,9 @@ fn main() {
         let guarded = size >= GUARD_MIN_SIZE;
         for (bname, backend) in &backends {
             for (vname, f) in VARIANTS {
-                let (best, median) =
-                    time_cell(*f, backend.as_ref(), &a, &b, size, size, size, reps);
+                let (best, median) = time_gemm(size * size, reps, |c| {
+                    f(backend.as_ref(), &a, &b, c, size, size, size)
+                });
                 eprintln!("{size}^3 {bname:>12} {vname:>11}: best {best} ns, median {median} ns");
                 cells.push(Cell {
                     shape: Shape::Cube(size),
@@ -487,7 +460,8 @@ fn main() {
         }
         validate_blockfp(&blockfp, size);
         for (vname, f) in BLOCKFP_VARIANTS {
-            let (best, median) = time_blockfp_cell(*f, &blockfp, size, reps);
+            let (best, median) =
+                time_gemm(size * size, reps, |c| f(&blockfp, &a, &b, c, size, size, size));
             eprintln!(
                 "{size}^3 {blockfp_name:>12} {vname:>12}: best {best} ns, median {median} ns"
             );
@@ -514,7 +488,8 @@ fn main() {
             let mul = ApproxFpMul::new(MultiplierConfig::PC3_TR, format);
             let prepare_ns = time_prepare_b(&mul, &b, g.k, g.n, reps);
             for (vname, f) in VARIANTS {
-                let (best, median) = time_cell(*f, &mul, &a, &b, g.m, g.k, g.n, reps);
+                let (best, median) =
+                    time_gemm(g.m * g.n, reps, |c| f(&mul, &a, &b, c, g.m, g.k, g.n));
                 eprintln!("{:>15} {bname} {vname:>11}: best {best} ns, median {median} ns", g.name);
                 cells.push(Cell {
                     shape: Shape::Cnn(g.name),

@@ -170,11 +170,17 @@ impl PreparedTile {
 /// The GEMM engine calls a backend at three grains: [`mul`](Self::mul)
 /// per product, [`mul_rows`](Self::mul_rows) per (A element, raw B row)
 /// and, on a decoded tile, [`mul_tile_rows`](Self::mul_tile_rows) per
-/// (C row, tile): one run of A elements, each driving one tile row, as
-/// one input at a time drives the hardware's decoder against the stored
-/// multiplicands (paper §III-B). The run form lets a backend pay its
-/// per-call set-up once per run and keep a narrow C row in registers
-/// across the drivers.
+/// (C row, tile): one run of A elements, each against one tile row. The
+/// run form lets a backend pay its per-call set-up once per run and keep
+/// a narrow C row in registers across the drivers.
+///
+/// Operand roles: B is the *prepared* operand (decoded once per tile,
+/// or once by [`GemmBackend::prepare_b`]), but every approximate
+/// product is `multiply(a_man, b_man)`. A's mantissa is the multiplicand
+/// whose line patterns are ORed, and B's drives the decoder: the reverse
+/// of the hardware, which ORs the stored operand's patterns (paper
+/// §III-B). ROADMAP item 1 flips the product so the stored B is the
+/// multiplicand.
 pub trait ScalarMul: GemmBackend {
     /// Multiplies two values, returning the result widened to `f32`.
     fn mul(&self, x: f32, y: f32) -> f32;
@@ -242,10 +248,10 @@ pub trait ScalarMul: GemmBackend {
     /// [`tile_format`](Self::tile_format): `a_run[r]` drives tile row
     /// `r`, and for every `r` with `a_run[r] != 0.0`, in ascending `r`,
     /// `c[j] += mul(a_run[r], b[j])` for every `j` with `b[j] != 0.0`.
-    /// The GEMM engine issues one call per (C row, tile). It is the
-    /// hardware's read (paper §III-B): each input drives the decoder and
-    /// one group read returns its product with every stored
-    /// multiplicand. A zero driver bypasses the array (§III-C) and is
+    /// The GEMM engine issues one call per (C row, tile): the loop shape
+    /// of the hardware's read (paper §III-B), one input against every
+    /// stored value, with the operand roles the trait docs describe. A
+    /// zero driver bypasses the array (§III-C) and is
     /// skipped here, not by the caller; zero B lanes follow the
     /// [`mul_rows`](Self::mul_rows) contract.
     ///
@@ -369,6 +375,9 @@ impl ScalarMul for QuantizedExactMul {
         Some(self.format)
     }
 
+    // Not the trait default: that calls `mul`, which re-quantizes both
+    // operands per product; it ran this backend's engine 2–3× slower at
+    // 64³ (≈16 → 44 ns/MAC, one worker on a 2-core AVX-512 Xeon).
     fn mul_tile_rows(&self, a_run: &[f32], tile: &PreparedTile, c: &mut [f32]) {
         debug_assert_eq!((tile.format, tile.width), (self.format, c.len()), "tile mismatch");
         // Every lane's value is the format-rounded `f32`: exactly the `yq`
@@ -530,20 +539,12 @@ impl ApproxFpMul {
     }
 
     /// [`combine_raw`](Self::combine_raw) fused with the `f32` encode,
-    /// skipping the `FpScalar` round-trip (and its `powi`): same
-    /// normalisation, same saturation, same panic on a denormalised
-    /// read-out — **bit-identical** results, asserted by the
-    /// `mul_rows`-vs-`mul` equivalence tests. Only valid for an
-    /// `f32`-encodable format (checked by the caller).
-    #[inline]
-    fn combine_raw_to_f32(&self, x: &FpScalar, y: &FpScalar, raw: u64) -> f32 {
-        self.fuse_combine(x.sign() ^ y.sign(), x.exponent() + y.exponent(), raw)
-    }
-
-    /// The parts-level core of [`combine_raw_to_f32`](Self::combine_raw_to_f32):
-    /// takes the already-XORed sign and already-summed exponent, without
-    /// materialising `FpScalar`s. Only valid for an `f32`-encodable
-    /// format (checked by callers).
+    /// from the already-XORed sign and already-summed exponent: no
+    /// `FpScalar` round-trip (and no `powi`), but the same
+    /// normalisation, the same saturation and the same panic on a
+    /// denormalised read-out — **bit-identical** results, asserted by
+    /// the `mul_rows`-vs-`mul` equivalence tests. Only valid for an
+    /// `f32`-encodable format (checked by callers).
     #[inline]
     fn fuse_combine(&self, sign: bool, exp_sum: i32, raw: u64) -> f32 {
         if raw == 0 {
@@ -859,8 +860,8 @@ impl ScalarMul for ApproxFpMul {
             }
             let ys = FpScalar::from_f32(*bv, self.format);
             *cv += if ys.class() == FpClass::Normal {
-                let raw = self.mult.multiply_prepared_trusted(&prep, ys.mantissa());
-                self.combine_raw_to_f32(&xs, &ys, raw)
+                let [raw] = self.mult.mul_lanes_trusted(&prep, &[ys.mantissa()]);
+                self.fuse_combine(xs.sign() ^ ys.sign(), xs.exponent() + ys.exponent(), raw)
             } else {
                 self.mul_scalars(&xs, &ys).to_f32()
             };

@@ -437,7 +437,9 @@ fn mac_rows(
 /// conversion once, and [`gemm_prepared_b`](Self::gemm_prepared_b)
 /// replays it against many streamed A operands — **bit-identical** to
 /// [`gemm`](Self::gemm) on the same values, for every shape including
-/// `m == 1`.
+/// `m == 1`. The arithmetic does not yet give B the stored role: each
+/// approximate product ORs A's mantissa patterns, decoded by B's
+/// mantissa (see [`ScalarMul`]); ROADMAP item 1 flips that.
 ///
 /// A prepared B belongs to the backend class that made it: a BlockFp
 /// form served through a scalar multiplier (or the reverse) panics, and
@@ -686,7 +688,7 @@ fn lane_mac(
         }
     }
     for (acc, &y) in achunks.into_remainder().iter_mut().zip(ychunks.remainder()) {
-        let raw = mult.multiply_prepared(prep, y.unsigned_abs() as u64);
+        let [raw] = mult.mul_lanes_trusted(prep, &[y.unsigned_abs() as u64]);
         let s = sx ^ ((y >> 31) as i64);
         let mag = (raw << shift) as i64;
         *acc += (mag ^ s) - s;

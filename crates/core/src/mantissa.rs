@@ -211,13 +211,7 @@ impl ChunkTables {
         &self.plain[..self.chunks]
     }
 
-    #[inline]
-    fn read(&self, b: u64) -> u64 {
-        let [acc] = self.read_lanes(&[b]);
-        acc
-    }
-
-    /// [`read`](Self::read) over a lane group, chunk-major so every
+    /// The wired-OR read-outs of a lane group, chunk-major so every
     /// pass is a fixed-width loop over the lanes.
     #[inline]
     fn read_lanes<const L: usize>(&self, b: &[u64; L]) -> [u64; L] {
@@ -417,43 +411,12 @@ impl MantissaMultiplier {
         PreparedMultiplicand { a, chunks }
     }
 
-    /// [`multiply`](Self::multiply) with a pre-bound multiplicand:
-    /// bit-identical results, but the table row (or the chunk tables)
-    /// are reused across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` exceeds `n` bits or (fp mode) `b != 0` lacks its
-    /// leading one.
-    #[inline]
-    pub fn multiply_prepared(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        self.check_multiplier(b);
-        self.multiply_prepared_trusted(prep, b)
-    }
-
-    /// [`multiply_prepared`](Self::multiply_prepared) without operand
-    /// re-validation, for crate-internal hot loops whose `b` is the
-    /// mantissa of an already-decoded `Normal` scalar (in range and
-    /// carrying its leading one by construction).
-    #[inline]
-    pub(crate) fn multiply_prepared_trusted(&self, prep: &PreparedMultiplicand, b: u64) -> u64 {
-        debug_assert!(bits::width_of(b) <= self.layout.mantissa_width());
-        debug_assert!(
-            self.layout.mode() != OperandMode::Fp
-                || b == 0
-                || bits::bit(b, self.layout.mantissa_width() - 1)
-        );
-        match &self.products {
-            Products::Table(tables) => {
-                tables.raw[((prep.a << self.layout.mantissa_width()) | b) as usize] as u64
-            }
-            Products::Chunked(_) => prep.chunk_tables().read(b),
-        }
-    }
-
-    /// Lane-batched [`multiply_prepared`](Self::multiply_prepared): one
-    /// call multiplies the prepared multiplicand against `L` multiplier
-    /// lanes at once, returning the per-lane wired-OR read-outs.
+    /// [`multiply`](Self::multiply) with a pre-bound multiplicand, over
+    /// a lane group: one call multiplies the prepared multiplicand
+    /// against `L` multiplier lanes at once, returning the per-lane
+    /// wired-OR read-outs (`L = 1` is the scalar read). The table row
+    /// (or the chunk tables) bound by [`prepare`](Self::prepare) is
+    /// reused across calls.
     ///
     /// This is the integer heart of the lane-packed GEMM microkernels:
     /// for narrow mantissas the memoized product table row bound to
@@ -490,8 +453,7 @@ impl MantissaMultiplier {
     /// [`mul_lanes`](Self::mul_lanes) without per-group operand
     /// re-validation, for crate-internal hot loops whose lanes come from
     /// already-validated decodes (quantized BlockFp mantissas, decoded
-    /// `Normal` scalars) — the lane counterpart of
-    /// [`multiply_prepared_trusted`](Self::multiply_prepared_trusted).
+    /// `Normal` scalars).
     #[inline]
     pub(crate) fn mul_lanes_trusted<const L: usize>(
         &self,
@@ -627,12 +589,6 @@ pub struct PreparedMultiplicand {
 }
 
 impl PreparedMultiplicand {
-    /// The bound multiplicand value.
-    #[inline]
-    pub fn value(&self) -> u64 {
-        self.a
-    }
-
     #[inline]
     fn chunk_tables(&self) -> &ChunkTables {
         self.chunks.as_ref().expect("multiplicand was prepared for a product-table multiplier")
@@ -939,8 +895,8 @@ mod tests {
             for (j, &b) in group.iter().enumerate() {
                 let expect = m.multiply_bitwise(a, b);
                 assert_eq!(
-                    m.multiply_prepared(&prep, b),
-                    expect,
+                    m.mul_lanes(&prep, &[b]),
+                    [expect],
                     "{} {:?} n={n}: a={a:#x} b={b:#x}",
                     m.config(),
                     m.layout().mode()
@@ -1006,11 +962,10 @@ mod tests {
                 }
                 for &a in &as_ {
                     let prep = m.prepare(a);
-                    assert_eq!(prep.value(), a);
                     for &b in &bs {
                         assert_eq!(
-                            m.multiply_prepared(&prep, b),
-                            m.multiply(a, b),
+                            m.mul_lanes(&prep, &[b]),
+                            [m.multiply(a, b)],
                             "{} {:?} n={n}: a={a:#x} b={b:#x}",
                             m.config(),
                             m.layout().mode()
@@ -1026,7 +981,28 @@ mod tests {
     fn chunk_path_rejects_fp_multiplier_without_leading_one() {
         let m = MantissaMultiplier::new(MultiplierConfig::PC3_TR, OperandMode::Fp, 11);
         let prep = m.prepare(0x500);
-        let _ = m.multiply_prepared(&prep, 0x3FF);
+        let _ = m.mul_lanes(&prep, &[0x3FF]);
+    }
+
+    #[test]
+    fn only_fla_commutes_at_8_bits() {
+        // Every pair (fp mode: both with the leading one) with
+        // `multiply(a, b) != multiply(b, a)`: which operand is stored
+        // changes PC2/PC3 products, never FLA's.
+        for (mode, pins) in [
+            (OperandMode::Fp, [0, 7236, 9698, 7152, 9480]),
+            (OperandMode::Int, [0, 51262, 32250, 18808, 31638]),
+        ] {
+            let lo = if mode == OperandMode::Fp { 0x80 } else { 0 };
+            for (config, pin) in MultiplierConfig::ALL.into_iter().zip(pins) {
+                let m = MantissaMultiplier::new(config, mode, 8);
+                let asymmetric = (lo..0x100u64)
+                    .flat_map(|a| (lo..0x100).map(move |b| (a, b)))
+                    .filter(|&(a, b)| m.multiply(a, b) != m.multiply(b, a))
+                    .count();
+                assert_eq!(asymmetric, pin, "{config} {mode:?}");
+            }
+        }
     }
 
     #[test]

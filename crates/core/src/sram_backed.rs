@@ -42,7 +42,8 @@ use daism_sram::{AccessStats, BankGeometry, GroupLayout, SramBank};
 pub struct SramMultiplier {
     bank: SramBank,
     layout: LineLayout,
-    programmed: Vec<Option<u64>>,
+    /// Which `(group, slot)` homes were ever programmed.
+    programmed: Vec<bool>,
 }
 
 impl SramMultiplier {
@@ -62,7 +63,7 @@ impl SramMultiplier {
         let group_layout = GroupLayout::new(layout.len(), layout.stored_width())?;
         let bank = SramBank::new(geometry, group_layout)?;
         let capacity = bank.capacity();
-        Ok(SramMultiplier { bank, layout, programmed: vec![None; capacity] })
+        Ok(SramMultiplier { bank, layout, programmed: vec![false; capacity] })
     }
 
     /// The line layout (shared with the software model).
@@ -128,7 +129,7 @@ impl SramMultiplier {
         }
         let idx = group * self.slots() + slot;
         if idx < self.programmed.len() {
-            self.programmed[idx] = Some(a);
+            self.programmed[idx] = true;
         }
         Ok(())
     }
@@ -178,16 +179,11 @@ impl SramMultiplier {
     /// programmed, plus operand/range errors.
     pub fn multiply(&mut self, group: usize, slot: usize, b: u64) -> Result<u64, CoreError> {
         let idx = group * self.slots() + slot;
-        if self.programmed.get(idx).copied().flatten().is_none() {
+        if !self.programmed.get(idx).copied().unwrap_or(false) {
             return Err(CoreError::SlotNotProgrammed { group, slot });
         }
         let all = self.multiply_group(group, b)?;
         Ok(all[slot])
-    }
-
-    /// The multiplicand programmed at `(group, slot)`, if any.
-    pub fn programmed_at(&self, group: usize, slot: usize) -> Option<u64> {
-        self.programmed.get(group * self.slots() + slot).copied().flatten()
     }
 
     /// Injects a stuck-at fault into one cell of a slot's line (fault
@@ -347,7 +343,6 @@ mod tests {
             SramMultiplier::new(MultiplierConfig::FLA, OperandMode::Fp, 8, geom_2k()).unwrap();
         hw.program(2, 3, 0xFF).unwrap();
         hw.program(2, 3, 0x81).unwrap();
-        assert_eq!(hw.programmed_at(2, 3), Some(0x81));
         let v = hw.multiply(2, 3, 0x80).unwrap();
         assert_eq!(v, 0x81u64 * 0x80);
     }

@@ -258,8 +258,8 @@ proptest! {
     }
 }
 
-/// Applies `f` to `ys` through `mul_lanes` groups of `L`, scalar
-/// `multiply` on the remainder, asserting lane == scalar per element.
+/// Applies `f` to `ys` through `mul_lanes` groups of `L`, single lanes
+/// on the remainder, asserting lane == scalar `multiply` per element.
 fn assert_lanes_match_scalar<const L: usize>(
     m: &MantissaMultiplier,
     a: u64,
@@ -284,7 +284,7 @@ fn assert_lanes_match_scalar<const L: usize>(
         }
     }
     for &b in it.remainder() {
-        prop_assert_eq!(m.multiply_prepared(&prep, b), m.multiply(a, b));
+        prop_assert_eq!(m.mul_lanes(&prep, &[b]), [m.multiply(a, b)]);
     }
     Ok(())
 }

@@ -132,7 +132,7 @@ impl Dense {
 
 impl Layer for Dense {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
-        let y = self.compiled(backend).forward(x, backend, None);
+        let y = self.compiled(backend).forward(x, backend);
         if training {
             self.cache_x = Some(x.clone());
         }
@@ -566,7 +566,7 @@ impl Layer for ReLU {
         if training {
             self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
         }
-        CompiledLayer::relu().forward(x, backend, None)
+        CompiledLayer::relu().forward(x, backend)
     }
 
     fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {
@@ -648,7 +648,7 @@ pub(crate) fn maxpool2x2(x: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Ten
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, backend: &dyn GemmBackend, training: bool) -> Tensor {
         if !training {
-            return CompiledLayer::maxpool().forward(x, backend, None);
+            return CompiledLayer::maxpool().forward(x, backend);
         }
         let mut argmax = Vec::new();
         let y = maxpool2x2(x, Some(&mut argmax));
@@ -694,7 +694,7 @@ impl Layer for Flatten {
         if training {
             self.in_shape = Some(x.shape().to_vec());
         }
-        CompiledLayer::flatten().forward(x, backend, None)
+        CompiledLayer::flatten().forward(x, backend)
     }
 
     fn backward(&mut self, grad: &Tensor, _backend: &dyn GemmBackend) -> Tensor {

@@ -194,22 +194,14 @@ impl CompiledLayer {
     }
 
     /// Runs the layer on `x` through [`checked_forward`] with
-    /// [`sample_shape`](Self::sample_shape). A training forward passes
-    /// `tape`: a conv fills it with its transposed lowering
-    /// `[batch·oh·ow, in_ch·k·k]`, which backward's weight-gradient GEMM
-    /// reads; every other layer leaves it untouched.
-    pub(crate) fn forward(
-        &self,
-        x: &Tensor,
-        backend: &dyn GemmBackend,
-        tape: Option<&mut Vec<f32>>,
-    ) -> Tensor {
+    /// [`sample_shape`](Self::sample_shape).
+    pub(crate) fn forward(&self, x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
         checked_forward(
             x,
             |sample| self.sample_shape(sample),
             |batch, out| match &self.0 {
                 CompiledKind::Dense(d) => d.forward(x, backend),
-                CompiledKind::Conv(c) => c.geom.forward(&c.bias, &c.weights, x, backend, tape),
+                CompiledKind::Conv(c) => c.geom.forward(&c.bias, &c.weights, x, backend, None),
                 CompiledKind::ReLU => x.map(|v| v.max(0.0)),
                 CompiledKind::MaxPool => maxpool2x2(x, None),
                 CompiledKind::Flatten => x.reshape(&[batch, out[0]]),
@@ -225,9 +217,9 @@ impl CompiledLayer {
 fn chain_forward(layers: &[CompiledLayer], x: &Tensor, backend: &dyn GemmBackend) -> Tensor {
     match layers.split_first() {
         None => x.clone(),
-        Some((first, rest)) => rest
-            .iter()
-            .fold(first.forward(x, backend, None), |y, layer| layer.forward(&y, backend, None)),
+        Some((first, rest)) => {
+            rest.iter().fold(first.forward(x, backend), |y, layer| layer.forward(&y, backend))
+        }
     }
 }
 
